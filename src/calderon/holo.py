@@ -22,6 +22,8 @@ from .geometry import GAMMA0, ConfigurationError, DiskDomain, Mesh, TWO_PI
 ARC_RESIDUAL_TOL = 1e-6
 HARD_CONSTRAINT_TOL = 1e-10
 DEGENERACY_THRESHOLD = 1e-8
+# kernel entries per dense row block of cauchy_transform
+TRANSFORM_BLOCK_ENTRIES = 1_000_000
 
 
 class InfeasibleDegreeError(RuntimeError):
@@ -75,7 +77,7 @@ class HoloFunction:
 # solid Cauchy transform
 
 
-def cauchy_transform(f_values, mesh: Mesh, eval_points=None) -> np.ndarray:
+def cauchy_transform(f_values, mesh: Mesh, eval_points=None, eval_index=None) -> np.ndarray:
     """Solid Cauchy transform R f(z) = (1/pi) * integral of f(xi)/(conj(z-xi)) dA.
 
     Inverts d/dz: dz(R f) = f at interior points.  Quadrature is one point
@@ -86,66 +88,90 @@ def cauchy_transform(f_values, mesh: Mesh, eval_points=None) -> np.ndarray:
     f(z) times its quadrature cancels the near-field error (evaluation never
     fails near a sample singularity).
 
+    The sum is split in two.  The far field is dense: the point-mass kernel
+    1/conj(z - xi) against areas * f over the support of f, with exact
+    self-pairs zeroed.  The near field runs only over the (evaluation,
+    source) pairs closer than the subtraction radius of 4 mesh resolutions,
+    taken from a k-d tree pair list: it swaps in the disk-averaged kernel
+    inside each source's equal-area disk and applies the subtraction window,
+    whose sources are the support of f dilated by that radius.
+
+    R f is evaluated at the mesh vertices eval_index (all vertices when both
+    eval_index and eval_points are None), where f is read directly, or at
+    the off-mesh eval_points, where f is interpolated linearly.
+
     f must vanish within two cells of the boundary (compact support).
     """
     f = np.asarray(f_values, dtype=complex)
     if f.shape != (mesh.n_vertices,):
         raise ValueError("f must be sampled at mesh vertices")
-    support = np.abs(f) > 0
-    sub_radius = 4.0 * mesh.resolution
-    if np.any(support):
-        rmax = np.max(np.abs(mesh.vertices[support]))
-        if rmax > 1.0 - 2.0 * mesh.resolution:
-            raise ValueError("support of f must stay two cells away from the boundary")
-        # dilate by the subtraction radius: zero-valued sources still carry
-        # quadrature weight in the local defect sum
-        from scipy.spatial import cKDTree
-
-        tree = cKDTree(np.column_stack([mesh.vertices[support].real, mesh.vertices[support].imag]))
-        dist, _ = tree.query(np.column_stack([mesh.vertices.real, mesh.vertices.imag]))
-        support = dist <= sub_radius + 1e-12
+    if eval_points is not None and eval_index is not None:
+        raise ValueError("give eval_points or eval_index, not both")
     if eval_points is None:
-        eval_points = mesh.vertices
-        f_at_eval = f
+        idx = np.arange(mesh.n_vertices) if eval_index is None else np.asarray(eval_index, dtype=int)
+        z = mesh.vertices[idx].ravel()
+        f_at_eval = f[idx].ravel()
+        shape = np.shape(idx)
     else:
-        f_at_eval = None
-    z = np.asarray(eval_points, dtype=complex).ravel()
-    if f_at_eval is None:
+        z = np.asarray(eval_points, dtype=complex).ravel()
+        shape = np.shape(eval_points)
+    out = np.zeros(len(z), dtype=complex)
+    support = np.abs(f) > 0
+    if np.any(support) and np.max(np.abs(mesh.vertices[support])) > 1.0 - 2.0 * mesh.resolution:
+        raise ValueError("support of f must stay two cells away from the boundary")
+    if not np.any(support) or len(z) == 0:
+        return out.reshape(shape)
+    sub_radius = 4.0 * mesh.resolution
+    from scipy.spatial import cKDTree
+
+    pts = np.column_stack([mesh.vertices.real, mesh.vertices.imag])
+    if eval_points is not None:
         from scipy.interpolate import LinearNDInterpolator
 
-        pts = np.column_stack([mesh.vertices.real, mesh.vertices.imag])
         zp = np.column_stack([z.real, z.imag])
         interp_re = LinearNDInterpolator(pts, f.real, fill_value=0.0)
         interp_im = LinearNDInterpolator(pts, f.imag, fill_value=0.0)
         f_at_eval = interp_re(zp) + 1j * interp_im(zp)
-    else:
-        f_at_eval = f_at_eval.ravel()
-    src = mesh.vertices[support]
-    fs = f[support]
-    areas = mesh.vertex_areas[support]
+    # far field: zero-valued sources add nothing to the point-mass sum
+    xs = mesh.vertices[support]
+    weights = (mesh.vertex_areas * f)[support]
+    block = max(1, int(TRANSFORM_BLOCK_ENTRIES / len(xs)))
+    for s in range(0, len(z), block):
+        # 1/conj(d) = d/|d|^2
+        d = z[s : s + block, None] - xs[None, :]
+        d_sq = d.real**2 + d.imag**2
+        np.divide(1.0, d_sq, out=d_sq, where=d_sq != 0)
+        d *= d_sq
+        out[s : s + block] = d @ weights
+    # near field: zero-valued sources still carry quadrature weight in the
+    # local defect sum, so its sources are the support dilated by sub_radius
+    dist, _ = cKDTree(pts[support]).query(pts)
+    local = dist <= sub_radius + 1e-12
+    src = mesh.vertices[local]
+    fs = f[local]
+    areas = mesh.vertex_areas[local]
     radii = np.sqrt(areas / np.pi)
-    out = np.zeros(len(z), dtype=complex)
-    chunk = max(1, int(4e6 / max(1, len(src))))
-    for s in range(0, len(z), chunk):
-        zz = z[s : s + chunk, None]
-        d = zz - src[None, :]
-        absd = np.abs(d)
-        near = absd < radii[None, :]
-        kern = np.empty_like(d)
-        dc = np.conj(d)
-        np.divide(1.0, dc, out=kern, where=~near)
-        # average of the kernel over the equal-area disk centered at the source
-        kern[near] = (d / radii[None, :] ** 2)[near]
-        kern *= areas[None, :]
-        out[s : s + chunk] = kern @ fs
-        # singularity subtraction: any radial window centered at z has exact
-        # transform 0 there, so its quadrature is pure local defect; a smooth
-        # window keeps the rim quadrature clean
-        t = np.clip(absd / sub_radius, 0.0, 1.0)
-        window = 0.5 * (1.0 + np.cos(np.pi * t))
-        out[s : s + chunk] -= f_at_eval[s : s + chunk] * np.sum(kern * window, axis=1)
+    # the equal-area disks (radius about resolution / 2) lie well inside it
+    pairs = cKDTree(np.column_stack([z.real, z.imag])).sparse_distance_matrix(
+        cKDTree(pts[local]), sub_radius, output_type="ndarray"
+    )
+    i, j = pairs["i"], pairs["j"]
+    d = z[i] - src[j]
+    absd = np.abs(d)
+    near = absd < radii[j]
+    point = np.zeros_like(d)
+    np.divide(areas[j], np.conj(d), out=point, where=d != 0)
+    # average of the kernel over the equal-area disk centered at the source
+    kern = np.where(near, areas[j] * d / radii[j] ** 2, point)
+    # singularity subtraction: any radial window centered at z has exact
+    # transform 0 there, so its quadrature is pure local defect; a smooth
+    # window keeps the rim quadrature clean
+    t = np.clip(absd / sub_radius, 0.0, 1.0)
+    window = 0.5 * (1.0 + np.cos(np.pi * t))
+    pair_terms = (kern - point) * fs[j] - f_at_eval[i] * kern * window
+    out += np.bincount(i, pair_terms.real, len(z)) + 1j * np.bincount(i, pair_terms.imag, len(z))
     out /= np.pi
-    return out.reshape(np.shape(eval_points))
+    return out.reshape(shape)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from calderon import cgo as _cgo
 from calderon.geometry import DiskDomain, build_disk_mesh
 from calderon.holo import HoloFunction, build_amplitude, build_morse_phase, find_critical_points
 
-from conftest import P_STAR, gaussian_bump
+from conftest import P_STAR, dense_cauchy_transform, gaussian_bump
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +64,31 @@ def test_r11_zero_for_zero_b(quarter_prep, quarter_mesh_mid):
     )
     assert np.max(np.abs(r11)) == 0.0
     assert np.max(np.abs(eta)) == 0.0
+
+
+def test_r11_supp_chi_matches_full_evaluation(quarter_prep, quarter_mesh_mid):
+    """Evaluating the transform on supp chi and supp dz(chi) only leaves r11
+    and eta as the full-mesh evaluation gives them."""
+    prep = quarter_prep["prep"]
+    mesh = quarter_mesh_mid
+    z = mesh.vertices
+    h = 0.2
+    osc = np.exp(2j * quarter_prep["phase"](z).imag / h)
+    T_full = dense_cauchy_transform(osc * prep["chi1"](z) * prep["b"], mesh)
+    r11, eta, T = _cgo.build_r11(mesh, quarter_prep["phase"], prep["b"], prep["chi"], prep["chi1"], h, full=True)
+    r11_want = prep["chi"](z) * np.conj(osc) * T_full
+    eta_want = np.conj(osc) * T_full * prep["chi"].dz(z)
+    assert np.max(np.abs(r11 - r11_want)) <= 1e-12 * np.max(np.abs(r11_want))
+    assert np.max(np.abs(eta - eta_want)) <= 1e-12 * np.max(np.abs(eta_want))
+    assert np.all(T[prep["chi"](z) == 0] == 0)
+
+
+def test_h1_norm_of_paraboloid():
+    """u = 1 - |z|^2 on the unit disk: ||u||^2 = pi/3, ||grad u||^2 = 2 pi."""
+    mesh = build_disk_mesh(0.05, DiskDomain())
+    got = _cgo.h1_norm(1.0 - np.abs(mesh.vertices) ** 2, mesh)
+    want = np.sqrt(np.pi / 3.0 + 2.0 * np.pi)
+    assert abs(got - want) <= 0.05 * want
 
 
 def test_r11_unresolvable_h_raises(quarter_prep, quarter_mesh_mid):

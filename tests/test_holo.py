@@ -15,7 +15,7 @@ from calderon.holo import (
     fit_holomorphic_on_arc,
 )
 
-from conftest import P_STAR
+from conftest import P_STAR, dense_cauchy_transform
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +54,26 @@ def test_cauchy_transform_disk_indicator(mesh_mid):
     got = cauchy_transform(f, mesh_mid, pts)
     exact = np.where(np.abs(pts) < r0, pts, r0**2 / np.conj(pts))
     assert np.max(np.abs(got - exact)) <= 1e-2
+
+
+def test_cauchy_transform_matches_dense_reference(mesh_mid):
+    """Far/near split against the all-pairs quadrature: at every vertex, at
+    a vertex subset (f read there directly) and at off-mesh points."""
+    z = mesh_mid.vertices
+    t = np.abs(z - (0.1 + 0.1j)) / 0.4
+    bump = np.where(t < 1.0, np.exp(1.0 - 1.0 / (1.0 - np.minimum(t, 0.999) ** 2)), 0.0)
+    f = bump * np.exp(10j * z.real)
+    want = dense_cauchy_transform(f, mesh_mid)
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(cauchy_transform(f, mesh_mid) - want)) <= 1e-12 * scale
+    idx = np.arange(0, mesh_mid.n_vertices, 7)
+    got = cauchy_transform(f, mesh_mid, eval_index=idx)
+    assert np.max(np.abs(got - want[idx])) <= 1e-12 * scale
+    indicator = (np.abs(z) < 0.5).astype(complex)
+    pts = np.array([0.2 + 0.1j, -0.3j, 0.1, 0.7 + 0.1j, -0.8])
+    want = dense_cauchy_transform(indicator, mesh_mid, pts)
+    got = cauchy_transform(indicator, mesh_mid, pts)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_cauchy_transform_zero(mesh_mid):

@@ -197,6 +197,28 @@ def test_summary_deterministic_across_runs(tmp_path):
     assert blobs[0] == blobs[1]
 
 
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        # four h values every cgo regime resolves on the 0.08 mesh
+        ("cgo", {"resolution": 0.08, "h_list": [0.5, 0.4, 0.32, 0.25]}),
+        # the pairing fit needs 2 periods of 2 psi(p)/h; the 0.08 mesh cannot
+        # resolve the reconstruct phase at any h list that spans them
+        ("reconstruct", {"resolution": 0.04, "grid_n": 3, "h_list": [0.5, 0.3, 0.18, 0.1]}),
+    ],
+    ids=["cgo", "reconstruct"],
+)
+def test_pipeline_outputs_deterministic_across_runs(tmp_path, command, overrides):
+    cfg = _write_cfg(tmp_path, {"name": "cheap", "seed": 3, **overrides})
+    runs = []
+    for tag in ("a", "b"):
+        out = tmp_path / tag
+        status = _cli.run_scenario(cfg, command, out_dir=str(out))
+        runs.append((status, {f.name: f.read_bytes() for f in sorted(out.iterdir())}))
+    assert f"{command}_summary.json" in runs[0][1]
+    assert runs[0] == runs[1]
+
+
 def test_unicode_scenario_name_roundtrip(tmp_path):
     cfg = _write_cfg(tmp_path, {**CHEAP, "name": "café-Ω"})
     out = tmp_path / "out"
