@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .forward import SchrodingerOperator
+from .forward import OperatorCache, SchrodingerOperator
 from .geometry import ConfigurationError, DiskDomain, Mesh, as_values, boundary_integral
 from .holo import (
     HoloFunction,
@@ -190,7 +190,7 @@ def _ratio_terms(mesh: Mesh, weight: CarlemanWeight, op: SchrodingerOperator, B,
     return lhs, rhs, rhs / lhs
 
 
-def carleman_ratio(mesh: Mesh, weight: CarlemanWeight, V, u, op: SchrodingerOperator = None) -> tuple:
+def carleman_ratio(mesh: Mesh, weight: CarlemanWeight, V, u, ops: OperatorCache = None) -> tuple:
     """Both sides of the Carleman inequality for one test function.
 
     lhs = (1/h)||u||^2 + (1/h^2)||u |d phi|||^2 + ||du||^2 + ||d_nu u||^2_{gamma0}
@@ -198,8 +198,7 @@ def carleman_ratio(mesh: Mesh, weight: CarlemanWeight, V, u, op: SchrodingerOper
 
     u must vanish on every boundary vertex; returns (lhs, rhs, rhs/lhs).
     """
-    if op is None:
-        op = SchrodingerOperator(mesh, V)
+    op = (OperatorCache(mesh) if ops is None else ops).get(V)
     B = conjugated_matrix(op, convexify_weight(weight, mesh), weight.h)
     return _ratio_terms(mesh, weight, op, B, u)
 
@@ -235,6 +234,7 @@ def carleman_sweep(
     seed: int = 0,
     csv_path=None,
     json_path=None,
+    ops: OperatorCache = None,
 ) -> dict:
     """Minimum Carleman ratio over seeded test functions and an h sweep.
 
@@ -247,7 +247,7 @@ def carleman_sweep(
         raise ConfigurationError("sample_count must be >= 1")
     samples = sample_test_functions(mesh, sample_count, seed)
     maxgrad = float(np.max(np.abs(weight.phase.derivative()(mesh.vertices))))
-    op = SchrodingerOperator(mesh, V)
+    op = (OperatorCache(mesh) if ops is None else ops).get(V)
     rows = []
     minima = {}
     skipped = []

@@ -42,7 +42,7 @@ from .geometry import (
     dzbar_field,
     dzbar_recovered,
 )
-from .forward import SchrodingerOperator
+from .forward import SYMMETRIC_LU, OperatorCache, SchrodingerOperator
 from .holo import (
     HoloFunction,
     InfeasibleDegreeError,
@@ -183,15 +183,14 @@ class CGOComponents:
         return tr
 
 
-def green_dz(mesh: Mesh, source: np.ndarray, op0: Optional[SchrodingerOperator] = None) -> np.ndarray:
+def green_dz(mesh: Mesh, source: np.ndarray, ops: Optional[OperatorCache] = None) -> np.ndarray:
     """dz of the Dirichlet Green potential of `source`.
 
     Interior vertices use the averaged P1 gradient; boundary vertices use the
     weak Neumann flux (the potential vanishes on the circle, so its gradient
     is purely normal there), which is far less noisy than one-sided gradients.
     """
-    if op0 is None:
-        op0 = SchrodingerOperator(mesh, 0.0, name="0")
+    op0 = (OperatorCache(mesh) if ops is None else ops).get(0.0, name="0")
     G = op0.solve_dirichlet(np.zeros(len(mesh.boundary)), source=source)
     theta = dz_field(G, mesh)
     flux = op0.weak_neumann_trace(G, source=source)
@@ -355,7 +354,7 @@ def conjugated_matrix(op: SchrodingerOperator, phi_vals: np.ndarray, h: float) -
     return sp.coo_matrix((A.data * scale, (A.row, A.col)), shape=A.shape).tocsr()
 
 
-def complete_solution(mesh: Mesh, V, comp: CGOComponents, h: float, op: Optional[SchrodingerOperator] = None):
+def complete_solution(mesh: Mesh, V, comp: CGOComponents, h: float, ops: Optional[OperatorCache] = None):
     """Exact discrete CGO solution and its boundary-layer remainder.
 
     Solves (Delta_g + V) u = 0 with Dirichlet data equal to the oscillatory
@@ -363,15 +362,14 @@ def complete_solution(mesh: Mesh, V, comp: CGOComponents, h: float, op: Optional
     v = e^{-phi/h} u; returns (u, r2) with r2 = e^{-phi/h}(u - ansatz).
     Also stores v and the weighted flux on comp for overflow-free pairings.
     """
-    if op is None:
-        op = SchrodingerOperator(mesh, V)
+    op = (OperatorCache(mesh) if ops is None else ops).get(V)
     phi_v, psi_v = comp.phi_psi()
     B = conjugated_matrix(op, phi_v, h)
     ii = op.int_idx
     bb = op.bnd_idx
     g = comp.ansatz_trace()
     rhs = -B[np.ix_(ii, bb)] @ g
-    lu = spla.splu(B[np.ix_(ii, ii)].tocsc())
+    lu = spla.splu(B[np.ix_(ii, ii)].tocsc(), **SYMMETRIC_LU)
     v = np.zeros(mesh.n_vertices, dtype=complex)
     v[ii] = lu.solve(rhs.real) + 1j * lu.solve(rhs.imag)
     v[bb] = g
@@ -423,7 +421,7 @@ def build_cgo(
     amplitude: HoloFunction,
     h: float,
     jet_degree: int = 16,
-    op: Optional[SchrodingerOperator] = None,
+    ops: Optional[OperatorCache] = None,
     prepared: Optional[dict] = None,
     cutoff_scale: float = 1.0,
 ) -> CGOComponents:
@@ -433,10 +431,11 @@ def build_cgo(
     The h-independent work (transport datum b, algebraic remainders,
     corrector a0) can be shared across an h sweep via prepare_cgo/prepared.
     """
+    ops = OperatorCache(mesh) if ops is None else ops
     if prepared is None:
-        prepared = prepare_cgo(mesh, domain, V, phase, amplitude, jet_degree, cutoff_scale=cutoff_scale)
+        prepared = prepare_cgo(mesh, domain, V, phase, amplitude, jet_degree, cutoff_scale=cutoff_scale, ops=ops)
     comp = assemble_cgo(mesh, phase, amplitude, h, prepared)
-    complete_solution(mesh, V, comp, h, op=prepared.get("op") or op)
+    complete_solution(mesh, V, comp, h, ops=ops)
     return comp
 
 
@@ -449,15 +448,14 @@ def prepare_cgo(
     jet_degree: int = 16,
     cutoff_scale: float = 1.0,
     p: Optional[complex] = None,
-    with_operator: bool = True,
-    op0: Optional[SchrodingerOperator] = None,
+    ops: Optional[OperatorCache] = None,
 ) -> dict:
     """h-independent CGO ingredients for one (phase, amplitude, V).
 
     p overrides the primary-critical-point selection (needed for mirror
-    phases -Phi, where Im(-Phi) is most negative at the primary point);
-    with_operator=False skips the factorized Schrodinger operator when no
-    completion solve will run.
+    phases -Phi, where Im(-Phi) is most negative at the primary point).
+    The only operator used here is the V = 0 one of the Green potential,
+    taken from ops.
     """
     report: CriticalPointReport = phase.meta["critical_points"]
     points = [q for q in report.points if not q.degenerate]
@@ -471,7 +469,7 @@ def prepare_cgo(
         b = np.zeros(mesh.n_vertices, dtype=complex)
         omega = None
     else:
-        theta = green_dz(mesh, amplitude(mesh.vertices) * V_vals, op0=op0)
+        theta = green_dz(mesh, amplitude(mesh.vertices) * V_vals, ops=ops)
         f = build_jet_form(theta, mesh, report, p, domain, degree=jet_degree)
         omega = f.meta["omega"]
         b = omega(mesh.vertices) - theta
@@ -492,11 +490,10 @@ def prepare_cgo(
         "r12": r12,
         "r_tilde12": r_tilde12,
         "a0": a0,
-        "op": SchrodingerOperator(mesh, V) if with_operator else None,
     }
 
 
-def residual_field(mesh: Mesh, V, comp: CGOComponents, op: Optional[SchrodingerOperator] = None) -> np.ndarray:
+def residual_field(mesh: Mesh, V, comp: CGOComponents, ops: Optional[OperatorCache] = None) -> np.ndarray:
     """Conjugated residual e^{-Phi/h}(Delta_g + V) e^{Phi/h}(a + h a0 + r1)
     as a complex vertex field.
 
@@ -508,8 +505,7 @@ def residual_field(mesh: Mesh, V, comp: CGOComponents, op: Optional[SchrodingerO
     """
     z = mesh.vertices
     h = comp.h
-    if op is None:
-        op = SchrodingerOperator(mesh, V)
+    op = (OperatorCache(mesh) if ops is None else ops).get(V)
     V_v = op.V
     dphi = comp.phase.derivative()(z)
     inv_metric = np.exp(-2.0 * mesh.rho_v)
@@ -533,18 +529,18 @@ def residual_field(mesh: Mesh, V, comp: CGOComponents, op: Optional[SchrodingerO
     return res
 
 
-def ansatz_residual(mesh: Mesh, V, comp: CGOComponents, op: Optional[SchrodingerOperator] = None) -> float:
+def ansatz_residual(mesh: Mesh, V, comp: CGOComponents, ops: Optional[OperatorCache] = None) -> float:
     """Bulk L2 norm of the conjugated ansatz residual (see residual_field).
 
     A thin rim is masked because the one-sided boundary gradients of the
     slow fields are O(resolution)-noisy there.
     """
-    res = residual_field(mesh, V, comp, op=op)
+    res = residual_field(mesh, V, comp, ops=ops)
     bulk = np.abs(mesh.vertices) < 1.0 - 4.0 * mesh.resolution
     return l2_norm(np.where(bulk, res, 0.0), mesh)
 
 
-def duality_completion(mesh: Mesh, V, comp: CGOComponents, op: Optional[SchrodingerOperator] = None) -> np.ndarray:
+def duality_completion(mesh: Mesh, V, comp: CGOComponents, ops: Optional[OperatorCache] = None) -> np.ndarray:
     """Weighted remainder r2 realized by the minimal-norm (duality) solve.
 
     Finds the smallest r2 (in the lumped-mass L2 norm) with
@@ -568,11 +564,11 @@ def duality_completion(mesh: Mesh, V, comp: CGOComponents, op: Optional[Schrodin
     estimate, which suppresses those modes.  Stores the result on
     comp.r2_duality and returns it.
     """
-    if op is None:
-        op = SchrodingerOperator(mesh, V)
+    ops = OperatorCache(mesh) if ops is None else ops
+    op = ops.get(V)
     h = comp.h
     phi_v, psi_v = comp.phi_psi()
-    res = residual_field(mesh, V, comp, op=op)
+    res = residual_field(mesh, V, comp, ops=ops)
     rhs_field = 2.0 * np.real(np.exp(1j * psi_v / h) * res)
     A_full = np.exp(1j * psi_v / h) * comp.slow_amplitude()
     w = np.real(A_full + np.conj(A_full))
@@ -587,7 +583,7 @@ def duality_completion(mesh: Mesh, V, comp: CGOComponents, op: Optional[Schrodin
     G = B[np.ix_(ii, free)]
     inv_mass_free = sp.diags(1.0 / op.mass[free])
     S = (G @ inv_mass_free @ G.T).tocsc()
-    lam = spla.splu(S).solve(rhs)
+    lam = spla.splu(S, **SYMMETRIC_LU).solve(rhs)
     r2[free] = inv_mass_free @ (G.T @ lam)
     comp.r2_duality = r2
     return r2
@@ -634,6 +630,7 @@ def residual_scaling_report(
     csv_path=None,
     json_path=None,
     cutoff_scale: float = 1.0,
+    ops: Optional[OperatorCache] = None,
 ) -> dict:
     """Measure every remainder norm across an h sweep and fit the scaling
     exponents; at least 4 usable h values are required for a fit.
@@ -641,7 +638,8 @@ def residual_scaling_report(
     The components are assembled without a completion solve: r2 is the
     minimal-norm remainder of duality_completion only."""
     h_list = sorted(set(float(h) for h in h_list), reverse=True)
-    prepared = prepare_cgo(mesh, domain, V, phase, amplitude, jet_degree, cutoff_scale=cutoff_scale)
+    ops = OperatorCache(mesh) if ops is None else ops
+    prepared = prepare_cgo(mesh, domain, V, phase, amplitude, jet_degree, cutoff_scale=cutoff_scale, ops=ops)
     rows = []
     used_h = []
     skipped = []
@@ -653,7 +651,7 @@ def residual_scaling_report(
             continue
         used_h.append(h)
         hr12t = h * comp.r_tilde12
-        duality_completion(mesh, V, comp, op=prepared["op"])
+        duality_completion(mesh, V, comp, ops=ops)
         rows.append(
             {
                 "h": h,
@@ -663,7 +661,7 @@ def residual_scaling_report(
                 "eta_l2": l2_norm(comp.eta, mesh),
                 "eta_h1": h1_norm(comp.eta, mesh),
                 "r2_l2": l2_norm(comp.r2_duality, mesh),
-                "ansatz_residual_l2": ansatz_residual(mesh, V, comp, op=prepared["op"]),
+                "ansatz_residual_l2": ansatz_residual(mesh, V, comp, ops=ops),
             }
         )
     if len(used_h) < 4:

@@ -1,9 +1,11 @@
 """Scenario-driven command-line front end.
 
-`calderon <command> --config <path> --out <dir> [--seed S] [--jobs J]`
+`calderon <command> --config <path> --out <dir> [--seed S]`
 with commands forward | cgo | carleman | reconstruct | boundary | all.
 Every pipeline writes CSV data plus a JSON summary with PASS/FAIL checks;
-outputs are deterministic given (config, seed).
+outputs are deterministic given (config, seed).  The pipelines of one run
+share the scenario's factorized operators (Scenario.operators), so each
+(mesh, potential) pair is factorized once per run.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from . import carleman as _carleman
 from . import cgo as _cgo
 from . import reconstruct as _rc
-from .forward import SchrodingerOperator, boundary_pairing, partial_cauchy_data
+from .forward import boundary_pairing, partial_cauchy_data
 from .geometry import ConfigurationError, as_values
 from .holo import build_amplitude, build_morse_phase
 from .scenarios import Scenario, load_scenario
@@ -114,17 +116,18 @@ def _mesh_export(sc: Scenario, out_dir: str) -> list:
 
 def run_forward(sc: Scenario, out_dir: str) -> dict:
     mesh = sc.build_mesh()
+    ops = sc.operators()
     files = _mesh_export(sc, out_dir)
     f = np.real(mesh.vertices[mesh.gamma_indices()])
-    data1 = partial_cauchy_data(mesh, sc.V1, f)
-    data2 = partial_cauchy_data(mesh, sc.V2, f)
+    data1 = partial_cauchy_data(mesh, sc.V1, f, ops=ops)
+    data2 = partial_cauchy_data(mesh, sc.V2, f, ops=ops)
     for tag, data in (("v1", data1), ("v2", data2)):
         path = os.path.join(out_dir, f"cauchy_{tag}.csv")
         data.to_csv(path)
         files.append(path)
     # Green-identity cross-check between the two forward models
-    op1 = SchrodingerOperator(mesh, sc.V1, name="V1")
-    op2 = SchrodingerOperator(mesh, sc.V2, name="V2")
+    op1 = ops.get(sc.V1, name="V1")
+    op2 = ops.get(sc.V2, name="V2")
     g = np.zeros(len(mesh.boundary))
     g[~mesh.boundary_is_gamma0] = f
     u1 = op1.solve_dirichlet(g)
@@ -176,7 +179,7 @@ def run_cgo(sc: Scenario, out_dir: str) -> dict:
         rep = _cgo.residual_scaling_report(
             mesh, sc.domain, sc.V1, phase, amplitude, sc.h_list,
             jet_degree=cfg["degree"], csv_path=csv_path, json_path=json_path,
-            cutoff_scale=regime["cutoff_scale"],
+            cutoff_scale=regime["cutoff_scale"], ops=sc.operators(),
         )
         reports.append(rep)
         files += [csv_path, json_path]
@@ -208,7 +211,7 @@ def run_carleman(sc: Scenario, out_dir: str) -> dict:
     rep = _carleman.carleman_sweep(
         mesh, weight, sc.V1, sc.h_list,
         sample_count=cfg["carleman_samples"], seed=sc.seed,
-        csv_path=csv_path, json_path=json_path,
+        csv_path=csv_path, json_path=json_path, ops=sc.operators(),
     )
     conv = _carleman.convexity_check(weight, mesh)
     checks = [
@@ -226,11 +229,12 @@ def run_carleman(sc: Scenario, out_dir: str) -> dict:
 
 def run_reconstruct(sc: Scenario, out_dir: str) -> dict:
     mesh = sc.build_mesh()
+    ops = sc.operators()
     cfg = sc.config
     est = _rc.pointwise_difference(
         mesh, sc.domain, sc.V1, sc.V2, sc.point, sc.h_list,
         degree=cfg["phase_degree"], psi_target=cfg["psi_target"],
-        seed=sc.seed, jet_degree=cfg["degree"],
+        seed=sc.seed, jet_degree=cfg["degree"], ops=ops,
     )
     true_p = float(np.real(_eval_potential(sc.V1, sc.point) - _eval_potential(sc.V2, sc.point)))
     grid = _rc.make_grid(cfg["grid_n"], cfg["grid_radius"])
@@ -238,7 +242,7 @@ def run_reconstruct(sc: Scenario, out_dir: str) -> dict:
     dmap = _rc.difference_map(
         mesh, sc.domain, sc.V1, sc.V2, grid, sc.h_list,
         degree=cfg["phase_degree"], psi_target=cfg["psi_target"],
-        seed=sc.seed, jet_degree=cfg["degree"], csv_path=csv_path,
+        seed=sc.seed, jet_degree=cfg["degree"], csv_path=csv_path, ops=ops,
     )
     checks = [
         _check(
@@ -285,10 +289,13 @@ def run_boundary(sc: Scenario, out_dir: str) -> dict:
     cfg = sc.config
     theta_p = float(cfg["theta_p"])
     h_list = cfg["boundary_h_list"]
-    cal = _rc.calibrate_boundary_constant(mesh, sc.domain, theta_p, h_list)
+    ops = sc.operators()
+    cal = _rc.calibrate_boundary_constant(mesh, sc.domain, theta_p, h_list, ops=ops)
     csv_path = os.path.join(out_dir, "boundary_scan.csv")
     thetas = [theta_p - 0.5, theta_p, theta_p + 0.5]
-    scan = _rc.boundary_scan(mesh, sc.domain, sc.V1, sc.V2, thetas, h_list, calibration=cal, csv_path=csv_path)
+    scan = _rc.boundary_scan(
+        mesh, sc.domain, sc.V1, sc.V2, thetas, h_list, calibration=cal, csv_path=csv_path, ops=ops
+    )
     row = next((r for r in scan["rows"] if abs(r["theta"] - theta_p) < 1e-12), None)
     checks = []
     constants = {"calibration": cal, "scan_failures": len(scan["failures"])}
@@ -321,7 +328,7 @@ _PIPELINES = {
 }
 
 
-def run_scenario(config_path, command: str, out_dir: str = None, seed: int = None, jobs: int = 1) -> int:
+def run_scenario(config_path, command: str, out_dir: str = None, seed: int = None) -> int:
     """Run one pipeline (or all) for a scenario config; returns exit status."""
     if command not in COMMANDS:
         raise ConfigurationError(f"unknown command {command!r}; choose from {', '.join(COMMANDS)}")
@@ -364,10 +371,9 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="scenario config JSON path")
     parser.add_argument("--out", default=".", help="output directory (env CALDERON_OUT overrides)")
     parser.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel worker hint (pipelines are sequential per job)")
     args = parser.parse_args(argv)
     try:
-        return run_scenario(args.config, args.command, out_dir=args.out, seed=args.seed, jobs=args.jobs)
+        return run_scenario(args.config, args.command, out_dir=args.out, seed=args.seed)
     except Exception as exc:  # infeasible stage: nonzero exit, error verbatim
         print(f"error: {exc}", file=sys.stderr)
         return 1

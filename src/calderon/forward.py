@@ -108,11 +108,22 @@ class CauchyData:
         return cls(mesh, d, nn)
 
 
+# Every matrix this package factorizes (A_ii here, and the conjugated and
+# normal-equation blocks in calderon.cgo) has a symmetric sparsity pattern,
+# so the fill-reducing ordering is minimum degree on the pattern of A^T + A
+# with diagonal pivots preferred.  The pivot threshold keeps its default:
+# partial pivoting stays on, so an indefinite Delta_g + V is still safe.
+SYMMETRIC_LU = {"permc_spec": "MMD_AT_PLUS_A", "options": {"SymmetricMode": True}}
+
+
 class SchrodingerOperator:
     """Assembled (Delta_g + V) with a factorized interior block.
 
-    The factorization is immutable; solves with many right-hand sides can
-    share one instance.
+    The interior block is factorized once, with the symmetric-pattern
+    ordering SYMMETRIC_LU; condition_estimate keeps the 1-norm condition
+    estimate that guards against a near-Dirichlet eigenvalue.  The
+    factorization is immutable; solves with many right-hand sides can share
+    one instance, and OperatorCache shares one instance per potential.
     """
 
     def __init__(self, mesh: Mesh, V=0.0, name: str = "V"):
@@ -127,7 +138,7 @@ class SchrodingerOperator:
         self.bnd_idx = mesh.boundary
         A_ii = self.A[np.ix_(ii, ii)]
         try:
-            self.lu = spla.splu(A_ii.tocsc())
+            self.lu = spla.splu(A_ii.tocsc(), **SYMMETRIC_LU)
         except RuntimeError as exc:
             raise DirichletEigenvalueError(
                 f"discrete Delta_g + {self.name} is singular (Dirichlet eigenvalue)"
@@ -141,6 +152,7 @@ class SchrodingerOperator:
         op = spla.LinearOperator((n, n), matvec=self.lu.solve, rmatvec=self.lu.solve)
         inv_norm = spla.onenormest(op)
         cond = inv_norm * spla.norm(A_ii, 1)
+        self.condition_estimate = float(cond)
         if not np.isfinite(cond) or cond > limit:
             raise DirichletEigenvalueError(
                 f"discrete Delta_g + {self.name} is near-singular "
@@ -179,6 +191,30 @@ class SchrodingerOperator:
         return r[self.bnd_idx] / self.mesh.boundary_weights
 
 
+class OperatorCache:
+    """One factorized SchrodingerOperator per potential on one mesh.
+
+    Potentials are keyed by their vertex values (dtype and bytes), so a
+    callable and its sampled values share one operator.  A pipeline passes
+    one cache down as ops=; a library function given ops=None makes its own,
+    which still factorizes each potential it meets only once.
+    """
+
+    def __init__(self, mesh: Mesh):
+        self.mesh = mesh
+        self._ops = {}
+
+    def get(self, V=0.0, name: str = "V") -> SchrodingerOperator:
+        """The operator Delta_g + V, built on the first request for V; name
+        labels the errors of that first build."""
+        values = as_values(V, self.mesh)
+        key = (values.dtype.str, values.tobytes())
+        op = self._ops.get(key)
+        if op is None:
+            op = self._ops[key] = SchrodingerOperator(self.mesh, values, name=name)
+        return op
+
+
 def solve_schrodinger_dirichlet(mesh: Mesh, V, f_boundary) -> ScalarField:
     """Solution of (Delta_g + V) u = 0 with full Dirichlet data f_boundary."""
     op = SchrodingerOperator(mesh, V)
@@ -193,10 +229,10 @@ def green_apply(mesh: Mesh, V, f) -> ScalarField:
     return ScalarField(mesh, u)
 
 
-def partial_cauchy_data(mesh: Mesh, V, f_on_gamma) -> CauchyData:
+def partial_cauchy_data(mesh: Mesh, V, f_on_gamma, ops: OperatorCache = None) -> CauchyData:
     """Solve with Dirichlet data f on gamma and 0 on gamma0; return traces on gamma."""
     f_on_gamma = np.asarray(f_on_gamma)
-    op = SchrodingerOperator(mesh, V)
+    op = (OperatorCache(mesh) if ops is None else ops).get(V)
     g = np.zeros(len(mesh.boundary), dtype=f_on_gamma.dtype)
     g[~mesh.boundary_is_gamma0] = f_on_gamma
     u = op.solve_dirichlet(g)

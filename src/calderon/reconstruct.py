@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import SchrodingerOperator, boundary_pairing
+from .forward import OperatorCache, boundary_pairing
 from .geometry import ConfigurationError, DiskDomain, Mesh, as_values
 from .holo import (
     DEGENERACY_THRESHOLD,
@@ -119,13 +119,6 @@ def fit_pairing_model(h_list, S_values, psi_p: float) -> dict:
     return {"A": float(coef[0]), "B": float(coef[1]), "C": float(coef[2]), "residual": resid, "cond": float(cond)}
 
 
-def _slow_pair_fields(mesh, domain, V, phase, amplitude, p, jet_degree, op0):
-    """h-independent slow CGO data without the completion operator."""
-    return _cgo.prepare_cgo(
-        mesh, domain, V, phase, amplitude, jet_degree, p=p, with_operator=False, op0=op0
-    )
-
-
 def _slow_amplitude(mesh, prep, phase, amplitude, h, include_r1):
     z = mesh.vertices
     A = amplitude(z) + h * prep["a0"](z)
@@ -150,6 +143,7 @@ def cgo_pairings(
     jet_degree: int = 16,
     pairing: str = "interior",
     include_r1: bool = True,
+    ops: OperatorCache = None,
 ) -> list:
     """S(h) for opposite-phase CGO pairs, each built with its scenario's own
     potential.
@@ -165,20 +159,18 @@ def cgo_pairings(
     """
     p = complex(p)
     mirror = HoloFunction(-np.asarray(phase.coeffs), meta=dict(phase.meta))
+    if pairing not in ("interior", "boundary"):
+        raise ConfigurationError(f"unknown pairing mode {pairing!r}")
+    ops = OperatorCache(mesh) if ops is None else ops
+    prep1 = _cgo.prepare_cgo(mesh, domain, V1, phase, amplitude, jet_degree, p=p, ops=ops)
+    prep2 = _cgo.prepare_cgo(mesh, domain, V2, mirror, amplitude, jet_degree, p=p, ops=ops)
     if pairing == "boundary":
-        prep1 = _cgo.prepare_cgo(mesh, domain, V1, phase, amplitude, jet_degree, p=p)
-        prep2 = _cgo.prepare_cgo(mesh, domain, V2, mirror, amplitude, jet_degree, p=p)
         out = []
         for h in h_list:
-            c1 = _cgo.build_cgo(mesh, domain, V1, phase, amplitude, h, jet_degree, prepared=prep1)
-            c2 = _cgo.build_cgo(mesh, domain, V2, mirror, amplitude, h, jet_degree, prepared=prep2)
+            c1 = _cgo.build_cgo(mesh, domain, V1, phase, amplitude, h, jet_degree, ops=ops, prepared=prep1)
+            c2 = _cgo.build_cgo(mesh, domain, V2, mirror, amplitude, h, jet_degree, ops=ops, prepared=prep2)
             out.append(complex(_cgo.cgo_boundary_pairing(mesh, c1, c2)))
         return out
-    if pairing != "interior":
-        raise ConfigurationError(f"unknown pairing mode {pairing!r}")
-    op0 = SchrodingerOperator(mesh, 0.0, name="0")
-    prep1 = _slow_pair_fields(mesh, domain, V1, phase, amplitude, p, jet_degree, op0)
-    prep2 = _slow_pair_fields(mesh, domain, V2, mirror, amplitude, p, jet_degree, op0)
     z = mesh.vertices
     w_area = mesh.vertex_areas * np.exp(2.0 * mesh.rho_v)
     dV = as_values(V1, mesh) - as_values(V2, mesh)
@@ -212,6 +204,7 @@ def pointwise_difference(
     include_r1: bool = True,
     phase: HoloFunction = None,
     amplitude: HoloFunction = None,
+    ops: OperatorCache = None,
 ) -> dict:
     """Estimate (V1 - V2)(p) from boundary pairings of opposite-phase CGO pairs.
 
@@ -230,7 +223,7 @@ def pointwise_difference(
     h_arr = np.asarray(sorted(set(float(x) for x in h_list), reverse=True))
     if mode == "fit":
         S = cgo_pairings(
-            mesh, domain, V1, V2, phase, amplitude, h_arr, p, jet_degree, pairing, include_r1
+            mesh, domain, V1, V2, phase, amplitude, h_arr, p, jet_degree, pairing, include_r1, ops=ops
         )
         fit = fit_pairing_model(h_arr, np.real(S), model.psi_p)
         D = fit["C"] / scale
@@ -246,8 +239,9 @@ def pointwise_difference(
                 "h range admits fewer than two members of a cos = +-1 subsequence; "
                 "extend the h range or increase psi(p)"
             )
-        Sp = np.real(cgo_pairings(mesh, domain, V1, V2, phase, amplitude, plus, p, jet_degree, pairing, include_r1))
-        Sm = np.real(cgo_pairings(mesh, domain, V1, V2, phase, amplitude, minus, p, jet_degree, pairing, include_r1))
+        ops = OperatorCache(mesh) if ops is None else ops
+        Sp = np.real(cgo_pairings(mesh, domain, V1, V2, phase, amplitude, plus, p, jet_degree, pairing, include_r1, ops=ops))
+        Sm = np.real(cgo_pairings(mesh, domain, V1, V2, phase, amplitude, minus, p, jet_degree, pairing, include_r1, ops=ops))
         bp = np.polyfit(plus, Sp, 1)[0]
         bm = np.polyfit(minus, Sm, 1)[0]
         D = (bp - bm) / (2.0 * scale)
@@ -287,10 +281,12 @@ def difference_map(
     pairing: str = "interior",
     include_r1: bool = False,
     csv_path=None,
+    ops: OperatorCache = None,
 ) -> dict:
     """pointwise_difference over a grid; individual failures are recorded,
     not fatal.  include_r1 defaults off here: the r1 transform costs one
     singular quadrature per (point, h) and moves D by O(h)."""
+    ops = OperatorCache(mesh) if ops is None else ops
     rows = []
     failures = []
     for p in points:
@@ -299,7 +295,7 @@ def difference_map(
             est = pointwise_difference(
                 mesh, domain, V1, V2, p, h_list,
                 degree=degree, psi_target=psi_target, seed=seed,
-                jet_degree=jet_degree, pairing=pairing, include_r1=include_r1,
+                jet_degree=jet_degree, pairing=pairing, include_r1=include_r1, ops=ops,
             )
             m = est["model"]
             rows.append(
@@ -353,6 +349,7 @@ def boundary_pairing_sweep(
     V2,
     theta_p: float,
     h_list,
+    ops: OperatorCache = None,
 ) -> list:
     """|S(h)| for concentrating-solution pairs at a boundary point of gamma.
 
@@ -373,8 +370,9 @@ def boundary_pairing_sweep(
             f"concentration width sqrt(h) = {np.sqrt(max(h_arr)):.3f} exceeds the "
             f"distance {margin:.3f} from theta = {theta_p:.3f} to the end of gamma"
         )
-    op1 = SchrodingerOperator(mesh, V1, name="V1")
-    op2 = SchrodingerOperator(mesh, V2, name="V2")
+    ops = OperatorCache(mesh) if ops is None else ops
+    op1 = ops.get(V1, name="V1")
+    op2 = ops.get(V2, name="V2")
     on_gamma = ~mesh.boundary_is_gamma0
     out = []
     for h in h_arr:
@@ -406,6 +404,7 @@ def calibrate_boundary_constant(
     theta_p: float,
     h_list,
     width: float = 0.8,
+    ops: OperatorCache = None,
 ) -> float:
     """Prefactor of the h^{3/2} law on the known scenario V1 - V2 = bump of
     value 1 at the boundary point; used to convert fitted prefactors into
@@ -413,7 +412,7 @@ def calibrate_boundary_constant(
     potential's variation scale, hence the wide default bump."""
     p = np.exp(1j * theta_p)
     V1 = lambda z: np.exp(-np.abs(z - p) ** 2 / width**2)
-    pairs = boundary_pairing_sweep(mesh, domain, V1, 0.0, theta_p, h_list)
+    pairs = boundary_pairing_sweep(mesh, domain, V1, 0.0, theta_p, h_list, ops=ops)
     C, e = fit_boundary_law(pairs)
     if not (1.35 <= e <= 1.65):
         raise ReconstructionError(
@@ -431,6 +430,7 @@ def boundary_recovery(
     theta_p: float,
     h_list,
     calibration: float = None,
+    ops: OperatorCache = None,
 ) -> dict:
     """Estimate (V1 - V2) at the boundary point e^{i theta_p} of gamma.
 
@@ -439,9 +439,10 @@ def boundary_recovery(
     sweep.  `calibration` is the prefactor measured once on a unit-value
     scenario via calibrate_boundary_constant.
     """
+    ops = OperatorCache(mesh) if ops is None else ops
     if calibration is None:
-        calibration = calibrate_boundary_constant(mesh, domain, theta_p, h_list)
-    pairs = boundary_pairing_sweep(mesh, domain, V1, V2, theta_p, h_list)
+        calibration = calibrate_boundary_constant(mesh, domain, theta_p, h_list, ops=ops)
+    pairs = boundary_pairing_sweep(mesh, domain, V1, V2, theta_p, h_list, ops=ops)
     C, e = fit_boundary_law(pairs)
     h_min, s_min = min(pairs, key=lambda x: x[0])
     if abs(s_min) <= 0.05 * calibration * h_min**1.5:
@@ -477,13 +478,15 @@ def boundary_scan(
     h_list,
     calibration: float = None,
     csv_path=None,
+    ops: OperatorCache = None,
 ) -> dict:
     """boundary_recovery over several gamma points; CSV (theta, D, fitted_exponent)."""
+    ops = OperatorCache(mesh) if ops is None else ops
     rows = []
     failures = []
     for theta in theta_list:
         try:
-            est = boundary_recovery(mesh, domain, V1, V2, float(theta), h_list, calibration=calibration)
+            est = boundary_recovery(mesh, domain, V1, V2, float(theta), h_list, calibration=calibration, ops=ops)
             rows.append(
                 {
                     "theta": float(theta),

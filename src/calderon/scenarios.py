@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import jsonschema
 import numpy as np
 
+from .forward import OperatorCache
 from .geometry import ConfigurationError, DiskDomain, Mesh, build_disk_mesh
 
 _POTENTIAL_SCHEMA = {
@@ -205,6 +206,7 @@ class Scenario:
     V2: object
     mesh: Mesh = None
     extras: dict = field(default_factory=dict)
+    _operators: OperatorCache = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def name(self) -> str:
@@ -227,6 +229,13 @@ class Scenario:
         if self.mesh is None:
             self.mesh = build_disk_mesh(float(self.config["resolution"]), self.domain)
         return self.mesh
+
+    def operators(self) -> OperatorCache:
+        """The factorized operators of the scenario mesh, shared by every
+        pipeline run on this scenario; built on first use, not at load."""
+        if self._operators is None:
+            self._operators = OperatorCache(self.build_mesh())
+        return self._operators
 
 
 def load_scenario(source) -> Scenario:

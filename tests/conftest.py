@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from calderon.forward import SchrodingerOperator
 from calderon.geometry import DiskDomain, build_disk_mesh
 from calderon.scenarios import load_scenario
 
@@ -91,3 +92,17 @@ def ref_mesh(ref_scenario):
 @pytest.fixture(scope="session")
 def quarter_mesh_mid(quarter_domain):
     return build_disk_mesh(0.04, quarter_domain)
+
+
+@pytest.fixture
+def operator_builds(monkeypatch):
+    """Every SchrodingerOperator constructed while the test runs, in order."""
+    built = []
+    init = SchrodingerOperator.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(SchrodingerOperator, "__init__", counting_init)
+    return built

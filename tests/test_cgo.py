@@ -203,3 +203,25 @@ def test_mirror_phase_pairing_runs(quarter_mesh_mid, quarter_domain):
     c2 = _cgo.build_cgo(quarter_mesh_mid, quarter_domain, 0.0, mirror, amplitude, 0.2, prepared=prep2)
     val = _cgo.cgo_boundary_pairing(quarter_mesh_mid, c1, c2)
     assert np.isfinite(complex(val).real)
+
+
+def test_symmetric_ordering_matches_default_lu(quarter_mesh_mid, quarter_domain, monkeypatch):
+    """The conjugated solve of complete_solution and the normal-equation
+    solve of duality_completion agree with default-ordering splu.  h = 0.3
+    keeps the direct solve well conditioned: its e^{(max phi - min phi)/h}
+    modes amplify rounding of any ordering as h shrinks."""
+    phase = build_morse_phase(quarter_domain, P_STAR, degree=16, psi_target=0.3)
+    amplitude = build_amplitude(phase.meta["critical_points"], P_STAR, quarter_domain)
+    prep = _cgo.prepare_cgo(quarter_mesh_mid, quarter_domain, gaussian_bump, phase, amplitude)
+
+    def solves():
+        comp = _cgo.build_cgo(
+            quarter_mesh_mid, quarter_domain, gaussian_bump, phase, amplitude, 0.3, prepared=prep
+        )
+        return comp.v, _cgo.duality_completion(quarter_mesh_mid, gaussian_bump, comp)
+
+    got = solves()
+    monkeypatch.setattr(_cgo, "SYMMETRIC_LU", {})
+    want = solves()
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g - w)) <= 1e-10 * np.max(np.abs(w))

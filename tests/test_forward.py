@@ -9,6 +9,7 @@ import scipy.sparse.linalg as spla
 from calderon.forward import (
     CauchyData,
     DirichletEigenvalueError,
+    OperatorCache,
     SchrodingerOperator,
     boundary_pairing,
     green_apply,
@@ -161,6 +162,63 @@ def test_dirichlet_eigenvalue_detected(mesh_mid):
     with pytest.raises(DirichletEigenvalueError) as err:
         SchrodingerOperator(mesh_mid, -lam, name="V_res")
     assert "V_res" in str(err.value)
+
+
+def test_operator_cache_keys_on_vertex_values(mesh_mid, operator_builds):
+    ops = OperatorCache(mesh_mid)
+    bump = ops.get(gaussian_bump, name="V1")
+    assert ops.get(as_values(gaussian_bump, mesh_mid)) is bump
+    zero = ops.get(0.0)
+    assert ops.get(np.zeros(mesh_mid.n_vertices)) is zero
+    assert zero is not bump
+    assert ops.get(lambda z: 2.0 * gaussian_bump(z)) not in (zero, bump)
+    assert len(operator_builds) == 3
+
+
+@pytest.fixture(scope="module")
+def mesh_rho():
+    """Coarse quarter-arc disk with a non-constant conformal factor."""
+    dom = DiskDomain(conformal_log_factor=lambda z: 0.3 * np.real(z) + 0.1, gamma0=(0.0, np.pi / 2))
+    return build_disk_mesh(0.05, dom)
+
+
+def _dirichlet_eigenvalues(mesh, k):
+    K = stiffness_matrix(mesh)
+    M = lumped_mass(mesh)
+    ii = np.where(mesh.interior)[0]
+    return np.sort(spla.eigsh(
+        K[np.ix_(ii, ii)].tocsc(), k=k, M=sp.diags(M[ii]).tocsc(),
+        sigma=0, which="LM", return_eigenvectors=False,
+    ))
+
+
+@pytest.mark.parametrize("case", ["nonnegative", "indefinite"])
+def test_symmetric_ordering_matches_default_lu(mesh_rho, case):
+    """The symmetric-pattern ordering solves like a default-ordering splu,
+    also when A_ii is indefinite: the constant V = -(lam1 + lam2)/2 puts 0
+    between the first two Dirichlet eigenvalues of Delta_g + V, so partial
+    pivoting is needed."""
+    if case == "nonnegative":
+        V = lambda z: 3.0 * gaussian_bump(z)
+    else:
+        lam = _dirichlet_eigenvalues(mesh_rho, 2)
+        V = -0.5 * (lam[0] + lam[1])
+    op = SchrodingerOperator(mesh_rho, V)
+    g = np.cos(3.0 * mesh_rho.boundary_theta()) + 0.5
+    f = np.sin(np.real(mesh_rho.vertices))
+    u = op.solve_dirichlet(g, source=f)
+    ii = op.int_idx
+    rhs = -op.A_ib @ g + (op.mass * f)[ii]
+    want = np.zeros(mesh_rho.n_vertices)
+    want[ii] = spla.splu(op.A[np.ix_(ii, ii)].tocsc()).solve(rhs)
+    want[op.bnd_idx] = g
+    assert np.max(np.abs(u - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def test_condition_estimate_recorded(mesh_mid):
+    op = SchrodingerOperator(mesh_mid, gaussian_bump)
+    assert np.isfinite(op.condition_estimate)
+    assert op.condition_estimate >= 1.0
 
 
 def test_cauchy_data_csv_roundtrip(tmp_path, quarter_mesh_mid):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from calderon import cli as _cli
+from calderon import reconstruct as _rc
 from calderon.geometry import ConfigurationError
 from calderon.scenarios import (
     load_scenario,
@@ -123,6 +124,19 @@ def test_scenario_properties_and_mesh_cache():
 
 CHEAP = {"name": "cheap", "seed": 0, "resolution": 0.08}
 
+# Cheap configs on which each pipeline runs to the end.  epsilon = 1 admits
+# h <= 0.2 under the Carleman constraint h <= epsilon/5, and the Carleman h
+# list stays above the 0.08 mesh's weight-resolvability bound.  The
+# boundary one puts the V1 bump on the scanned point theta_p = pi, so the
+# scan fits the h^(3/2) law instead of taking its below-noise-floor branch.
+RECONSTRUCT_CHEAP = {"resolution": 0.04, "grid_n": 3, "h_list": [0.5, 0.3, 0.18, 0.1]}
+CARLEMAN_CHEAP = {"resolution": 0.08, "epsilon": 1.0, "carleman_samples": 10, "h_list": [0.2, 0.17, 0.14]}
+BOUNDARY_CHEAP = {
+    "resolution": 0.03,
+    "v1": {"profile": "gaussian", "center": [-1.0, 0.0], "width": 0.6},
+    "boundary_h_list": [0.1, 0.085, 0.075, 0.065],
+}
+
 
 def _write_cfg(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
@@ -204,9 +218,11 @@ def test_summary_deterministic_across_runs(tmp_path):
         ("cgo", {"resolution": 0.08, "h_list": [0.5, 0.4, 0.32, 0.25]}),
         # the pairing fit needs 2 periods of 2 psi(p)/h; the 0.08 mesh cannot
         # resolve the reconstruct phase at any h list that spans them
-        ("reconstruct", {"resolution": 0.04, "grid_n": 3, "h_list": [0.5, 0.3, 0.18, 0.1]}),
+        ("reconstruct", RECONSTRUCT_CHEAP),
+        ("carleman", CARLEMAN_CHEAP),
+        ("boundary", BOUNDARY_CHEAP),
     ],
-    ids=["cgo", "reconstruct"],
+    ids=["cgo", "reconstruct", "carleman", "boundary"],
 )
 def test_pipeline_outputs_deterministic_across_runs(tmp_path, command, overrides):
     cfg = _write_cfg(tmp_path, {"name": "cheap", "seed": 3, **overrides})
@@ -217,6 +233,52 @@ def test_pipeline_outputs_deterministic_across_runs(tmp_path, command, overrides
         runs.append((status, {f.name: f.read_bytes() for f in sorted(out.iterdir())}))
     assert f"{command}_summary.json" in runs[0][1]
     assert runs[0] == runs[1]
+
+
+def _run_pipeline(sc, name, out_dir):
+    """One pipeline the way run_scenario runs it; returns its output bytes."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    results = getattr(_cli, f"run_{name}")(sc, str(out_dir))
+    results["name"] = sc.name
+    results["seed"] = sc.seed
+    _cli.emit_report(results, str(out_dir), name)
+    return {f.name: f.read_bytes() for f in sorted(out_dir.iterdir())}
+
+
+def test_pipelines_share_the_scenario_operators(tmp_path, operator_builds):
+    """forward, carleman and boundary in sequence on one Scenario factorize
+    V1, V2 = 0 and the calibration bump once each, and write the same
+    bytes as each pipeline run on a fresh Scenario."""
+    cfg = {"name": "cheap", "seed": 3, "epsilon": 1.0, "carleman_samples": 10, **BOUNDARY_CHEAP}
+    names = ("forward", "carleman", "boundary")
+    shared = load_scenario(cfg)
+    outputs = {name: _run_pipeline(shared, name, tmp_path / "shared" / name) for name in names}
+    assert len(operator_builds) == 3
+    for name in names:
+        assert _run_pipeline(load_scenario(cfg), name, tmp_path / "fresh" / name) == outputs[name]
+
+
+@pytest.mark.parametrize(
+    "command, overrides, builds",
+    [("forward", {"resolution": 0.08}, 2), ("reconstruct", RECONSTRUCT_CHEAP, 1)],
+    ids=["forward", "reconstruct"],
+)
+def test_pipeline_factorizes_each_potential_once(tmp_path, operator_builds, command, overrides, builds):
+    sc = load_scenario({"name": "cheap", "seed": 3, **overrides})
+    _run_pipeline(sc, command, tmp_path)
+    assert len(operator_builds) == builds
+
+
+def test_difference_map_without_cache_factorizes_once(operator_builds):
+    sc = load_scenario({"name": "cheap", "seed": 3, **RECONSTRUCT_CHEAP})
+    cfg = sc.config
+    grid = _rc.make_grid(cfg["grid_n"], cfg["grid_radius"])
+    out = _rc.difference_map(
+        sc.build_mesh(), sc.domain, sc.V1, sc.V2, grid, sc.h_list,
+        degree=cfg["phase_degree"], psi_target=cfg["psi_target"], seed=sc.seed,
+    )
+    assert len(out["rows"]) == len(grid)
+    assert len(operator_builds) == 1
 
 
 def test_unicode_scenario_name_roundtrip(tmp_path):
