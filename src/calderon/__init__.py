@@ -13,7 +13,7 @@ Modules:
 from .geometry import ConfigurationError, DiskDomain, Mesh, build_disk_mesh
 from .forward import CauchyData, OperatorCache, SchrodingerOperator, boundary_pairing, partial_cauchy_data
 from .holo import HoloFunction, build_amplitude, build_morse_phase, cauchy_transform, find_critical_points
-from .cgo import CGOComponents, build_cgo, residual_scaling_report
+from .cgo import CGOComponents, residual_scaling_report
 from .carleman import CarlemanWeight, build_carleman_weight, carleman_sweep
 from .reconstruct import (
     StationaryPhaseModel,
@@ -43,7 +43,6 @@ __all__ = [
     "cauchy_transform",
     "find_critical_points",
     "CGOComponents",
-    "build_cgo",
     "residual_scaling_report",
     "CarlemanWeight",
     "build_carleman_weight",

@@ -11,16 +11,14 @@ residual e^{-Phi/h}(Delta_g + V) e^{Phi/h} A decays like h (up to logs):
     critical point through the solid Cauchy transform R; the transport
     identity dz r11_hat + (Phi'/h) r11_hat = chi1 b makes the order-one
     terms cancel exactly, leaving the cutoff commutator eta,
-  * r2 restores u = 0 on gamma0 and the equation in the interior: the
-    scaling sweep measures the minimal-norm remainder of the duality
-    argument (duality_completion), solved in exponentially weighted
-    variables so no overflow or catastrophic cancellation occurs.
+  * r2 restores u = 0 on gamma0 and the equation in the interior: it is
+    the minimal-norm remainder of the Carleman/duality argument
+    (duality_completion), solved in exponentially weighted variables so no
+    overflow or catastrophic cancellation occurs.
 
-All advertised norm scalings are measured, not assumed; see
-residual_scaling_report, which assembles the components without a direct
-completion.  build_cgo additionally runs the direct completion
-(complete_solution), whose weighted solution and flux the boundary
-pairings consume.
+A CGO solution at one h is prepare_cgo (shared across h), then
+assemble_cgo, then duality_completion.  All advertised norm scalings are
+measured, not assumed; see residual_scaling_report.
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ from .geometry import (
     ConfigurationError,
     DiskDomain,
     Mesh,
-    ScalarField,
     as_values,
     dz_field,
     dzbar_field,
@@ -152,11 +149,6 @@ class CGOComponents:
     chi: Cutoff
     chi1: Cutoff
     r2: Optional[np.ndarray] = None
-    r2_duality: Optional[np.ndarray] = None
-    u: Optional[ScalarField] = None
-    # weighted-solve internals used by boundary pairings
-    v: Optional[np.ndarray] = None
-    flux: Optional[np.ndarray] = None
     meta: dict = field(default_factory=dict)
 
     @property
@@ -170,17 +162,6 @@ class CGOComponents:
     def slow_amplitude(self) -> np.ndarray:
         z = self.mesh.vertices
         return self.amplitude(z) + self.h * self.a0(z) + self.r1
-
-    def ansatz_trace(self) -> np.ndarray:
-        """Oscillatory (weight-free) ansatz values at all boundary vertices:
-        e^{i psi/h} A + conjugate on gamma, 0 on gamma0."""
-        phi_v, psi_v = self.phi_psi()
-        A = self.slow_amplitude()
-        w = np.exp(1j * psi_v / self.h) * A
-        w = w + np.conj(w)
-        tr = w[self.mesh.boundary]
-        tr[self.mesh.boundary_is_gamma0] = 0.0
-        return tr
 
 
 def green_dz(mesh: Mesh, source: np.ndarray, ops: Optional[OperatorCache] = None) -> np.ndarray:
@@ -197,37 +178,6 @@ def green_dz(mesh: Mesh, source: np.ndarray, ops: Optional[OperatorCache] = None
     zb = mesh.vertices[mesh.boundary]
     theta[mesh.boundary] = 0.5 * np.conj(zb) * np.exp(mesh.rho_v[mesh.boundary]) * flux
     return theta
-
-
-def assemble_b(mesh: Mesh, V, a: HoloFunction, omega, report=None, verify=True) -> np.ndarray:
-    """The transport datum b = omega - dz G(aV), where G is the Dirichlet
-    Green operator of Delta_g.
-
-    omega is holomorphic (or None for zero); it is chosen upstream so b
-    vanishes at the phase's critical points, which makes the quotients
-    r12 = (1-chi1) b / Phi' bounded.  Raises if that vanishing fails at a
-    secondary critical point.
-    """
-    z = mesh.vertices
-    aV = a(z) * as_values(V, mesh)
-    if omega is None:
-        omega_vals = np.zeros(mesh.n_vertices, dtype=complex)
-    else:
-        omega_vals = omega(z)
-    if not np.any(np.abs(aV) > 0):
-        return omega_vals.copy()
-    b = omega_vals - green_dz(mesh, aV)
-    if verify and report is not None:
-        scale = np.max(np.abs(b))
-        for q in report.points:
-            idx = np.argmin(np.abs(z - q.location))
-            here = np.max(np.abs(b[np.abs(z - z[idx]) < 1.5 * mesh.resolution]))
-            if here > 0.2 * scale:
-                raise InfeasibleDegreeError(
-                    f"b does not vanish at critical point {q.location:.4f} "
-                    f"(|b| = {here:.2e} vs scale {scale:.2e}); rebuild omega"
-                )
-    return b
 
 
 def derivative_check(b: np.ndarray, mesh: Mesh, V, a: HoloFunction) -> float:
@@ -354,43 +304,10 @@ def conjugated_matrix(op: SchrodingerOperator, phi_vals: np.ndarray, h: float) -
     return sp.coo_matrix((A.data * scale, (A.row, A.col)), shape=A.shape).tocsr()
 
 
-def complete_solution(mesh: Mesh, V, comp: CGOComponents, h: float, ops: Optional[OperatorCache] = None):
-    """Exact discrete CGO solution and its boundary-layer remainder.
-
-    Solves (Delta_g + V) u = 0 with Dirichlet data equal to the oscillatory
-    ansatz on gamma and zero on gamma0, in the weighted variables
-    v = e^{-phi/h} u; returns (u, r2) with r2 = e^{-phi/h}(u - ansatz).
-    Also stores v and the weighted flux on comp for overflow-free pairings.
-    """
-    op = (OperatorCache(mesh) if ops is None else ops).get(V)
-    phi_v, psi_v = comp.phi_psi()
-    B = conjugated_matrix(op, phi_v, h)
-    ii = op.int_idx
-    bb = op.bnd_idx
-    g = comp.ansatz_trace()
-    rhs = -B[np.ix_(ii, bb)] @ g
-    lu = spla.splu(B[np.ix_(ii, ii)].tocsc(), **SYMMETRIC_LU)
-    v = np.zeros(mesh.n_vertices, dtype=complex)
-    v[ii] = lu.solve(rhs.real) + 1j * lu.solve(rhs.imag)
-    v[bb] = g
-    A_full = np.exp(1j * psi_v / h) * comp.slow_amplitude()
-    w = A_full + np.conj(A_full)
-    r2 = v - w
-    # r2 keeps the ansatz's gamma0 mismatch: u vanishes there, w need not
-    with np.errstate(over="ignore"):
-        u_vals = np.exp(phi_v / h) * v
-    u = ScalarField(mesh, u_vals.real if np.allclose(v.imag, 0, atol=1e-10) else u_vals)
-    comp.v = v
-    comp.flux = np.asarray((B @ v))[bb] / mesh.boundary_weights
-    comp.r2 = r2
-    comp.u = u
-    return u, r2
-
-
 def assemble_cgo(mesh: Mesh, phase: HoloFunction, amplitude: HoloFunction, h: float, prepared: dict) -> CGOComponents:
     """The components at one h from the h-independent ingredients of
     prepare_cgo: r11 and eta come from the Cauchy transform, the rest is
-    shared across h.  No remainder r2 is computed."""
+    shared across h.  The remainder r2 is left to duality_completion."""
     comp = CGOComponents(
         mesh=mesh,
         h=h,
@@ -410,32 +327,6 @@ def assemble_cgo(mesh: Mesh, phase: HoloFunction, amplitude: HoloFunction, h: fl
             mesh, phase, prepared["b"], prepared["chi"], prepared["chi1"], h, full=True
         )
     comp.meta["p"] = prepared["p"]
-    return comp
-
-
-def build_cgo(
-    mesh: Mesh,
-    domain: DiskDomain,
-    V,
-    phase: HoloFunction,
-    amplitude: HoloFunction,
-    h: float,
-    jet_degree: int = 16,
-    ops: Optional[OperatorCache] = None,
-    prepared: Optional[dict] = None,
-    cutoff_scale: float = 1.0,
-) -> CGOComponents:
-    """Assemble the full component chain at one h and complete it by the
-    direct solve of complete_solution.
-
-    The h-independent work (transport datum b, algebraic remainders,
-    corrector a0) can be shared across an h sweep via prepare_cgo/prepared.
-    """
-    ops = OperatorCache(mesh) if ops is None else ops
-    if prepared is None:
-        prepared = prepare_cgo(mesh, domain, V, phase, amplitude, jet_degree, cutoff_scale=cutoff_scale, ops=ops)
-    comp = assemble_cgo(mesh, phase, amplitude, h, prepared)
-    complete_solution(mesh, V, comp, h, ops=ops)
     return comp
 
 
@@ -554,15 +445,14 @@ def duality_completion(mesh: Mesh, V, comp: CGOComponents, ops: Optional[Operato
     evaluated term by term via residual_field, so it stays at the true
     remainder scale on any mesh that resolves the slow fields.
 
-    Rationale for not reusing the exact-discrete-solve extraction of
-    complete_solution: prescribing the ansatz trace on gamma makes the
-    weighted solution operator contain e^{(max phi - min phi)/h}-growing
-    modes, and the finite-element consistency error of the unresolved
-    oscillation e^{Phi/h} excites them, burying the O(h^{3/2}|log h|)
-    remainder once h is small.  The minimal-norm solution is exactly the
-    object produced by the Hahn-Banach/duality argument from the Carleman
-    estimate, which suppresses those modes.  Stores the result on
-    comp.r2_duality and returns it.
+    Why not a direct Dirichlet solve with the ansatz trace prescribed on
+    gamma: its weighted solution operator contains
+    e^{(max phi - min phi)/h}-growing modes, and the finite-element
+    consistency error of the unresolved oscillation e^{Phi/h} excites them,
+    burying the O(h^{3/2}|log h|) remainder once h is small.  The
+    minimal-norm solution is exactly the object produced by the
+    Hahn-Banach/duality argument from the Carleman estimate, which
+    suppresses those modes.  Stores the result on comp.r2 and returns it.
     """
     ops = OperatorCache(mesh) if ops is None else ops
     op = ops.get(V)
@@ -585,23 +475,8 @@ def duality_completion(mesh: Mesh, V, comp: CGOComponents, ops: Optional[Operato
     S = (G @ inv_mass_free @ G.T).tocsc()
     lam = spla.splu(S, **SYMMETRIC_LU).solve(rhs)
     r2[free] = inv_mass_free @ (G.T @ lam)
-    comp.r2_duality = r2
+    comp.r2 = r2
     return r2
-
-
-def cgo_boundary_pairing(mesh: Mesh, comp1: CGOComponents, comp2: CGOComponents) -> complex:
-    """Boundary pairing of two complete CGO solutions built with opposite
-    phases, computed in weighted variables so the e^{+-phi/h} factors cancel
-    analytically instead of numerically."""
-    if comp1.v is None or comp2.v is None:
-        raise ValueError("complete_solution must run before pairing")
-    from .geometry import boundary_integral
-
-    f1 = comp1.v[mesh.boundary]
-    f2 = comp2.v[mesh.boundary]
-    integrand = comp1.flux * f2 - f1 * comp2.flux
-    val, _ = boundary_integral(integrand, mesh, "full")
-    return val
 
 
 def _fit_exponent(h_list, norms, log_corrected=False, log_squared=False):
@@ -635,8 +510,7 @@ def residual_scaling_report(
     """Measure every remainder norm across an h sweep and fit the scaling
     exponents; at least 4 usable h values are required for a fit.
 
-    The components are assembled without a completion solve: r2 is the
-    minimal-norm remainder of duality_completion only."""
+    r2 is the minimal-norm remainder of duality_completion."""
     h_list = sorted(set(float(h) for h in h_list), reverse=True)
     ops = OperatorCache(mesh) if ops is None else ops
     prepared = prepare_cgo(mesh, domain, V, phase, amplitude, jet_degree, cutoff_scale=cutoff_scale, ops=ops)
@@ -660,7 +534,7 @@ def residual_scaling_report(
                 "r1_minus_hr12t_l2": l2_norm(comp.r1 - hr12t, mesh),
                 "eta_l2": l2_norm(comp.eta, mesh),
                 "eta_h1": h1_norm(comp.eta, mesh),
-                "r2_l2": l2_norm(comp.r2_duality, mesh),
+                "r2_l2": l2_norm(comp.r2, mesh),
                 "ansatz_residual_l2": ansatz_residual(mesh, V, comp, ops=ops),
             }
         )

@@ -21,7 +21,7 @@ import numpy as np
 from . import carleman as _carleman
 from . import cgo as _cgo
 from . import reconstruct as _rc
-from .forward import boundary_pairing, partial_cauchy_data
+from .forward import CauchyData, boundary_pairing
 from .geometry import ConfigurationError, as_values
 from .holo import build_amplitude, build_morse_phase
 from .scenarios import Scenario, load_scenario
@@ -118,27 +118,27 @@ def run_forward(sc: Scenario, out_dir: str) -> dict:
     mesh = sc.build_mesh()
     ops = sc.operators()
     files = _mesh_export(sc, out_dir)
+    on_gamma = ~mesh.boundary_is_gamma0
     f = np.real(mesh.vertices[mesh.gamma_indices()])
-    data1 = partial_cauchy_data(mesh, sc.V1, f, ops=ops)
-    data2 = partial_cauchy_data(mesh, sc.V2, f, ops=ops)
-    for tag, data in (("v1", data1), ("v2", data2)):
-        path = os.path.join(out_dir, f"cauchy_{tag}.csv")
-        data.to_csv(path)
-        files.append(path)
-    # Green-identity cross-check between the two forward models
-    op1 = ops.get(sc.V1, name="V1")
-    op2 = ops.get(sc.V2, name="V2")
     g = np.zeros(len(mesh.boundary))
-    g[~mesh.boundary_is_gamma0] = f
-    u1 = op1.solve_dirichlet(g)
-    u2 = op2.solve_dirichlet(g)
-    pair = boundary_pairing(
-        mesh, (u1[mesh.boundary], op1.weak_neumann_trace(u1)), (u2[mesh.boundary], op2.weak_neumann_trace(u2))
-    )
+    g[on_gamma] = f
+    # one solve per potential gives both its partial Cauchy data and its
+    # full-boundary traces for the Green-identity cross-check
+    traces = []
+    for tag, V in (("v1", sc.V1), ("v2", sc.V2)):
+        op = ops.get(V, name=tag.upper())
+        u = op.solve_dirichlet(g)
+        dn = op.weak_neumann_trace(u)
+        path = os.path.join(out_dir, f"cauchy_{tag}.csv")
+        CauchyData(mesh, f, dn[on_gamma]).to_csv(path)
+        files.append(path)
+        traces.append((u, dn))
+    (u1, dn1), (u2, dn2) = traces
+    pair = boundary_pairing(mesh, (u1[mesh.boundary], dn1), (u2[mesh.boundary], dn2))
     dV = as_values(sc.V1, mesh) - as_values(sc.V2, mesh)
     inner = complex(np.sum(mesh.vertex_areas * np.exp(2.0 * mesh.rho_v) * u1 * dV * u2))
     scale = max(abs(inner), np.max(np.abs(u1)) * np.max(np.abs(u2)))
-    err = abs(pair - inner) / scale
+    err = float(abs(pair - inner) / scale)
     return {
         "command": "forward",
         "checks": [_check("green_identity_relative_error", err <= 1e-2, err)],

@@ -134,22 +134,6 @@ class Mesh:
     def gamma0_indices(self) -> np.ndarray:
         return self.boundary[self.boundary_is_gamma0]
 
-    def export_csv(self, vertex_path, cell_path):
-        """Vertex/cell dump for debugging."""
-        theta = np.full(self.n_vertices, np.nan)
-        theta[self.boundary] = self.boundary_theta()
-        label = np.array(["interior"] * self.n_vertices, dtype=object)
-        label[self.gamma_indices()] = GAMMA
-        label[self.gamma0_indices()] = GAMMA0
-        with open(vertex_path, "w") as fh:
-            fh.write("index,x,y,label\n")
-            for i, z in enumerate(self.vertices):
-                fh.write(f"{i},{z.real!r},{z.imag!r},{label[i]}\n")
-        with open(cell_path, "w") as fh:
-            fh.write("v0,v1,v2\n")
-            for tri in self.cells:
-                fh.write(f"{tri[0]},{tri[1]},{tri[2]}\n")
-
 
 @dataclass
 class ScalarField:
@@ -157,7 +141,6 @@ class ScalarField:
 
     mesh: Mesh
     values: np.ndarray
-    regularity: Optional[str] = None  # documentation only (e.g. "C^{1,alpha}")
 
     def __post_init__(self):
         self.values = np.asarray(self.values)

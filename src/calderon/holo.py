@@ -61,9 +61,6 @@ class HoloFunction:
             c = c[1:] * np.arange(1, len(c))
         return HoloFunction(c)
 
-    def __neg__(self) -> "HoloFunction":
-        return HoloFunction(-self.coeffs, meta=self.meta)
-
     def to_json(self) -> str:
         return json.dumps([[c.real, c.imag] for c in self.coeffs])
 

@@ -1,11 +1,14 @@
-"""Recovery of a potential difference from boundary pairings of CGO pairs.
+"""Recovery of a potential difference at interior and boundary points.
 
 Interior points: pair a CGO solution for (V1, phase Phi) against one for
-(V2, phase -Phi); the pairing S(h) equals the interior integral
-u1 (V1 - V2) u2 dv_g by the Green identity, and stationary phase at the
-Morse critical point p makes its oscillatory part h * C_p * cos(2 psi(p)/h)
-* (V1-V2)(p) |a(p)|^2 e^{2 rho(p)}.  A three-parameter least-squares fit in
-h extracts that coefficient.
+(V2, phase -Phi) through the interior identity
+S(h) = integral of u1 (V1 - V2) u2 dv_g, evaluated on the CGO
+approximations with the true V1 - V2.  For exact solutions the Green
+identity equates S(h) with the boundary pairing of their Cauchy data; this
+route reads no boundary data.  Stationary phase at the Morse critical point p makes its
+oscillatory part h * C_p * cos(2 psi(p)/h) * (V1-V2)(p) |a(p)|^2
+e^{2 rho(p)}.  A three-parameter least-squares fit in h extracts that
+coefficient.
 
 Accessible arc: concentrating solutions eta(x/sqrt(h)) e^{(+-ix - y)/h} in
 boundary coordinates (x along the arc, y inward) with conjugate null
@@ -141,36 +144,21 @@ def cgo_pairings(
     h_list,
     p,
     jet_degree: int = 16,
-    pairing: str = "interior",
     include_r1: bool = True,
     ops: OperatorCache = None,
 ) -> list:
     """S(h) for opposite-phase CGO pairs, each built with its scenario's own
     potential.
 
-    pairing="interior" evaluates the master identity
-    integral of u1 (V1 - V2) u2 dv_g directly on the CGO approximations
-    (the two e^{+-phi/h} weights cancel pointwise); pairing="boundary" runs
-    the completion solves and pairs the resulting Cauchy data.  The boundary
-    route is exact Green-identity-wise but its solves are only meaningful
-    while the mesh resolves e^{Phi/h}; at desk resolutions the interior route
-    is the reliable one and the boundary route serves as a cross-check at
-    large h.
+    S(h) is the interior identity integral of u1 (V1 - V2) u2 dv_g,
+    evaluated directly on the CGO approximations with the true V1 - V2 (the
+    two e^{+-phi/h} weights cancel pointwise); no boundary data is read.
     """
     p = complex(p)
     mirror = HoloFunction(-np.asarray(phase.coeffs), meta=dict(phase.meta))
-    if pairing not in ("interior", "boundary"):
-        raise ConfigurationError(f"unknown pairing mode {pairing!r}")
     ops = OperatorCache(mesh) if ops is None else ops
     prep1 = _cgo.prepare_cgo(mesh, domain, V1, phase, amplitude, jet_degree, p=p, ops=ops)
     prep2 = _cgo.prepare_cgo(mesh, domain, V2, mirror, amplitude, jet_degree, p=p, ops=ops)
-    if pairing == "boundary":
-        out = []
-        for h in h_list:
-            c1 = _cgo.build_cgo(mesh, domain, V1, phase, amplitude, h, jet_degree, ops=ops, prepared=prep1)
-            c2 = _cgo.build_cgo(mesh, domain, V2, mirror, amplitude, h, jet_degree, ops=ops, prepared=prep2)
-            out.append(complex(_cgo.cgo_boundary_pairing(mesh, c1, c2)))
-        return out
     z = mesh.vertices
     w_area = mesh.vertex_areas * np.exp(2.0 * mesh.rho_v)
     dV = as_values(V1, mesh) - as_values(V2, mesh)
@@ -199,14 +187,14 @@ def pointwise_difference(
     psi_target: float = 0.8,
     seed: int = 0,
     jet_degree: int = 16,
-    pairing: str = "interior",
     mode: str = "fit",
     include_r1: bool = True,
     phase: HoloFunction = None,
     amplitude: HoloFunction = None,
     ops: OperatorCache = None,
 ) -> dict:
-    """Estimate (V1 - V2)(p) from boundary pairings of opposite-phase CGO pairs.
+    """Estimate (V1 - V2)(p) from the interior identity S(h) of
+    opposite-phase CGO pairs (see cgo_pairings).
 
     mode="fit" does the three-parameter least squares over h_list;
     mode="subsequence" reproduces the two-sequence trick, generating its own
@@ -223,7 +211,7 @@ def pointwise_difference(
     h_arr = np.asarray(sorted(set(float(x) for x in h_list), reverse=True))
     if mode == "fit":
         S = cgo_pairings(
-            mesh, domain, V1, V2, phase, amplitude, h_arr, p, jet_degree, pairing, include_r1, ops=ops
+            mesh, domain, V1, V2, phase, amplitude, h_arr, p, jet_degree, include_r1, ops=ops
         )
         fit = fit_pairing_model(h_arr, np.real(S), model.psi_p)
         D = fit["C"] / scale
@@ -240,8 +228,8 @@ def pointwise_difference(
                 "extend the h range or increase psi(p)"
             )
         ops = OperatorCache(mesh) if ops is None else ops
-        Sp = np.real(cgo_pairings(mesh, domain, V1, V2, phase, amplitude, plus, p, jet_degree, pairing, include_r1, ops=ops))
-        Sm = np.real(cgo_pairings(mesh, domain, V1, V2, phase, amplitude, minus, p, jet_degree, pairing, include_r1, ops=ops))
+        Sp = np.real(cgo_pairings(mesh, domain, V1, V2, phase, amplitude, plus, p, jet_degree, include_r1, ops=ops))
+        Sm = np.real(cgo_pairings(mesh, domain, V1, V2, phase, amplitude, minus, p, jet_degree, include_r1, ops=ops))
         bp = np.polyfit(plus, Sp, 1)[0]
         bm = np.polyfit(minus, Sm, 1)[0]
         D = (bp - bm) / (2.0 * scale)
@@ -255,7 +243,6 @@ def pointwise_difference(
         "model": model,
         "fit": fit,
         "pairings": table,
-        "pairing": pairing,
         "mode": mode,
     }
 
@@ -278,7 +265,6 @@ def difference_map(
     psi_target: float = 0.8,
     seed: int = 0,
     jet_degree: int = 16,
-    pairing: str = "interior",
     include_r1: bool = False,
     csv_path=None,
     ops: OperatorCache = None,
@@ -295,7 +281,7 @@ def difference_map(
             est = pointwise_difference(
                 mesh, domain, V1, V2, p, h_list,
                 degree=degree, psi_target=psi_target, seed=seed,
-                jet_degree=jet_degree, pairing=pairing, include_r1=include_r1, ops=ops,
+                jet_degree=jet_degree, include_r1=include_r1, ops=ops,
             )
             m = est["model"]
             rows.append(

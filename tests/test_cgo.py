@@ -140,24 +140,32 @@ def test_a0_arc_residual(quarter_prep):
     assert quarter_prep["prep"]["a0"].meta["arc_residual"] <= 1e-4
 
 
+def _completed(mesh, domain, V, phase, amplitude, h, prepared=None):
+    """prepare_cgo + assemble_cgo + duality_completion at one h."""
+    if prepared is None:
+        prepared = _cgo.prepare_cgo(mesh, domain, V, phase, amplitude)
+    comp = _cgo.assemble_cgo(mesh, phase, amplitude, h, prepared)
+    _cgo.duality_completion(mesh, V, comp)
+    return comp
+
+
 def test_complete_solution_trivial_phase(mesh_mid, full_domain):
     """V = 0, a = 1, Phi = z^2 + i: the oscillatory ansatz is an exact
-    solution; the analytic-residual completion returns r2 = 0 to rounding
-    while the direct extraction keeps only the P1 discretization error."""
+    solution; the analytic-residual completion returns r2 = 0 to rounding."""
     phase = HoloFunction([1j, 0.0, 1.0])
     phase.meta["critical_points"] = find_critical_points(phase, full_domain)
-    comp = _cgo.build_cgo(mesh_mid, full_domain, 0.0, phase, HoloFunction([1.0]), 0.2)
-    _cgo.duality_completion(mesh_mid, 0.0, comp)
-    assert _cgo.l2_norm(comp.r2_duality, mesh_mid) <= 1e-12
-    assert _cgo.l2_norm(comp.r2, mesh_mid) <= 5e-2
+    comp = _completed(mesh_mid, full_domain, 0.0, phase, HoloFunction([1.0]), 0.2)
+    assert _cgo.l2_norm(comp.r2, mesh_mid) <= 1e-12
 
 
 def test_complete_solution_vanishes_on_gamma0(ref_mesh, ref_scenario, quarter_domain):
     phase = build_morse_phase(quarter_domain, P_STAR, degree=36, psi_target=0.12)
     amplitude = build_amplitude(phase.meta["critical_points"], P_STAR, quarter_domain)
-    comp = _cgo.build_cgo(ref_mesh, quarter_domain, ref_scenario.V1, phase, amplitude, 0.1)
+    comp = _completed(ref_mesh, quarter_domain, ref_scenario.V1, phase, amplitude, 0.1)
     g0 = ref_mesh.boundary[ref_mesh.boundary_is_gamma0]
-    assert np.max(np.abs(comp.u.values[g0])) == 0.0
+    # in weighted variables: e^{-phi/h} u = ansatz + r2
+    ansatz = 2.0 * np.real(np.exp(1j * comp.phi_psi()[1] / comp.h) * comp.slow_amplitude())
+    assert np.max(np.abs((ansatz + comp.r2)[g0])) == 0.0
 
 
 def test_scaling_report_zero_potential_flags(quarter_mesh_mid, quarter_domain):
@@ -194,34 +202,29 @@ def test_too_few_h_values_raises(quarter_prep, quarter_mesh_mid, quarter_domain)
 
 
 def test_mirror_phase_pairing_runs(quarter_mesh_mid, quarter_domain):
-    """Mirror components (phase -Phi) assemble and pair without error."""
+    """Mirror components (phase -Phi) assemble and complete to finite values."""
     phase = build_morse_phase(quarter_domain, P_STAR, degree=16, psi_target=0.3)
     amplitude = build_amplitude(phase.meta["critical_points"], P_STAR, quarter_domain)
     mirror = HoloFunction(-phase.coeffs, meta=dict(phase.meta))
-    c1 = _cgo.build_cgo(quarter_mesh_mid, quarter_domain, gaussian_bump, phase, amplitude, 0.2)
+    c1 = _completed(quarter_mesh_mid, quarter_domain, gaussian_bump, phase, amplitude, 0.2)
     prep2 = _cgo.prepare_cgo(quarter_mesh_mid, quarter_domain, 0.0, mirror, amplitude, p=P_STAR)
-    c2 = _cgo.build_cgo(quarter_mesh_mid, quarter_domain, 0.0, mirror, amplitude, 0.2, prepared=prep2)
-    val = _cgo.cgo_boundary_pairing(quarter_mesh_mid, c1, c2)
-    assert np.isfinite(complex(val).real)
+    c2 = _completed(quarter_mesh_mid, quarter_domain, 0.0, mirror, amplitude, 0.2, prepared=prep2)
+    for comp in (c1, c2):
+        assert np.all(np.isfinite(comp.slow_amplitude()))
+        assert np.all(np.isfinite(comp.r2))
 
 
 def test_symmetric_ordering_matches_default_lu(quarter_mesh_mid, quarter_domain, monkeypatch):
-    """The conjugated solve of complete_solution and the normal-equation
-    solve of duality_completion agree with default-ordering splu.  h = 0.3
-    keeps the direct solve well conditioned: its e^{(max phi - min phi)/h}
-    modes amplify rounding of any ordering as h shrinks."""
+    """The normal-equation solve of duality_completion agrees with
+    default-ordering splu."""
     phase = build_morse_phase(quarter_domain, P_STAR, degree=16, psi_target=0.3)
     amplitude = build_amplitude(phase.meta["critical_points"], P_STAR, quarter_domain)
     prep = _cgo.prepare_cgo(quarter_mesh_mid, quarter_domain, gaussian_bump, phase, amplitude)
 
-    def solves():
-        comp = _cgo.build_cgo(
-            quarter_mesh_mid, quarter_domain, gaussian_bump, phase, amplitude, 0.3, prepared=prep
-        )
-        return comp.v, _cgo.duality_completion(quarter_mesh_mid, gaussian_bump, comp)
+    def solve():
+        return _completed(quarter_mesh_mid, quarter_domain, gaussian_bump, phase, amplitude, 0.3, prep).r2
 
-    got = solves()
+    got = solve()
     monkeypatch.setattr(_cgo, "SYMMETRIC_LU", {})
-    want = solves()
-    for g, w in zip(got, want):
-        assert np.max(np.abs(g - w)) <= 1e-10 * np.max(np.abs(w))
+    want = solve()
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))

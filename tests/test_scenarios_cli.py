@@ -5,6 +5,7 @@ import pytest
 
 from calderon import cli as _cli
 from calderon import reconstruct as _rc
+from calderon.forward import SchrodingerOperator
 from calderon.geometry import ConfigurationError
 from calderon.scenarios import (
     load_scenario,
@@ -267,6 +268,21 @@ def test_pipeline_factorizes_each_potential_once(tmp_path, operator_builds, comm
     sc = load_scenario({"name": "cheap", "seed": 3, **overrides})
     _run_pipeline(sc, command, tmp_path)
     assert len(operator_builds) == builds
+
+
+def test_run_forward_solves_each_potential_once(tmp_path, monkeypatch):
+    """The Cauchy data files and the Green-identity cross-check share one
+    Dirichlet solve per potential."""
+    solves = []
+    solve = SchrodingerOperator.solve_dirichlet
+
+    def counting_solve(self, *args, **kwargs):
+        solves.append(self.name)
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(SchrodingerOperator, "solve_dirichlet", counting_solve)
+    _run_pipeline(load_scenario({"name": "cheap", "seed": 3, "resolution": 0.08}), "forward", tmp_path)
+    assert len(solves) == 2
 
 
 def test_difference_map_without_cache_factorizes_once(operator_builds):
