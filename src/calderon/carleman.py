@@ -24,7 +24,7 @@ from .holo import (
     HoloFunction,
     InfeasibleDegreeError,
     _complex_rows,
-    _derivative_row,
+    _derivative_rows,
     _gamma0_nodes,
     _part_rows,
     _solve_constrained,
@@ -91,7 +91,7 @@ def build_auxiliaries(domain: DiskDomain, phase: HoloFunction, degree: int = 16)
     out = []
     for q in report.points:
         p = complex(q.location)
-        hard_A, hard_b = _complex_rows([_derivative_row(p, 1, degree)], [1.0])
+        hard_A, hard_b = _complex_rows(_derivative_rows(p, 1, degree), [1.0])
         if domain.gamma0 is None:
             coeffs = np.zeros(degree + 1, dtype=complex)
             coeffs[1] = 1.0

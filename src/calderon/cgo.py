@@ -37,7 +37,6 @@ from .geometry import (
     as_values,
     dz_field,
     dzbar_field,
-    dzbar_recovered,
 )
 from .forward import SYMMETRIC_LU, OperatorCache, SchrodingerOperator
 from .holo import (
@@ -52,7 +51,6 @@ from .holo import (
 )
 
 A0_RESIDUAL_TOL = 1e-4
-DERIVATIVE_CHECK_TOL = 2e-2
 
 
 class ResolvabilityError(RuntimeError):
@@ -178,18 +176,6 @@ def green_dz(mesh: Mesh, source: np.ndarray, ops: Optional[OperatorCache] = None
     zb = mesh.vertices[mesh.boundary]
     theta[mesh.boundary] = 0.5 * np.conj(zb) * np.exp(mesh.rho_v[mesh.boundary]) * flux
     return theta
-
-
-def derivative_check(b: np.ndarray, mesh: Mesh, V, a: HoloFunction) -> float:
-    """Relative residual of the defining relation 4 e^{-2 rho} dzbar b = a V,
-    measured in L2 over the bulk (two cells away from the boundary)."""
-    z = mesh.vertices
-    aV = a(z) * as_values(V, mesh)
-    lhs = 4.0 * np.exp(-2.0 * mesh.rho_v) * dzbar_recovered(b, mesh)
-    bulk = np.abs(z) < 1.0 - 2.0 * mesh.resolution
-    num = l2_norm(np.where(bulk, lhs - aV, 0.0), mesh)
-    den = l2_norm(np.where(bulk, aV, 0.0), mesh)
-    return num / max(den, 1e-300)
 
 
 def decay_slope(b: np.ndarray, mesh: Mesh, p: complex) -> float:

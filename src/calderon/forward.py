@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .geometry import GAMMA, GAMMA0, Mesh, ScalarField, as_values, boundary_integral
+from .geometry import GAMMA, Mesh, ScalarField, as_values, boundary_integral
 
 
 class DirichletEigenvalueError(RuntimeError):

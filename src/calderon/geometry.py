@@ -342,37 +342,6 @@ def dzbar_field(values: np.ndarray, mesh: Mesh) -> np.ndarray:
     return out
 
 
-def dzbar_recovered(values: np.ndarray, mesh: Mesh) -> np.ndarray:
-    """Second-order d/dzbar by quadratic least squares on two-ring patches.
-
-    More accurate than the averaged P1 gradient (which is only first order on
-    unstructured patches); used where a derivative is compared against an
-    analytic identity rather than fed back into the P1 machinery.
-    """
-    import scipy.sparse as sp
-
-    vals = np.asarray(values)
-    z = mesh.vertices
-    c = mesh.cells
-    rows = np.concatenate([c[:, 0], c[:, 1], c[:, 2], c[:, 0], c[:, 1], c[:, 2]])
-    cols = np.concatenate([c[:, 1], c[:, 2], c[:, 0], c[:, 2], c[:, 0], c[:, 1]])
-    adj = sp.coo_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=(mesh.n_vertices, mesh.n_vertices)
-    ).tocsr()
-    two_ring = (adj @ adj + adj).tocsr()
-    out = np.zeros(mesh.n_vertices, dtype=complex)
-    indptr, indices = two_ring.indptr, two_ring.indices
-    for i in range(mesh.n_vertices):
-        nb = indices[indptr[i] : indptr[i + 1]]
-        d = z[nb] - z[i]
-        M = np.stack(
-            [np.ones(len(nb)), d.real, d.imag, d.real**2, d.real * d.imag, d.imag**2], axis=1
-        )
-        coef, *_ = np.linalg.lstsq(M, vals[nb], rcond=None)
-        out[i] = 0.5 * (coef[1] + 1j * coef[2])
-    return out
-
-
 def normal_derivative_trace(u, mesh: Mesh) -> np.ndarray:
     """Exterior metric normal derivative on the boundary by one-sided differencing.
 

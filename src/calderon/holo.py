@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.linalg import null_space
 
-from .geometry import GAMMA0, ConfigurationError, DiskDomain, Mesh, TWO_PI
+from .geometry import ConfigurationError, DiskDomain, Mesh, TWO_PI
 
 ARC_RESIDUAL_TOL = 1e-6
 HARD_CONSTRAINT_TOL = 1e-10
@@ -206,34 +206,38 @@ def _power_matrix(z, degree):
     return z[:, None] ** np.arange(degree + 1)[None, :]
 
 
-def _derivative_row(z0, order, degree):
-    """Complex row of the functional c -> (d/dz)^order P(z0)."""
+def _derivative_rows(z, order, degree):
+    """Complex rows of the functionals c -> (d/dz)^order P(z), one per point.
+
+    order is one integer for all points or one per point."""
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    order = np.broadcast_to(np.asarray(order, dtype=int), z.shape)
     k = np.arange(degree + 1)
-    row = np.zeros(degree + 1, dtype=complex)
-    valid = k >= order
-    kk = k[valid]
-    fac = np.ones(len(kk))
-    for j in range(order):
-        fac *= kk - j
-    row[valid] = fac * z0 ** (kk - order)
-    return row
+    shift = k[None, :] - order[:, None]
+    # falling factorial k (k-1) ... (k-order+1) of each exponent k
+    fac = np.ones(shift.shape)
+    for j in range(int(order.max(initial=0))):
+        fac *= np.where(j < order[:, None], k - j, 1)
+    return np.where(shift >= 0, fac * z[:, None] ** np.maximum(shift, 0), 0)
 
 
-def _solve_constrained(degree, hard_A, hard_b, soft_A, soft_b, tikhonov=1e-12):
-    """Least squares over soft rows subject to exact hard constraints."""
+def _hard_space(degree, hard_A, hard_b):
+    """Particular solution x0 and null-space basis N of the exact constraints."""
     n = 2 * (degree + 1)
     if hard_A is None or len(hard_A) == 0:
-        x0 = np.zeros(n)
-        N = np.eye(n)
-    else:
-        x0, *_ = np.linalg.lstsq(hard_A, hard_b, rcond=None)
-        if np.linalg.norm(hard_A @ x0 - hard_b) > HARD_CONSTRAINT_TOL * max(
-            1.0, np.linalg.norm(hard_b)
-        ):
-            raise InfeasibleDegreeError(
-                f"hard constraints inconsistent or underrepresented at degree {degree}"
-            )
-        N = null_space(hard_A)
+        return np.zeros(n), np.eye(n)
+    x0, *_ = np.linalg.lstsq(hard_A, hard_b, rcond=None)
+    if np.linalg.norm(hard_A @ x0 - hard_b) > HARD_CONSTRAINT_TOL * max(
+        1.0, np.linalg.norm(hard_b)
+    ):
+        raise InfeasibleDegreeError(
+            f"hard constraints inconsistent or underrepresented at degree {degree}"
+        )
+    return x0, null_space(hard_A)
+
+
+def _solve_soft(degree, x0, N, soft_A, soft_b, tikhonov):
+    """Least squares over soft rows in the affine space x0 + span N."""
     if soft_A is None or len(soft_A) == 0:
         x = x0
     else:
@@ -243,6 +247,12 @@ def _solve_constrained(degree, hard_A, hard_b, soft_A, soft_b, tikhonov=1e-12):
         y, *_ = np.linalg.lstsq(A, b, rcond=None)
         x = x0 + N @ y
     return x[: degree + 1] + 1j * x[degree + 1 :]
+
+
+def _solve_constrained(degree, hard_A, hard_b, soft_A, soft_b, tikhonov=1e-12):
+    """Least squares over soft rows subject to exact hard constraints."""
+    x0, N = _hard_space(degree, hard_A, hard_b)
+    return _solve_soft(degree, x0, N, soft_A, soft_b, tikhonov)
 
 
 def _gamma0_nodes(domain: DiskDomain, count: int) -> np.ndarray:
@@ -269,11 +279,10 @@ def fit_holomorphic_on_arc(
     is stored in meta["arc_residual"]; exceeding `tolerance` raises
     InfeasibleDegreeError suggesting a larger degree.
     """
-    rows = [_derivative_row(z0, order, degree) for z0, order, _ in constraints]
-    targets = [t for _, _, t in constraints]
     hard_A, hard_b = (None, None)
-    if rows:
-        hard_A, hard_b = _complex_rows(rows, targets)
+    if constraints:
+        points, orders, targets = zip(*constraints)
+        hard_A, hard_b = _complex_rows(_derivative_rows(points, orders, degree), targets)
     soft_A = soft_b = None
     if domain.gamma0 is not None:
         nodes = _gamma0_nodes(domain, nodes_per_degree * max(degree, 1))
@@ -485,25 +494,30 @@ def find_critical_points(phi: HoloFunction, domain: DiskDomain, seed: int = 0) -
 # builders
 
 
-def _phase_candidate(domain, p, degree, mu, bias=None):
-    """One phase fit: Phi(p)=i, dPhi(p)=0 hard; Im Phi=0 on gamma0 and a
-    gradient-energy penalty (weight mu) soft.  Returns (fn, arc residual)."""
+def _phase_fitter(domain, p, degree, bias=None):
+    """Phase fits for one attempt: Phi(p)=i, dPhi(p)=0 (and the Hessian
+    bias) hard; Im Phi=0 on gamma0 and a gradient-energy penalty of weight
+    mu soft.  Everything but mu is fixed, so it is built once here; the
+    returned fit(mu) gives (fn, arc residual)."""
     cons = [(p, 0, 1j), (p, 1, 0.0)]
     if bias is not None:
         cons = cons + [bias]
-    rows = [_derivative_row(z0, order, degree) for z0, order, _ in cons]
-    hard_A, hard_b = _complex_rows(rows, [t for _, _, t in cons])
+    points, orders, targets = zip(*cons)
+    hard_A, hard_b = _complex_rows(_derivative_rows(points, orders, degree), targets)
+    x0, N = _hard_space(degree, hard_A, hard_b)
     nodes = _gamma0_nodes(domain, 8 * max(degree, 1))
     arc_rows = _part_rows(_power_matrix(nodes, degree), "im")
     samp = np.exp(1j * TWO_PI * np.arange(4 * degree) / (4 * degree))
-    drows = np.array([_derivative_row(z, 1, degree) for z in samp])
-    dA, _ = _complex_rows(drows, np.zeros(len(samp)))
-    soft_A = np.vstack([arc_rows, mu * dA])
-    soft_b = np.zeros(len(soft_A))
-    coeffs = _solve_constrained(degree, hard_A, hard_b, soft_A, soft_b, tikhonov=1e-18)
-    fn = HoloFunction(coeffs)
+    dA, _ = _complex_rows(_derivative_rows(samp, 1, degree), np.zeros(len(samp)))
     fine = _gamma0_nodes(domain, 32 * max(degree, 1))
-    return fn, float(np.max(np.abs(fn(fine).imag)))
+
+    def fit(mu):
+        soft_A = np.vstack([arc_rows, mu * dA])
+        soft_b = np.zeros(len(soft_A))
+        fn = HoloFunction(_solve_soft(degree, x0, N, soft_A, soft_b, tikhonov=1e-18))
+        return fn, float(np.max(np.abs(fn(fine).imag)))
+
+    return fit
 
 
 def build_morse_phase(
@@ -524,6 +538,10 @@ def build_morse_phase(
     oscillations at wavelength ~ h/|dPhi|.  psi_target rescales the whole
     phase; Im Phi(p) = psi_target stays nonzero.  Degenerate outcomes are
     retried with a randomized soft Hessian bias.
+
+    Within one attempt only the penalty weight changes between the 15
+    bisection fits, so the hard constraints, their null space, the arc and
+    penalty rows and the verification nodes are built once per attempt.
     """
     p = complex(p)
     margin = 0.02
@@ -550,7 +568,8 @@ def build_morse_phase(
         else:
             target = 0.8 * residual_tol / psi_target
             lo, hi = 1e-9, 1e-2  # residual grows with the penalty weight mu
-            fn_lo, res_lo = _phase_candidate(domain, p, degree, lo, bias)
+            fit = _phase_fitter(domain, p, degree, bias)
+            fn_lo, res_lo = fit(lo)
             if res_lo > target:
                 raise InfeasibleDegreeError(
                     f"arc residual {res_lo:.2e} exceeds {target:.1e} even without "
@@ -559,7 +578,7 @@ def build_morse_phase(
             phi, best_res = fn_lo, res_lo
             for _ in range(14):
                 mid = np.sqrt(lo * hi)
-                fn_mid, res_mid = _phase_candidate(domain, p, degree, mid, bias)
+                fn_mid, res_mid = fit(mid)
                 if res_mid <= target:
                     lo, phi, best_res = mid, fn_mid, res_mid
                 else:

@@ -122,9 +122,9 @@ def fit_pairing_model(h_list, S_values, psi_p: float) -> dict:
     return {"A": float(coef[0]), "B": float(coef[1]), "C": float(coef[2]), "residual": resid, "cond": float(cond)}
 
 
-def _slow_amplitude(mesh, prep, phase, amplitude, h, include_r1):
-    z = mesh.vertices
-    A = amplitude(z) + h * prep["a0"](z)
+def _slow_amplitude(mesh, prep, phase, a_z, a0_z, h, include_r1):
+    """a + h a0 (+ r1) at the mesh vertices, from a and a0 sampled there."""
+    A = a_z + h * a0_z
     if include_r1:
         r1 = h * prep["r12"]
         if np.any(np.abs(prep["b"]) > 0):
@@ -163,10 +163,12 @@ def cgo_pairings(
     w_area = mesh.vertex_areas * np.exp(2.0 * mesh.rho_v)
     dV = as_values(V1, mesh) - as_values(V2, mesh)
     psi = np.imag(phase(z))
+    a_z = amplitude(z)
+    a0_1, a0_2 = prep1["a0"](z), prep2["a0"](z)
     out = []
     for h in h_list:
-        A1 = _slow_amplitude(mesh, prep1, phase, amplitude, h, include_r1)
-        A2 = _slow_amplitude(mesh, prep2, mirror, amplitude, h, include_r1)
+        A1 = _slow_amplitude(mesh, prep1, phase, a_z, a0_1, h, include_r1)
+        A2 = _slow_amplitude(mesh, prep2, mirror, a_z, a0_2, h, include_r1)
         osc = np.exp(1j * psi / h)
         u1w = osc * A1
         u2w = np.conj(osc) * A2

@@ -8,7 +8,6 @@ unknown keys are always fatal.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import jsonschema
@@ -84,7 +83,7 @@ SCHEMA = {
         "degree": {"type": "integer", "minimum": 1, "default": 16},
         "phase_degree": {"type": "integer", "minimum": 4, "default": 36},
         "vanish_order": {"type": "integer", "minimum": 1, "default": 4},
-        "epsilon": {"type": "number", "exclusiveMinimum": 0.0, "default": 0.1},
+        "epsilon": {"type": "number", "exclusiveMinimum": 0.0, "default": 1.0},
         "psi_target": {"type": "number", "exclusiveMinimum": 0.0, "default": 0.8},
         "cutoff_scale": {"type": "number", "exclusiveMinimum": 0.0, "default": 1.0},
         "point": {

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy.linalg import null_space
 
+from calderon import holo
 from calderon.forward import SchrodingerOperator
-from calderon.geometry import DiskDomain, build_disk_mesh
+from calderon.geometry import TWO_PI, DiskDomain, build_disk_mesh
 from calderon.scenarios import load_scenario
 
 P_STAR = 0.2 + 0.1j
@@ -46,6 +48,49 @@ def dense_cauchy_transform(f_values, mesh, eval_points=None):
     return out / np.pi
 
 
+def scalar_derivative_row(z0, order, degree):
+    """Reference complex row of c -> (d/dz)^order P(z0): the one-point loop
+    that calderon.holo._derivative_rows vectorizes."""
+    k = np.arange(degree + 1)
+    row = np.zeros(degree + 1, dtype=complex)
+    valid = k >= order
+    kk = k[valid]
+    fac = np.ones(len(kk))
+    for j in range(order):
+        fac *= kk - j
+    row[valid] = fac * z0 ** (kk - order)
+    return row
+
+
+def reference_phase_candidate(domain, p, degree, mu, bias=None):
+    """Reference single phase fit: the whole constrained least-squares setup
+    rebuilt for one penalty weight mu (calderon.holo._phase_fitter builds the
+    mu-independent part once per attempt).  Returns (coefficients, arc
+    residual)."""
+    cons = [(p, 0, 1j), (p, 1, 0.0)]
+    if bias is not None:
+        cons = cons + [bias]
+    rows = [scalar_derivative_row(z0, order, degree) for z0, order, _ in cons]
+    hard_A, hard_b = holo._complex_rows(rows, [t for _, _, t in cons])
+    nodes = holo._gamma0_nodes(domain, 8 * max(degree, 1))
+    arc_rows = holo._part_rows(holo._power_matrix(nodes, degree), "im")
+    samp = np.exp(1j * TWO_PI * np.arange(4 * degree) / (4 * degree))
+    drows = np.array([scalar_derivative_row(z, 1, degree) for z in samp])
+    dA, _ = holo._complex_rows(drows, np.zeros(len(samp)))
+    soft_A = np.vstack([arc_rows, mu * dA])
+    soft_b = np.zeros(len(soft_A))
+    x0, *_ = np.linalg.lstsq(hard_A, hard_b, rcond=None)
+    N = null_space(hard_A)
+    lam = np.sqrt(1e-18)
+    A = np.vstack([soft_A @ N, lam * N])
+    b = np.concatenate([soft_b - soft_A @ x0, -lam * x0])
+    y, *_ = np.linalg.lstsq(A, b, rcond=None)
+    x = x0 + N @ y
+    coeffs = x[: degree + 1] + 1j * x[degree + 1 :]
+    fine = holo._gamma0_nodes(domain, 32 * max(degree, 1))
+    return coeffs, float(np.max(np.abs(holo.HoloFunction(coeffs)(fine).imag)))
+
+
 def gaussian_bump(z, center=P_STAR, width=BUMP_WIDTH, amplitude=1.0):
     return amplitude * np.exp(-np.abs(np.asarray(z) - center) ** 2 / width**2)
 
@@ -79,8 +124,8 @@ def mesh_fine(full_domain):
 @pytest.fixture(scope="session")
 def ref_scenario():
     """The acceptance reference scenario (quarter-circle gamma0, bump at p*);
-    epsilon raised to 1.0 so the Carleman constraint h <= epsilon/5 admits
-    the reference h list."""
+    epsilon = 1.0 (the default) so the Carleman constraint h <= epsilon/5
+    admits the reference h list."""
     return load_scenario({"name": "reference", "seed": 0, "epsilon": 1.0})
 
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from calderon import holo
 from calderon.geometry import ConfigurationError, DiskDomain, build_disk_mesh
 from calderon.holo import (
     HoloFunction,
@@ -15,7 +16,7 @@ from calderon.holo import (
     fit_holomorphic_on_arc,
 )
 
-from conftest import P_STAR, dense_cauchy_transform
+from conftest import P_STAR, dense_cauchy_transform, reference_phase_candidate, scalar_derivative_row
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +156,53 @@ def test_morse_phase_quarter_circle(quarter_domain):
     report = phi.meta["critical_points"]
     assert report.is_morse
     assert any(abs(q.location - P_STAR) < 1e-10 for q in report.points)
+
+
+@pytest.mark.parametrize("bias", [None, (P_STAR, 2, 3.0 * np.exp(0.7j))], ids=["plain", "hessian_bias"])
+@pytest.mark.parametrize("degree", [16, 36])
+def test_phase_fit_matches_per_mu_rebuild(quarter_domain, degree, bias):
+    """Building the mu-independent rows and null space once per attempt
+    gives bitwise the fit that rebuilding everything for each mu gives."""
+    fit = holo._phase_fitter(quarter_domain, P_STAR, degree, bias)
+    for mu in (1e-9, 3.2e-6, 1e-2):
+        fn, res = fit(mu)
+        want, want_res = reference_phase_candidate(quarter_domain, P_STAR, degree, mu, bias)
+        assert np.array_equal(fn.coeffs, want)
+        assert res == want_res
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_derivative_rows_match_scalar_loop(order):
+    rng = np.random.default_rng(order)
+    z = rng.uniform(-1, 1, 25) + 1j * rng.uniform(-1, 1, 25)
+    z[0] = 0.0
+    for degree in (2, 16, 36):
+        want = np.array([scalar_derivative_row(z0, order, degree) for z0 in z])
+        assert np.array_equal(holo._derivative_rows(z, order, degree), want)
+    # one order per point, as for mixed interpolation constraints
+    orders = rng.integers(0, 4, len(z))
+    want = np.array([scalar_derivative_row(z0, k, 36) for z0, k in zip(z, orders)])
+    assert np.array_equal(holo._derivative_rows(z, orders, 36), want)
+
+
+def test_morse_phase_factors_hard_constraints_once_per_attempt(quarter_domain, monkeypatch):
+    """One null space per attempt, not one per bisection fit (15 each)."""
+    calls = {"null_space": 0, "attempts": 0}
+    null_space, find = holo.null_space, holo.find_critical_points
+
+    def counting_null_space(*args, **kwargs):
+        calls["null_space"] += 1
+        return null_space(*args, **kwargs)
+
+    def counting_find(*args, **kwargs):
+        calls["attempts"] += 1
+        return find(*args, **kwargs)
+
+    monkeypatch.setattr(holo, "null_space", counting_null_space)
+    monkeypatch.setattr(holo, "find_critical_points", counting_find)
+    build_morse_phase(quarter_domain, P_STAR, degree=16)
+    assert calls["attempts"] >= 1
+    assert calls["null_space"] == calls["attempts"]
 
 
 def test_morse_phase_rejects_boundary_point(quarter_domain):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from calderon import cgo as _cgo
 from calderon import reconstruct as _rc
+from calderon.geometry import as_values
 from calderon.holo import HoloFunction, build_amplitude, build_morse_phase
 
 from conftest import P_STAR, gaussian_bump
@@ -104,6 +106,58 @@ def ref_estimate(ref_mesh, ref_scenario, ref_phase_amp):
         ref_mesh, ref_scenario.domain, ref_scenario.V1, ref_scenario.V2,
         P_STAR, ref_scenario.h_list, phase=phase, amplitude=amp,
     )
+
+
+def _per_h_pairings(mesh, domain, V1, V2, phase, amplitude, h_list, p):
+    """Reference S(h): a and a0 re-evaluated on the mesh for every h and side."""
+    mirror = HoloFunction(-np.asarray(phase.coeffs), meta=dict(phase.meta))
+    prep1 = _cgo.prepare_cgo(mesh, domain, V1, phase, amplitude, p=p)
+    prep2 = _cgo.prepare_cgo(mesh, domain, V2, mirror, amplitude, p=p)
+    z = mesh.vertices
+    w_area = mesh.vertex_areas * np.exp(2.0 * mesh.rho_v)
+    dV = as_values(V1, mesh) - as_values(V2, mesh)
+    psi = np.imag(phase(z))
+    out = []
+    for h in h_list:
+        A1 = _rc._slow_amplitude(mesh, prep1, phase, amplitude(z), prep1["a0"](z), h, True)
+        A2 = _rc._slow_amplitude(mesh, prep2, mirror, amplitude(z), prep2["a0"](z), h, True)
+        osc = np.exp(1j * psi / h)
+        u1w = osc * A1
+        u2w = np.conj(osc) * A2
+        u1w = u1w + np.conj(u1w)
+        u2w = u2w + np.conj(u2w)
+        out.append(complex(np.sum(w_area * dV * u1w * u2w)))
+    return out
+
+
+def test_cgo_pairings_evaluate_amplitudes_once(quarter_mesh_mid, quarter_domain, monkeypatch):
+    """a, and a0 of each side, are sampled on the mesh once for the whole h
+    list; S(h) is bitwise that of re-sampling them for every h."""
+    mesh, dom = quarter_mesh_mid, quarter_domain
+    phase = build_morse_phase(dom, P_STAR, degree=16, psi_target=0.3)
+    amplitude = build_amplitude(phase.meta["critical_points"], P_STAR, dom)
+    h_list = [0.3, 0.25, 0.2]
+    want = _per_h_pairings(mesh, dom, gaussian_bump, 0.0, phase, amplitude, h_list, P_STAR)
+
+    evaluated, preps, marks = [], [], []
+    call, prepare = HoloFunction.__call__, _cgo.prepare_cgo
+
+    def logging_call(self, z):
+        evaluated.append(self)
+        return call(self, z)
+
+    def logging_prepare(*args, **kwargs):
+        preps.append(prepare(*args, **kwargs))
+        marks.append(len(evaluated))
+        return preps[-1]
+
+    monkeypatch.setattr(HoloFunction, "__call__", logging_call)
+    monkeypatch.setattr(_cgo, "prepare_cgo", logging_prepare)
+    got = _rc.cgo_pairings(mesh, dom, gaussian_bump, 0.0, phase, amplitude, h_list, P_STAR)
+    after = evaluated[marks[-1] :]
+    for field in (amplitude, preps[0]["a0"], preps[1]["a0"]):
+        assert sum(fn is field for fn in after) == 1
+    assert got == want
 
 
 def test_interior_recovery_at_primary_point(ref_estimate):

@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from calderon import carleman as _carleman
 from calderon import cli as _cli
 from calderon import reconstruct as _rc
 from calderon.forward import SchrodingerOperator
 from calderon.geometry import ConfigurationError
+from calderon.holo import build_morse_phase
 from calderon.scenarios import (
     load_scenario,
     make_potential,
@@ -29,6 +31,20 @@ def test_reference_defaults():
     assert cfg["v2"]["profile"] == "zero"
     assert cfg["h_list"] == [0.2, 0.14, 0.1, 0.07, 0.05]
     assert len(cfg["cgo_regimes"]) == 2
+
+
+def test_default_epsilon_admits_default_h_list():
+    """The defaults pass their own carleman pipeline's h <= epsilon/5."""
+    sc = load_scenario({"name": "reference", "seed": 0})
+    cfg = sc.config
+    h_min = min(cfg["h_list"])
+    assert h_min <= cfg["epsilon"] / _carleman.EPSILON_H_FACTOR
+    phase = build_morse_phase(
+        sc.domain, sc.point, degree=cfg["phase_degree"],
+        psi_target=cfg["carleman_psi_target"], seed=sc.seed,
+    )
+    weight = _carleman.build_carleman_weight(sc.domain, phase, cfg["epsilon"], h_min, degree=cfg["degree"])
+    assert weight.h == h_min
 
 
 def test_unknown_top_level_key_fatal():
