@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .forward import OperatorCache, SchrodingerOperator
+from .forward import assemble_operator
 from .geometry import ConfigurationError, DiskDomain, Mesh, as_values, boundary_integral
 from .holo import (
     HoloFunction,
@@ -165,7 +165,15 @@ def convexity_check(weight: CarlemanWeight, mesh: Mesh) -> float:
     return float(num / max(den, 1e-300))
 
 
-def _ratio_terms(mesh: Mesh, weight: CarlemanWeight, op: SchrodingerOperator, B, u) -> tuple:
+def _metric_dphi_sq(mesh: Mesh, dphi: np.ndarray) -> np.ndarray:
+    """Metric |d phi|^2 of the unconvexified weight from phase' at the vertices."""
+    return np.exp(-2.0 * mesh.rho_v) * np.abs(dphi) ** 2
+
+
+def _fixed_terms(mesh: Mesh, K, mass, dphi_sq, u) -> tuple:
+    """Check one test function and collect the h-independent parts of both
+    sides: (u, ||u||^2, ||u |d phi|||^2, ||du||^2, ||d_nu u||^2_{gamma0},
+    ||d_nu u||^2_{gamma})."""
     u = np.asarray(u, dtype=float)
     if u.shape != (mesh.n_vertices,):
         raise ConfigurationError("test function must be a vertex field")
@@ -173,34 +181,40 @@ def _ratio_terms(mesh: Mesh, weight: CarlemanWeight, op: SchrodingerOperator, B,
         raise ConfigurationError("test function must vanish on the boundary")
     if not np.any(u != 0.0):
         raise ConfigurationError("test function is identically zero; ratio undefined")
-    h = weight.h
-    z = mesh.vertices
-    mass = op.mass
-    # metric gradient norm of the unconvexified weight
-    dphi_sq = np.exp(-2.0 * mesh.rho_v) * np.abs(weight.phase.derivative()(z)) ** 2
     norm_u = float(np.sum(mass * u**2))
     norm_udphi = float(np.sum(mass * dphi_sq * u**2))
-    dirichlet = float(u @ (op.K @ u))
-    flux = (op.K @ u)[mesh.boundary] / mesh.boundary_weights
+    Ku = K @ u
+    dirichlet = float(u @ Ku)
+    flux = Ku[mesh.boundary] / mesh.boundary_weights
     flux_g0, _ = boundary_integral(flux**2, mesh, "gamma0")
     flux_g, _ = boundary_integral(flux**2, mesh, "gamma")
+    return u, norm_u, norm_udphi, dirichlet, flux_g0, flux_g
+
+
+def _ratio_terms(mesh: Mesh, mass, B, h: float, fixed: tuple) -> tuple:
+    """(lhs, rhs, rhs/lhs) at h from _fixed_terms and the conjugated matrix
+    B at h; only B u is computed here."""
+    u, norm_u, norm_udphi, dirichlet, flux_g0, flux_g = fixed
     lhs = norm_u / h + norm_udphi / h**2 + dirichlet + flux_g0
     conj_residual = np.asarray(B @ u)[mesh.interior] / mass[mesh.interior]
     rhs = float(np.sum(mass[mesh.interior] * conj_residual**2)) + flux_g / h
     return lhs, rhs, rhs / lhs
 
 
-def carleman_ratio(mesh: Mesh, weight: CarlemanWeight, V, u, ops: OperatorCache = None) -> tuple:
+def carleman_ratio(mesh: Mesh, weight: CarlemanWeight, V, u) -> tuple:
     """Both sides of the Carleman inequality for one test function.
 
     lhs = (1/h)||u||^2 + (1/h^2)||u |d phi|||^2 + ||du||^2 + ||d_nu u||^2_{gamma0}
     rhs = ||e^{-phi_eps/h}(Delta_g+V) e^{phi_eps/h} u||^2 + (1/h)||d_nu u||^2_{gamma}
 
     u must vanish on every boundary vertex; returns (lhs, rhs, rhs/lhs).
+    Only the assembled operator is needed: nothing is factorized.
     """
-    op = (OperatorCache(mesh) if ops is None else ops).get(V)
-    B = conjugated_matrix(op, convexify_weight(weight, mesh), weight.h)
-    return _ratio_terms(mesh, weight, op, B, u)
+    K, mass, A = assemble_operator(mesh, as_values(V, mesh))
+    dphi_sq = _metric_dphi_sq(mesh, weight.phase.derivative()(mesh.vertices))
+    fixed = _fixed_terms(mesh, K, mass, dphi_sq, u)
+    B = conjugated_matrix(A, convexify_weight(weight, mesh), weight.h)
+    return _ratio_terms(mesh, mass, B, weight.h, fixed)
 
 
 def sample_test_functions(mesh: Mesh, count: int, seed: int = 0) -> list:
@@ -234,7 +248,6 @@ def carleman_sweep(
     seed: int = 0,
     csv_path=None,
     json_path=None,
-    ops: OperatorCache = None,
 ) -> dict:
     """Minimum Carleman ratio over seeded test functions and an h sweep.
 
@@ -242,12 +255,22 @@ def carleman_sweep(
     conjugation) and h beyond the epsilon constraint are skipped with a
     warning.  PASS means every surviving minimum is positive and the
     min-ratio trend does not head to zero as h decreases.
+
+    The h-independent work is done once: the operator is assembled (not
+    factorized) once, phase' is sampled once, and each test function's
+    norms, Dirichlet energy and boundary fluxes are computed once; each
+    (h, test function) pair then costs one product with the conjugated
+    matrix of that h.
     """
     if sample_count < 1:
         raise ConfigurationError("sample_count must be >= 1")
     samples = sample_test_functions(mesh, sample_count, seed)
-    maxgrad = float(np.max(np.abs(weight.phase.derivative()(mesh.vertices))))
-    op = (OperatorCache(mesh) if ops is None else ops).get(V)
+    dphi = weight.phase.derivative()(mesh.vertices)
+    maxgrad = float(np.max(np.abs(dphi)))
+    V_values = as_values(V, mesh)
+    K, mass, A = assemble_operator(mesh, V_values)
+    dphi_sq = _metric_dphi_sq(mesh, dphi)
+    fixed = [_fixed_terms(mesh, K, mass, dphi_sq, u) for u in samples]
     rows = []
     minima = {}
     skipped = []
@@ -262,11 +285,10 @@ def carleman_sweep(
             warnings.warn(msg)
             skipped.append({"h": h, "reason": msg})
             continue
-        wh = weight.at(h)
-        B = conjugated_matrix(op, convexify_weight(wh, mesh), h)
+        B = conjugated_matrix(A, convexify_weight(weight.at(h), mesh), h)
         best = np.inf
-        for sid, u in enumerate(samples):
-            lhs, rhs, ratio = _ratio_terms(mesh, wh, op, B, u)
+        for sid, terms in enumerate(fixed):
+            lhs, rhs, ratio = _ratio_terms(mesh, mass, B, h, terms)
             rows.append({"h": h, "sample_id": sid, "lhs": lhs, "rhs": rhs, "ratio": ratio})
             best = min(best, ratio)
         minima[h] = best
@@ -282,7 +304,7 @@ def carleman_sweep(
         trending_to_zero = bool(slope > 0 and intercept <= 0)
     else:
         slope, trending_to_zero = 0.0, False
-    v_inf = float(np.max(np.abs(as_values(V, mesh))))
+    v_inf = float(np.max(np.abs(V_values)))
     report = {
         "c_star": c_star,
         "min_ratio_per_h": {repr(float(h)): float(minima[h]) for h in hs},

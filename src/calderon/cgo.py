@@ -16,9 +16,10 @@ residual e^{-Phi/h}(Delta_g + V) e^{Phi/h} A decays like h (up to logs):
     (duality_completion), solved in exponentially weighted variables so no
     overflow or catastrophic cancellation occurs.
 
-A CGO solution at one h is prepare_cgo (shared across h), then
-assemble_cgo, then duality_completion.  All advertised norm scalings are
-measured, not assumed; see residual_scaling_report.
+A CGO sweep is prepare_cgo (shared across h), then assemble_cgo over
+the h list, then residual_field and duality_completion at each h.  All
+advertised norm scalings are measured, not assumed; see
+residual_scaling_report.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .geometry import (
     dz_field,
     dzbar_field,
 )
-from .forward import SYMMETRIC_LU, OperatorCache, SchrodingerOperator
+from .forward import SYMMETRIC_LU, OperatorCache
 from .holo import (
     HoloFunction,
     InfeasibleDegreeError,
@@ -46,8 +47,8 @@ from .holo import (
     _part_rows,
     _power_matrix,
     _solve_constrained,
+    _cauchy_transform_columns,
     build_jet_form,
-    cauchy_transform,
 )
 
 A0_RESIDUAL_TOL = 1e-4
@@ -193,37 +194,66 @@ def decay_slope(b: np.ndarray, mesh: Mesh, p: complex) -> float:
     return float(np.polyfit(np.log(radii), np.log(np.maximum(vals, 1e-300)), 1)[0])
 
 
-def build_r11(mesh: Mesh, phase: HoloFunction, b: np.ndarray, chi: Cutoff, chi1: Cutoff, h: float, full: bool = False):
+def build_r11(
+    mesh: Mesh,
+    phase: HoloFunction,
+    b: np.ndarray,
+    chi: Cutoff,
+    chi1: Cutoff,
+    h_list,
+    full: bool = False,
+    skipped: Optional[list] = None,
+) -> dict:
     """r11 = chi e^{-2i psi/h} R(e^{2i psi/h} chi1 b) and the cutoff error
-    eta = e^{-2i psi/h} R(...) dz(chi); returns (r11, eta), plus the raw
-    transform R(e^{2i psi/h} chi1 b) when full=True (used by the termwise
+    eta = e^{-2i psi/h} R(...) dz(chi) at each h of h_list; returns
+    {h: (r11, eta)}, or {h: (r11, eta, T)} with the raw transform
+    T = R(e^{2i psi/h} chi1 b) when full=True (used by the termwise
     residual evaluator, which must never differentiate oscillations
     numerically).
 
     Every consumer multiplies R(...) by chi or dz(chi), so the transform is
     evaluated only at the vertices of supp chi and supp dz(chi); the
-    returned raw transform is zero at every other vertex."""
+    returned raw transform is zero at every other vertex.
+
+    Only the weights e^{2i psi/h} chi1 b depend on h, so the whole sweep is
+    one Cauchy transform of several fields: its kernels are built once and
+    each h's result equals a transform of that h alone bit for bit.  An h
+    the mesh cannot resolve raises ResolvabilityError before any transform,
+    or, when a skipped list is given, is appended to it as
+    {"h": h, "reason": message} and left out."""
     z = mesh.vertices
     dphi = phase.derivative()(z)
     c1 = chi1(z)
     supp = c1 > 0
     max_grad = 0.5 * np.max(np.abs(dphi[supp])) if np.any(supp) else 0.0
-    if h < 4.0 * mesh.resolution * max_grad:
-        raise ResolvabilityError(
-            f"mesh cannot resolve phase oscillation at h = {h}: need "
-            f"h >= {4.0 * mesh.resolution * max_grad:.3g}"
-        )
+    h_min = 4.0 * mesh.resolution * max_grad
+    resolved = []
+    for h in h_list:
+        if h < h_min:
+            exc = ResolvabilityError(
+                f"mesh cannot resolve phase oscillation at h = {h}: need h >= {h_min:.3g}"
+            )
+            if skipped is None:
+                raise exc
+            skipped.append({"h": h, "reason": str(exc)})
+        else:
+            resolved.append(h)
+    if not resolved:
+        return {}
     psi = phase(z).imag
-    osc = np.exp(2j * psi / h)
+    osc = [np.exp(2j * psi / h) for h in resolved]
     c = chi(z)
     dchi = chi.dz(z)
     idx = np.flatnonzero((c > 0) | (dchi != 0))
-    T = np.zeros(mesh.n_vertices, dtype=complex)
-    T[idx] = cauchy_transform(osc * c1 * b, mesh, eval_index=idx)
-    r11_hat = np.conj(osc) * T
-    if full:
-        return c * r11_hat, r11_hat * dchi, T
-    return c * r11_hat, r11_hat * dchi
+    F = np.array([osc_h * c1 * b for osc_h in osc])
+    T_idx, _ = _cauchy_transform_columns(F, mesh, eval_index=idx)
+    out = {}
+    for h, osc_h, T_h in zip(resolved, osc, T_idx):
+        T = np.zeros(mesh.n_vertices, dtype=complex)
+        T[idx] = T_h
+        r11_hat = np.conj(osc_h) * T
+        out[h] = (c * r11_hat, r11_hat * dchi, T) if full else (c * r11_hat, r11_hat * dchi)
+    return out
 
 
 def build_r12(mesh: Mesh, phase: HoloFunction, b: np.ndarray, chi1: Cutoff, hess_abs: float):
@@ -278,42 +308,60 @@ def build_a0(r_tilde12: np.ndarray, mesh: Mesh, domain: DiskDomain, degree: int 
     return fn
 
 
-def conjugated_matrix(op: SchrodingerOperator, phi_vals: np.ndarray, h: float) -> sp.csr_matrix:
-    """Similarity transform B = D^{-1} A D with D = diag(e^{phi/h}).
+def conjugated_matrix(A: sp.spmatrix, phi_vals: np.ndarray, h: float) -> sp.csr_matrix:
+    """Similarity transform B = D^{-1} A D with D = diag(e^{phi/h}) of the
+    assembled Delta_g + V (SchrodingerOperator.A or forward.assemble_operator).
 
     Entries only see neighbor differences of phi, so B stays O(1) even when
     e^{phi/h} itself would overflow; solving B v = 0 with weight-free data
     reproduces the weighted solution u = D v exactly in exact arithmetic.
     """
-    A = op.A.tocoo()
+    A = A.tocoo()
     scale = np.exp((phi_vals[A.col] - phi_vals[A.row]) / h)
     return sp.coo_matrix((A.data * scale, (A.row, A.col)), shape=A.shape).tocsr()
 
 
-def assemble_cgo(mesh: Mesh, phase: HoloFunction, amplitude: HoloFunction, h: float, prepared: dict) -> CGOComponents:
-    """The components at one h from the h-independent ingredients of
-    prepare_cgo: r11 and eta come from the Cauchy transform, the rest is
-    shared across h.  The remainder r2 is left to duality_completion."""
-    comp = CGOComponents(
-        mesh=mesh,
-        h=h,
-        phase=phase,
-        amplitude=amplitude,
-        a0=prepared["a0"],
-        b=prepared["b"],
-        r11=np.zeros(mesh.n_vertices, dtype=complex),
-        r12=prepared["r12"],
-        r_tilde12=prepared["r_tilde12"],
-        eta=np.zeros(mesh.n_vertices, dtype=complex),
-        chi=prepared["chi"],
-        chi1=prepared["chi1"],
-    )
-    if np.any(np.abs(prepared["b"]) > 0):
-        comp.r11, comp.eta, comp.meta["transform"] = build_r11(
-            mesh, phase, prepared["b"], prepared["chi"], prepared["chi1"], h, full=True
+def assemble_cgo(
+    mesh: Mesh,
+    phase: HoloFunction,
+    amplitude: HoloFunction,
+    h_list,
+    prepared: dict,
+    skipped: Optional[list] = None,
+) -> list:
+    """The components at each h of h_list from the h-independent
+    ingredients of prepare_cgo: r11 and eta come from one Cauchy-transform
+    sweep (build_r11, which raises on or, given skipped, records an h the
+    mesh cannot resolve), the rest is shared across h.  Returns one
+    CGOComponents per h kept, in h_list order.  The remainder r2 is left to
+    duality_completion."""
+    b = prepared["b"]
+    transforms = None
+    if np.any(np.abs(b) > 0):
+        transforms = build_r11(
+            mesh, phase, b, prepared["chi"], prepared["chi1"], h_list, full=True, skipped=skipped
         )
-    comp.meta["p"] = prepared["p"]
-    return comp
+    comps = []
+    for h in h_list if transforms is None else transforms:
+        comp = CGOComponents(
+            mesh=mesh,
+            h=h,
+            phase=phase,
+            amplitude=amplitude,
+            a0=prepared["a0"],
+            b=b,
+            r11=np.zeros(mesh.n_vertices, dtype=complex),
+            r12=prepared["r12"],
+            r_tilde12=prepared["r_tilde12"],
+            eta=np.zeros(mesh.n_vertices, dtype=complex),
+            chi=prepared["chi"],
+            chi1=prepared["chi1"],
+        )
+        if transforms is not None:
+            comp.r11, comp.eta, comp.meta["transform"] = transforms[h]
+        comp.meta["p"] = prepared["p"]
+        comps.append(comp)
+    return comps
 
 
 def prepare_cgo(
@@ -406,18 +454,19 @@ def residual_field(mesh: Mesh, V, comp: CGOComponents, ops: Optional[OperatorCac
     return res
 
 
-def ansatz_residual(mesh: Mesh, V, comp: CGOComponents, ops: Optional[OperatorCache] = None) -> float:
-    """Bulk L2 norm of the conjugated ansatz residual (see residual_field).
+def ansatz_residual(mesh: Mesh, res: np.ndarray) -> float:
+    """Bulk L2 norm of a conjugated ansatz residual res (residual_field).
 
     A thin rim is masked because the one-sided boundary gradients of the
     slow fields are O(resolution)-noisy there.
     """
-    res = residual_field(mesh, V, comp, ops=ops)
     bulk = np.abs(mesh.vertices) < 1.0 - 4.0 * mesh.resolution
     return l2_norm(np.where(bulk, res, 0.0), mesh)
 
 
-def duality_completion(mesh: Mesh, V, comp: CGOComponents, ops: Optional[OperatorCache] = None) -> np.ndarray:
+def duality_completion(
+    mesh: Mesh, V, comp: CGOComponents, res: np.ndarray, ops: Optional[OperatorCache] = None
+) -> np.ndarray:
     """Weighted remainder r2 realized by the minimal-norm (duality) solve.
 
     Finds the smallest r2 (in the lumped-mass L2 norm) with
@@ -429,7 +478,8 @@ def duality_completion(mesh: Mesh, V, comp: CGOComponents, ops: Optional[Operato
     on gamma0 and solves the equation, while its gamma trace is part of the
     produced Cauchy data rather than prescribed.  The right-hand side is
     evaluated term by term via residual_field, so it stays at the true
-    remainder scale on any mesh that resolves the slow fields.
+    remainder scale on any mesh that resolves the slow fields; res is
+    residual_field(mesh, V, comp), which the caller evaluates once.
 
     Why not a direct Dirichlet solve with the ansatz trace prescribed on
     gamma: its weighted solution operator contains
@@ -444,11 +494,10 @@ def duality_completion(mesh: Mesh, V, comp: CGOComponents, ops: Optional[Operato
     op = ops.get(V)
     h = comp.h
     phi_v, psi_v = comp.phi_psi()
-    res = residual_field(mesh, V, comp, ops=ops)
     rhs_field = 2.0 * np.real(np.exp(1j * psi_v / h) * res)
     A_full = np.exp(1j * psi_v / h) * comp.slow_amplitude()
     w = np.real(A_full + np.conj(A_full))
-    B = conjugated_matrix(op, phi_v, h)
+    B = conjugated_matrix(op.A, phi_v, h)
     ii = op.int_idx
     bb = op.bnd_idx
     gamma0_idx = bb[mesh.boundary_is_gamma0]
@@ -496,22 +545,23 @@ def residual_scaling_report(
     """Measure every remainder norm across an h sweep and fit the scaling
     exponents; at least 4 usable h values are required for a fit.
 
-    r2 is the minimal-norm remainder of duality_completion."""
+    The components of every h come from one assemble_cgo call, so the
+    sweep's Cauchy transforms share their kernels; an h the mesh cannot
+    resolve is skipped with its reason.  Each h evaluates residual_field
+    once, for both its duality completion and its ansatz residual.  r2 is
+    the minimal-norm remainder of duality_completion."""
     h_list = sorted(set(float(h) for h in h_list), reverse=True)
     ops = OperatorCache(mesh) if ops is None else ops
     prepared = prepare_cgo(mesh, domain, V, phase, amplitude, jet_degree, cutoff_scale=cutoff_scale, ops=ops)
     rows = []
     used_h = []
     skipped = []
-    for h in h_list:
-        try:
-            comp = assemble_cgo(mesh, phase, amplitude, h, prepared)
-        except ResolvabilityError as exc:
-            skipped.append({"h": h, "reason": str(exc)})
-            continue
+    for comp in assemble_cgo(mesh, phase, amplitude, h_list, prepared, skipped=skipped):
+        h = comp.h
         used_h.append(h)
         hr12t = h * comp.r_tilde12
-        duality_completion(mesh, V, comp, ops=ops)
+        res = residual_field(mesh, V, comp, ops=ops)
+        duality_completion(mesh, V, comp, res, ops=ops)
         rows.append(
             {
                 "h": h,
@@ -521,7 +571,7 @@ def residual_scaling_report(
                 "eta_l2": l2_norm(comp.eta, mesh),
                 "eta_h1": h1_norm(comp.eta, mesh),
                 "r2_l2": l2_norm(comp.r2, mesh),
-                "ansatz_residual_l2": ansatz_residual(mesh, V, comp, ops=ops),
+                "ansatz_residual_l2": ansatz_residual(mesh, res),
             }
         )
     if len(used_h) < 4:

@@ -48,6 +48,14 @@ def lumped_mass(mesh: Mesh) -> np.ndarray:
     return mesh.vertex_areas * np.exp(2.0 * mesh.rho_v)
 
 
+def assemble_operator(mesh: Mesh, V_values: np.ndarray) -> tuple:
+    """Stiffness K, lumped mass and A = K + diag(V * mass) (CSC) of
+    Delta_g + V for vertex values V_values; nothing is factorized."""
+    K = stiffness_matrix(mesh)
+    mass = lumped_mass(mesh)
+    return K, mass, (K + sp.diags(V_values * mass)).tocsc()
+
+
 @dataclass
 class CauchyData:
     """Dirichlet/Neumann traces on the accessible arc gamma.
@@ -130,9 +138,7 @@ class SchrodingerOperator:
         self.mesh = mesh
         self.name = name
         self.V = as_values(V, mesh)
-        self.K = stiffness_matrix(mesh)
-        self.mass = lumped_mass(mesh)
-        self.A = (self.K + sp.diags(self.V * self.mass)).tocsc()
+        self.K, self.mass, self.A = assemble_operator(mesh, self.V)
         ii = np.where(mesh.interior)[0]
         self.int_idx = ii
         self.bnd_idx = mesh.boundary

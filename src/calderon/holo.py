@@ -98,26 +98,53 @@ def cauchy_transform(f_values, mesh: Mesh, eval_points=None, eval_index=None) ->
     the off-mesh eval_points, where f is interpolated linearly.
 
     f must vanish within two cells of the boundary (compact support).
+    Several fields with one support are transformed together, sharing the
+    kernels, by _cauchy_transform_columns.
     """
     f = np.asarray(f_values, dtype=complex)
     if f.shape != (mesh.n_vertices,):
         raise ValueError("f must be sampled at mesh vertices")
+    out, shape = _cauchy_transform_columns(f[None, :], mesh, eval_points, eval_index)
+    return out[0].reshape(shape)
+
+
+def _far_field_kernel(z: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Point-mass kernel 1/conj(z - xi) = d/|d|^2 for one row block of
+    evaluation points z against the sources xs; exact self-pairs are 0."""
+    d = z[:, None] - xs[None, :]
+    d_sq = d.real**2 + d.imag**2
+    np.divide(1.0, d_sq, out=d_sq, where=d_sq != 0)
+    d *= d_sq
+    return d
+
+
+def _cauchy_transform_columns(F: np.ndarray, mesh: Mesh, eval_points=None, eval_index=None) -> tuple:
+    """cauchy_transform of every row of F (shape (k, n_vertices), complex).
+
+    The rows must share one support (the far-field sources and the
+    near-field pair list are those of the union).  Each far-field row block,
+    the near-field pair list and the disk-averaged kernel with its window
+    are built once and applied to every row with that row's own
+    matrix-vector product and sums, in cauchy_transform's operation order,
+    so each row of the result equals cauchy_transform of that row bit for
+    bit.  Returns (out of shape (k, n_eval), shape of the evaluation set).
+    """
     if eval_points is not None and eval_index is not None:
         raise ValueError("give eval_points or eval_index, not both")
     if eval_points is None:
         idx = np.arange(mesh.n_vertices) if eval_index is None else np.asarray(eval_index, dtype=int)
         z = mesh.vertices[idx].ravel()
-        f_at_eval = f[idx].ravel()
+        F_at_eval = F[:, idx.ravel()]
         shape = np.shape(idx)
     else:
         z = np.asarray(eval_points, dtype=complex).ravel()
         shape = np.shape(eval_points)
-    out = np.zeros(len(z), dtype=complex)
-    support = np.abs(f) > 0
+    out = np.zeros((len(F), len(z)), dtype=complex)
+    support = np.any(np.abs(F) > 0, axis=0)
     if np.any(support) and np.max(np.abs(mesh.vertices[support])) > 1.0 - 2.0 * mesh.resolution:
         raise ValueError("support of f must stay two cells away from the boundary")
     if not np.any(support) or len(z) == 0:
-        return out.reshape(shape)
+        return out, shape
     sub_radius = 4.0 * mesh.resolution
     from scipy.spatial import cKDTree
 
@@ -126,26 +153,25 @@ def cauchy_transform(f_values, mesh: Mesh, eval_points=None, eval_index=None) ->
         from scipy.interpolate import LinearNDInterpolator
 
         zp = np.column_stack([z.real, z.imag])
-        interp_re = LinearNDInterpolator(pts, f.real, fill_value=0.0)
-        interp_im = LinearNDInterpolator(pts, f.imag, fill_value=0.0)
-        f_at_eval = interp_re(zp) + 1j * interp_im(zp)
+        F_at_eval = np.empty((len(F), len(z)), dtype=complex)
+        for k, f in enumerate(F):
+            interp_re = LinearNDInterpolator(pts, f.real, fill_value=0.0)
+            interp_im = LinearNDInterpolator(pts, f.imag, fill_value=0.0)
+            F_at_eval[k] = interp_re(zp) + 1j * interp_im(zp)
     # far field: zero-valued sources add nothing to the point-mass sum
     xs = mesh.vertices[support]
-    weights = (mesh.vertex_areas * f)[support]
+    weights = [(mesh.vertex_areas * f)[support] for f in F]
     block = max(1, int(TRANSFORM_BLOCK_ENTRIES / len(xs)))
     for s in range(0, len(z), block):
-        # 1/conj(d) = d/|d|^2
-        d = z[s : s + block, None] - xs[None, :]
-        d_sq = d.real**2 + d.imag**2
-        np.divide(1.0, d_sq, out=d_sq, where=d_sq != 0)
-        d *= d_sq
-        out[s : s + block] = d @ weights
+        kernel = _far_field_kernel(z[s : s + block], xs)
+        # one product per row: a single matrix product sums in another order
+        for out_k, w in zip(out, weights):
+            out_k[s : s + block] = kernel @ w
     # near field: zero-valued sources still carry quadrature weight in the
     # local defect sum, so its sources are the support dilated by sub_radius
     dist, _ = cKDTree(pts[support]).query(pts)
     local = dist <= sub_radius + 1e-12
     src = mesh.vertices[local]
-    fs = f[local]
     areas = mesh.vertex_areas[local]
     radii = np.sqrt(areas / np.pi)
     # the equal-area disks (radius about resolution / 2) lie well inside it
@@ -165,10 +191,12 @@ def cauchy_transform(f_values, mesh: Mesh, eval_points=None, eval_index=None) ->
     # window keeps the rim quadrature clean
     t = np.clip(absd / sub_radius, 0.0, 1.0)
     window = 0.5 * (1.0 + np.cos(np.pi * t))
-    pair_terms = (kern - point) * fs[j] - f_at_eval[i] * kern * window
-    out += np.bincount(i, pair_terms.real, len(z)) + 1j * np.bincount(i, pair_terms.imag, len(z))
+    swap = kern - point
+    for f, f_at_eval, out_k in zip(F, F_at_eval, out):
+        pair_terms = swap * f[local][j] - f_at_eval[i] * kern * window
+        out_k += np.bincount(i, pair_terms.real, len(z)) + 1j * np.bincount(i, pair_terms.imag, len(z))
     out /= np.pi
-    return out.reshape(shape)
+    return out, shape
 
 
 # ---------------------------------------------------------------------------

@@ -122,14 +122,22 @@ def fit_pairing_model(h_list, S_values, psi_p: float) -> dict:
     return {"A": float(coef[0]), "B": float(coef[1]), "C": float(coef[2]), "residual": resid, "cond": float(cond)}
 
 
-def _slow_amplitude(mesh, prep, phase, a_z, a0_z, h, include_r1):
-    """a + h a0 (+ r1) at the mesh vertices, from a and a0 sampled there."""
+def _r11_sweep(mesh, prep, phase, h_list, include_r1) -> dict:
+    """build_r11's {h: (r11, eta)} for one CGO, or {} when r1 is left out
+    or b = 0 (then r11 = 0)."""
+    if not include_r1 or not np.any(np.abs(prep["b"]) > 0):
+        return {}
+    return _cgo.build_r11(mesh, phase, prep["b"], prep["chi"], prep["chi1"], h_list)
+
+
+def _slow_amplitude(prep, a_z, a0_z, h, include_r1, r11s):
+    """a + h a0 (+ r1) at the mesh vertices, from a and a0 sampled there
+    and the r11 fields of _r11_sweep."""
     A = a_z + h * a0_z
     if include_r1:
         r1 = h * prep["r12"]
-        if np.any(np.abs(prep["b"]) > 0):
-            r11, _eta = _cgo.build_r11(mesh, phase, prep["b"], prep["chi"], prep["chi1"], h)
-            r1 = r11 + h * prep["r12"]
+        if h in r11s:
+            r1 = r11s[h][0] + h * prep["r12"]
         A = A + r1
     return A
 
@@ -153,6 +161,8 @@ def cgo_pairings(
     S(h) is the interior identity integral of u1 (V1 - V2) u2 dv_g,
     evaluated directly on the CGO approximations with the true V1 - V2 (the
     two e^{+-phi/h} weights cancel pointwise); no boundary data is read.
+    Each CGO's r11 fields for the whole h list come from one build_r11
+    sweep.
     """
     p = complex(p)
     mirror = HoloFunction(-np.asarray(phase.coeffs), meta=dict(phase.meta))
@@ -165,10 +175,12 @@ def cgo_pairings(
     psi = np.imag(phase(z))
     a_z = amplitude(z)
     a0_1, a0_2 = prep1["a0"](z), prep2["a0"](z)
+    r11_1 = _r11_sweep(mesh, prep1, phase, h_list, include_r1)
+    r11_2 = _r11_sweep(mesh, prep2, mirror, h_list, include_r1)
     out = []
     for h in h_list:
-        A1 = _slow_amplitude(mesh, prep1, phase, a_z, a0_1, h, include_r1)
-        A2 = _slow_amplitude(mesh, prep2, mirror, a_z, a0_2, h, include_r1)
+        A1 = _slow_amplitude(prep1, a_z, a0_1, h, include_r1, r11_1)
+        A2 = _slow_amplitude(prep2, a_z, a0_2, h, include_r1, r11_2)
         osc = np.exp(1j * psi / h)
         u1w = osc * A1
         u2w = np.conj(osc) * A2

@@ -4,7 +4,7 @@ from scipy.linalg import null_space
 
 from calderon import holo
 from calderon.forward import SchrodingerOperator
-from calderon.geometry import TWO_PI, DiskDomain, build_disk_mesh
+from calderon.geometry import TWO_PI, DiskDomain, boundary_integral, build_disk_mesh
 from calderon.scenarios import load_scenario
 
 P_STAR = 0.2 + 0.1j
@@ -46,6 +46,106 @@ def dense_cauchy_transform(f_values, mesh, eval_points=None):
     window = 0.5 * (1.0 + np.cos(np.pi * np.clip(absd / sub_radius, 0.0, 1.0)))
     out = kern @ f[support] - f_at_eval * np.sum(kern * window, axis=1)
     return out / np.pi
+
+
+def single_field_cauchy_transform(f_values, mesh, eval_points=None, eval_index=None):
+    """Reference solid Cauchy transform of one field: the far-field row
+    blocks, near-field pair list and disk-averaged kernel built for this
+    field alone, as calderon.holo.cauchy_transform did before a sweep's
+    fields shared them (same quadrature and operation order)."""
+    from scipy.spatial import cKDTree
+
+    f = np.asarray(f_values, dtype=complex)
+    if eval_points is None:
+        idx = np.arange(mesh.n_vertices) if eval_index is None else np.asarray(eval_index, dtype=int)
+        z = mesh.vertices[idx].ravel()
+        f_at_eval = f[idx].ravel()
+        shape = np.shape(idx)
+    else:
+        z = np.asarray(eval_points, dtype=complex).ravel()
+        shape = np.shape(eval_points)
+    out = np.zeros(len(z), dtype=complex)
+    support = np.abs(f) > 0
+    if not np.any(support) or len(z) == 0:
+        return out.reshape(shape)
+    sub_radius = 4.0 * mesh.resolution
+    pts = np.column_stack([mesh.vertices.real, mesh.vertices.imag])
+    if eval_points is not None:
+        from scipy.interpolate import LinearNDInterpolator
+
+        zp = np.column_stack([z.real, z.imag])
+        interp_re = LinearNDInterpolator(pts, f.real, fill_value=0.0)
+        interp_im = LinearNDInterpolator(pts, f.imag, fill_value=0.0)
+        f_at_eval = interp_re(zp) + 1j * interp_im(zp)
+    xs = mesh.vertices[support]
+    weights = (mesh.vertex_areas * f)[support]
+    block = max(1, int(holo.TRANSFORM_BLOCK_ENTRIES / len(xs)))
+    for s in range(0, len(z), block):
+        d = z[s : s + block, None] - xs[None, :]
+        d_sq = d.real**2 + d.imag**2
+        np.divide(1.0, d_sq, out=d_sq, where=d_sq != 0)
+        d *= d_sq
+        out[s : s + block] = d @ weights
+    dist, _ = cKDTree(pts[support]).query(pts)
+    local = dist <= sub_radius + 1e-12
+    src = mesh.vertices[local]
+    fs = f[local]
+    areas = mesh.vertex_areas[local]
+    radii = np.sqrt(areas / np.pi)
+    pairs = cKDTree(np.column_stack([z.real, z.imag])).sparse_distance_matrix(
+        cKDTree(pts[local]), sub_radius, output_type="ndarray"
+    )
+    i, j = pairs["i"], pairs["j"]
+    d = z[i] - src[j]
+    absd = np.abs(d)
+    near = absd < radii[j]
+    point = np.zeros_like(d)
+    np.divide(areas[j], np.conj(d), out=point, where=d != 0)
+    kern = np.where(near, areas[j] * d / radii[j] ** 2, point)
+    t = np.clip(absd / sub_radius, 0.0, 1.0)
+    window = 0.5 * (1.0 + np.cos(np.pi * t))
+    pair_terms = (kern - point) * fs[j] - f_at_eval[i] * kern * window
+    out += np.bincount(i, pair_terms.real, len(z)) + 1j * np.bincount(i, pair_terms.imag, len(z))
+    out /= np.pi
+    return out.reshape(shape)
+
+
+def per_h_r11(mesh, phase, b, chi, chi1, h):
+    """Reference (r11, eta, T) at one h: its own transform of
+    e^{2i psi/h} chi1 b on supp chi and supp dz(chi), as calderon.cgo.build_r11
+    did per h before a sweep shared the kernels (resolvability check left
+    out)."""
+    z = mesh.vertices
+    osc = np.exp(2j * phase(z).imag / h)
+    c = chi(z)
+    dchi = chi.dz(z)
+    idx = np.flatnonzero((c > 0) | (dchi != 0))
+    T = np.zeros(mesh.n_vertices, dtype=complex)
+    T[idx] = single_field_cauchy_transform(osc * chi1(z) * b, mesh, eval_index=idx)
+    r11_hat = np.conj(osc) * T
+    return c * r11_hat, r11_hat * dchi, T
+
+
+def per_sample_ratio_terms(mesh, weight, op, B, u):
+    """Reference Carleman (lhs, rhs, ratio) of one test function at
+    weight.h: every term recomputed for this (h, u) pair, as
+    calderon.carleman did before its sweep shared the h-independent terms.
+    op supplies K and mass; B is the conjugated matrix at weight.h."""
+    u = np.asarray(u, dtype=float)
+    h = weight.h
+    z = mesh.vertices
+    mass = op.mass
+    dphi_sq = np.exp(-2.0 * mesh.rho_v) * np.abs(weight.phase.derivative()(z)) ** 2
+    norm_u = float(np.sum(mass * u**2))
+    norm_udphi = float(np.sum(mass * dphi_sq * u**2))
+    dirichlet = float(u @ (op.K @ u))
+    flux = (op.K @ u)[mesh.boundary] / mesh.boundary_weights
+    flux_g0, _ = boundary_integral(flux**2, mesh, "gamma0")
+    flux_g, _ = boundary_integral(flux**2, mesh, "gamma")
+    lhs = norm_u / h + norm_udphi / h**2 + dirichlet + flux_g0
+    conj_residual = np.asarray(B @ u)[mesh.interior] / mass[mesh.interior]
+    rhs = float(np.sum(mass[mesh.interior] * conj_residual**2)) + flux_g / h
+    return lhs, rhs, rhs / lhs
 
 
 def scalar_derivative_row(z0, order, degree):

@@ -4,10 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from calderon import carleman as _ca
+from calderon.cgo import conjugated_matrix
+from calderon.forward import SchrodingerOperator
 from calderon.geometry import ConfigurationError, DiskDomain
-from calderon.holo import build_morse_phase
+from calderon.holo import HoloFunction, build_morse_phase
 
-from conftest import P_STAR
+from conftest import P_STAR, per_sample_ratio_terms
 
 
 @pytest.fixture(scope="module")
@@ -138,3 +140,43 @@ def test_sweep_csv_and_json(tmp_path, quarter_weight, ref_mesh):
 
     back = json.loads(json_path.read_text())
     assert back["c_star"] == pytest.approx(rep["c_star"])
+
+
+def test_sweep_matches_per_sample_reference(tmp_path, quarter_weight, ref_mesh):
+    """Every sweep row, and carleman_ratio, equal the per-(h, u) reference
+    that recomputes all terms, to the bit."""
+    V, h_list, count = -20.0, [0.2, 0.1], 4
+    csv_path = tmp_path / "sweep.csv"
+    _ca.carleman_sweep(ref_mesh, quarter_weight, V, h_list, sample_count=count, csv_path=csv_path)
+    op = SchrodingerOperator(ref_mesh, V)
+    samples = _ca.sample_test_functions(ref_mesh, count, seed=0)
+    want = []
+    for h in h_list:
+        wh = quarter_weight.at(h)
+        B = conjugated_matrix(op.A, _ca.convexify_weight(wh, ref_mesh), h)
+        for sid, u in enumerate(samples):
+            lhs, rhs, ratio = per_sample_ratio_terms(ref_mesh, wh, op, B, u)
+            want.append(f"{h!r},{sid},{lhs!r},{rhs!r},{ratio!r}")
+            if sid == 1:
+                assert _ca.carleman_ratio(ref_mesh, wh, V, u) == (lhs, rhs, ratio)
+    assert csv_path.read_text().splitlines()[1:] == want
+
+
+def test_sweep_samples_phase_derivative_once(quarter_weight, quarter_mesh_mid, monkeypatch):
+    derived = []
+    derivative = HoloFunction.derivative
+
+    def logging_derivative(self, order=1):
+        derived.append(self)
+        return derivative(self, order)
+
+    monkeypatch.setattr(HoloFunction, "derivative", logging_derivative)
+    _ca.carleman_sweep(quarter_mesh_mid, quarter_weight, 0.0, [0.2, 0.1], sample_count=5)
+    assert sum(f is quarter_weight.phase for f in derived) == 1
+
+
+def test_carleman_factorizes_nothing(quarter_weight, quarter_mesh_mid, operator_builds):
+    u = _ca.sample_test_functions(quarter_mesh_mid, 1, seed=0)[0]
+    _ca.carleman_ratio(quarter_mesh_mid, quarter_weight, -20.0, u)
+    _ca.carleman_sweep(quarter_mesh_mid, quarter_weight, -20.0, [0.1], sample_count=2)
+    assert operator_builds == []

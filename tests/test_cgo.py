@@ -3,10 +3,11 @@ import pytest
 import scipy.sparse as sp
 
 from calderon import cgo as _cgo
+from calderon import holo
 from calderon.geometry import DiskDomain, as_values, build_disk_mesh
 from calderon.holo import HoloFunction, build_amplitude, build_morse_phase, find_critical_points
 
-from conftest import P_STAR, dense_cauchy_transform, gaussian_bump
+from conftest import P_STAR, dense_cauchy_transform, gaussian_bump, per_h_r11
 
 
 @pytest.fixture(scope="module")
@@ -101,8 +102,8 @@ def test_r11_zero_for_zero_b(quarter_prep, quarter_mesh_mid):
     b0 = np.zeros(quarter_mesh_mid.n_vertices, dtype=complex)
     r11, eta = _cgo.build_r11(
         quarter_mesh_mid, quarter_prep["phase"], b0,
-        quarter_prep["prep"]["chi"], quarter_prep["prep"]["chi1"], 0.2,
-    )
+        quarter_prep["prep"]["chi"], quarter_prep["prep"]["chi1"], [0.2],
+    )[0.2]
     assert np.max(np.abs(r11)) == 0.0
     assert np.max(np.abs(eta)) == 0.0
 
@@ -116,12 +117,53 @@ def test_r11_supp_chi_matches_full_evaluation(quarter_prep, quarter_mesh_mid):
     h = 0.2
     osc = np.exp(2j * quarter_prep["phase"](z).imag / h)
     T_full = dense_cauchy_transform(osc * prep["chi1"](z) * prep["b"], mesh)
-    r11, eta, T = _cgo.build_r11(mesh, quarter_prep["phase"], prep["b"], prep["chi"], prep["chi1"], h, full=True)
+    r11, eta, T = _cgo.build_r11(mesh, quarter_prep["phase"], prep["b"], prep["chi"], prep["chi1"], [h], full=True)[h]
     r11_want = prep["chi"](z) * np.conj(osc) * T_full
     eta_want = np.conj(osc) * T_full * prep["chi"].dz(z)
     assert np.max(np.abs(r11 - r11_want)) <= 1e-12 * np.max(np.abs(r11_want))
     assert np.max(np.abs(eta - eta_want)) <= 1e-12 * np.max(np.abs(eta_want))
     assert np.all(T[prep["chi"](z) == 0] == 0)
+
+
+def test_build_r11_sweep_matches_per_h(quarter_prep, quarter_mesh_mid):
+    """One build_r11 sweep gives every h the bits of its own transform; an
+    unresolvable h is skipped with the message a lone call raises."""
+    prep = quarter_prep["prep"]
+    args = (quarter_mesh_mid, quarter_prep["phase"], prep["b"], prep["chi"], prep["chi1"])
+    skipped = []
+    got = _cgo.build_r11(*args, [0.3, 0.2, 1e-5, 0.14], full=True, skipped=skipped)
+    assert list(got) == [0.3, 0.2, 0.14]
+    for h, fields in got.items():
+        for g, want in zip(fields, per_h_r11(*args, h)):
+            assert np.array_equal(g, want)
+    with pytest.raises(_cgo.ResolvabilityError) as err:
+        _cgo.build_r11(*args, [1e-5])
+    assert skipped == [{"h": 1e-5, "reason": str(err.value)}]
+
+
+def test_scaling_report_builds_far_field_kernel_once(quarter_prep, quarter_mesh_mid, quarter_domain, monkeypatch):
+    """The Cauchy transforms of a whole residual_scaling_report sweep share
+    their far-field kernel: the sweep builds as many row blocks as one h."""
+    builds = []
+    kernel = holo._far_field_kernel
+
+    def counting_kernel(z, xs):
+        builds.append(len(z))
+        return kernel(z, xs)
+
+    monkeypatch.setattr(holo, "_far_field_kernel", counting_kernel)
+    monkeypatch.setattr(holo, "TRANSFORM_BLOCK_ENTRIES", 20_000)
+    prep = quarter_prep["prep"]
+    _cgo.build_r11(quarter_mesh_mid, quarter_prep["phase"], prep["b"], prep["chi"], prep["chi1"], [0.2])
+    one_h = list(builds)
+    builds.clear()
+    rep = _cgo.residual_scaling_report(
+        quarter_mesh_mid, quarter_domain, gaussian_bump,
+        quarter_prep["phase"], quarter_prep["amplitude"], [0.2, 0.14, 0.1, 0.07],
+    )
+    assert len(rep["h_list"]) == 4
+    assert len(one_h) > 1
+    assert builds == one_h
 
 
 def test_h1_norm_of_paraboloid():
@@ -136,7 +178,7 @@ def test_r11_unresolvable_h_raises(quarter_prep, quarter_mesh_mid):
     with pytest.raises(_cgo.ResolvabilityError):
         _cgo.build_r11(
             quarter_mesh_mid, quarter_prep["phase"], quarter_prep["prep"]["b"],
-            quarter_prep["prep"]["chi"], quarter_prep["prep"]["chi1"], 1e-5,
+            quarter_prep["prep"]["chi"], quarter_prep["prep"]["chi1"], [1e-5],
         )
 
 
@@ -185,8 +227,8 @@ def _completed(mesh, domain, V, phase, amplitude, h, prepared=None):
     """prepare_cgo + assemble_cgo + duality_completion at one h."""
     if prepared is None:
         prepared = _cgo.prepare_cgo(mesh, domain, V, phase, amplitude)
-    comp = _cgo.assemble_cgo(mesh, phase, amplitude, h, prepared)
-    _cgo.duality_completion(mesh, V, comp)
+    (comp,) = _cgo.assemble_cgo(mesh, phase, amplitude, [h], prepared)
+    _cgo.duality_completion(mesh, V, comp, _cgo.residual_field(mesh, V, comp))
     return comp
 
 

@@ -16,7 +16,13 @@ from calderon.holo import (
     fit_holomorphic_on_arc,
 )
 
-from conftest import P_STAR, dense_cauchy_transform, reference_phase_candidate, scalar_derivative_row
+from conftest import (
+    P_STAR,
+    dense_cauchy_transform,
+    reference_phase_candidate,
+    scalar_derivative_row,
+    single_field_cauchy_transform,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +86,26 @@ def test_cauchy_transform_matches_dense_reference(mesh_mid):
 def test_cauchy_transform_zero(mesh_mid):
     got = cauchy_transform(np.zeros(mesh_mid.n_vertices, dtype=complex), mesh_mid)
     assert np.max(np.abs(got)) == 0.0
+
+
+def test_transform_fields_match_single_field_reference(mesh_mid, monkeypatch):
+    """Fields with one support transformed together give, field by field,
+    the bits of transforming each alone (at every vertex, at a vertex subset
+    and at off-mesh points, over several far-field row blocks); so does the
+    public one-field call."""
+    monkeypatch.setattr(holo, "TRANSFORM_BLOCK_ENTRIES", 20_000)
+    z = mesh_mid.vertices
+    t = np.abs(z - (0.1 + 0.1j)) / 0.4
+    bump = np.where(t < 1.0, np.exp(1.0 - 1.0 / (1.0 - np.minimum(t, 0.999) ** 2)), 0.0)
+    F = np.array([bump * np.exp(1j * k * z.real) for k in (3.0, 10.0, 25.0)])
+    idx = np.arange(0, mesh_mid.n_vertices, 7)
+    pts = np.array([0.2 + 0.1j, -0.3j, 0.1, 0.7 + 0.1j, -0.8])
+    for kw in ({}, {"eval_index": idx}, {"eval_points": pts}):
+        got, _ = holo._cauchy_transform_columns(F, mesh_mid, **kw)
+        for f, g in zip(F, got):
+            want = single_field_cauchy_transform(f, mesh_mid, **kw)
+            assert np.array_equal(g, want)
+            assert np.array_equal(cauchy_transform(f, mesh_mid, **kw), want)
 
 
 def smooth_compact_field(z):

@@ -109,7 +109,8 @@ def ref_estimate(ref_mesh, ref_scenario, ref_phase_amp):
 
 
 def _per_h_pairings(mesh, domain, V1, V2, phase, amplitude, h_list, p):
-    """Reference S(h): a and a0 re-evaluated on the mesh for every h and side."""
+    """Reference S(h): a, a0 and r11 re-evaluated on the mesh for every h
+    and side."""
     mirror = HoloFunction(-np.asarray(phase.coeffs), meta=dict(phase.meta))
     prep1 = _cgo.prepare_cgo(mesh, domain, V1, phase, amplitude, p=p)
     prep2 = _cgo.prepare_cgo(mesh, domain, V2, mirror, amplitude, p=p)
@@ -119,8 +120,10 @@ def _per_h_pairings(mesh, domain, V1, V2, phase, amplitude, h_list, p):
     psi = np.imag(phase(z))
     out = []
     for h in h_list:
-        A1 = _rc._slow_amplitude(mesh, prep1, phase, amplitude(z), prep1["a0"](z), h, True)
-        A2 = _rc._slow_amplitude(mesh, prep2, mirror, amplitude(z), prep2["a0"](z), h, True)
+        r11_1 = _rc._r11_sweep(mesh, prep1, phase, [h], True)
+        r11_2 = _rc._r11_sweep(mesh, prep2, mirror, [h], True)
+        A1 = _rc._slow_amplitude(prep1, amplitude(z), prep1["a0"](z), h, True, r11_1)
+        A2 = _rc._slow_amplitude(prep2, amplitude(z), prep2["a0"](z), h, True, r11_2)
         osc = np.exp(1j * psi / h)
         u1w = osc * A1
         u2w = np.conj(osc) * A2

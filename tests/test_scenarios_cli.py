@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -320,3 +323,73 @@ def test_unicode_scenario_name_roundtrip(tmp_path):
     summary = json.loads((out / "forward_summary.json").read_text())
     assert summary["name"] == "café-Ω"
     assert "café-Ω" in (out / "forward_summary.json").read_text()
+
+
+def test_mesh_csv_roundtrip(tmp_path):
+    """mesh_vertices.csv parses back to the mesh vertices bit for bit, and
+    mesh_cells.csv to its cells."""
+    sc = load_scenario(CHEAP)
+    mesh = sc.build_mesh()
+    _cli._mesh_export(sc, str(tmp_path))
+    lines = (tmp_path / "mesh_vertices.csv").read_text().splitlines()
+    assert lines[0] == "index,x,y,is_boundary,is_gamma0"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [int(r[0]) for r in rows] == list(range(mesh.n_vertices))
+    xy = np.array([[float(r[1]), float(r[2])] for r in rows])
+    assert np.array_equal(xy[:, 0] + 1j * xy[:, 1], mesh.vertices)
+    assert np.array_equal([int(r[3]) for r in rows], mesh.is_boundary.astype(int))
+    g0 = np.zeros(mesh.n_vertices, dtype=int)
+    g0[mesh.boundary[mesh.boundary_is_gamma0]] = 1
+    assert np.array_equal([int(r[4]) for r in rows], g0)
+    cells = np.loadtxt(tmp_path / "mesh_cells.csv", delimiter=",", skiprows=1, dtype=int)
+    assert np.array_equal(cells, mesh.cells)
+
+
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        ("forward", {"resolution": 0.08}),
+        ("cgo", {"resolution": 0.08, "h_list": [0.5, 0.4, 0.32, 0.25]}),
+        ("reconstruct", RECONSTRUCT_CHEAP),
+        ("carleman", CARLEMAN_CHEAP),
+        ("boundary", BOUNDARY_CHEAP),
+    ],
+    ids=["forward", "cgo", "reconstruct", "carleman", "boundary"],
+)
+def test_pipeline_outputs_hold_plain_numbers(tmp_path, command, overrides):
+    """No output file carries a numpy scalar repr such as np.float64(0.5)."""
+    cfg = _write_cfg(tmp_path, {"name": "cheap", "seed": 3, **overrides})
+    out = tmp_path / "out"
+    _cli.run_scenario(cfg, command, out_dir=str(out))
+    files = sorted(out.iterdir())
+    assert f"{command}_summary.json" in [f.name for f in files]
+    for f in files:
+        text = f.read_text()
+        assert "np." not in text and "float64(" not in text, f.name
+
+
+def test_reference_boundary_check_flagged_trivial(tmp_path):
+    """On the reference scenario V1 is ~0 at theta_p, the pairing sits below
+    the noise floor and the boundary value check is marked trivial; with
+    the bump on theta_p it is a real check and carries no flag."""
+    for cfg, trivial in (({"name": "reference", "seed": 0}, True), ({"name": "cheap", "seed": 3, **BOUNDARY_CHEAP}, False)):
+        out = tmp_path / cfg["name"]
+        out.mkdir()
+        _cli.run_scenario(_write_cfg(out, cfg), "boundary", out_dir=str(out))
+        summary = json.loads((out / "boundary_summary.json").read_text())
+        check = next(c for c in summary["checks"] if c["name"] == "boundary_value_estimate")
+        assert check["passed"]
+        assert check.get("trivial", False) is trivial
+        assert ("noise floor" in check["detail"]) is trivial
+        assert any(c["name"] == "boundary_exponent_window" for c in summary["checks"]) is not trivial
+
+
+def test_import_loads_no_optional_scipy_modules():
+    """Start-up stays lean: scipy.spatial, scipy.interpolate and
+    scipy.special are imported only by the functions that use them."""
+    lazy = ("scipy.spatial", "scipy.interpolate", "scipy.special")
+    code = f"import sys, calderon; print([m for m in {lazy!r} if m in sys.modules])"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(_cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
