@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .forward import assemble_operator
+from .forward import assemble_operator, schrodinger_matrix
 from .geometry import ConfigurationError, DiskDomain, Mesh, as_values, boundary_integral
 from .holo import (
     HoloFunction,
@@ -144,18 +144,15 @@ def build_carleman_weight(
 
 def convexify_weight(weight: CarlemanWeight, mesh: Mesh) -> np.ndarray:
     """phi_eps = phi - (h/2 eps) sum_j |phi_j|^2 sampled on the mesh."""
-    z = mesh.vertices
-    sq = sum(p**2 for p in weight.phi_values(z))
-    return weight.phi(z) - (weight.h / (2.0 * weight.epsilon)) * sq
+    values = weight.phi_values(mesh.vertices)
+    sq = sum(p**2 for p in values)
+    return values[0] - (weight.h / (2.0 * weight.epsilon)) * sq
 
 
-def convexity_check(weight: CarlemanWeight, mesh: Mesh) -> float:
+def convexity_check(weight: CarlemanWeight, mesh: Mesh, K, mass: np.ndarray) -> float:
     """Relative bulk error of the discrete metric Laplacian of phi_eps
-    against the exact identity (h/eps) e^{-2 rho} sum_j |grad phi_j|^2."""
-    from .forward import stiffness_matrix, lumped_mass
-
-    K = stiffness_matrix(mesh)
-    mass = lumped_mass(mesh)
+    against the exact identity (h/eps) e^{-2 rho} sum_j |grad phi_j|^2.
+    K and mass are forward.stiffness_matrix(mesh) and lumped_mass(mesh)."""
     lap = (K @ convexify_weight(weight, mesh)) / mass
     z = mesh.vertices
     exact = (weight.h / weight.epsilon) * np.exp(-2.0 * mesh.rho_v) * weight.gradient_sq(z)
@@ -244,6 +241,8 @@ def carleman_sweep(
     weight: CarlemanWeight,
     V,
     h_list,
+    K,
+    mass: np.ndarray,
     sample_count: int = 50,
     seed: int = 0,
     csv_path=None,
@@ -256,11 +255,12 @@ def carleman_sweep(
     warning.  PASS means every surviving minimum is positive and the
     min-ratio trend does not head to zero as h decreases.
 
-    The h-independent work is done once: the operator is assembled (not
-    factorized) once, phase' is sampled once, and each test function's
-    norms, Dirichlet energy and boundary fluxes are computed once; each
-    (h, test function) pair then costs one product with the conjugated
-    matrix of that h.
+    K and mass are forward.stiffness_matrix(mesh) and lumped_mass(mesh),
+    which the caller shares with convexity_check.  The h-independent work
+    is done once: the operator is assembled (not factorized) once, phase' is
+    sampled once, and each test function's norms, Dirichlet energy and
+    boundary fluxes are computed once; each (h, test function) pair then
+    costs one product with the conjugated matrix of that h.
     """
     if sample_count < 1:
         raise ConfigurationError("sample_count must be >= 1")
@@ -268,7 +268,7 @@ def carleman_sweep(
     dphi = weight.phase.derivative()(mesh.vertices)
     maxgrad = float(np.max(np.abs(dphi)))
     V_values = as_values(V, mesh)
-    K, mass, A = assemble_operator(mesh, V_values)
+    A = schrodinger_matrix(K, mass, V_values)
     dphi_sq = _metric_dphi_sq(mesh, dphi)
     fixed = [_fixed_terms(mesh, K, mass, dphi_sq, u) for u in samples]
     rows = []

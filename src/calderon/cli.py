@@ -21,7 +21,7 @@ import numpy as np
 from . import carleman as _carleman
 from . import cgo as _cgo
 from . import reconstruct as _rc
-from .forward import CauchyData, boundary_pairing
+from .forward import CauchyData, boundary_pairing, lumped_mass, stiffness_matrix
 from .geometry import ConfigurationError, as_values
 from .holo import build_amplitude, build_morse_phase
 from .scenarios import Scenario, load_scenario
@@ -219,12 +219,13 @@ def run_carleman(sc: Scenario, out_dir: str) -> dict:
     )
     csv_path = os.path.join(out_dir, "carleman_sweep.csv")
     json_path = os.path.join(out_dir, "carleman_report.json")
+    K, mass = stiffness_matrix(mesh), lumped_mass(mesh)
     rep = _carleman.carleman_sweep(
-        mesh, weight, sc.V1, sc.h_list,
+        mesh, weight, sc.V1, sc.h_list, K, mass,
         sample_count=cfg["carleman_samples"], seed=sc.seed,
         csv_path=csv_path, json_path=json_path,
     )
-    conv = _carleman.convexity_check(weight, mesh)
+    conv = _carleman.convexity_check(weight, mesh, K, mass)
     checks = [
         _check("carleman_min_ratio_positive", rep["pass"], rep["c_star"]),
         _check("convexified_weight_identity", conv <= 5e-2, conv),

@@ -53,7 +53,12 @@ def assemble_operator(mesh: Mesh, V_values: np.ndarray) -> tuple:
     Delta_g + V for vertex values V_values; nothing is factorized."""
     K = stiffness_matrix(mesh)
     mass = lumped_mass(mesh)
-    return K, mass, (K + sp.diags(V_values * mass)).tocsc()
+    return K, mass, schrodinger_matrix(K, mass, V_values)
+
+
+def schrodinger_matrix(K, mass: np.ndarray, V_values: np.ndarray) -> sp.csc_matrix:
+    """A = K + diag(V * mass) (CSC) from a stiffness matrix and lumped mass."""
+    return (K + sp.diags(V_values * mass)).tocsc()
 
 
 @dataclass

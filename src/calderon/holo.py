@@ -4,7 +4,9 @@ Polynomial representations of holomorphic functions, a solid Cauchy
 transform inverting d/dz on compactly supported data, arc-constrained
 least-squares builders (phases real on the inaccessible arc, amplitudes
 with prescribed zeros, jet-matching primitives), and a critical-point
-finder certified by the argument principle.
+finder: the companion-matrix eigenvalues of dPhi, Newton-polished as one
+array, each certified by an argument-principle winding on a small circle
+and checked in total against the winding over the disk contour.
 """
 
 from __future__ import annotations
@@ -22,6 +24,11 @@ from .geometry import ConfigurationError, DiskDomain, Mesh, TWO_PI
 ARC_RESIDUAL_TOL = 1e-6
 HARD_CONSTRAINT_TOL = 1e-10
 DEGENERACY_THRESHOLD = 1e-8
+# critical-point finder: Newton polishes the eigenvalues within NEWTON_RADIUS
+# for at most NEWTON_STEPS steps; candidates closer than MERGE_TOL are one zero
+NEWTON_RADIUS = 1.5
+NEWTON_STEPS = 6
+MERGE_TOL = 1e-7
 # kernel entries per dense row block of cauchy_transform
 TRANSFORM_BLOCK_ENTRIES = 1_000_000
 
@@ -342,7 +349,7 @@ def fit_holomorphic_on_arc(
 
 
 # ---------------------------------------------------------------------------
-# critical points by subdivision + argument principle
+# critical points: companion-matrix roots certified by the argument principle
 
 
 @dataclass
@@ -375,20 +382,23 @@ class CriticalPointReport:
         return [q for q in self.points if abs(q.location - p) > tol]
 
 
-def _poly_winding(fn: HoloFunction, path: np.ndarray) -> int:
-    """Winding number of fn along a closed sampled path (argument increments)."""
+def _poly_winding(fn: HoloFunction, path: np.ndarray):
+    """Winding number of fn along a closed sampled path (argument increments).
+
+    A 2-D path holds one closed path per row, evaluated in one call; the
+    result is then an integer array with one winding per row."""
     vals = fn(path)
-    scale = np.max(np.abs(vals))
-    if scale == 0 or np.min(np.abs(vals)) < 1e-12 * scale:
+    scale = np.max(np.abs(vals), axis=-1)
+    if np.any(scale == 0) or np.any(np.min(np.abs(vals), axis=-1) < 1e-12 * scale):
         raise ArithmeticError("zero on contour")
-    dphi = np.angle(np.roll(vals, -1) / vals)
-    if np.max(np.abs(dphi)) > 0.5 * np.pi:
+    dphi = np.angle(np.roll(vals, -1, axis=-1) / vals)
+    if np.max(np.abs(dphi), initial=0.0) > 0.5 * np.pi:
         raise ArithmeticError("contour sampling too coarse")
-    total = np.sum(dphi) / TWO_PI
-    w = int(round(total))
-    if abs(total - w) > 1e-6:
+    total = np.sum(dphi, axis=-1) / TWO_PI
+    w = np.round(total)
+    if np.max(np.abs(total - w), initial=0.0) > 1e-6:
         raise ArithmeticError("non-integer winding")
-    return w
+    return w.astype(int) if w.ndim else int(w)
 
 
 def _circle_winding(fn: HoloFunction, radius: float, samples: int = 2048) -> int:
@@ -403,117 +413,88 @@ def _circle_winding(fn: HoloFunction, radius: float, samples: int = 2048) -> int
     raise RuntimeError("could not certify winding number on the disk contour")
 
 
-def _square_path(cx, cy, half, per_edge):
-    t = np.linspace(-1.0, 1.0, per_edge, endpoint=False)
-    e1 = (cx + half * t) + 1j * (cy - half)
-    e2 = (cx + half) + 1j * (cy + half * t)
-    e3 = (cx - half * t) + 1j * (cy + half)
-    e4 = (cx - half) + 1j * (cy - half * t)
-    return np.concatenate([e1, e2, e3, e4])
+def _newton_polish(dphi: HoloFunction, d2phi: HoloFunction, z0: np.ndarray, tol=1e-13) -> np.ndarray:
+    """Newton's method on every start point at once.  A point stops once its
+    step falls below tol; a point whose step never does, or whose dPhi''
+    vanishes (a multiple zero), keeps its start point."""
+    z = z0.copy()
+    active = np.ones(len(z), dtype=bool)
+    converged = np.zeros(len(z), dtype=bool)
+    for _ in range(NEWTON_STEPS):
+        if not np.any(active):
+            break
+        za = z[active]
+        d2 = d2phi(za)
+        ok = np.abs(d2) >= 1e-14
+        step = np.zeros_like(za)
+        np.divide(dphi(za), d2, out=step, where=ok)
+        z[active] = za - step
+        done = ok & (np.abs(step) < tol)
+        converged[active] = done
+        active[active] = ok & ~done
+    return np.where(converged, z, z0)
 
 
-def _square_winding(fn, cx, cy, half, rng):
-    per_edge = 64
-    for _ in range(8):
+def _circles_winding(fn: HoloFunction, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Winding of fn on the circle of each center and radius, all sampled
+    in one evaluation (finer sampling on failure)."""
+    for samples in (128, 256, 512, 1024):
+        circle = np.exp(1j * TWO_PI * np.arange(samples) / samples)
         try:
-            return _poly_winding(fn, _square_path(cx, cy, half, per_edge)), (cx, cy, half)
+            return _poly_winding(fn, centers[:, None] + radii[:, None] * circle)
         except ArithmeticError:
-            per_edge *= 2
-            if per_edge > 1024:
-                # a zero sits (numerically) on the contour: jiggle the square
-                cx += float(rng.uniform(-0.05, 0.05)) * half
-                cy += float(rng.uniform(-0.05, 0.05)) * half
-                half *= 1.0 + float(rng.uniform(0.01, 0.05))
-                per_edge = 128
-    raise RuntimeError("subdivision contour kept hitting zeros")
+            continue
+    raise RuntimeError("could not certify the winding around a critical point")
 
 
-def _newton_polish(dphi: HoloFunction, d2phi: HoloFunction, z0, tol=1e-13):
-    z = complex(z0)
-    for _ in range(60):
-        d2 = d2phi(z)
-        if abs(d2) < 1e-14:
-            return None
-        step = dphi(z) / d2
-        z -= step
-        if abs(step) < tol:
-            return z
-    return None
-
-
-def find_critical_points(phi: HoloFunction, domain: DiskDomain, seed: int = 0) -> CriticalPointReport:
+def find_critical_points(phi: HoloFunction, domain: DiskDomain) -> CriticalPointReport:
     """All zeros of dPhi in the closed disk, certified by the argument principle.
 
-    Subdivision of a bounding square with per-square winding numbers, Newton
-    polishing of isolated zeros; the report fails loudly if the located
-    count (with multiplicity) disagrees with the winding over the disk
-    contour.
+    The candidates are the eigenvalues of the companion matrix of dPhi
+    (numpy.roots).  Those near the disk are polished together by Newton's
+    method, and candidates closer than MERGE_TOL (the split eigenvalues of a
+    multiple zero) merge into one cluster.  Each cluster inside the
+    verification circle |z| = 1 + 1e-6 is certified by the winding of dPhi
+    on a small circle around it, which is its multiplicity; the circles are
+    disjoint and stay off the verification circle, and all of them are
+    evaluated in one call; a circle of winding 0 is dropped.  The report
+    fails loudly if the multiplicities do not add up to the winding of dPhi
+    over the verification circle, as for a zero of multiplicity 3 or more,
+    whose eigenvalues split wider than MERGE_TOL.
     """
     dphi = phi.derivative()
     if np.all(np.abs(dphi.coeffs) == 0):
         raise ValueError("phase is constant")
     d2phi = phi.derivative(2)
-    rng = np.random.default_rng(seed)
     contour_r = 1.0 + 1e-6
     total = _circle_winding(dphi, contour_r)
 
-    roots = []  # (location, multiplicity)
-    stack = [(0.0, 0.0, 1.02)]
-    while stack:
-        cx, cy, half = stack.pop()
-        # skip squares entirely outside the verification circle
-        if np.hypot(max(abs(cx) - half, 0.0), max(abs(cy) - half, 0.0)) > contour_r:
-            continue
-        try:
-            w, (cx, cy, half) = _square_winding(dphi, cx, cy, half, rng)
-        except RuntimeError:
-            if half < 5e-9:
-                raise RuntimeError("could not certify a tiny square around a zero")
-            w = None
-        if w == 0:
-            continue
-        if w == 1:
-            z = _newton_polish(dphi, d2phi, cx + 1j * cy)
-            if z is not None and max(abs(z.real - cx), abs(z.imag - cy)) <= half * 1.05:
-                roots.append((z, 1))
-                continue
-        if w is not None and half < 5e-9:
-            roots.append((cx + 1j * cy, w))
-            continue
-        # split at a jittered center so roots do not sit on shared edges
-        sx = cx + float(rng.uniform(-0.1, 0.1)) * half
-        sy = cy + float(rng.uniform(-0.1, 0.1)) * half
-        x_lo, x_hi = cx - half, cx + half
-        y_lo, y_hi = cy - half, cy + half
-        for (ax, bx) in ((x_lo, sx), (sx, x_hi)):
-            for (ay, by) in ((y_lo, sy), (sy, y_hi)):
-                stack.append(((ax + bx) / 2, (ay + by) / 2, max(bx - ax, by - ay) / 2))
-
-    # merge duplicate sightings (overlapping jiggled squares re-find the same
-    # zero) and keep zeros inside the verification contour
-    merged = []
-    for z, m in roots:
-        if abs(z) > contour_r:
-            continue
-        for k, (z2, m2) in enumerate(merged):
-            if abs(z - z2) < 1e-7:
-                merged[k] = (z2, max(m2, m))
-                break
-        else:
-            merged.append((z, m))
-
-    points = []
-    for z, m in merged:
-        d2 = abs(d2phi(z))
-        points.append(
-            CriticalPoint(
-                location=z,
-                second_abs=d2,
-                multiplicity=m,
-                on_boundary=abs(abs(z) - 1.0) < 1e-6,
-                degenerate=(d2 <= DEGENERACY_THRESHOLD) or (m > 1),
-            )
+    roots = np.roots(dphi.coeffs[::-1]).astype(complex)
+    near = np.abs(roots) < NEWTON_RADIUS
+    roots[near] = _newton_polish(dphi, d2phi, roots[near])
+    group = np.arange(len(roots))
+    close = np.abs(roots[:, None] - roots[None, :]) < MERGE_TOL
+    for i, j in zip(*np.nonzero(np.triu(close, 1))):
+        group[group == group[j]] = group[i]
+    centers = np.array([roots[group == g].mean() for g in np.unique(group)], dtype=complex)
+    inside = np.flatnonzero(np.abs(centers) <= contour_r)
+    z = centers[inside]
+    gap = np.abs(z[:, None] - centers[None, :])
+    gap[np.arange(len(z)), inside] = np.inf
+    radii = np.minimum(0.4 * np.min(gap, axis=1, initial=np.inf), 0.5 * np.abs(contour_r - np.abs(z)))
+    mult = _circles_winding(dphi, z, radii)
+    z, mult = z[mult > 0], mult[mult > 0]
+    second = np.abs(d2phi(z))
+    points = [
+        CriticalPoint(
+            location=complex(q),
+            second_abs=float(d2),
+            multiplicity=int(m),
+            on_boundary=bool(abs(abs(q) - 1.0) < 1e-6),
+            degenerate=bool(d2 <= DEGENERACY_THRESHOLD or m > 1),
         )
+        for q, d2, m in zip(z, second, mult)
+    ]
     points.sort(key=lambda q: (q.location.real, q.location.imag))
     return CriticalPointReport(points=points, count_check=total)
 
@@ -613,7 +594,7 @@ def build_morse_phase(
                     hi = mid
             phi.meta["arc_residual"] = best_res * psi_target
         phi = HoloFunction(psi_target * phi.coeffs, meta=phi.meta)
-        report = find_critical_points(phi, domain, seed=seed + attempt)
+        report = find_critical_points(phi, domain)
         last_report = report
         ours = [q for q in report.points if abs(q.location - p) < 1e-8]
         if report.is_morse and ours and not ours[0].degenerate:

@@ -191,6 +191,139 @@ def reference_phase_candidate(domain, p, degree, mu, bias=None):
     return coeffs, float(np.max(np.abs(holo.HoloFunction(coeffs)(fine).imag)))
 
 
+def _scalar_winding(fn, path):
+    """Winding number of fn along one closed sampled path, as the
+    subdivision finder computed it."""
+    vals = fn(path)
+    scale = np.max(np.abs(vals))
+    if scale == 0 or np.min(np.abs(vals)) < 1e-12 * scale:
+        raise ArithmeticError("zero on contour")
+    dphi = np.angle(np.roll(vals, -1) / vals)
+    if np.max(np.abs(dphi)) > 0.5 * np.pi:
+        raise ArithmeticError("contour sampling too coarse")
+    total = np.sum(dphi) / TWO_PI
+    w = int(round(total))
+    if abs(total - w) > 1e-6:
+        raise ArithmeticError("non-integer winding")
+    return w
+
+
+def _square_winding(fn, cx, cy, half, rng):
+    per_edge = 64
+    for _ in range(8):
+        t = np.linspace(-1.0, 1.0, per_edge, endpoint=False)
+        path = np.concatenate(
+            [
+                (cx + half * t) + 1j * (cy - half),
+                (cx + half) + 1j * (cy + half * t),
+                (cx - half * t) + 1j * (cy + half),
+                (cx - half) + 1j * (cy - half * t),
+            ]
+        )
+        try:
+            return _scalar_winding(fn, path), (cx, cy, half)
+        except ArithmeticError:
+            per_edge *= 2
+            if per_edge > 1024:
+                # a zero sits (numerically) on the contour: jiggle the square
+                cx += float(rng.uniform(-0.05, 0.05)) * half
+                cy += float(rng.uniform(-0.05, 0.05)) * half
+                half *= 1.0 + float(rng.uniform(0.01, 0.05))
+                per_edge = 128
+    raise RuntimeError("subdivision contour kept hitting zeros")
+
+
+def _scalar_newton(dphi, d2phi, z0, tol=1e-13):
+    z = complex(z0)
+    for _ in range(60):
+        d2 = d2phi(z)
+        if abs(d2) < 1e-14:
+            return None
+        step = dphi(z) / d2
+        z -= step
+        if abs(step) < tol:
+            return z
+    return None
+
+
+def subdivision_critical_points(phi, seed=0):
+    """Reference critical-point finder: subdivision of a bounding square
+    with per-square winding numbers and scalar Newton polishing of isolated
+    zeros, as calderon.holo.find_critical_points did before it started from
+    companion-matrix eigenvalues (same disk-contour count, merge rule and
+    classification)."""
+    dphi = phi.derivative()
+    d2phi = phi.derivative(2)
+    rng = np.random.default_rng(seed)
+    contour_r = 1.0 + 1e-6
+    samples = 2048
+    for attempt in range(6):
+        path = (contour_r + attempt * 1e-5) * np.exp(1j * TWO_PI * np.arange(samples) / samples)
+        try:
+            total = _scalar_winding(dphi, path)
+            break
+        except ArithmeticError:
+            samples *= 2
+    else:
+        raise RuntimeError("could not certify winding number on the disk contour")
+
+    roots = []  # (location, multiplicity)
+    stack = [(0.0, 0.0, 1.02)]
+    while stack:
+        cx, cy, half = stack.pop()
+        if np.hypot(max(abs(cx) - half, 0.0), max(abs(cy) - half, 0.0)) > contour_r:
+            continue
+        try:
+            w, (cx, cy, half) = _square_winding(dphi, cx, cy, half, rng)
+        except RuntimeError:
+            if half < 5e-9:
+                raise RuntimeError("could not certify a tiny square around a zero")
+            w = None
+        if w == 0:
+            continue
+        if w == 1:
+            z = _scalar_newton(dphi, d2phi, cx + 1j * cy)
+            if z is not None and max(abs(z.real - cx), abs(z.imag - cy)) <= half * 1.05:
+                roots.append((z, 1))
+                continue
+        if w is not None and half < 5e-9:
+            roots.append((cx + 1j * cy, w))
+            continue
+        sx = cx + float(rng.uniform(-0.1, 0.1)) * half
+        sy = cy + float(rng.uniform(-0.1, 0.1)) * half
+        x_lo, x_hi = cx - half, cx + half
+        y_lo, y_hi = cy - half, cy + half
+        for (ax, bx) in ((x_lo, sx), (sx, x_hi)):
+            for (ay, by) in ((y_lo, sy), (sy, y_hi)):
+                stack.append(((ax + bx) / 2, (ay + by) / 2, max(bx - ax, by - ay) / 2))
+
+    merged = []
+    for z, m in roots:
+        if abs(z) > contour_r:
+            continue
+        for k, (z2, m2) in enumerate(merged):
+            if abs(z - z2) < 1e-7:
+                merged[k] = (z2, max(m2, m))
+                break
+        else:
+            merged.append((z, m))
+
+    points = []
+    for z, m in merged:
+        d2 = abs(d2phi(z))
+        points.append(
+            holo.CriticalPoint(
+                location=z,
+                second_abs=d2,
+                multiplicity=m,
+                on_boundary=abs(abs(z) - 1.0) < 1e-6,
+                degenerate=(d2 <= holo.DEGENERACY_THRESHOLD) or (m > 1),
+            )
+        )
+    points.sort(key=lambda q: (q.location.real, q.location.imag))
+    return holo.CriticalPointReport(points=points, count_check=total)
+
+
 def gaussian_bump(z, center=P_STAR, width=BUMP_WIDTH, amplitude=1.0):
     return amplitude * np.exp(-np.abs(np.asarray(z) - center) ** 2 / width**2)
 

@@ -5,11 +5,16 @@ from hypothesis import strategies as st
 
 from calderon import carleman as _ca
 from calderon.cgo import conjugated_matrix
-from calderon.forward import SchrodingerOperator
+from calderon.forward import SchrodingerOperator, lumped_mass, stiffness_matrix
 from calderon.geometry import ConfigurationError, DiskDomain
 from calderon.holo import HoloFunction, build_morse_phase
 
 from conftest import P_STAR, per_sample_ratio_terms
+
+
+def _sweep(mesh, weight, V, h_list, **kwargs):
+    """carleman_sweep with the stiffness matrix and lumped mass of mesh."""
+    return _ca.carleman_sweep(mesh, weight, V, h_list, stiffness_matrix(mesh), lumped_mass(mesh), **kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +54,8 @@ def test_convexify_formula_instance(quarter_weight, quarter_mesh_mid):
 
 
 def test_convexity_laplacian_identity(quarter_weight, ref_mesh):
-    assert _ca.convexity_check(quarter_weight, ref_mesh) <= 5e-2
+    check = _ca.convexity_check(quarter_weight, ref_mesh, stiffness_matrix(ref_mesh), lumped_mass(ref_mesh))
+    assert check <= 5e-2
 
 
 def test_ratio_rejects_zero_function(quarter_weight, quarter_mesh_mid):
@@ -103,12 +109,12 @@ def test_lhs_increases_as_h_decreases(quarter_weight, quarter_mesh_mid):
 
 def test_sweep_zero_samples_rejected(quarter_weight, quarter_mesh_mid):
     with pytest.raises(ConfigurationError):
-        _ca.carleman_sweep(quarter_mesh_mid, quarter_weight, 0.0, [0.1], sample_count=0)
+        _sweep(quarter_mesh_mid, quarter_weight, 0.0, [0.1], sample_count=0)
 
 
 def test_sweep_skips_unusable_h(quarter_weight, ref_mesh):
     with pytest.warns(UserWarning):
-        rep = _ca.carleman_sweep(
+        rep = _sweep(
             ref_mesh, quarter_weight, 0.0, [0.5, 0.1], sample_count=5
         )
     assert any(r["h"] == 0.5 for r in rep["skipped"])
@@ -119,8 +125,8 @@ def test_sweep_baseline_and_negative_potential_degrades(quarter_weight, ref_mesh
     ratio drops relative to V = 0.  (Large positive or hugely negative V can
     inflate the rhs instead; the report records ||V||_inf for the reader.)"""
     h_list = [0.2, 0.14, 0.1]
-    rep0 = _ca.carleman_sweep(ref_mesh, quarter_weight, 0.0, h_list, sample_count=20)
-    repn = _ca.carleman_sweep(ref_mesh, quarter_weight, -20.0, h_list, sample_count=20)
+    rep0 = _sweep(ref_mesh, quarter_weight, 0.0, h_list, sample_count=20)
+    repn = _sweep(ref_mesh, quarter_weight, -20.0, h_list, sample_count=20)
     assert rep0["pass"]
     assert rep0["c_star"] > 0
     assert repn["c_star"] < rep0["c_star"]
@@ -130,7 +136,7 @@ def test_sweep_baseline_and_negative_potential_degrades(quarter_weight, ref_mesh
 def test_sweep_csv_and_json(tmp_path, quarter_weight, ref_mesh):
     csv_path = tmp_path / "sweep.csv"
     json_path = tmp_path / "sweep.json"
-    rep = _ca.carleman_sweep(
+    rep = _sweep(
         ref_mesh, quarter_weight, 0.0, [0.2, 0.1], sample_count=3,
         csv_path=csv_path, json_path=json_path,
     )
@@ -147,7 +153,7 @@ def test_sweep_matches_per_sample_reference(tmp_path, quarter_weight, ref_mesh):
     that recomputes all terms, to the bit."""
     V, h_list, count = -20.0, [0.2, 0.1], 4
     csv_path = tmp_path / "sweep.csv"
-    _ca.carleman_sweep(ref_mesh, quarter_weight, V, h_list, sample_count=count, csv_path=csv_path)
+    _sweep(ref_mesh, quarter_weight, V, h_list, sample_count=count, csv_path=csv_path)
     op = SchrodingerOperator(ref_mesh, V)
     samples = _ca.sample_test_functions(ref_mesh, count, seed=0)
     want = []
@@ -171,12 +177,56 @@ def test_sweep_samples_phase_derivative_once(quarter_weight, quarter_mesh_mid, m
         return derivative(self, order)
 
     monkeypatch.setattr(HoloFunction, "derivative", logging_derivative)
-    _ca.carleman_sweep(quarter_mesh_mid, quarter_weight, 0.0, [0.2, 0.1], sample_count=5)
+    _sweep(quarter_mesh_mid, quarter_weight, 0.0, [0.2, 0.1], sample_count=5)
     assert sum(f is quarter_weight.phase for f in derived) == 1
 
 
 def test_carleman_factorizes_nothing(quarter_weight, quarter_mesh_mid, operator_builds):
     u = _ca.sample_test_functions(quarter_mesh_mid, 1, seed=0)[0]
     _ca.carleman_ratio(quarter_mesh_mid, quarter_weight, -20.0, u)
-    _ca.carleman_sweep(quarter_mesh_mid, quarter_weight, -20.0, [0.1], sample_count=2)
+    _sweep(quarter_mesh_mid, quarter_weight, -20.0, [0.1], sample_count=2)
     assert operator_builds == []
+
+
+def test_run_carleman_assembles_once(tmp_path, monkeypatch, operator_builds):
+    """run_carleman assembles the stiffness matrix once (the sweep and the
+    convexity check share it), factorizes nothing, and each convexify_weight
+    evaluates the phase once."""
+    from calderon import cli, forward
+    from calderon.scenarios import load_scenario
+
+    sc = load_scenario(
+        {"name": "cheap", "seed": 0, "resolution": 0.08, "epsilon": 1.0,
+         "carleman_samples": 4, "h_list": [0.2, 0.17]}
+    )
+    assembled = []
+    stiffness = forward.stiffness_matrix
+
+    def counting_stiffness(mesh):
+        assembled.append(mesh)
+        return stiffness(mesh)
+
+    evaluated = []
+    call = HoloFunction.__call__
+
+    def logging_call(self, z):
+        evaluated.append(self)
+        return call(self, z)
+
+    convexified = []
+    convexify = _ca.convexify_weight
+
+    def logging_convexify(weight, mesh):
+        start = len(evaluated)
+        out = convexify(weight, mesh)
+        convexified.append(sum(f is weight.phase for f in evaluated[start:]))
+        return out
+
+    monkeypatch.setattr(forward, "stiffness_matrix", counting_stiffness)
+    monkeypatch.setattr(cli, "stiffness_matrix", counting_stiffness)
+    monkeypatch.setattr(HoloFunction, "__call__", logging_call)
+    monkeypatch.setattr(_ca, "convexify_weight", logging_convexify)
+    cli.run_carleman(sc, str(tmp_path))
+    assert len(assembled) == 1
+    assert operator_builds == []
+    assert convexified and convexified == [1] * len(convexified)

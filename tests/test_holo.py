@@ -15,6 +15,7 @@ from calderon.holo import (
     find_critical_points,
     fit_holomorphic_on_arc,
 )
+from calderon.reconstruct import make_grid
 
 from conftest import (
     P_STAR,
@@ -22,6 +23,7 @@ from conftest import (
     reference_phase_candidate,
     scalar_derivative_row,
     single_field_cauchy_transform,
+    subdivision_critical_points,
 )
 
 
@@ -251,6 +253,11 @@ def test_find_critical_points_degenerate_cube():
     dom = DiskDomain()
     rep = find_critical_points(HoloFunction([0.0, 0.0, 0.0, 1.0]), dom)
     assert any(q.degenerate for q in rep.points)
+    # z^3: the double zero of 3 z^2 stays one point of multiplicity 2
+    assert rep.count_check == 2
+    assert len(rep.points) == 1
+    assert rep.points[0].multiplicity == 2 and rep.points[0].degenerate
+    assert abs(rep.points[0].location) <= 1e-12
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -260,6 +267,129 @@ def test_argument_principle_count_random_degree8(seed):
     dom = DiskDomain()
     rep = find_critical_points(HoloFunction(coeffs), dom)
     assert sum(q.multiplicity for q in rep.points) == rep.count_check
+
+
+def _primitive(dcoeffs) -> HoloFunction:
+    """Phi with Phi(0) = 0 and dPhi the polynomial of dcoeffs (ascending)."""
+    d = np.asarray(dcoeffs, dtype=complex)
+    return HoloFunction(np.concatenate([[0.0], d / np.arange(1, len(d) + 1)]))
+
+
+def _from_zeros(zeros) -> HoloFunction:
+    """Phi whose derivative is prod (z - zero)."""
+    return _primitive(np.poly(zeros)[::-1])
+
+
+def _assert_same_report(got, want):
+    """The contour count agrees, and per point the multiplicity, the flags
+    and the location (within 1e-12)."""
+    assert got.count_check == want.count_check
+    assert len(got.points) == len(want.points)
+    for q, r in zip(got.points, want.points):
+        assert (q.multiplicity, q.degenerate, q.on_boundary) == (r.multiplicity, r.degenerate, r.on_boundary)
+        assert abs(q.location - r.location) <= 1e-12
+
+
+def _assert_matches_reference(phi):
+    """find_critical_points agrees with the subdivision reference."""
+    got = find_critical_points(phi, DiskDomain())
+    _assert_same_report(got, subdivision_critical_points(phi))
+    return got
+
+
+def test_critical_points_match_subdivision_on_scenario_phases(ref_scenario):
+    """The reference scenario's 30 reconstruct phases (its point and the
+    7 x 7 grid of radius 0.6, degree 36, psi_target 0.8), both cgo_regimes
+    phases and the carleman phase."""
+    cfg, dom, p = ref_scenario.config, ref_scenario.domain, ref_scenario.point
+    grid = [p] + list(make_grid(cfg["grid_n"], cfg["grid_radius"]))
+    assert len(grid) == 30
+    cases = [(q, cfg["psi_target"]) for q in grid]
+    cases += [(p, regime["psi_target"]) for regime in cfg["cgo_regimes"]]
+    cases.append((p, cfg["carleman_psi_target"]))
+    for q, psi_target in cases:
+        phi = build_morse_phase(dom, q, degree=cfg["phase_degree"], psi_target=psi_target, seed=0)
+        _assert_matches_reference(phi)
+
+
+@pytest.mark.parametrize("degree", [8, 16, 36])
+def test_critical_points_match_subdivision_on_random_polynomials(degree):
+    """50 seeded random polynomials per degree.  Where the subdivision
+    reference itself misses a zero (its Newton polish accepts a neighbouring
+    zero up to 5% outside the square, and the zero inside is lost), the new
+    finder must still certify every zero the disk contour counts."""
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        phi = HoloFunction(rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1))
+        got = find_critical_points(phi, DiskDomain())
+        try:
+            want = subdivision_critical_points(phi)
+        except RuntimeError as exc:
+            assert "missed a zero" in str(exc)
+            dphi = phi.derivative()
+            scale = np.sum(np.abs(dphi.coeffs))
+            assert all(abs(dphi(q.location)) <= 1e-12 * scale for q in got.points)
+            continue
+        _assert_same_report(got, want)
+
+
+def test_critical_points_close_pair_stays_two_simple_points():
+    phi = _from_zeros([0.3 + 0.2j, 0.3 + 0.2j + 1e-4, -0.5j])
+    rep = _assert_matches_reference(phi)
+    assert len(rep.points) == 3
+    assert all(q.multiplicity == 1 and not q.degenerate for q in rep.points)
+
+
+def test_critical_points_triple_zero_fails_loudly():
+    """A triple zero's eigenvalues split by about eps^(1/3), wider than
+    MERGE_TOL, so no cluster holds it; the finder fails loudly instead of
+    returning a short list."""
+    with pytest.raises(RuntimeError, match="missed a zero|could not certify"):
+        find_critical_points(_from_zeros([0.3 + 0.1j] * 3 + [-0.4]), DiskDomain())
+
+
+@pytest.mark.parametrize("radius", [1.0 - 5e-4, 1.0 + 5e-4, 1.0 - 5e-7, 1.0 + 5e-7])
+def test_critical_points_near_unit_circle_classified_as_reference(radius):
+    """A zero near the unit circle: inside the verification circle
+    |z| = 1 + 1e-6 it is located (on_boundary within 1e-6 of |z| = 1),
+    outside it is neither counted nor located."""
+    edge = radius * np.exp(0.9j)
+    rep = _assert_matches_reference(_from_zeros([edge, 0.1 - 0.2j, -2.0]))
+    located = [q for q in rep.points if abs(q.location - edge) <= 1e-9]
+    assert len(located) == (radius <= 1.0 + 1e-6)
+    assert all(q.on_boundary == (abs(radius - 1.0) < 1e-6) for q in located)
+
+
+def test_critical_points_missing_eigenvalue_fails_loudly(monkeypatch):
+    """An eigenvalue withheld from the finder leaves its zero unlocated: the
+    contour count exposes it instead of a short list being returned."""
+    zeros = [0.5, -0.5, 0.5j]
+    phi = _from_zeros(zeros)
+    roots = np.roots
+
+    def withholding_roots(coeffs):
+        r = roots(coeffs)
+        return r[np.abs(r - zeros[0]) > 1e-6]
+
+    monkeypatch.setattr(holo.np, "roots", withholding_roots)
+    with pytest.raises(RuntimeError, match="critical-point finder missed a zero"):
+        find_critical_points(phi, DiskDomain())
+
+
+def test_critical_points_evaluate_few_polynomials(quarter_domain, monkeypatch):
+    """Roots from the companion matrix, one Newton pass and one batched
+    winding: at most 20 HoloFunction evaluations on a degree-36 phase."""
+    phi = build_morse_phase(quarter_domain, P_STAR, degree=36, psi_target=0.8)
+    calls = []
+    call = HoloFunction.__call__
+
+    def counting_call(self, z):
+        calls.append(self)
+        return call(self, z)
+
+    monkeypatch.setattr(HoloFunction, "__call__", counting_call)
+    find_critical_points(phi, quarter_domain)
+    assert 1 <= len(calls) <= 20
 
 
 # ---------------------------------------------------------------------------
