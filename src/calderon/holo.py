@@ -17,13 +17,15 @@ from math import factorial
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import null_space
+from scipy.linalg import null_space, solve_triangular
 
 from .geometry import ConfigurationError, DiskDomain, Mesh, TWO_PI
 
 ARC_RESIDUAL_TOL = 1e-6
 HARD_CONSTRAINT_TOL = 1e-10
 DEGENERACY_THRESHOLD = 1e-8
+# Tikhonov weight of the Morse-phase fits (ridge lam = sqrt of it)
+PHASE_TIKHONOV = 1e-18
 # critical-point finder: Newton polishes the eigenvalues within NEWTON_RADIUS
 # for at most NEWTON_STEPS steps; candidates closer than MERGE_TOL are one zero
 NEWTON_RADIUS = 1.5
@@ -447,8 +449,8 @@ def _circles_winding(fn: HoloFunction, centers: np.ndarray, radii: np.ndarray) -
     raise RuntimeError("could not certify the winding around a critical point")
 
 
-def find_critical_points(phi: HoloFunction, domain: DiskDomain) -> CriticalPointReport:
-    """All zeros of dPhi in the closed disk, certified by the argument principle.
+def find_critical_points(phi: HoloFunction) -> CriticalPointReport:
+    """All zeros of dPhi in the closed unit disk, certified by the argument principle.
 
     The candidates are the eigenvalues of the companion matrix of dPhi
     (numpy.roots).  Those near the disk are polished together by Newton's
@@ -460,7 +462,13 @@ def find_critical_points(phi: HoloFunction, domain: DiskDomain) -> CriticalPoint
     evaluated in one call; a circle of winding 0 is dropped.  The report
     fails loudly if the multiplicities do not add up to the winding of dPhi
     over the verification circle, as for a zero of multiplicity 3 or more,
-    whose eigenvalues split wider than MERGE_TOL.
+    whose eigenvalues split wider than MERGE_TOL.  A double zero within
+    about 3e-4 of the verification circle fails loudly as well: where a
+    contour sample falls next to it, the argument of dPhi jumps by more
+    than pi/2 between samples at every retried radius and sampling, so the
+    contour winding is not certified; elsewhere the samples skip a whole
+    turn of the argument, the contour winding comes out one short and the
+    count check fails.
     """
     dphi = phi.derivative()
     if np.all(np.abs(dphi.coeffs) == 0):
@@ -507,7 +515,14 @@ def _phase_fitter(domain, p, degree, bias=None):
     """Phase fits for one attempt: Phi(p)=i, dPhi(p)=0 (and the Hessian
     bias) hard; Im Phi=0 on gamma0 and a gradient-energy penalty of weight
     mu soft.  Everything but mu is fixed, so it is built once here; the
-    returned fit(mu) gives (fn, arc residual)."""
+    returned fit(mu) gives (fn, arc residual).
+
+    fit.screen(mu) gives the arc residual alone, from the R factors of the
+    two soft blocks with their right-hand sides appended as a last column:
+    the mu-independent block [arc_rows N, -arc_rows x0; lam N, -lam x0] and
+    the penalty block [dA N, -dA x0].  The 2-norm is invariant under
+    orthogonal maps, so the least-squares problem of [R_F; mu R_D] has the
+    minimizer of fit's, up to rounding, at the cost of one small QR."""
     cons = [(p, 0, 1j), (p, 1, 0.0)]
     if bias is not None:
         cons = cons + [bias]
@@ -519,13 +534,28 @@ def _phase_fitter(domain, p, degree, bias=None):
     samp = np.exp(1j * TWO_PI * np.arange(4 * degree) / (4 * degree))
     dA, _ = _complex_rows(_derivative_rows(samp, 1, degree), np.zeros(len(samp)))
     fine = _gamma0_nodes(domain, 32 * max(degree, 1))
+    lam = np.sqrt(PHASE_TIKHONOV)
 
     def fit(mu):
         soft_A = np.vstack([arc_rows, mu * dA])
         soft_b = np.zeros(len(soft_A))
-        fn = HoloFunction(_solve_soft(degree, x0, N, soft_A, soft_b, tikhonov=1e-18))
+        fn = HoloFunction(_solve_soft(degree, x0, N, soft_A, soft_b, tikhonov=PHASE_TIKHONOV))
         return fn, float(np.max(np.abs(fn(fine).imag)))
 
+    def augmented(rows):
+        return np.hstack([rows @ N, -(rows @ x0)[:, None]])
+
+    k = N.shape[1]
+    R_F = np.linalg.qr(np.vstack([augmented(arc_rows), lam * np.hstack([N, -x0[:, None]])]), mode="r")
+    R_D = np.linalg.qr(augmented(dA), mode="r")
+
+    def screen(mu):
+        R = np.linalg.qr(np.vstack([R_F, mu * R_D]), mode="r")
+        x = x0 + N @ solve_triangular(R[:k, :k], R[:k, k])
+        fn = HoloFunction(x[: degree + 1] + 1j * x[degree + 1 :])
+        return float(np.max(np.abs(fn(fine).imag)))
+
+    fit.screen = screen
     return fit
 
 
@@ -548,9 +578,16 @@ def build_morse_phase(
     phase; Im Phi(p) = psi_target stays nonzero.  Degenerate outcomes are
     retried with a randomized soft Hessian bias.
 
-    Within one attempt only the penalty weight changes between the 15
-    bisection fits, so the hard constraints, their null space, the arc and
-    penalty rows and the verification nodes are built once per attempt.
+    Within one attempt only the penalty weight mu changes, so the hard
+    constraints, their null space, the arc and penalty rows, their R factors
+    and the verification nodes are built once per attempt.  The 14
+    bisection decisions read the screened residual (fit.screen: one small
+    QR of the stacked R factors per mu).  The phase and its stored
+    arc_residual come from one full least-squares fit at the chosen mu, and
+    that fit alone is checked against the residual target.  At the floor
+    mu = 1e-9 (no screened mu met the target) a miss means the degree is
+    too low; above it, that the screen and the full fit disagree.  meta
+    records the chosen "penalty_weight" and the "attempt" index.
     """
     p = complex(p)
     margin = 0.02
@@ -578,23 +615,30 @@ def build_morse_phase(
             target = 0.8 * residual_tol / psi_target
             lo, hi = 1e-9, 1e-2  # residual grows with the penalty weight mu
             fit = _phase_fitter(domain, p, degree, bias)
-            fn_lo, res_lo = fit(lo)
-            if res_lo > target:
-                raise InfeasibleDegreeError(
-                    f"arc residual {res_lo:.2e} exceeds {target:.1e} even without "
-                    f"gradient penalty at degree {degree}; increase the degree"
-                )
-            phi, best_res = fn_lo, res_lo
+            screen_res = None
             for _ in range(14):
                 mid = np.sqrt(lo * hi)
-                fn_mid, res_mid = fit(mid)
+                res_mid = fit.screen(mid)
                 if res_mid <= target:
-                    lo, phi, best_res = mid, fn_mid, res_mid
+                    lo, screen_res = mid, res_mid
                 else:
                     hi = mid
+            phi, best_res = fit(lo)
+            if best_res > target:
+                if screen_res is None:
+                    raise InfeasibleDegreeError(
+                        f"arc residual {best_res:.2e} exceeds {target:.1e} even without "
+                        f"gradient penalty at degree {degree}; increase the degree"
+                    )
+                raise InfeasibleDegreeError(
+                    f"arc residual {best_res:.2e} exceeds {target:.1e} at penalty weight "
+                    f"{lo:.3e} (screened residual {screen_res:.2e}) at degree {degree}"
+                )
             phi.meta["arc_residual"] = best_res * psi_target
+            phi.meta["penalty_weight"] = float(lo)
         phi = HoloFunction(psi_target * phi.coeffs, meta=phi.meta)
-        report = find_critical_points(phi, domain)
+        phi.meta["attempt"] = attempt
+        report = find_critical_points(phi)
         last_report = report
         ours = [q for q in report.points if abs(q.location - p) < 1e-8]
         if report.is_morse and ours and not ours[0].degenerate:

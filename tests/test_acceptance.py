@@ -130,7 +130,7 @@ def test_criterion_04_phase_builders(quarter_domain):
     for seed in (0, 1, 2):
         rng = np.random.default_rng(seed)
         coeffs = rng.normal(size=9) + 1j * rng.normal(size=9)
-        rep = find_critical_points(HoloFunction(coeffs), DiskDomain())
+        rep = find_critical_points(HoloFunction(coeffs))
         counts_ok &= sum(q.multiplicity for q in rep.points) == rep.count_check
     ok = e_arc <= 1e-6 and e_crit <= 1e-10 and counts_ok
     assert _line(4, ok, f"arc residual {e_arc:.1e} (<= 1e-6), |Phi'(p*)| {e_crit:.1e}, argument-principle counts exact: {counts_ok}")

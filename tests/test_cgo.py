@@ -236,7 +236,7 @@ def test_complete_solution_trivial_phase(mesh_mid, full_domain):
     """V = 0, a = 1, Phi = z^2 + i: the oscillatory ansatz is an exact
     solution; the analytic-residual completion returns r2 = 0 to rounding."""
     phase = HoloFunction([1j, 0.0, 1.0])
-    phase.meta["critical_points"] = find_critical_points(phase, full_domain)
+    phase.meta["critical_points"] = find_critical_points(phase)
     comp = _completed(mesh_mid, full_domain, 0.0, phase, HoloFunction([1.0]), 0.2)
     assert _cgo.l2_norm(comp.r2, mesh_mid) <= 1e-12
 

@@ -233,14 +233,101 @@ def test_morse_phase_factors_hard_constraints_once_per_attempt(quarter_domain, m
     assert calls["null_space"] == calls["attempts"]
 
 
+@pytest.mark.parametrize("bias", [None, (P_STAR, 2, 3.0 * np.exp(0.7j))], ids=["plain", "hessian_bias"])
+@pytest.mark.parametrize("degree", [16, 36])
+def test_phase_screen_matches_fit_residual(quarter_domain, degree, bias):
+    """The residual screened from the R factors agrees with the full fit's
+    to 1e-4 relative over the whole bisection bracket."""
+    fit = holo._phase_fitter(quarter_domain, P_STAR, degree, bias)
+    for mu in np.logspace(-9, -2, 15):
+        _, res = fit(mu)
+        assert abs(fit.screen(mu) - res) <= 1e-4 * res
+
+
+def _reference_bisection(domain, p, degree, psi_target, bias):
+    """Chosen penalty weight and coefficients of the bisection with one
+    reference_phase_candidate fit per mu, as build_morse_phase ran it before
+    it screened mu."""
+    target = 0.8 * holo.ARC_RESIDUAL_TOL / psi_target
+    lo, hi = 1e-9, 1e-2
+    coeffs, _ = reference_phase_candidate(domain, p, degree, lo, bias)
+    for _ in range(14):
+        mid = np.sqrt(lo * hi)
+        c, res = reference_phase_candidate(domain, p, degree, mid, bias)
+        if res <= target:
+            lo, coeffs = mid, c
+        else:
+            hi = mid
+    return lo, psi_target * coeffs
+
+
+def test_morse_phase_decisions_match_reference_bisection(ref_scenario):
+    """Every phase the benchmark builds at seed 0 (the 30 reconstruct
+    phases, both cgo_regimes phases and the carleman phase, which the
+    solve_fine scenario builds at the same point, degree and psi_target):
+    the screened bisection picks the reference's penalty weight and returns
+    its coefficients bit for bit."""
+    cfg, dom, p = ref_scenario.config, ref_scenario.domain, ref_scenario.point
+    grid = [p] + list(make_grid(cfg["grid_n"], cfg["grid_radius"]))
+    cases = [(q, cfg["psi_target"]) for q in grid]
+    cases += [(p, regime["psi_target"]) for regime in cfg["cgo_regimes"]]
+    cases.append((p, cfg["carleman_psi_target"]))
+    assert len(cases) == 33
+    for q, psi_target in cases:
+        phi = build_morse_phase(dom, q, degree=cfg["phase_degree"], psi_target=psi_target, seed=0)
+        # replay the builder's Hessian-bias draws up to the returned attempt
+        rng, bias = np.random.default_rng(0), None
+        for _ in range(phi.meta["attempt"]):
+            bias = (complex(q), 2, 3.0 * np.exp(1j * float(rng.uniform(0.0, 2 * np.pi))))
+        mu, coeffs = _reference_bisection(dom, complex(q), cfg["phase_degree"], psi_target, bias)
+        assert phi.meta["penalty_weight"] == mu
+        assert np.array_equal(phi.coeffs, coeffs)
+
+
+def test_morse_phase_solves_full_least_squares_once_per_attempt(quarter_domain, monkeypatch):
+    """The bisection screens mu on the R factors: one full least-squares
+    solve per attempt, at the chosen mu (15 before the screen)."""
+    calls = {"solve": 0, "attempts": 0}
+    solve, find = holo._solve_soft, holo.find_critical_points
+
+    def counting_solve(*args, **kwargs):
+        calls["solve"] += 1
+        return solve(*args, **kwargs)
+
+    def counting_find(*args, **kwargs):
+        calls["attempts"] += 1
+        return find(*args, **kwargs)
+
+    monkeypatch.setattr(holo, "_solve_soft", counting_solve)
+    monkeypatch.setattr(holo, "find_critical_points", counting_find)
+    build_morse_phase(quarter_domain, P_STAR, degree=36, psi_target=0.8)
+    assert calls["attempts"] >= 1
+    assert calls["solve"] == calls["attempts"]
+
+
+def test_morse_phase_checks_the_full_fit_not_the_screen(quarter_domain, monkeypatch):
+    """A screen that accepts every mu drives the bisection to the top of
+    the bracket, where the full fit misses the residual target: the builder
+    raises instead of returning that phase."""
+    fitter = holo._phase_fitter
+
+    def accepting_fitter(*args):
+        fit = fitter(*args)
+        fit.screen = lambda mu: 0.0
+        return fit
+
+    monkeypatch.setattr(holo, "_phase_fitter", accepting_fitter)
+    with pytest.raises(InfeasibleDegreeError, match="at penalty weight"):
+        build_morse_phase(quarter_domain, P_STAR, degree=36, psi_target=0.8)
+
+
 def test_morse_phase_rejects_boundary_point(quarter_domain):
     with pytest.raises(ConfigurationError):
         build_morse_phase(quarter_domain, np.exp(0.3j), degree=16)
 
 
 def test_find_critical_points_parabola():
-    dom = DiskDomain()
-    rep = find_critical_points(HoloFunction([1j, 0.0, 1.0]), dom)
+    rep = find_critical_points(HoloFunction([1j, 0.0, 1.0]))
     assert len(rep.points) == 1
     q = rep.points[0]
     assert abs(q.location) <= 1e-12
@@ -250,8 +337,7 @@ def test_find_critical_points_parabola():
 
 
 def test_find_critical_points_degenerate_cube():
-    dom = DiskDomain()
-    rep = find_critical_points(HoloFunction([0.0, 0.0, 0.0, 1.0]), dom)
+    rep = find_critical_points(HoloFunction([0.0, 0.0, 0.0, 1.0]))
     assert any(q.degenerate for q in rep.points)
     # z^3: the double zero of 3 z^2 stays one point of multiplicity 2
     assert rep.count_check == 2
@@ -264,8 +350,7 @@ def test_find_critical_points_degenerate_cube():
 def test_argument_principle_count_random_degree8(seed):
     rng = np.random.default_rng(seed)
     coeffs = rng.normal(size=9) + 1j * rng.normal(size=9)
-    dom = DiskDomain()
-    rep = find_critical_points(HoloFunction(coeffs), dom)
+    rep = find_critical_points(HoloFunction(coeffs))
     assert sum(q.multiplicity for q in rep.points) == rep.count_check
 
 
@@ -292,7 +377,7 @@ def _assert_same_report(got, want):
 
 def _assert_matches_reference(phi):
     """find_critical_points agrees with the subdivision reference."""
-    got = find_critical_points(phi, DiskDomain())
+    got = find_critical_points(phi)
     _assert_same_report(got, subdivision_critical_points(phi))
     return got
 
@@ -321,7 +406,7 @@ def test_critical_points_match_subdivision_on_random_polynomials(degree):
     for seed in range(50):
         rng = np.random.default_rng(seed)
         phi = HoloFunction(rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1))
-        got = find_critical_points(phi, DiskDomain())
+        got = find_critical_points(phi)
         try:
             want = subdivision_critical_points(phi)
         except RuntimeError as exc:
@@ -345,7 +430,7 @@ def test_critical_points_triple_zero_fails_loudly():
     MERGE_TOL, so no cluster holds it; the finder fails loudly instead of
     returning a short list."""
     with pytest.raises(RuntimeError, match="missed a zero|could not certify"):
-        find_critical_points(_from_zeros([0.3 + 0.1j] * 3 + [-0.4]), DiskDomain())
+        find_critical_points(_from_zeros([0.3 + 0.1j] * 3 + [-0.4]))
 
 
 @pytest.mark.parametrize("radius", [1.0 - 5e-4, 1.0 + 5e-4, 1.0 - 5e-7, 1.0 + 5e-7])
@@ -358,6 +443,24 @@ def test_critical_points_near_unit_circle_classified_as_reference(radius):
     located = [q for q in rep.points if abs(q.location - edge) <= 1e-9]
     assert len(located) == (radius <= 1.0 + 1e-6)
     assert all(q.on_boundary == (abs(radius - 1.0) < 1e-6) for q in located)
+
+
+@pytest.mark.parametrize(
+    "angle, message",
+    [
+        (0.0, "could not certify winding number on the disk contour"),
+        (0.9, "critical-point finder missed a zero"),
+    ],
+    ids=["on_sample", "between_samples"],
+)
+def test_critical_points_double_zero_near_contour_fails_loudly(angle, message):
+    """A double zero at radius 1 + 5e-7 (inside the verification circle
+    |z| = 1 + 1e-6): next to a contour sample the winding over the disk
+    contour is not certified; between samples it comes out one short and
+    the count check fails.  Either way the finder raises."""
+    edge = (1.0 + 5e-7) * np.exp(1j * angle)
+    with pytest.raises(RuntimeError, match=message):
+        find_critical_points(_from_zeros([edge, edge, 0.1 - 0.2j]))
 
 
 def test_critical_points_missing_eigenvalue_fails_loudly(monkeypatch):
@@ -373,7 +476,7 @@ def test_critical_points_missing_eigenvalue_fails_loudly(monkeypatch):
 
     monkeypatch.setattr(holo.np, "roots", withholding_roots)
     with pytest.raises(RuntimeError, match="critical-point finder missed a zero"):
-        find_critical_points(phi, DiskDomain())
+        find_critical_points(phi)
 
 
 def test_critical_points_evaluate_few_polynomials(quarter_domain, monkeypatch):
@@ -388,7 +491,7 @@ def test_critical_points_evaluate_few_polynomials(quarter_domain, monkeypatch):
         return call(self, z)
 
     monkeypatch.setattr(HoloFunction, "__call__", counting_call)
-    find_critical_points(phi, quarter_domain)
+    find_critical_points(phi)
     assert 1 <= len(calls) <= 20
 
 
