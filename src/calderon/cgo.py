@@ -14,7 +14,10 @@ residual e^{-Phi/h}(Delta_g + V) e^{Phi/h} A decays like h (up to logs):
   * r2 restores u = 0 on gamma0 and the equation in the interior: it is
     the minimal-norm remainder of the Carleman/duality argument
     (duality_completion), solved in exponentially weighted variables so no
-    overflow or catastrophic cancellation occurs.
+    overflow or catastrophic cancellation occurs.  Its normal equations are
+    symmetric positive definite with a 2-ring stencil, whose reverse
+    Cuthill-McKee order has half-bandwidth 231 on the reference mesh, so
+    they are solved by banded Cholesky rather than a sparse LU.
 
 A CGO sweep is prepare_cgo (shared across h), then assemble_cgo over
 the h list, then residual_field and duality_completion at each h.  All
@@ -29,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
 from .geometry import (
     ConfigurationError,
@@ -39,7 +42,7 @@ from .geometry import (
     dz_field,
     dzbar_field,
 )
-from .forward import SYMMETRIC_LU, OperatorCache
+from .forward import OperatorCache, assemble_operator
 from .holo import (
     HoloFunction,
     InfeasibleDegreeError,
@@ -418,7 +421,7 @@ def prepare_cgo(
     }
 
 
-def residual_field(mesh: Mesh, V, comp: CGOComponents, ops: Optional[OperatorCache] = None) -> np.ndarray:
+def residual_field(mesh: Mesh, V, comp: CGOComponents, assembled: Optional[tuple] = None) -> np.ndarray:
     """Conjugated residual e^{-Phi/h}(Delta_g + V) e^{Phi/h}(a + h a0 + r1)
     as a complex vertex field.
 
@@ -427,17 +430,21 @@ def residual_field(mesh: Mesh, V, comp: CGOComponents, ops: Optional[OperatorCac
     fields are differentiated numerically and the evaluation is not
     contaminated by unresolved oscillation.  The two 1/h transport terms
     that cancel in exact arithmetic are dropped analytically.
+
+    assembled is forward.assemble_operator(mesh, V values), which a sweep
+    shares across h; it is assembled here when not given.  Nothing is
+    factorized.
     """
     z = mesh.vertices
     h = comp.h
-    op = (OperatorCache(mesh) if ops is None else ops).get(V)
-    V_v = op.V
+    V_v = as_values(V, mesh)
+    K, mass, _ = assemble_operator(mesh, V_v) if assembled is None else assembled
     dphi = comp.phase.derivative()(z)
     inv_metric = np.exp(-2.0 * mesh.rho_v)
     A_slow = comp.amplitude(z) + h * comp.a0(z) + h * comp.r12
     res = (
         V_v * A_slow
-        + h * (op.K @ comp.r12) / op.mass
+        + h * (K @ comp.r12) / mass
         - 4.0 * inv_metric * dphi * dzbar_field(comp.r12, mesh)
     )
     if np.any(np.abs(comp.b) > 0):
@@ -465,7 +472,7 @@ def ansatz_residual(mesh: Mesh, res: np.ndarray) -> float:
 
 
 def duality_completion(
-    mesh: Mesh, V, comp: CGOComponents, res: np.ndarray, ops: Optional[OperatorCache] = None
+    mesh: Mesh, V, comp: CGOComponents, res: np.ndarray, assembled: Optional[tuple] = None
 ) -> np.ndarray:
     """Weighted remainder r2 realized by the minimal-norm (duality) solve.
 
@@ -488,30 +495,78 @@ def duality_completion(
     burying the O(h^{3/2}|log h|) remainder once h is small.  The
     minimal-norm solution is exactly the object produced by the
     Hahn-Banach/duality argument from the Carleman estimate, which
-    suppresses those modes.  Stores the result on comp.r2 and returns it.
+    suppresses those modes.
+
+    The minimal-norm r2 is M^{-1} G^T lam with S lam = rhs, S = G M^{-1} G^T
+    and G the conjugated operator's interior rows and free columns.  S is
+    symmetric positive definite when G has full row rank, with
+    half-bandwidth 231 in reverse Cuthill-McKee order on the reference
+    mesh, so it is solved by banded Cholesky (_solve_spd_banded).  Delta_g + V is never
+    inverted, so no Dirichlet-eigenvalue guard applies; an S that is not
+    positive definite raises instead.  assembled is
+    forward.assemble_operator(mesh, V values), assembled here when not
+    given.  Stores the result on comp.r2 and returns it.
     """
-    ops = OperatorCache(mesh) if ops is None else ops
-    op = ops.get(V)
+    _, mass, A = assemble_operator(mesh, as_values(V, mesh)) if assembled is None else assembled
     h = comp.h
     phi_v, psi_v = comp.phi_psi()
     rhs_field = 2.0 * np.real(np.exp(1j * psi_v / h) * res)
     A_full = np.exp(1j * psi_v / h) * comp.slow_amplitude()
     w = np.real(A_full + np.conj(A_full))
-    B = conjugated_matrix(op.A, phi_v, h)
-    ii = op.int_idx
-    bb = op.bnd_idx
+    B = conjugated_matrix(A, phi_v, h)
+    ii = np.flatnonzero(mesh.interior)
+    bb = mesh.boundary
     gamma0_idx = bb[mesh.boundary_is_gamma0]
     free = np.concatenate([ii, bb[~mesh.boundary_is_gamma0]])
     r2 = np.zeros(mesh.n_vertices)
     r2[gamma0_idx] = -w[gamma0_idx]
-    rhs = -(op.mass * rhs_field)[ii] - B[np.ix_(ii, gamma0_idx)] @ r2[gamma0_idx]
+    rhs = -(mass * rhs_field)[ii] - B[np.ix_(ii, gamma0_idx)] @ r2[gamma0_idx]
     G = B[np.ix_(ii, free)]
-    inv_mass_free = sp.diags(1.0 / op.mass[free])
-    S = (G @ inv_mass_free @ G.T).tocsc()
-    lam = spla.splu(S, **SYMMETRIC_LU).solve(rhs)
+    inv_mass_free = sp.diags(1.0 / mass[free])
+    lam = _solve_spd_banded(G @ inv_mass_free @ G.T, rhs, h)
     r2[free] = inv_mass_free @ (G.T @ lam)
     comp.r2 = r2
     return r2
+
+
+def _solve_spd_banded(S: sp.spmatrix, rhs: np.ndarray, h: float) -> np.ndarray:
+    """Solve the duality normal equations S x = rhs at h (S sparse,
+    symmetric positive definite) by banded Cholesky in reverse
+    Cuthill-McKee order.
+
+    The RCM order of S's pattern (Cuthill & McKee 1969) packs its 2-ring
+    stencil into a narrow band, which LAPACK's dpbtrf factors in about half
+    the time of a sparse LU and in less memory.  Only the upper triangle of the
+    permuted S is read, so an S that is symmetric only to rounding (a
+    computed G M^{-1} G^T) is symmetrized implicitly.  A non-positive-definite
+    S raises RuntimeError naming h and the failing leading minor (counted in
+    RCM order).
+    """
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    n = S.shape[0]
+    perm = reverse_cuthill_mckee(S.tocsr(), symmetric_mode=True)
+    rank = np.empty(n, dtype=np.intp)
+    rank[perm] = np.arange(n)
+    S = S.tocoo()
+    row, col = rank[S.row], rank[S.col]
+    upper = row <= col
+    row, col = row[upper], col[upper]
+    bandwidth = int(np.max(col - row, initial=0))
+    # column-major, as dpbtrf stores the band, so overwrite_ab copies nothing
+    band = np.zeros((bandwidth + 1, n), order="F")
+    band[bandwidth + row - col, col] = S.data[upper]
+    try:
+        factor = cholesky_banded(band, overwrite_ab=True, check_finite=False)
+    except LinAlgError as exc:
+        raise RuntimeError(
+            f"duality normal equations at h = {h} are not positive definite: "
+            f"{exc} (reverse Cuthill-McKee order)"
+        ) from exc
+    x = cho_solve_banded((factor, False), rhs[perm], check_finite=False)
+    out = np.empty_like(x)
+    out[perm] = x
+    return out
 
 
 def _fit_exponent(h_list, norms, log_corrected=False, log_squared=False):
@@ -549,10 +604,17 @@ def residual_scaling_report(
     sweep's Cauchy transforms share their kernels; an h the mesh cannot
     resolve is skipped with its reason.  Each h evaluates residual_field
     once, for both its duality completion and its ansatz residual.  r2 is
-    the minimal-norm remainder of duality_completion."""
+    the minimal-norm remainder of duality_completion.
+
+    Delta_g + V is assembled once per sweep and never factorized, so the
+    sweep runs no Dirichlet-eigenvalue guard for V: the duality solve does
+    not invert Delta_g + V, and fails loudly instead when its normal
+    equations are not positive definite.  ops supplies the V = 0 operator
+    of prepare_cgo's Green potential."""
     h_list = sorted(set(float(h) for h in h_list), reverse=True)
     ops = OperatorCache(mesh) if ops is None else ops
     prepared = prepare_cgo(mesh, domain, V, phase, amplitude, jet_degree, cutoff_scale=cutoff_scale, ops=ops)
+    assembled = assemble_operator(mesh, as_values(V, mesh))
     rows = []
     used_h = []
     skipped = []
@@ -560,8 +622,8 @@ def residual_scaling_report(
         h = comp.h
         used_h.append(h)
         hr12t = h * comp.r_tilde12
-        res = residual_field(mesh, V, comp, ops=ops)
-        duality_completion(mesh, V, comp, res, ops=ops)
+        res = residual_field(mesh, V, comp, assembled)
+        duality_completion(mesh, V, comp, res, assembled)
         rows.append(
             {
                 "h": h,

@@ -121,11 +121,11 @@ class CauchyData:
         return cls(mesh, d, nn)
 
 
-# Every matrix this package factorizes (A_ii here, and the normal-equation
-# block of the duality completion in calderon.cgo) has a symmetric sparsity
-# pattern, so the fill-reducing ordering is minimum degree on the pattern of
-# A^T + A with diagonal pivots preferred.  The pivot threshold keeps its default:
-# partial pivoting stays on, so an indefinite Delta_g + V is still safe.
+# The interior block A_ii, the one matrix this package factorizes by sparse
+# LU, has a symmetric sparsity pattern, so the fill-reducing ordering is
+# minimum degree on the pattern of A^T + A with diagonal pivots preferred.
+# The pivot threshold keeps its default: partial pivoting stays on, so an
+# indefinite Delta_g + V is still safe.
 SYMMETRIC_LU = {"permc_spec": "MMD_AT_PLUS_A", "options": {"SymmetricMode": True}}
 
 

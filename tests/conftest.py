@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.linalg import null_space
 
 from calderon import holo
@@ -46,6 +48,13 @@ def dense_cauchy_transform(f_values, mesh, eval_points=None):
     window = 0.5 * (1.0 + np.cos(np.pi * np.clip(absd / sub_radius, 0.0, 1.0)))
     out = kern @ f[support] - f_at_eval * np.sum(kern * window, axis=1)
     return out / np.pi
+
+
+def splu_normal_solve(S, rhs, h):
+    """Reference for calderon.cgo._solve_spd_banded: a default-ordering
+    SuperLU solve of the duality normal equations S x = rhs (h unused), as
+    calderon.cgo.duality_completion solved them before banded Cholesky."""
+    return spla.splu(sp.csc_matrix(S)).solve(rhs)
 
 
 def single_field_cauchy_transform(f_values, mesh, eval_points=None, eval_index=None):

@@ -7,7 +7,7 @@ from calderon import holo
 from calderon.geometry import DiskDomain, as_values, build_disk_mesh
 from calderon.holo import HoloFunction, build_amplitude, build_morse_phase, find_critical_points
 
-from conftest import P_STAR, dense_cauchy_transform, gaussian_bump, per_h_r11
+from conftest import P_STAR, dense_cauchy_transform, gaussian_bump, per_h_r11, splu_normal_solve
 
 
 @pytest.fixture(scope="module")
@@ -297,17 +297,39 @@ def test_mirror_phase_pairing_runs(quarter_mesh_mid, quarter_domain):
         assert np.all(np.isfinite(comp.r2))
 
 
-def test_symmetric_ordering_matches_default_lu(quarter_mesh_mid, quarter_domain, monkeypatch):
-    """The normal-equation solve of duality_completion agrees with
-    default-ordering splu."""
-    phase = build_morse_phase(quarter_domain, P_STAR, degree=16, psi_target=0.3)
-    amplitude = build_amplitude(phase.meta["critical_points"], P_STAR, quarter_domain)
-    prep = _cgo.prepare_cgo(quarter_mesh_mid, quarter_domain, gaussian_bump, phase, amplitude)
+def _banded_vs_default_lu(mesh, domain, V, setup, h, monkeypatch):
+    """max |r2 - r2_ref| / max |r2_ref|, r2_ref from default-ordering splu."""
 
     def solve():
-        return _completed(quarter_mesh_mid, quarter_domain, gaussian_bump, phase, amplitude, 0.3, prep).r2
+        return _completed(mesh, domain, V, setup["phase"], setup["amplitude"], h, setup["prep"]).r2
 
     got = solve()
-    monkeypatch.setattr(_cgo, "SYMMETRIC_LU", {})
+    monkeypatch.setattr(_cgo, "_solve_spd_banded", splu_normal_solve)
     want = solve()
-    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+def test_symmetric_ordering_matches_default_lu(quarter_prep, quarter_mesh_mid, quarter_domain, monkeypatch):
+    """The banded Cholesky solve (reverse Cuthill-McKee order) of the
+    duality normal equations agrees with a default-ordering splu solve of
+    the same equations."""
+    rel = _banded_vs_default_lu(quarter_mesh_mid, quarter_domain, gaussian_bump, quarter_prep, 0.3, monkeypatch)
+    assert rel <= 1e-10
+
+
+def test_banded_cholesky_matches_default_lu_on_reference_mesh(
+    ref_prep, ref_mesh, ref_scenario, quarter_domain, monkeypatch
+):
+    """The same agreement on the reference mesh at h = 0.05, the smallest h
+    of the reference cgo sweep."""
+    rel = _banded_vs_default_lu(ref_mesh, quarter_domain, ref_scenario.V1, ref_prep, 0.05, monkeypatch)
+    assert rel <= 1e-10
+
+
+def test_indefinite_normal_equations_fail_loudly():
+    """A symmetric indefinite S raises, naming h and the failing leading
+    minor, where a pivoting LU would have returned a solution."""
+    S = sp.csr_matrix(np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+    assert np.all(np.isfinite(splu_normal_solve(S, np.ones(3), 0.05)))
+    with pytest.raises(RuntimeError, match=r"at h = 0\.05 .*leading minor"):
+        _cgo._solve_spd_banded(S, np.ones(3), 0.05)

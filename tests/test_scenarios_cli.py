@@ -280,8 +280,14 @@ def test_pipelines_share_the_scenario_operators(tmp_path, operator_builds):
 
 @pytest.mark.parametrize(
     "command, overrides, builds",
-    [("forward", {"resolution": 0.08}, 2), ("reconstruct", RECONSTRUCT_CHEAP, 1)],
-    ids=["forward", "reconstruct"],
+    [
+        ("forward", {"resolution": 0.08}, 2),
+        ("reconstruct", RECONSTRUCT_CHEAP, 1),
+        # only the V = 0 operator of the Green potential: the duality solve
+        # reads the assembled Delta_g + V1 and never factorizes it
+        ("cgo", {"resolution": 0.08, "h_list": [0.5, 0.4, 0.32, 0.25]}, 1),
+    ],
+    ids=["forward", "reconstruct", "cgo"],
 )
 def test_pipeline_factorizes_each_potential_once(tmp_path, operator_builds, command, overrides, builds):
     sc = load_scenario({"name": "cheap", "seed": 3, **overrides})
