@@ -11,7 +11,7 @@ Modules:
 """
 
 from .geometry import ConfigurationError, DiskDomain, Mesh, build_disk_mesh
-from .forward import CauchyData, OperatorCache, SchrodingerOperator, boundary_pairing, partial_cauchy_data
+from .forward import CauchyData, SchrodingerOperator, boundary_pairing, operator, partial_cauchy_data
 from .holo import HoloFunction, build_amplitude, build_morse_phase, cauchy_transform, find_critical_points
 from .cgo import CGOComponents, residual_scaling_report
 from .carleman import CarlemanWeight, build_carleman_weight, carleman_sweep
@@ -33,9 +33,9 @@ __all__ = [
     "Mesh",
     "build_disk_mesh",
     "CauchyData",
-    "OperatorCache",
     "SchrodingerOperator",
     "boundary_pairing",
+    "operator",
     "partial_cauchy_data",
     "HoloFunction",
     "build_amplitude",

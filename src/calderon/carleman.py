@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .forward import assemble_operator, schrodinger_matrix
+from .forward import schrodinger_matrix
 from .geometry import ConfigurationError, DiskDomain, Mesh, as_values, boundary_integral
 from .holo import (
     HoloFunction,
@@ -149,11 +149,10 @@ def convexify_weight(weight: CarlemanWeight, mesh: Mesh) -> np.ndarray:
     return values[0] - (weight.h / (2.0 * weight.epsilon)) * sq
 
 
-def convexity_check(weight: CarlemanWeight, mesh: Mesh, K, mass: np.ndarray) -> float:
+def convexity_check(weight: CarlemanWeight, mesh: Mesh) -> float:
     """Relative bulk error of the discrete metric Laplacian of phi_eps
-    against the exact identity (h/eps) e^{-2 rho} sum_j |grad phi_j|^2.
-    K and mass are forward.stiffness_matrix(mesh) and lumped_mass(mesh)."""
-    lap = (K @ convexify_weight(weight, mesh)) / mass
+    against the exact identity (h/eps) e^{-2 rho} sum_j |grad phi_j|^2."""
+    lap = (mesh.stiffness @ convexify_weight(weight, mesh)) / mesh.mass
     z = mesh.vertices
     exact = (weight.h / weight.epsilon) * np.exp(-2.0 * mesh.rho_v) * weight.gradient_sq(z)
     bulk = np.abs(z) < 1.0 - 2.0 * mesh.resolution
@@ -167,7 +166,7 @@ def _metric_dphi_sq(mesh: Mesh, dphi: np.ndarray) -> np.ndarray:
     return np.exp(-2.0 * mesh.rho_v) * np.abs(dphi) ** 2
 
 
-def _fixed_terms(mesh: Mesh, K, mass, dphi_sq, u) -> tuple:
+def _fixed_terms(mesh: Mesh, dphi_sq, u) -> tuple:
     """Check one test function and collect the h-independent parts of both
     sides: (u, ||u||^2, ||u |d phi|||^2, ||du||^2, ||d_nu u||^2_{gamma0},
     ||d_nu u||^2_{gamma})."""
@@ -178,9 +177,9 @@ def _fixed_terms(mesh: Mesh, K, mass, dphi_sq, u) -> tuple:
         raise ConfigurationError("test function must vanish on the boundary")
     if not np.any(u != 0.0):
         raise ConfigurationError("test function is identically zero; ratio undefined")
-    norm_u = float(np.sum(mass * u**2))
-    norm_udphi = float(np.sum(mass * dphi_sq * u**2))
-    Ku = K @ u
+    norm_u = float(np.sum(mesh.mass * u**2))
+    norm_udphi = float(np.sum(mesh.mass * dphi_sq * u**2))
+    Ku = mesh.stiffness @ u
     dirichlet = float(u @ Ku)
     flux = Ku[mesh.boundary] / mesh.boundary_weights
     flux_g0, _ = boundary_integral(flux**2, mesh, "gamma0")
@@ -188,10 +187,11 @@ def _fixed_terms(mesh: Mesh, K, mass, dphi_sq, u) -> tuple:
     return u, norm_u, norm_udphi, dirichlet, flux_g0, flux_g
 
 
-def _ratio_terms(mesh: Mesh, mass, B, h: float, fixed: tuple) -> tuple:
+def _ratio_terms(mesh: Mesh, B, h: float, fixed: tuple) -> tuple:
     """(lhs, rhs, rhs/lhs) at h from _fixed_terms and the conjugated matrix
     B at h; only B u is computed here."""
     u, norm_u, norm_udphi, dirichlet, flux_g0, flux_g = fixed
+    mass = mesh.mass
     lhs = norm_u / h + norm_udphi / h**2 + dirichlet + flux_g0
     conj_residual = np.asarray(B @ u)[mesh.interior] / mass[mesh.interior]
     rhs = float(np.sum(mass[mesh.interior] * conj_residual**2)) + flux_g / h
@@ -207,11 +207,10 @@ def carleman_ratio(mesh: Mesh, weight: CarlemanWeight, V, u) -> tuple:
     u must vanish on every boundary vertex; returns (lhs, rhs, rhs/lhs).
     Only the assembled operator is needed: nothing is factorized.
     """
-    K, mass, A = assemble_operator(mesh, as_values(V, mesh))
     dphi_sq = _metric_dphi_sq(mesh, weight.phase.derivative()(mesh.vertices))
-    fixed = _fixed_terms(mesh, K, mass, dphi_sq, u)
-    B = conjugated_matrix(A, convexify_weight(weight, mesh), weight.h)
-    return _ratio_terms(mesh, mass, B, weight.h, fixed)
+    fixed = _fixed_terms(mesh, dphi_sq, u)
+    B = conjugated_matrix(schrodinger_matrix(mesh, V), convexify_weight(weight, mesh), weight.h)
+    return _ratio_terms(mesh, B, weight.h, fixed)
 
 
 def sample_test_functions(mesh: Mesh, count: int, seed: int = 0) -> list:
@@ -241,8 +240,6 @@ def carleman_sweep(
     weight: CarlemanWeight,
     V,
     h_list,
-    K,
-    mass: np.ndarray,
     sample_count: int = 50,
     seed: int = 0,
     csv_path=None,
@@ -255,12 +252,12 @@ def carleman_sweep(
     warning.  PASS means every surviving minimum is positive and the
     min-ratio trend does not head to zero as h decreases.
 
-    K and mass are forward.stiffness_matrix(mesh) and lumped_mass(mesh),
-    which the caller shares with convexity_check.  The h-independent work
-    is done once: the operator is assembled (not factorized) once, phase' is
-    sampled once, and each test function's norms, Dirichlet energy and
-    boundary fluxes are computed once; each (h, test function) pair then
-    costs one product with the conjugated matrix of that h.
+    The stiffness matrix and lumped mass are the mesh's, shared with
+    convexity_check.  The h-independent work is done once: the operator is
+    assembled (not factorized) once, phase' is sampled once, and each test
+    function's norms, Dirichlet energy and boundary fluxes are computed
+    once; each (h, test function) pair then costs one product with the
+    conjugated matrix of that h.
     """
     if sample_count < 1:
         raise ConfigurationError("sample_count must be >= 1")
@@ -268,9 +265,9 @@ def carleman_sweep(
     dphi = weight.phase.derivative()(mesh.vertices)
     maxgrad = float(np.max(np.abs(dphi)))
     V_values = as_values(V, mesh)
-    A = schrodinger_matrix(K, mass, V_values)
+    A = schrodinger_matrix(mesh, V_values)
     dphi_sq = _metric_dphi_sq(mesh, dphi)
-    fixed = [_fixed_terms(mesh, K, mass, dphi_sq, u) for u in samples]
+    fixed = [_fixed_terms(mesh, dphi_sq, u) for u in samples]
     rows = []
     minima = {}
     skipped = []
@@ -288,7 +285,7 @@ def carleman_sweep(
         B = conjugated_matrix(A, convexify_weight(weight.at(h), mesh), h)
         best = np.inf
         for sid, terms in enumerate(fixed):
-            lhs, rhs, ratio = _ratio_terms(mesh, mass, B, h, terms)
+            lhs, rhs, ratio = _ratio_terms(mesh, B, h, terms)
             rows.append({"h": h, "sample_id": sid, "lhs": lhs, "rhs": rhs, "ratio": ratio})
             best = min(best, ratio)
         minima[h] = best

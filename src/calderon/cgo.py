@@ -42,7 +42,7 @@ from .geometry import (
     dz_field,
     dzbar_field,
 )
-from .forward import OperatorCache, assemble_operator
+from .forward import operator, schrodinger_matrix
 from .holo import (
     HoloFunction,
     InfeasibleDegreeError,
@@ -63,8 +63,7 @@ class ResolvabilityError(RuntimeError):
 
 def l2_norm(values, mesh: Mesh) -> float:
     v = np.asarray(values)
-    w = mesh.vertex_areas * np.exp(2.0 * mesh.rho_v)
-    return float(np.sqrt(np.sum(w * np.abs(v) ** 2)))
+    return float(np.sqrt(np.sum(mesh.mass * np.abs(v) ** 2)))
 
 
 def h1_norm(values, mesh: Mesh) -> float:
@@ -74,8 +73,7 @@ def h1_norm(values, mesh: Mesh) -> float:
 
     v = np.asarray(values)
     grad_sq = np.abs(vertex_gradient(v.real, mesh)) ** 2 + np.abs(vertex_gradient(v.imag, mesh)) ** 2
-    w = mesh.vertex_areas * np.exp(2.0 * mesh.rho_v)
-    return float(np.sqrt(l2_norm(v, mesh) ** 2 + np.sum(w * grad_sq, where=np.isfinite(grad_sq))))
+    return float(np.sqrt(l2_norm(v, mesh) ** 2 + np.sum(mesh.mass * grad_sq, where=np.isfinite(grad_sq))))
 
 
 @dataclass
@@ -166,14 +164,14 @@ class CGOComponents:
         return self.amplitude(z) + self.h * self.a0(z) + self.r1
 
 
-def green_dz(mesh: Mesh, source: np.ndarray, ops: Optional[OperatorCache] = None) -> np.ndarray:
+def green_dz(mesh: Mesh, source: np.ndarray) -> np.ndarray:
     """dz of the Dirichlet Green potential of `source`.
 
     Interior vertices use the averaged P1 gradient; boundary vertices use the
     weak Neumann flux (the potential vanishes on the circle, so its gradient
     is purely normal there), which is far less noisy than one-sided gradients.
     """
-    op0 = (OperatorCache(mesh) if ops is None else ops).get(0.0, name="0")
+    op0 = operator(mesh, 0.0, name="0")
     G = op0.solve_dirichlet(np.zeros(len(mesh.boundary)), source=source)
     theta = dz_field(G, mesh)
     flux = op0.weak_neumann_trace(G, source=source)
@@ -313,7 +311,7 @@ def build_a0(r_tilde12: np.ndarray, mesh: Mesh, domain: DiskDomain, degree: int 
 
 def conjugated_matrix(A: sp.spmatrix, phi_vals: np.ndarray, h: float) -> sp.csr_matrix:
     """Similarity transform B = D^{-1} A D with D = diag(e^{phi/h}) of the
-    assembled Delta_g + V (SchrodingerOperator.A or forward.assemble_operator).
+    assembled Delta_g + V (forward.schrodinger_matrix).
 
     Entries only see neighbor differences of phi, so B stays O(1) even when
     e^{phi/h} itself would overflow; solving B v = 0 with weight-free data
@@ -337,13 +335,20 @@ def assemble_cgo(
     sweep (build_r11, which raises on or, given skipped, records an h the
     mesh cannot resolve), the rest is shared across h.  Returns one
     CGOComponents per h kept, in h_list order.  The remainder r2 is left to
-    duality_completion."""
+    duality_completion.
+
+    The h-independent derivatives of residual_field, dzbar(r12) and (when
+    b != 0) dzbar(chi1 b), are taken here once per sweep and shared by every
+    component's meta; prepare_cgo also serves the pairings of reconstruct,
+    which never evaluate a residual."""
     b = prepared["b"]
+    shared = {"p": prepared["p"], "dzbar_r12": dzbar_field(prepared["r12"], mesh)}
     transforms = None
     if np.any(np.abs(b) > 0):
         transforms = build_r11(
             mesh, phase, b, prepared["chi"], prepared["chi1"], h_list, full=True, skipped=skipped
         )
+        shared["dzbar_chi1b"] = dzbar_field(prepared["chi1"](mesh.vertices) * b, mesh)
     comps = []
     for h in h_list if transforms is None else transforms:
         comp = CGOComponents(
@@ -360,9 +365,9 @@ def assemble_cgo(
             chi=prepared["chi"],
             chi1=prepared["chi1"],
         )
+        comp.meta.update(shared)
         if transforms is not None:
             comp.r11, comp.eta, comp.meta["transform"] = transforms[h]
-        comp.meta["p"] = prepared["p"]
         comps.append(comp)
     return comps
 
@@ -376,14 +381,13 @@ def prepare_cgo(
     jet_degree: int = 16,
     cutoff_scale: float = 1.0,
     p: Optional[complex] = None,
-    ops: Optional[OperatorCache] = None,
 ) -> dict:
     """h-independent CGO ingredients for one (phase, amplitude, V).
 
     p overrides the primary-critical-point selection (needed for mirror
     phases -Phi, where Im(-Phi) is most negative at the primary point).
-    The only operator used here is the V = 0 one of the Green potential,
-    taken from ops.
+    The only operator factorized here is the V = 0 one of the Green
+    potential, kept on the mesh (forward.operator).
     """
     report: CriticalPointReport = phase.meta["critical_points"]
     points = [q for q in report.points if not q.degenerate]
@@ -397,7 +401,7 @@ def prepare_cgo(
         b = np.zeros(mesh.n_vertices, dtype=complex)
         omega = None
     else:
-        theta = green_dz(mesh, amplitude(mesh.vertices) * V_vals, ops=ops)
+        theta = green_dz(mesh, amplitude(mesh.vertices) * V_vals)
         f = build_jet_form(theta, mesh, report, p, domain, degree=jet_degree)
         omega = f.meta["omega"]
         b = omega(mesh.vertices) - theta
@@ -421,7 +425,7 @@ def prepare_cgo(
     }
 
 
-def residual_field(mesh: Mesh, V, comp: CGOComponents, assembled: Optional[tuple] = None) -> np.ndarray:
+def residual_field(mesh: Mesh, V, comp: CGOComponents) -> np.ndarray:
     """Conjugated residual e^{-Phi/h}(Delta_g + V) e^{Phi/h}(a + h a0 + r1)
     as a complex vertex field.
 
@@ -431,29 +435,27 @@ def residual_field(mesh: Mesh, V, comp: CGOComponents, assembled: Optional[tuple
     contaminated by unresolved oscillation.  The two 1/h transport terms
     that cancel in exact arithmetic are dropped analytically.
 
-    assembled is forward.assemble_operator(mesh, V values), which a sweep
-    shares across h; it is assembled here when not given.  Nothing is
-    factorized.
+    The stiffness matrix and lumped mass are the mesh's, and the
+    h-independent derivatives dzbar(r12) and dzbar(chi1 b) are the ones
+    assemble_cgo stored in comp.meta; nothing is factorized.
     """
     z = mesh.vertices
     h = comp.h
     V_v = as_values(V, mesh)
-    K, mass, _ = assemble_operator(mesh, V_v) if assembled is None else assembled
     dphi = comp.phase.derivative()(z)
     inv_metric = np.exp(-2.0 * mesh.rho_v)
     A_slow = comp.amplitude(z) + h * comp.a0(z) + h * comp.r12
     res = (
         V_v * A_slow
-        + h * (K @ comp.r12) / mass
-        - 4.0 * inv_metric * dphi * dzbar_field(comp.r12, mesh)
+        + h * (mesh.stiffness @ comp.r12) / mesh.mass
+        - 4.0 * inv_metric * dphi * comp.meta["dzbar_r12"]
     )
     if np.any(np.abs(comp.b) > 0):
         T = comp.meta["transform"]
         psi_v = comp.phase(z).imag
         osc_conj = np.exp(-2j * psi_v / h)
-        chi1b = comp.chi1(z) * comp.b
         dchi = comp.chi.dz(z)
-        res = res - 4.0 * inv_metric * dzbar_field(chi1b, mesh)
+        res = res - 4.0 * inv_metric * comp.meta["dzbar_chi1b"]
         res = res - 4.0 * inv_metric * osc_conj * (
             dzbar_field(dchi * T, mesh) + (np.conj(dphi) / h) * dchi * T
         )
@@ -471,9 +473,7 @@ def ansatz_residual(mesh: Mesh, res: np.ndarray) -> float:
     return l2_norm(np.where(bulk, res, 0.0), mesh)
 
 
-def duality_completion(
-    mesh: Mesh, V, comp: CGOComponents, res: np.ndarray, assembled: Optional[tuple] = None
-) -> np.ndarray:
+def duality_completion(mesh: Mesh, comp: CGOComponents, res: np.ndarray, A: sp.spmatrix) -> np.ndarray:
     """Weighted remainder r2 realized by the minimal-norm (duality) solve.
 
     Finds the smallest r2 (in the lumped-mass L2 norm) with
@@ -486,7 +486,8 @@ def duality_completion(
     produced Cauchy data rather than prescribed.  The right-hand side is
     evaluated term by term via residual_field, so it stays at the true
     remainder scale on any mesh that resolves the slow fields; res is
-    residual_field(mesh, V, comp), which the caller evaluates once.
+    residual_field(mesh, V, comp), which the caller evaluates once, and A is
+    forward.schrodinger_matrix(mesh, V), which a sweep assembles once.
 
     Why not a direct Dirichlet solve with the ansatz trace prescribed on
     gamma: its weighted solution operator contains
@@ -503,11 +504,10 @@ def duality_completion(
     half-bandwidth 231 in reverse Cuthill-McKee order on the reference
     mesh, so it is solved by banded Cholesky (_solve_spd_banded).  Delta_g + V is never
     inverted, so no Dirichlet-eigenvalue guard applies; an S that is not
-    positive definite raises instead.  assembled is
-    forward.assemble_operator(mesh, V values), assembled here when not
-    given.  Stores the result on comp.r2 and returns it.
+    positive definite raises instead.  Stores the result on comp.r2 and
+    returns it.
     """
-    _, mass, A = assemble_operator(mesh, as_values(V, mesh)) if assembled is None else assembled
+    mass = mesh.mass
     h = comp.h
     phi_v, psi_v = comp.phi_psi()
     rhs_field = 2.0 * np.real(np.exp(1j * psi_v / h) * res)
@@ -595,7 +595,6 @@ def residual_scaling_report(
     csv_path=None,
     json_path=None,
     cutoff_scale: float = 1.0,
-    ops: Optional[OperatorCache] = None,
 ) -> dict:
     """Measure every remainder norm across an h sweep and fit the scaling
     exponents; at least 4 usable h values are required for a fit.
@@ -609,12 +608,10 @@ def residual_scaling_report(
     Delta_g + V is assembled once per sweep and never factorized, so the
     sweep runs no Dirichlet-eigenvalue guard for V: the duality solve does
     not invert Delta_g + V, and fails loudly instead when its normal
-    equations are not positive definite.  ops supplies the V = 0 operator
-    of prepare_cgo's Green potential."""
+    equations are not positive definite."""
     h_list = sorted(set(float(h) for h in h_list), reverse=True)
-    ops = OperatorCache(mesh) if ops is None else ops
-    prepared = prepare_cgo(mesh, domain, V, phase, amplitude, jet_degree, cutoff_scale=cutoff_scale, ops=ops)
-    assembled = assemble_operator(mesh, as_values(V, mesh))
+    prepared = prepare_cgo(mesh, domain, V, phase, amplitude, jet_degree, cutoff_scale=cutoff_scale)
+    A = schrodinger_matrix(mesh, V)
     rows = []
     used_h = []
     skipped = []
@@ -622,8 +619,8 @@ def residual_scaling_report(
         h = comp.h
         used_h.append(h)
         hr12t = h * comp.r_tilde12
-        res = residual_field(mesh, V, comp, assembled)
-        duality_completion(mesh, V, comp, res, assembled)
+        res = residual_field(mesh, V, comp)
+        duality_completion(mesh, comp, res, A)
         rows.append(
             {
                 "h": h,

@@ -4,8 +4,9 @@
 with commands forward | cgo | carleman | reconstruct | boundary | all.
 Every pipeline writes CSV data plus a JSON summary with PASS/FAIL checks;
 outputs are deterministic given (config, seed).  The pipelines of one run
-share the scenario's factorized operators (Scenario.operators), so each
-(mesh, potential) pair is factorized once per run.
+share the scenario mesh, which holds its stiffness matrix and factorized
+operators (forward.operator), so each (mesh, potential) pair is factorized
+once per run.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from . import carleman as _carleman
 from . import cgo as _cgo
 from . import reconstruct as _rc
-from .forward import CauchyData, boundary_pairing, lumped_mass, stiffness_matrix
+from .forward import CauchyData, boundary_pairing, operator
 from .geometry import ConfigurationError, as_values
 from .holo import build_amplitude, build_morse_phase
 from .scenarios import Scenario, load_scenario
@@ -127,7 +128,6 @@ def _mesh_export(sc: Scenario, out_dir: str) -> list:
 
 def run_forward(sc: Scenario, out_dir: str) -> dict:
     mesh = sc.build_mesh()
-    ops = sc.operators()
     files = _mesh_export(sc, out_dir)
     on_gamma = ~mesh.boundary_is_gamma0
     f = np.real(mesh.vertices[mesh.gamma_indices()])
@@ -137,7 +137,7 @@ def run_forward(sc: Scenario, out_dir: str) -> dict:
     # full-boundary traces for the Green-identity cross-check
     traces = []
     for tag, V in (("v1", sc.V1), ("v2", sc.V2)):
-        op = ops.get(V, name=tag.upper())
+        op = operator(mesh, V, name=tag.upper())
         u = op.solve_dirichlet(g)
         dn = op.weak_neumann_trace(u)
         path = os.path.join(out_dir, f"cauchy_{tag}.csv")
@@ -147,7 +147,7 @@ def run_forward(sc: Scenario, out_dir: str) -> dict:
     (u1, dn1), (u2, dn2) = traces
     pair = boundary_pairing(mesh, (u1[mesh.boundary], dn1), (u2[mesh.boundary], dn2))
     dV = as_values(sc.V1, mesh) - as_values(sc.V2, mesh)
-    inner = complex(np.sum(mesh.vertex_areas * np.exp(2.0 * mesh.rho_v) * u1 * dV * u2))
+    inner = complex(np.sum(mesh.mass * u1 * dV * u2))
     scale = max(abs(inner), np.max(np.abs(u1)) * np.max(np.abs(u2)))
     err = float(abs(pair - inner) / scale)
     return {
@@ -190,7 +190,7 @@ def run_cgo(sc: Scenario, out_dir: str) -> dict:
         rep = _cgo.residual_scaling_report(
             mesh, sc.domain, sc.V1, phase, amplitude, sc.h_list,
             jet_degree=cfg["degree"], csv_path=csv_path, json_path=json_path,
-            cutoff_scale=regime["cutoff_scale"], ops=sc.operators(),
+            cutoff_scale=regime["cutoff_scale"],
         )
         reports.append(rep)
         files += [csv_path, json_path]
@@ -219,13 +219,12 @@ def run_carleman(sc: Scenario, out_dir: str) -> dict:
     )
     csv_path = os.path.join(out_dir, "carleman_sweep.csv")
     json_path = os.path.join(out_dir, "carleman_report.json")
-    K, mass = stiffness_matrix(mesh), lumped_mass(mesh)
     rep = _carleman.carleman_sweep(
-        mesh, weight, sc.V1, sc.h_list, K, mass,
+        mesh, weight, sc.V1, sc.h_list,
         sample_count=cfg["carleman_samples"], seed=sc.seed,
         csv_path=csv_path, json_path=json_path,
     )
-    conv = _carleman.convexity_check(weight, mesh, K, mass)
+    conv = _carleman.convexity_check(weight, mesh)
     checks = [
         _check("carleman_min_ratio_positive", rep["pass"], rep["c_star"]),
         _check("convexified_weight_identity", conv <= 5e-2, conv),
@@ -241,12 +240,11 @@ def run_carleman(sc: Scenario, out_dir: str) -> dict:
 
 def run_reconstruct(sc: Scenario, out_dir: str) -> dict:
     mesh = sc.build_mesh()
-    ops = sc.operators()
     cfg = sc.config
     est = _rc.pointwise_difference(
         mesh, sc.domain, sc.V1, sc.V2, sc.point, sc.h_list,
         degree=cfg["phase_degree"], psi_target=cfg["psi_target"],
-        seed=sc.seed, jet_degree=cfg["degree"], ops=ops,
+        seed=sc.seed, jet_degree=cfg["degree"],
     )
     true_p = float(np.real(_eval_potential(sc.V1, sc.point) - _eval_potential(sc.V2, sc.point)))
     grid = _rc.make_grid(cfg["grid_n"], cfg["grid_radius"])
@@ -254,7 +252,7 @@ def run_reconstruct(sc: Scenario, out_dir: str) -> dict:
     dmap = _rc.difference_map(
         mesh, sc.domain, sc.V1, sc.V2, grid, sc.h_list,
         degree=cfg["phase_degree"], psi_target=cfg["psi_target"],
-        seed=sc.seed, jet_degree=cfg["degree"], csv_path=csv_path, ops=ops,
+        seed=sc.seed, jet_degree=cfg["degree"], csv_path=csv_path,
     )
     checks = [
         _check(
@@ -301,12 +299,11 @@ def run_boundary(sc: Scenario, out_dir: str) -> dict:
     cfg = sc.config
     theta_p = float(cfg["theta_p"])
     h_list = cfg["boundary_h_list"]
-    ops = sc.operators()
-    cal = _rc.calibrate_boundary_constant(mesh, sc.domain, theta_p, h_list, ops=ops)
+    cal = _rc.calibrate_boundary_constant(mesh, sc.domain, theta_p, h_list)
     csv_path = os.path.join(out_dir, "boundary_scan.csv")
     thetas = [theta_p - 0.5, theta_p, theta_p + 0.5]
     scan = _rc.boundary_scan(
-        mesh, sc.domain, sc.V1, sc.V2, thetas, h_list, calibration=cal, csv_path=csv_path, ops=ops
+        mesh, sc.domain, sc.V1, sc.V2, thetas, h_list, calibration=cal, csv_path=csv_path
     )
     row = next((r for r in scan["rows"] if abs(r["theta"] - theta_p) < 1e-12), None)
     checks = []

@@ -2,9 +2,11 @@
 
 The weak form of the positive Laplacian is conformally invariant in 2D, so
 the stiffness matrix is the plain Euclidean one; the metric enters only
-through the (lumped) mass weights e^{2*rho}.  Neumann traces are recovered
-from the weak residual (boundary flux recovery), which keeps the Green
-identity between boundary pairings and interior integrals tight.
+through the (lumped) mass weights e^{2*rho}.  Both belong to the mesh
+(Mesh.stiffness, Mesh.mass), and operator() factorizes Delta_g + V once per
+(mesh, potential).  Neumann traces are recovered from the weak residual
+(boundary flux recovery), which keeps the Green identity between boundary
+pairings and interior integrals tight.
 """
 
 from __future__ import annotations
@@ -22,43 +24,10 @@ class DirichletEigenvalueError(RuntimeError):
     """The discrete operator Delta_g + V is (near-)singular."""
 
 
-def stiffness_matrix(mesh: Mesh) -> sp.csr_matrix:
-    v, c = mesh.vertices, mesh.cells
-    x = v.real[c]
-    y = v.imag[c]
-    n = mesh.n_vertices
-    rows, cols, data = [], [], []
-    # gradients of barycentric coordinates
-    bx = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
-    by = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
-    inv4a = 1.0 / (4.0 * mesh.cell_areas)
-    for i in range(3):
-        for j in range(3):
-            rows.append(c[:, i])
-            cols.append(c[:, j])
-            data.append((bx[:, i] * bx[:, j] + by[:, i] * by[:, j]) * inv4a)
-    K = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    )
-    return K.tocsr()
-
-
-def lumped_mass(mesh: Mesh) -> np.ndarray:
-    """Diagonal of the lumped mass matrix with the metric weight e^{2*rho}."""
-    return mesh.vertex_areas * np.exp(2.0 * mesh.rho_v)
-
-
-def assemble_operator(mesh: Mesh, V_values: np.ndarray) -> tuple:
-    """Stiffness K, lumped mass and A = K + diag(V * mass) (CSC) of
-    Delta_g + V for vertex values V_values; nothing is factorized."""
-    K = stiffness_matrix(mesh)
-    mass = lumped_mass(mesh)
-    return K, mass, schrodinger_matrix(K, mass, V_values)
-
-
-def schrodinger_matrix(K, mass: np.ndarray, V_values: np.ndarray) -> sp.csc_matrix:
-    """A = K + diag(V * mass) (CSC) from a stiffness matrix and lumped mass."""
-    return (K + sp.diags(V_values * mass)).tocsc()
+def schrodinger_matrix(mesh: Mesh, V) -> sp.csc_matrix:
+    """A = K + diag(V * mass) (CSC) of Delta_g + V from the mesh's stiffness
+    matrix and lumped mass; nothing is factorized."""
+    return (mesh.stiffness + sp.diags(as_values(V, mesh) * mesh.mass)).tocsc()
 
 
 @dataclass
@@ -136,14 +105,14 @@ class SchrodingerOperator:
     ordering SYMMETRIC_LU; condition_estimate keeps the 1-norm condition
     estimate that guards against a near-Dirichlet eigenvalue.  The
     factorization is immutable; solves with many right-hand sides can share
-    one instance, and OperatorCache shares one instance per potential.
+    one instance, and operator() keeps one instance per potential on the mesh.
     """
 
     def __init__(self, mesh: Mesh, V=0.0, name: str = "V"):
         self.mesh = mesh
         self.name = name
         self.V = as_values(V, mesh)
-        self.K, self.mass, self.A = assemble_operator(mesh, self.V)
+        self.A = schrodinger_matrix(mesh, self.V)
         ii = np.where(mesh.interior)[0]
         self.int_idx = ii
         self.bnd_idx = mesh.boundary
@@ -183,7 +152,7 @@ class SchrodingerOperator:
         rhs = -self.A_ib @ g
         if source is not None:
             f = as_values(source, self.mesh)
-            rhs = rhs + (self.mass * f)[self.int_idx]
+            rhs = rhs + (self.mesh.mass * f)[self.int_idx]
         dtype = complex if (np.iscomplexobj(rhs)) else float
         u = np.zeros(self.mesh.n_vertices, dtype=dtype)
         u[self.int_idx] = self._solve_interior(rhs)
@@ -198,52 +167,43 @@ class SchrodingerOperator:
         """
         r = self.A @ u
         if source is not None:
-            r = r - self.mass * as_values(source, self.mesh)
+            r = r - self.mesh.mass * as_values(source, self.mesh)
         return r[self.bnd_idx] / self.mesh.boundary_weights
 
 
-class OperatorCache:
-    """One factorized SchrodingerOperator per potential on one mesh.
+def operator(mesh: Mesh, V=0.0, name: str = "V") -> SchrodingerOperator:
+    """The factorized Delta_g + V on mesh, built on the first request for V
+    and kept on the mesh; name labels the errors of that first build.
 
     Potentials are keyed by their vertex values (dtype and bytes), so a
-    callable and its sampled values share one operator.  A pipeline passes
-    one cache down as ops=; a library function given ops=None makes its own,
-    which still factorizes each potential it meets only once.
+    callable and its sampled values share one operator.
     """
-
-    def __init__(self, mesh: Mesh):
-        self.mesh = mesh
-        self._ops = {}
-
-    def get(self, V=0.0, name: str = "V") -> SchrodingerOperator:
-        """The operator Delta_g + V, built on the first request for V; name
-        labels the errors of that first build."""
-        values = as_values(V, self.mesh)
-        key = (values.dtype.str, values.tobytes())
-        op = self._ops.get(key)
-        if op is None:
-            op = self._ops[key] = SchrodingerOperator(self.mesh, values, name=name)
-        return op
+    values = as_values(V, mesh)
+    key = (values.dtype.str, values.tobytes())
+    op = mesh.operators.get(key)
+    if op is None:
+        op = mesh.operators[key] = SchrodingerOperator(mesh, values, name=name)
+    return op
 
 
 def solve_schrodinger_dirichlet(mesh: Mesh, V, f_boundary) -> ScalarField:
     """Solution of (Delta_g + V) u = 0 with full Dirichlet data f_boundary."""
-    op = SchrodingerOperator(mesh, V)
+    op = operator(mesh, V)
     u = op.solve_dirichlet(np.asarray(f_boundary))
     return ScalarField(mesh, u)
 
 
 def green_apply(mesh: Mesh, V, f) -> ScalarField:
     """Green operator with Dirichlet condition: (Delta_g + V) u = f, u|_boundary = 0."""
-    op = SchrodingerOperator(mesh, V)
+    op = operator(mesh, V)
     u = op.solve_dirichlet(np.zeros(len(mesh.boundary)), source=f)
     return ScalarField(mesh, u)
 
 
-def partial_cauchy_data(mesh: Mesh, V, f_on_gamma, ops: OperatorCache = None) -> CauchyData:
+def partial_cauchy_data(mesh: Mesh, V, f_on_gamma) -> CauchyData:
     """Solve with Dirichlet data f on gamma and 0 on gamma0; return traces on gamma."""
     f_on_gamma = np.asarray(f_on_gamma)
-    op = (OperatorCache(mesh) if ops is None else ops).get(V)
+    op = operator(mesh, V)
     g = np.zeros(len(mesh.boundary), dtype=f_on_gamma.dtype)
     g[~mesh.boundary_is_gamma0] = f_on_gamma
     u = op.solve_dirichlet(g)

@@ -10,9 +10,11 @@ interior and e^{rho} ds on the boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 TWO_PI = 2.0 * np.pi
 
@@ -72,11 +74,18 @@ class DiskDomain:
 
 @dataclass
 class Mesh:
-    """Triangulation of the unit disk by concentric rings.
+    """Triangulation of the unit disk by concentric rings, and the home of
+    its discrete operators.
 
     vertices are complex coordinates; cells are positively oriented vertex
     index triples; boundary vertices are listed in increasing angle with an
     arc label each.
+
+    The weak form of the positive Laplacian is conformally invariant in 2D,
+    so every Delta_g + V on the mesh shares one Euclidean stiffness matrix
+    and one lumped mass carrying the metric weight e^{2*rho}.  operators
+    holds the factorized Delta_g + V of each potential met so far, keyed on
+    its vertex values (see forward.operator); they live as long as the mesh.
     """
 
     domain: DiskDomain
@@ -92,6 +101,8 @@ class Mesh:
     rho_v: np.ndarray = field(init=False)
     boundary_weights: np.ndarray = field(init=False)  # metric lumped arc length
     is_boundary: np.ndarray = field(init=False)
+    mass: np.ndarray = field(init=False)  # lumped mass diagonal, metric weight e^{2*rho}
+    operators: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         v, c = self.vertices, self.cells
@@ -105,6 +116,7 @@ class Mesh:
         np.add.at(va, c.ravel(), np.repeat(areas / 3.0, 3))
         self.vertex_areas = va
         self.rho_v = self.domain.rho(v)
+        self.mass = va * np.exp(2.0 * self.rho_v)
         r = np.abs(v[self.boundary])
         if np.max(np.abs(r - 1.0)) > 1e-12:
             raise ConfigurationError("boundary vertices must lie on the unit circle")
@@ -120,6 +132,29 @@ class Mesh:
     @property
     def n_vertices(self) -> int:
         return len(self.vertices)
+
+    @cached_property
+    def stiffness(self) -> sp.csr_matrix:
+        """P1 stiffness matrix of the positive Laplacian, assembled on first
+        use (building a mesh assembles nothing)."""
+        v, c = self.vertices, self.cells
+        x = v.real[c]
+        y = v.imag[c]
+        n = self.n_vertices
+        rows, cols, data = [], [], []
+        # gradients of barycentric coordinates
+        bx = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
+        by = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
+        inv4a = 1.0 / (4.0 * self.cell_areas)
+        for i in range(3):
+            for j in range(3):
+                rows.append(c[:, i])
+                cols.append(c[:, j])
+                data.append((bx[:, i] * bx[:, j] + by[:, i] * by[:, j]) * inv4a)
+        K = sp.coo_matrix(
+            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+        )
+        return K.tocsr()
 
     @property
     def interior(self) -> np.ndarray:

@@ -11,7 +11,6 @@ and checked in total against the winding over the disk contour.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import factorial
 from typing import Optional, Sequence
@@ -31,6 +30,9 @@ PHASE_TIKHONOV = 1e-18
 NEWTON_RADIUS = 1.5
 NEWTON_STEPS = 6
 MERGE_TOL = 1e-7
+# a winding contour step is refused when min(|f'/f| at its two ends) times
+# its length exceeds this (see _poly_winding)
+STEP_TURN_LIMIT = 1.7
 # kernel entries per dense row block of cauchy_transform
 TRANSFORM_BLOCK_ENTRIES = 1_000_000
 
@@ -69,14 +71,6 @@ class HoloFunction:
                 break
             c = c[1:] * np.arange(1, len(c))
         return HoloFunction(c)
-
-    def to_json(self) -> str:
-        return json.dumps([[c.real, c.imag] for c in self.coeffs])
-
-    @classmethod
-    def from_json(cls, text: str) -> "HoloFunction":
-        pairs = json.loads(text)
-        return cls([complex(re, im) for re, im in pairs])
 
 
 # ---------------------------------------------------------------------------
@@ -388,11 +382,27 @@ def _poly_winding(fn: HoloFunction, path: np.ndarray):
     """Winding number of fn along a closed sampled path (argument increments).
 
     A 2-D path holds one closed path per row, evaluated in one call; the
-    result is then an integer array with one winding per row."""
+    result is then an integer array with one winding per row.
+
+    A zero of multiplicity m at distances r1, r2 from the ends of a step of
+    length ds turns arg fn by m times the angle the step subtends there, and
+    |fn'/fn| is about m / r1 and m / r2 at the ends.  Sampled increments are
+    only known mod 2 pi, so a multiple zero that turns arg fn by more than
+    pi within one step would lose a whole turn; the subtended angle then
+    exceeds pi / m, so max(r1, r2) < ds / sin(pi / m) and
+    min(|fn'/fn| at the two ends) * ds > m sin(pi / m) >= 2.  A lone simple
+    zero cannot lose a turn, and it takes that product above sqrt(2) only
+    when its increment exceeds pi/2, which is refused anyway.  Steps whose
+    product exceeds STEP_TURN_LIMIT are refused (one evaluation of fn' per
+    contour)."""
     vals = fn(path)
     scale = np.max(np.abs(vals), axis=-1)
     if np.any(scale == 0) or np.any(np.min(np.abs(vals), axis=-1) < 1e-12 * scale):
         raise ArithmeticError("zero on contour")
+    rate = np.abs(fn.derivative()(path) / vals)
+    step = np.abs(np.roll(path, -1, axis=-1) - path)
+    if np.max(np.minimum(rate, np.roll(rate, -1, axis=-1)) * step, initial=0.0) > STEP_TURN_LIMIT:
+        raise ArithmeticError("contour sampling too coarse near a zero")
     dphi = np.angle(np.roll(vals, -1, axis=-1) / vals)
     if np.max(np.abs(dphi), initial=0.0) > 0.5 * np.pi:
         raise ArithmeticError("contour sampling too coarse")
@@ -463,12 +473,11 @@ def find_critical_points(phi: HoloFunction) -> CriticalPointReport:
     fails loudly if the multiplicities do not add up to the winding of dPhi
     over the verification circle, as for a zero of multiplicity 3 or more,
     whose eigenvalues split wider than MERGE_TOL.  A double zero within
-    about 3e-4 of the verification circle fails loudly as well: where a
-    contour sample falls next to it, the argument of dPhi jumps by more
-    than pi/2 between samples at every retried radius and sampling, so the
-    contour winding is not certified; elsewhere the samples skip a whole
-    turn of the argument, the contour winding comes out one short and the
-    count check fails.
+    about 1e-4 of the verification circle fails loudly as well: at every
+    retried radius and sampling, either the argument of dPhi jumps by more
+    than pi/2 between samples or a step passes so close to the zero that it
+    could skip a whole turn (see _poly_winding), so the contour winding is
+    not certified.
     """
     dphi = phi.derivative()
     if np.all(np.abs(dphi.coeffs) == 0):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import OperatorCache, boundary_pairing
+from .forward import boundary_pairing, operator
 from .geometry import ConfigurationError, DiskDomain, Mesh, as_values
 from .holo import (
     DEGENERACY_THRESHOLD,
@@ -89,8 +89,7 @@ def oscillatory_integral(g, phase: HoloFunction, h: float, mesh: Mesh) -> comple
     """Quadrature of the oscillatory integral of e^{2 i psi/h} g dv_g."""
     z = mesh.vertices
     vals = as_values(g, mesh) * np.exp(2j * np.imag(phase(z)) / h)
-    w = mesh.vertex_areas * np.exp(2.0 * mesh.rho_v)
-    return complex(np.sum(w * vals))
+    return complex(np.sum(mesh.mass * vals))
 
 
 def fit_pairing_model(h_list, S_values, psi_p: float) -> dict:
@@ -153,7 +152,6 @@ def cgo_pairings(
     p,
     jet_degree: int = 16,
     include_r1: bool = True,
-    ops: OperatorCache = None,
 ) -> list:
     """S(h) for opposite-phase CGO pairs, each built with its scenario's own
     potential.
@@ -166,11 +164,9 @@ def cgo_pairings(
     """
     p = complex(p)
     mirror = HoloFunction(-np.asarray(phase.coeffs), meta=dict(phase.meta))
-    ops = OperatorCache(mesh) if ops is None else ops
-    prep1 = _cgo.prepare_cgo(mesh, domain, V1, phase, amplitude, jet_degree, p=p, ops=ops)
-    prep2 = _cgo.prepare_cgo(mesh, domain, V2, mirror, amplitude, jet_degree, p=p, ops=ops)
+    prep1 = _cgo.prepare_cgo(mesh, domain, V1, phase, amplitude, jet_degree, p=p)
+    prep2 = _cgo.prepare_cgo(mesh, domain, V2, mirror, amplitude, jet_degree, p=p)
     z = mesh.vertices
-    w_area = mesh.vertex_areas * np.exp(2.0 * mesh.rho_v)
     dV = as_values(V1, mesh) - as_values(V2, mesh)
     psi = np.imag(phase(z))
     a_z = amplitude(z)
@@ -186,7 +182,7 @@ def cgo_pairings(
         u2w = np.conj(osc) * A2
         u1w = u1w + np.conj(u1w)
         u2w = u2w + np.conj(u2w)
-        out.append(complex(np.sum(w_area * dV * u1w * u2w)))
+        out.append(complex(np.sum(mesh.mass * dV * u1w * u2w)))
     return out
 
 
@@ -205,7 +201,6 @@ def pointwise_difference(
     include_r1: bool = True,
     phase: HoloFunction = None,
     amplitude: HoloFunction = None,
-    ops: OperatorCache = None,
 ) -> dict:
     """Estimate (V1 - V2)(p) from the interior identity S(h) of
     opposite-phase CGO pairs (see cgo_pairings).
@@ -225,7 +220,7 @@ def pointwise_difference(
     h_arr = np.asarray(sorted(set(float(x) for x in h_list), reverse=True))
     if mode == "fit":
         S = cgo_pairings(
-            mesh, domain, V1, V2, phase, amplitude, h_arr, p, jet_degree, include_r1, ops=ops
+            mesh, domain, V1, V2, phase, amplitude, h_arr, p, jet_degree, include_r1
         )
         fit = fit_pairing_model(h_arr, np.real(S), model.psi_p)
         D = fit["C"] / scale
@@ -241,9 +236,8 @@ def pointwise_difference(
                 "h range admits fewer than two members of a cos = +-1 subsequence; "
                 "extend the h range or increase psi(p)"
             )
-        ops = OperatorCache(mesh) if ops is None else ops
-        Sp = np.real(cgo_pairings(mesh, domain, V1, V2, phase, amplitude, plus, p, jet_degree, include_r1, ops=ops))
-        Sm = np.real(cgo_pairings(mesh, domain, V1, V2, phase, amplitude, minus, p, jet_degree, include_r1, ops=ops))
+        Sp = np.real(cgo_pairings(mesh, domain, V1, V2, phase, amplitude, plus, p, jet_degree, include_r1))
+        Sm = np.real(cgo_pairings(mesh, domain, V1, V2, phase, amplitude, minus, p, jet_degree, include_r1))
         bp = np.polyfit(plus, Sp, 1)[0]
         bm = np.polyfit(minus, Sm, 1)[0]
         D = (bp - bm) / (2.0 * scale)
@@ -281,12 +275,10 @@ def difference_map(
     jet_degree: int = 16,
     include_r1: bool = False,
     csv_path=None,
-    ops: OperatorCache = None,
 ) -> dict:
     """pointwise_difference over a grid; individual failures are recorded,
     not fatal.  include_r1 defaults off here: the r1 transform costs one
     singular quadrature per (point, h) and moves D by O(h)."""
-    ops = OperatorCache(mesh) if ops is None else ops
     rows = []
     failures = []
     for p in points:
@@ -295,7 +287,7 @@ def difference_map(
             est = pointwise_difference(
                 mesh, domain, V1, V2, p, h_list,
                 degree=degree, psi_target=psi_target, seed=seed,
-                jet_degree=jet_degree, include_r1=include_r1, ops=ops,
+                jet_degree=jet_degree, include_r1=include_r1,
             )
             m = est["model"]
             rows.append(
@@ -349,7 +341,6 @@ def boundary_pairing_sweep(
     V2,
     theta_p: float,
     h_list,
-    ops: OperatorCache = None,
 ) -> list:
     """|S(h)| for concentrating-solution pairs at a boundary point of gamma.
 
@@ -370,9 +361,8 @@ def boundary_pairing_sweep(
             f"concentration width sqrt(h) = {np.sqrt(max(h_arr)):.3f} exceeds the "
             f"distance {margin:.3f} from theta = {theta_p:.3f} to the end of gamma"
         )
-    ops = OperatorCache(mesh) if ops is None else ops
-    op1 = ops.get(V1, name="V1")
-    op2 = ops.get(V2, name="V2")
+    op1 = operator(mesh, V1, name="V1")
+    op2 = operator(mesh, V2, name="V2")
     on_gamma = ~mesh.boundary_is_gamma0
     out = []
     for h in h_arr:
@@ -404,7 +394,6 @@ def calibrate_boundary_constant(
     theta_p: float,
     h_list,
     width: float = 0.8,
-    ops: OperatorCache = None,
 ) -> float:
     """Prefactor of the h^{3/2} law on the known scenario V1 - V2 = bump of
     value 1 at the boundary point; used to convert fitted prefactors into
@@ -412,7 +401,7 @@ def calibrate_boundary_constant(
     potential's variation scale, hence the wide default bump."""
     p = np.exp(1j * theta_p)
     V1 = lambda z: np.exp(-np.abs(z - p) ** 2 / width**2)
-    pairs = boundary_pairing_sweep(mesh, domain, V1, 0.0, theta_p, h_list, ops=ops)
+    pairs = boundary_pairing_sweep(mesh, domain, V1, 0.0, theta_p, h_list)
     C, e = fit_boundary_law(pairs)
     if not (1.35 <= e <= 1.65):
         raise ReconstructionError(
@@ -430,7 +419,6 @@ def boundary_recovery(
     theta_p: float,
     h_list,
     calibration: float = None,
-    ops: OperatorCache = None,
 ) -> dict:
     """Estimate (V1 - V2) at the boundary point e^{i theta_p} of gamma.
 
@@ -439,10 +427,9 @@ def boundary_recovery(
     sweep.  `calibration` is the prefactor measured once on a unit-value
     scenario via calibrate_boundary_constant.
     """
-    ops = OperatorCache(mesh) if ops is None else ops
     if calibration is None:
-        calibration = calibrate_boundary_constant(mesh, domain, theta_p, h_list, ops=ops)
-    pairs = boundary_pairing_sweep(mesh, domain, V1, V2, theta_p, h_list, ops=ops)
+        calibration = calibrate_boundary_constant(mesh, domain, theta_p, h_list)
+    pairs = boundary_pairing_sweep(mesh, domain, V1, V2, theta_p, h_list)
     C, e = fit_boundary_law(pairs)
     h_min, s_min = min(pairs, key=lambda x: x[0])
     if abs(s_min) <= 0.05 * calibration * h_min**1.5:
@@ -478,15 +465,13 @@ def boundary_scan(
     h_list,
     calibration: float = None,
     csv_path=None,
-    ops: OperatorCache = None,
 ) -> dict:
     """boundary_recovery over several gamma points; CSV (theta, D, fitted_exponent)."""
-    ops = OperatorCache(mesh) if ops is None else ops
     rows = []
     failures = []
     for theta in theta_list:
         try:
-            est = boundary_recovery(mesh, domain, V1, V2, float(theta), h_list, calibration=calibration, ops=ops)
+            est = boundary_recovery(mesh, domain, V1, V2, float(theta), h_list, calibration=calibration)
             rows.append(
                 {
                     "theta": float(theta),

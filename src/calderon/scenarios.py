@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import jsonschema
 import numpy as np
 
-from .forward import OperatorCache
 from .geometry import ConfigurationError, DiskDomain, Mesh, build_disk_mesh
 
 _POTENTIAL_SCHEMA = {
@@ -197,15 +196,17 @@ def make_rho(spec):
 
 @dataclass
 class Scenario:
-    """A validated config resolved into domain, potentials, and parameters."""
+    """A validated config resolved into domain, potentials, and parameters.
+
+    The mesh is built by the first build_mesh call.  It carries the
+    factorized operators, so every pipeline run on one scenario shares them.
+    """
 
     config: dict
     domain: DiskDomain
     V1: object
     V2: object
-    mesh: Mesh = None
-    extras: dict = field(default_factory=dict)
-    _operators: OperatorCache = field(default=None, init=False, repr=False, compare=False)
+    mesh: Mesh = field(default=None, init=False)
 
     @property
     def name(self) -> str:
@@ -228,13 +229,6 @@ class Scenario:
         if self.mesh is None:
             self.mesh = build_disk_mesh(float(self.config["resolution"]), self.domain)
         return self.mesh
-
-    def operators(self) -> OperatorCache:
-        """The factorized operators of the scenario mesh, shared by every
-        pipeline run on this scenario; built on first use, not at load."""
-        if self._operators is None:
-            self._operators = OperatorCache(self.build_mesh())
-        return self._operators
 
 
 def load_scenario(source) -> Scenario:

@@ -4,9 +4,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import null_space
 
+from functools import cached_property
+
 from calderon import holo
 from calderon.forward import SchrodingerOperator
-from calderon.geometry import TWO_PI, DiskDomain, boundary_integral, build_disk_mesh
+from calderon.geometry import TWO_PI, DiskDomain, Mesh, boundary_integral, build_disk_mesh
 from calderon.scenarios import load_scenario
 
 P_STAR = 0.2 + 0.1j
@@ -135,20 +137,20 @@ def per_h_r11(mesh, phase, b, chi, chi1, h):
     return c * r11_hat, r11_hat * dchi, T
 
 
-def per_sample_ratio_terms(mesh, weight, op, B, u):
+def per_sample_ratio_terms(mesh, weight, B, u):
     """Reference Carleman (lhs, rhs, ratio) of one test function at
     weight.h: every term recomputed for this (h, u) pair, as
     calderon.carleman did before its sweep shared the h-independent terms.
-    op supplies K and mass; B is the conjugated matrix at weight.h."""
+    The mesh supplies K and mass; B is the conjugated matrix at weight.h."""
     u = np.asarray(u, dtype=float)
     h = weight.h
     z = mesh.vertices
-    mass = op.mass
+    mass = mesh.mass
     dphi_sq = np.exp(-2.0 * mesh.rho_v) * np.abs(weight.phase.derivative()(z)) ** 2
     norm_u = float(np.sum(mass * u**2))
     norm_udphi = float(np.sum(mass * dphi_sq * u**2))
-    dirichlet = float(u @ (op.K @ u))
-    flux = (op.K @ u)[mesh.boundary] / mesh.boundary_weights
+    dirichlet = float(u @ (mesh.stiffness @ u))
+    flux = (mesh.stiffness @ u)[mesh.boundary] / mesh.boundary_weights
     flux_g0, _ = boundary_integral(flux**2, mesh, "gamma0")
     flux_g, _ = boundary_integral(flux**2, mesh, "gamma")
     lhs = norm_u / h + norm_udphi / h**2 + dirichlet + flux_g0
@@ -393,3 +395,20 @@ def operator_builds(monkeypatch):
 
     monkeypatch.setattr(SchrodingerOperator, "__init__", counting_init)
     return built
+
+
+@pytest.fixture
+def stiffness_assemblies(monkeypatch):
+    """Every mesh whose stiffness matrix is assembled while the test runs,
+    in order."""
+    assembled = []
+    assemble = Mesh.__dict__["stiffness"].func
+
+    def counting_assemble(mesh):
+        assembled.append(mesh)
+        return assemble(mesh)
+
+    counting = cached_property(counting_assemble)
+    counting.__set_name__(Mesh, "stiffness")
+    monkeypatch.setattr(Mesh, "stiffness", counting)
+    return assembled

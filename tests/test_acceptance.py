@@ -20,9 +20,7 @@ from calderon.forward import (
     SchrodingerOperator,
     boundary_pairing,
     green_apply,
-    lumped_mass,
     solve_schrodinger_dirichlet,
-    stiffness_matrix,
 )
 from calderon.geometry import DiskDomain, as_values, build_disk_mesh, interior_integral
 from calderon.holo import HoloFunction, build_amplitude, build_morse_phase, cauchy_transform, find_critical_points
@@ -170,8 +168,7 @@ def test_criterion_06_carleman_golden(ref_mesh, ref_scenario):
     phase = build_morse_phase(dom, P_STAR, degree=36, psi_target=0.12, seed=0)
     weight = _carleman.build_carleman_weight(dom, phase, 1.0, min(ref_scenario.h_list), degree=16, mesh=ref_mesh)
     rep = _carleman.carleman_sweep(
-        ref_mesh, weight, ref_scenario.V1, ref_scenario.h_list,
-        stiffness_matrix(ref_mesh), lumped_mass(ref_mesh), sample_count=50, seed=0,
+        ref_mesh, weight, ref_scenario.V1, ref_scenario.h_list, sample_count=50, seed=0,
     )
     c = rep["c_star"]
     ok = c > 0 and abs(c - C_STAR_GOLDEN) <= 0.2 * C_STAR_GOLDEN

@@ -5,16 +5,11 @@ from hypothesis import strategies as st
 
 from calderon import carleman as _ca
 from calderon.cgo import conjugated_matrix
-from calderon.forward import SchrodingerOperator, lumped_mass, stiffness_matrix
+from calderon.forward import schrodinger_matrix
 from calderon.geometry import ConfigurationError, DiskDomain
 from calderon.holo import HoloFunction, build_morse_phase
 
 from conftest import P_STAR, per_sample_ratio_terms
-
-
-def _sweep(mesh, weight, V, h_list, **kwargs):
-    """carleman_sweep with the stiffness matrix and lumped mass of mesh."""
-    return _ca.carleman_sweep(mesh, weight, V, h_list, stiffness_matrix(mesh), lumped_mass(mesh), **kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +49,7 @@ def test_convexify_formula_instance(quarter_weight, quarter_mesh_mid):
 
 
 def test_convexity_laplacian_identity(quarter_weight, ref_mesh):
-    check = _ca.convexity_check(quarter_weight, ref_mesh, stiffness_matrix(ref_mesh), lumped_mass(ref_mesh))
+    check = _ca.convexity_check(quarter_weight, ref_mesh)
     assert check <= 5e-2
 
 
@@ -109,12 +104,12 @@ def test_lhs_increases_as_h_decreases(quarter_weight, quarter_mesh_mid):
 
 def test_sweep_zero_samples_rejected(quarter_weight, quarter_mesh_mid):
     with pytest.raises(ConfigurationError):
-        _sweep(quarter_mesh_mid, quarter_weight, 0.0, [0.1], sample_count=0)
+        _ca.carleman_sweep(quarter_mesh_mid, quarter_weight, 0.0, [0.1], sample_count=0)
 
 
 def test_sweep_skips_unusable_h(quarter_weight, ref_mesh):
     with pytest.warns(UserWarning):
-        rep = _sweep(
+        rep = _ca.carleman_sweep(
             ref_mesh, quarter_weight, 0.0, [0.5, 0.1], sample_count=5
         )
     assert any(r["h"] == 0.5 for r in rep["skipped"])
@@ -125,8 +120,8 @@ def test_sweep_baseline_and_negative_potential_degrades(quarter_weight, ref_mesh
     ratio drops relative to V = 0.  (Large positive or hugely negative V can
     inflate the rhs instead; the report records ||V||_inf for the reader.)"""
     h_list = [0.2, 0.14, 0.1]
-    rep0 = _sweep(ref_mesh, quarter_weight, 0.0, h_list, sample_count=20)
-    repn = _sweep(ref_mesh, quarter_weight, -20.0, h_list, sample_count=20)
+    rep0 = _ca.carleman_sweep(ref_mesh, quarter_weight, 0.0, h_list, sample_count=20)
+    repn = _ca.carleman_sweep(ref_mesh, quarter_weight, -20.0, h_list, sample_count=20)
     assert rep0["pass"]
     assert rep0["c_star"] > 0
     assert repn["c_star"] < rep0["c_star"]
@@ -136,7 +131,7 @@ def test_sweep_baseline_and_negative_potential_degrades(quarter_weight, ref_mesh
 def test_sweep_csv_and_json(tmp_path, quarter_weight, ref_mesh):
     csv_path = tmp_path / "sweep.csv"
     json_path = tmp_path / "sweep.json"
-    rep = _sweep(
+    rep = _ca.carleman_sweep(
         ref_mesh, quarter_weight, 0.0, [0.2, 0.1], sample_count=3,
         csv_path=csv_path, json_path=json_path,
     )
@@ -153,15 +148,15 @@ def test_sweep_matches_per_sample_reference(tmp_path, quarter_weight, ref_mesh):
     that recomputes all terms, to the bit."""
     V, h_list, count = -20.0, [0.2, 0.1], 4
     csv_path = tmp_path / "sweep.csv"
-    _sweep(ref_mesh, quarter_weight, V, h_list, sample_count=count, csv_path=csv_path)
-    op = SchrodingerOperator(ref_mesh, V)
+    _ca.carleman_sweep(ref_mesh, quarter_weight, V, h_list, sample_count=count, csv_path=csv_path)
+    A = schrodinger_matrix(ref_mesh, V)
     samples = _ca.sample_test_functions(ref_mesh, count, seed=0)
     want = []
     for h in h_list:
         wh = quarter_weight.at(h)
-        B = conjugated_matrix(op.A, _ca.convexify_weight(wh, ref_mesh), h)
+        B = conjugated_matrix(A, _ca.convexify_weight(wh, ref_mesh), h)
         for sid, u in enumerate(samples):
-            lhs, rhs, ratio = per_sample_ratio_terms(ref_mesh, wh, op, B, u)
+            lhs, rhs, ratio = per_sample_ratio_terms(ref_mesh, wh, B, u)
             want.append(f"{h!r},{sid},{lhs!r},{rhs!r},{ratio!r}")
             if sid == 1:
                 assert _ca.carleman_ratio(ref_mesh, wh, V, u) == (lhs, rhs, ratio)
@@ -177,35 +172,28 @@ def test_sweep_samples_phase_derivative_once(quarter_weight, quarter_mesh_mid, m
         return derivative(self, order)
 
     monkeypatch.setattr(HoloFunction, "derivative", logging_derivative)
-    _sweep(quarter_mesh_mid, quarter_weight, 0.0, [0.2, 0.1], sample_count=5)
+    _ca.carleman_sweep(quarter_mesh_mid, quarter_weight, 0.0, [0.2, 0.1], sample_count=5)
     assert sum(f is quarter_weight.phase for f in derived) == 1
 
 
 def test_carleman_factorizes_nothing(quarter_weight, quarter_mesh_mid, operator_builds):
     u = _ca.sample_test_functions(quarter_mesh_mid, 1, seed=0)[0]
     _ca.carleman_ratio(quarter_mesh_mid, quarter_weight, -20.0, u)
-    _sweep(quarter_mesh_mid, quarter_weight, -20.0, [0.1], sample_count=2)
+    _ca.carleman_sweep(quarter_mesh_mid, quarter_weight, -20.0, [0.1], sample_count=2)
     assert operator_builds == []
 
 
-def test_run_carleman_assembles_once(tmp_path, monkeypatch, operator_builds):
+def test_run_carleman_assembles_once(tmp_path, monkeypatch, operator_builds, stiffness_assemblies):
     """run_carleman assembles the stiffness matrix once (the sweep and the
-    convexity check share it), factorizes nothing, and each convexify_weight
-    evaluates the phase once."""
-    from calderon import cli, forward
+    convexity check share the mesh's), factorizes nothing, and each
+    convexify_weight evaluates the phase once."""
+    from calderon import cli
     from calderon.scenarios import load_scenario
 
     sc = load_scenario(
         {"name": "cheap", "seed": 0, "resolution": 0.08, "epsilon": 1.0,
          "carleman_samples": 4, "h_list": [0.2, 0.17]}
     )
-    assembled = []
-    stiffness = forward.stiffness_matrix
-
-    def counting_stiffness(mesh):
-        assembled.append(mesh)
-        return stiffness(mesh)
-
     evaluated = []
     call = HoloFunction.__call__
 
@@ -222,11 +210,9 @@ def test_run_carleman_assembles_once(tmp_path, monkeypatch, operator_builds):
         convexified.append(sum(f is weight.phase for f in evaluated[start:]))
         return out
 
-    monkeypatch.setattr(forward, "stiffness_matrix", counting_stiffness)
-    monkeypatch.setattr(cli, "stiffness_matrix", counting_stiffness)
     monkeypatch.setattr(HoloFunction, "__call__", logging_call)
     monkeypatch.setattr(_ca, "convexify_weight", logging_convexify)
     cli.run_carleman(sc, str(tmp_path))
-    assert len(assembled) == 1
+    assert [m is sc.mesh for m in stiffness_assemblies] == [True]
     assert operator_builds == []
     assert convexified and convexified == [1] * len(convexified)

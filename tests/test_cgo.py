@@ -3,7 +3,8 @@ import pytest
 import scipy.sparse as sp
 
 from calderon import cgo as _cgo
-from calderon import holo
+from calderon import geometry, holo
+from calderon.forward import schrodinger_matrix
 from calderon.geometry import DiskDomain, as_values, build_disk_mesh
 from calderon.holo import HoloFunction, build_amplitude, build_morse_phase, find_critical_points
 
@@ -228,8 +229,31 @@ def _completed(mesh, domain, V, phase, amplitude, h, prepared=None):
     if prepared is None:
         prepared = _cgo.prepare_cgo(mesh, domain, V, phase, amplitude)
     (comp,) = _cgo.assemble_cgo(mesh, phase, amplitude, [h], prepared)
-    _cgo.duality_completion(mesh, V, comp, _cgo.residual_field(mesh, V, comp))
+    _cgo.duality_completion(mesh, comp, _cgo.residual_field(mesh, V, comp), schrodinger_matrix(mesh, V))
     return comp
+
+
+def test_residual_field_takes_slow_derivatives_once_per_sweep(quarter_prep, quarter_mesh_mid, monkeypatch):
+    """assemble_cgo takes the h-independent d/dzbar of r12 and chi1 b once
+    per sweep (two complex fields, 4 vertex gradients); residual_field then
+    differentiates only dz(chi) T, 2 vertex gradients per h."""
+    calls = []
+    gradient = geometry.vertex_gradient
+
+    def counting_gradient(values, mesh):
+        calls.append(mesh)
+        return gradient(values, mesh)
+
+    monkeypatch.setattr(geometry, "vertex_gradient", counting_gradient)
+    h_list = [0.2, 0.14, 0.1]
+    comps = _cgo.assemble_cgo(
+        quarter_mesh_mid, quarter_prep["phase"], quarter_prep["amplitude"], h_list, quarter_prep["prep"]
+    )
+    assert len(calls) == 4
+    calls.clear()
+    for comp in comps:
+        _cgo.residual_field(quarter_mesh_mid, gaussian_bump, comp)
+    assert len(calls) == 2 * len(h_list)
 
 
 def test_complete_solution_trivial_phase(mesh_mid, full_domain):

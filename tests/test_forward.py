@@ -9,14 +9,12 @@ import scipy.sparse.linalg as spla
 from calderon.forward import (
     CauchyData,
     DirichletEigenvalueError,
-    OperatorCache,
     SchrodingerOperator,
     boundary_pairing,
     green_apply,
-    lumped_mass,
+    operator,
     partial_cauchy_data,
     solve_schrodinger_dirichlet,
-    stiffness_matrix,
 )
 from calderon.geometry import DiskDomain, as_values, build_disk_mesh, interior_integral
 
@@ -152,8 +150,8 @@ def test_interior_residual_at_solver_tolerance(mesh_mid):
 
 
 def test_dirichlet_eigenvalue_detected(mesh_mid):
-    K = stiffness_matrix(mesh_mid)
-    M = lumped_mass(mesh_mid)
+    K = mesh_mid.stiffness
+    M = mesh_mid.mass
     ii = np.where(mesh_mid.interior)[0]
     lam = spla.eigsh(
         K[np.ix_(ii, ii)].tocsc(), k=1, M=sp.diags(M[ii]).tocsc(),
@@ -164,14 +162,14 @@ def test_dirichlet_eigenvalue_detected(mesh_mid):
     assert "V_res" in str(err.value)
 
 
-def test_operator_cache_keys_on_vertex_values(mesh_mid, operator_builds):
-    ops = OperatorCache(mesh_mid)
-    bump = ops.get(gaussian_bump, name="V1")
-    assert ops.get(as_values(gaussian_bump, mesh_mid)) is bump
-    zero = ops.get(0.0)
-    assert ops.get(np.zeros(mesh_mid.n_vertices)) is zero
+def test_operator_cache_keys_on_vertex_values(operator_builds):
+    mesh = build_disk_mesh(0.1, DiskDomain())
+    bump = operator(mesh, gaussian_bump, name="V1")
+    assert operator(mesh, as_values(gaussian_bump, mesh)) is bump
+    zero = operator(mesh, 0.0)
+    assert operator(mesh, np.zeros(mesh.n_vertices)) is zero
     assert zero is not bump
-    assert ops.get(lambda z: 2.0 * gaussian_bump(z)) not in (zero, bump)
+    assert operator(mesh, lambda z: 2.0 * gaussian_bump(z)) not in (zero, bump)
     assert len(operator_builds) == 3
 
 
@@ -183,8 +181,8 @@ def mesh_rho():
 
 
 def _dirichlet_eigenvalues(mesh, k):
-    K = stiffness_matrix(mesh)
-    M = lumped_mass(mesh)
+    K = mesh.stiffness
+    M = mesh.mass
     ii = np.where(mesh.interior)[0]
     return np.sort(spla.eigsh(
         K[np.ix_(ii, ii)].tocsc(), k=k, M=sp.diags(M[ii]).tocsc(),
@@ -208,7 +206,7 @@ def test_symmetric_ordering_matches_default_lu(mesh_rho, case):
     f = np.sin(np.real(mesh_rho.vertices))
     u = op.solve_dirichlet(g, source=f)
     ii = op.int_idx
-    rhs = -op.A_ib @ g + (op.mass * f)[ii]
+    rhs = -op.A_ib @ g + (mesh_rho.mass * f)[ii]
     want = np.zeros(mesh_rho.n_vertices)
     want[ii] = spla.splu(op.A[np.ix_(ii, ii)].tocsc()).solve(rhs)
     want[op.bnd_idx] = g

@@ -156,6 +156,15 @@ BOUNDARY_CHEAP = {
     "v1": {"profile": "gaussian", "center": [-1.0, 0.0], "width": 0.6},
     "boundary_h_list": [0.1, 0.085, 0.075, 0.065],
 }
+# every pipeline in one run: the reconstruct h list on the boundary mesh,
+# with the default V1 (cgo's amplitude corrector cannot fit the boundary bump)
+ALL_CHEAP = {
+    **RECONSTRUCT_CHEAP,
+    "resolution": BOUNDARY_CHEAP["resolution"],
+    "boundary_h_list": BOUNDARY_CHEAP["boundary_h_list"],
+    "epsilon": 1.0,
+    "carleman_samples": 10,
+}
 
 
 def _write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -286,13 +295,22 @@ def test_pipelines_share_the_scenario_operators(tmp_path, operator_builds):
         # only the V = 0 operator of the Green potential: the duality solve
         # reads the assembled Delta_g + V1 and never factorizes it
         ("cgo", {"resolution": 0.08, "h_list": [0.5, 0.4, 0.32, 0.25]}, 1),
+        # V1 and V2 = 0 of forward, whose V = 0 operator cgo, reconstruct
+        # and boundary reuse, and boundary's calibration bump
+        ("all", ALL_CHEAP, 3),
     ],
-    ids=["forward", "reconstruct", "cgo"],
+    ids=["forward", "reconstruct", "cgo", "all"],
 )
-def test_pipeline_factorizes_each_potential_once(tmp_path, operator_builds, command, overrides, builds):
+def test_pipeline_factorizes_each_potential_once(
+    tmp_path, operator_builds, stiffness_assemblies, command, overrides, builds
+):
+    """Each potential is factorized once, and the stiffness matrix is
+    assembled once, on the scenario mesh."""
     sc = load_scenario({"name": "cheap", "seed": 3, **overrides})
-    _run_pipeline(sc, command, tmp_path)
+    for name in list(_cli._PIPELINES) if command == "all" else [command]:
+        _run_pipeline(sc, name, tmp_path / name)
     assert len(operator_builds) == builds
+    assert [m is sc.mesh for m in stiffness_assemblies] == [True]
 
 
 def test_run_forward_solves_each_potential_once(tmp_path, monkeypatch):
