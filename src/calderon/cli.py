@@ -58,6 +58,8 @@ SUMMARY_SCHEMA = {
         "files": {"type": "array", "items": {"type": "string"}},
     },
 }
+# built once: jsonschema.validate would re-check the schema on every call
+_SUMMARY_VALIDATOR = jsonschema.Draft202012Validator(SUMMARY_SCHEMA)
 
 
 def _check(name, passed, value=None, detail="", trivial=False):
@@ -85,7 +87,7 @@ def emit_report(results: dict, out_dir: str, name: str) -> list:
         "constants": results.get("constants", {}),
         "files": sorted(os.path.basename(f) for f in results.get("files", [])),
     }
-    jsonschema.validate(summary, SUMMARY_SCHEMA)
+    _SUMMARY_VALIDATOR.validate(summary)
     json_path = os.path.join(out_dir, f"{name}_summary.json")
     with open(json_path, "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True, ensure_ascii=False)

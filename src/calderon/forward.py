@@ -7,17 +7,22 @@ through the (lumped) mass weights e^{2*rho}.  Both belong to the mesh
 (mesh, potential).  Neumann traces are recovered from the weak residual
 (boundary flux recovery), which keeps the Green identity between boundary
 pairings and interior integrals tight.
+
+Solves and traces take one datum of shape (n_b,) or a block of shape (n_b, k);
+a block's real and imaginary columns go into one SuperLU call, so it streams
+the LU factors once instead of twice per complex datum.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .geometry import GAMMA, Mesh, ScalarField, as_values, boundary_integral
+from .geometry import GAMMA, Mesh, as_values, boundary_integral
 
 
 class DirichletEigenvalueError(RuntimeError):
@@ -106,12 +111,19 @@ class SchrodingerOperator:
     estimate that guards against a near-Dirichlet eigenvalue.  The
     factorization is immutable; solves with many right-hand sides can share
     one instance, and operator() keeps one instance per potential on the mesh.
+
+    The mesh keeps its operators (Mesh.operators), so an operator holds only
+    the mesh arrays it reads plus a weak reference to the mesh itself: a
+    strong one would make a cycle that keeps a dropped mesh's LU factors
+    alive until the cyclic garbage collector runs.
     """
 
     def __init__(self, mesh: Mesh, V=0.0, name: str = "V"):
-        self.mesh = mesh
+        self._mesh = weakref.ref(mesh)
         self.name = name
         self.V = as_values(V, mesh)
+        self.mass = mesh.mass
+        self.boundary_weights = mesh.boundary_weights
         self.A = schrodinger_matrix(mesh, self.V)
         ii = np.where(mesh.interior)[0]
         self.int_idx = ii
@@ -125,11 +137,28 @@ class SchrodingerOperator:
             ) from exc
         self._check_conditioning(A_ii)
         self.A_ib = self.A[np.ix_(ii, mesh.boundary)]
+        # boundary rows of A in CSR: each row sums in ascending column order,
+        # as the full CSC product does, so flux recovery keeps its bits
+        self.A_b = self.A.tocsr()[mesh.boundary]
+
+    @property
+    def mesh(self) -> Mesh:
+        """The operator's mesh while it lives; field and callable sources
+        are sampled on it."""
+        mesh = self._mesh()
+        if mesh is None:
+            raise ReferenceError(f"the mesh of operator {self.name} has been freed")
+        return mesh
 
     def _check_conditioning(self, A_ii, limit=1e12):
         n = A_ii.shape[0]
-        # A_ii is symmetric, so the adjoint solve is the same solve
-        op = spla.LinearOperator((n, n), matvec=self.lu.solve, rmatvec=self.lu.solve)
+        # A_ii is symmetric, so the adjoint solve is the same solve;
+        # onenormest applies it to blocks of t = 2 columns, one LU pass each
+        # (a given dtype spares the probe solve LinearOperator makes without)
+        solve = self.lu.solve
+        op = spla.LinearOperator(
+            (n, n), matvec=solve, rmatvec=solve, matmat=solve, rmatmat=solve, dtype=float
+        )
         inv_norm = spla.onenormest(op)
         cond = inv_norm * spla.norm(A_ii, 1)
         self.condition_estimate = float(cond)
@@ -139,22 +168,40 @@ class SchrodingerOperator:
                 f"(condition estimate {cond:.2e}); 0 is close to a Dirichlet eigenvalue"
             )
 
+    def _weighted_source(self, source, block_shape: tuple) -> np.ndarray:
+        """M f at every vertex: any field for one datum (block_shape ()), an
+        (n_vertices, k) array for a block of k, so it never broadcasts."""
+        if not block_shape:
+            return self.mass * as_values(source, self.mesh)
+        f = np.asarray(source)
+        if f.shape != (len(self.mass),) + block_shape:
+            raise ValueError(f"source of shape {f.shape} does not match a block of {block_shape[0]} data")
+        return self.mass[:, None] * f
+
     def _solve_interior(self, rhs_int: np.ndarray) -> np.ndarray:
-        if np.iscomplexobj(rhs_int):
-            return self.lu.solve(rhs_int.real) + 1j * self.lu.solve(rhs_int.imag)
-        return self.lu.solve(rhs_int)
+        if not np.iscomplexobj(rhs_int):
+            return self.lu.solve(rhs_int)
+        # real and imaginary columns side by side: one pass over the factors
+        n = len(rhs_int)
+        x = self.lu.solve(np.hstack([rhs_int.real.reshape(n, -1), rhs_int.imag.reshape(n, -1)]))
+        k = x.shape[1] // 2
+        return (x[:, :k] + 1j * x[:, k:]).reshape(rhs_int.shape)
 
     def solve_dirichlet(self, boundary_values: np.ndarray, source=None) -> np.ndarray:
-        """(Delta_g + V) u = source in the interior, u = boundary_values on the circle."""
+        """(Delta_g + V) u = source in the interior, u = boundary_values on the circle.
+
+        boundary_values has shape (n_b,), or (n_b, k) for k data solved in
+        one LU pass, and u (n_vertices,) or (n_vertices, k); a source must
+        match (see _weighted_source).
+        """
         g = np.asarray(boundary_values)
-        if g.shape != (len(self.bnd_idx),):
-            raise ValueError("boundary data must have one value per boundary vertex")
+        if g.ndim not in (1, 2) or len(g) != len(self.bnd_idx):
+            raise ValueError("boundary data must have one value (row) per boundary vertex")
         rhs = -self.A_ib @ g
         if source is not None:
-            f = as_values(source, self.mesh)
-            rhs = rhs + (self.mesh.mass * f)[self.int_idx]
+            rhs = rhs + self._weighted_source(source, g.shape[1:])[self.int_idx]
         dtype = complex if (np.iscomplexobj(rhs)) else float
-        u = np.zeros(self.mesh.n_vertices, dtype=dtype)
+        u = np.zeros((len(self.mass),) + g.shape[1:], dtype=dtype)
         u[self.int_idx] = self._solve_interior(rhs)
         u[self.bnd_idx] = g
         return u
@@ -163,12 +210,15 @@ class SchrodingerOperator:
         """Exterior metric normal derivative at boundary vertices by flux recovery.
 
         Solves sum_j B_ij t_j = (A u - M f)_i restricted to boundary rows,
-        with the lumped boundary mass B.
+        with the lumped boundary mass B.  u of shape (n_vertices,) or
+        (n_vertices, k) gives (n_b,) or (n_b, k); only the boundary rows of A
+        are applied, with the bits of (A @ u)[boundary].
         """
-        r = self.A @ u
+        r = self.A_b @ u
         if source is not None:
-            r = r - self.mesh.mass * as_values(source, self.mesh)
-        return r[self.bnd_idx] / self.mesh.boundary_weights
+            r = r - self._weighted_source(source, np.shape(u)[1:])[self.bnd_idx]
+        w = self.boundary_weights
+        return r / (w if r.ndim == 1 else w[:, None])
 
 
 def operator(mesh: Mesh, V=0.0, name: str = "V") -> SchrodingerOperator:
@@ -184,20 +234,6 @@ def operator(mesh: Mesh, V=0.0, name: str = "V") -> SchrodingerOperator:
     if op is None:
         op = mesh.operators[key] = SchrodingerOperator(mesh, values, name=name)
     return op
-
-
-def solve_schrodinger_dirichlet(mesh: Mesh, V, f_boundary) -> ScalarField:
-    """Solution of (Delta_g + V) u = 0 with full Dirichlet data f_boundary."""
-    op = operator(mesh, V)
-    u = op.solve_dirichlet(np.asarray(f_boundary))
-    return ScalarField(mesh, u)
-
-
-def green_apply(mesh: Mesh, V, f) -> ScalarField:
-    """Green operator with Dirichlet condition: (Delta_g + V) u = f, u|_boundary = 0."""
-    op = operator(mesh, V)
-    u = op.solve_dirichlet(np.zeros(len(mesh.boundary)), source=f)
-    return ScalarField(mesh, u)
 
 
 def partial_cauchy_data(mesh: Mesh, V, f_on_gamma) -> CauchyData:

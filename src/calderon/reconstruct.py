@@ -347,7 +347,9 @@ def boundary_pairing_sweep(
     u1 uses the null exponent alpha = (i, -1) (trace eta e^{ix/h}); u2 the
     conjugate exponent (-i, -1), so u1 u2 has modulus e^{-2y/h} and the
     pairing scales like h^{3/2}.  Both are exact discrete solves with
-    Dirichlet data supported in gamma.
+    Dirichlet data supported in gamma; each operator solves the traces of
+    every h as one block, so a sweep makes two passes over LU factors
+    whatever the length of h_list.
     """
     h_arr = sorted(set(float(x) for x in h_list), reverse=True)
     if min(h_arr) < 2.0 * mesh.resolution:
@@ -364,18 +366,17 @@ def boundary_pairing_sweep(
     op1 = operator(mesh, V1, name="V1")
     op2 = operator(mesh, V2, name="V2")
     on_gamma = ~mesh.boundary_is_gamma0
-    out = []
-    for h in h_arr:
-        S_pair = []
-        for op, sign in ((op1, +1.0), (op2, -1.0)):
-            g = np.zeros(len(mesh.boundary), dtype=complex)
-            g[on_gamma] = _concentrating_trace(mesh, theta_p, h, sign)
-            u = op.solve_dirichlet(g)
-            dn = op.weak_neumann_trace(u)
-            S_pair.append((g, dn))
-        (f1, dn1), (f2, dn2) = S_pair
-        out.append((h, complex(boundary_pairing(mesh, (f1, dn1), (f2, dn2)))))
-    return out
+    traces = []
+    for op, sign in ((op1, +1.0), (op2, -1.0)):
+        g = np.zeros((len(mesh.boundary), len(h_arr)), dtype=complex)
+        for k, h in enumerate(h_arr):
+            g[on_gamma, k] = _concentrating_trace(mesh, theta_p, h, sign)
+        traces.append((g, op.weak_neumann_trace(op.solve_dirichlet(g))))
+    (f1, dn1), (f2, dn2) = traces
+    return [
+        (h, complex(boundary_pairing(mesh, (f1[:, k], dn1[:, k]), (f2[:, k], dn2[:, k]))))
+        for k, h in enumerate(h_arr)
+    ]
 
 
 def fit_boundary_law(pairings) -> tuple:

@@ -7,8 +7,8 @@ from scipy.linalg import null_space
 from functools import cached_property
 
 from calderon import holo
-from calderon.forward import SchrodingerOperator
-from calderon.geometry import TWO_PI, DiskDomain, Mesh, boundary_integral, build_disk_mesh
+from calderon.forward import SchrodingerOperator, operator
+from calderon.geometry import TWO_PI, DiskDomain, Mesh, ScalarField, boundary_integral, build_disk_mesh
 from calderon.scenarios import load_scenario
 
 P_STAR = 0.2 + 0.1j
@@ -50,6 +50,33 @@ def dense_cauchy_transform(f_values, mesh, eval_points=None):
     window = 0.5 * (1.0 + np.cos(np.pi * np.clip(absd / sub_radius, 0.0, 1.0)))
     out = kern @ f[support] - f_at_eval * np.sum(kern * window, axis=1)
     return out / np.pi
+
+
+def solve_schrodinger_dirichlet(mesh, V, f_boundary):
+    """Solution of (Delta_g + V) u = 0 with full Dirichlet data f_boundary."""
+    op = operator(mesh, V)
+    u = op.solve_dirichlet(np.asarray(f_boundary))
+    return ScalarField(mesh, u)
+
+
+def green_apply(mesh, V, f):
+    """Green operator with Dirichlet condition: (Delta_g + V) u = f, u|_boundary = 0."""
+    op = operator(mesh, V)
+    u = op.solve_dirichlet(np.zeros(len(mesh.boundary)), source=f)
+    return ScalarField(mesh, u)
+
+
+class CountingLU:
+    """A sparse LU factorization that records the number of right-hand-side
+    columns of each solve (one entry per pass over the factors)."""
+
+    def __init__(self, lu):
+        self.lu = lu
+        self.columns = []
+
+    def solve(self, rhs):
+        self.columns.append(1 if rhs.ndim == 1 else rhs.shape[1])
+        return self.lu.solve(rhs)
 
 
 def splu_normal_solve(S, rhs, h):

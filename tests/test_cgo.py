@@ -167,6 +167,26 @@ def test_scaling_report_builds_far_field_kernel_once(quarter_prep, quarter_mesh_
     assert builds == one_h
 
 
+def test_scaling_report_far_field_blocks_fit_the_cache(ref_prep, ref_mesh, ref_scenario, quarter_domain, monkeypatch):
+    """Every far-field kernel block of a residual_scaling_report sweep on the
+    reference mesh holds at most 2^16 complex entries (1 MiB)."""
+    entries = []
+    kernel = holo._far_field_kernel
+
+    def sized_kernel(z, xs):
+        entries.append(len(z) * len(xs))
+        return kernel(z, xs)
+
+    monkeypatch.setattr(holo, "_far_field_kernel", sized_kernel)
+    rep = _cgo.residual_scaling_report(
+        ref_mesh, quarter_domain, ref_scenario.V1,
+        ref_prep["phase"], ref_prep["amplitude"], [0.2, 0.14, 0.1, 0.07],
+    )
+    assert len(rep["h_list"]) == 4
+    assert sum(entries) > 2**16
+    assert max(entries) <= 2**16
+
+
 def test_h1_norm_of_paraboloid():
     """u = 1 - |z|^2 on the unit disk: ||u||^2 = pi/3, ||grad u||^2 = 2 pi."""
     mesh = build_disk_mesh(0.05, DiskDomain())

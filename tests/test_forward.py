@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,14 +14,12 @@ from calderon.forward import (
     DirichletEigenvalueError,
     SchrodingerOperator,
     boundary_pairing,
-    green_apply,
     operator,
     partial_cauchy_data,
-    solve_schrodinger_dirichlet,
 )
 from calderon.geometry import DiskDomain, as_values, build_disk_mesh, interior_integral
 
-from conftest import gaussian_bump
+from conftest import CountingLU, gaussian_bump, green_apply, solve_schrodinger_dirichlet
 
 
 def _l2(mesh, values):
@@ -217,6 +218,112 @@ def test_condition_estimate_recorded(mesh_mid):
     op = SchrodingerOperator(mesh_mid, gaussian_bump)
     assert np.isfinite(op.condition_estimate)
     assert op.condition_estimate >= 1.0
+
+
+def test_condition_estimate_in_two_column_passes(mesh_mid, monkeypatch):
+    """onenormest's t = 2 blocks each take one LU pass, and the estimate
+    matches the one-column-per-solve estimate on the same random draws."""
+    splu = spla.splu
+    factorizations = []
+
+    def counting_splu(*args, **kwargs):
+        factorizations.append(CountingLU(splu(*args, **kwargs)))
+        return factorizations[-1]
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    np.random.seed(3)
+    op = SchrodingerOperator(mesh_mid, gaussian_bump)
+    (lu,) = factorizations
+    assert lu.columns and set(lu.columns) == {2}
+    ii = op.int_idx
+    A_ii = op.A[np.ix_(ii, ii)]
+    one_column = spla.LinearOperator(A_ii.shape, matvec=lu.lu.solve, rmatvec=lu.lu.solve)
+    np.random.seed(3)
+    want = spla.onenormest(one_column) * spla.norm(A_ii, 1)
+    assert abs(op.condition_estimate - want) <= 1e-12 * want
+
+
+def test_block_solve_matches_column_solves(quarter_mesh_mid):
+    """A block of complex data, with and without a source, solves to the
+    column-by-column solutions (one real LU solve per real and imaginary
+    part) within 1e-14 of their size; so does each column on its own."""
+    mesh = quarter_mesh_mid
+    op = SchrodingerOperator(mesh, gaussian_bump)
+    ii = op.int_idx
+    theta = mesh.boundary_theta()
+    G = np.stack([np.exp(1j * k * theta) * (1.0 + 0.1 * k) for k in range(1, 6)], axis=1)
+    F = np.stack([np.cos(k * mesh.vertices.real) + 1j * k for k in range(1, 6)], axis=1)
+    for source in (None, F):
+        U = op.solve_dirichlet(G, source=source)
+        assert U.shape == (mesh.n_vertices, G.shape[1])
+        for k in range(G.shape[1]):
+            f = None if source is None else F[:, k]
+            rhs = -op.A_ib @ G[:, k] + (0.0 if f is None else (mesh.mass * f)[ii])
+            want = np.zeros(mesh.n_vertices, dtype=complex)
+            want[ii] = op.lu.solve(rhs.real) + 1j * op.lu.solve(rhs.imag)
+            want[mesh.boundary] = G[:, k]
+            for u in (U[:, k], op.solve_dirichlet(G[:, k], source=f)):
+                assert np.max(np.abs(u - want)) <= 1e-14 * np.max(np.abs(want))
+    real = op.solve_dirichlet(G.real)
+    assert real.dtype == float
+    want = op.solve_dirichlet(G[:, 2].real)
+    assert np.max(np.abs(real[:, 2] - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_block_flux_has_the_bits_of_the_full_product(quarter_mesh_mid):
+    """The block flux applies only the boundary rows of A, with the bits of
+    (A @ u)[boundary] / w column by column, with and without a source."""
+    mesh = quarter_mesh_mid
+    op = SchrodingerOperator(mesh, gaussian_bump)
+    theta = mesh.boundary_theta()
+    G = np.stack([np.exp(1j * k * theta) for k in range(1, 5)], axis=1)
+    F = np.stack([np.sin(k * mesh.vertices.imag) - 0.5j for k in range(1, 5)], axis=1)
+    U = op.solve_dirichlet(G, source=F)
+    bnd, w = mesh.boundary, mesh.boundary_weights
+    for source in (None, F):
+        dn = op.weak_neumann_trace(U, source=source)
+        assert dn.shape == (len(bnd), G.shape[1])
+        for k in range(G.shape[1]):
+            r = op.A @ U[:, k]
+            if source is not None:
+                r = r - mesh.mass * F[:, k]
+            assert np.array_equal(dn[:, k], r[bnd] / w)
+            one = op.weak_neumann_trace(U[:, k], source=None if source is None else F[:, k])
+            assert np.array_equal(one, r[bnd] / w)
+
+
+def test_source_must_match_the_data_block(quarter_mesh_mid):
+    mesh = quarter_mesh_mid
+    op = operator(mesh, 0.0)
+    n, nb = mesh.n_vertices, len(mesh.boundary)
+    G = np.ones((nb, 3))
+    for source in (1.0, np.ones(n), np.ones((n, 2)), np.ones((n, 3, 1)), lambda z: z.real):
+        with pytest.raises(ValueError):
+            op.solve_dirichlet(G, source=source)
+        with pytest.raises(ValueError):
+            op.weak_neumann_trace(np.ones((n, 3)), source=source)
+    with pytest.raises(ValueError):
+        op.solve_dirichlet(np.ones(nb), source=np.ones((n, 3)))
+    with pytest.raises(ValueError):
+        op.solve_dirichlet(np.ones((nb, 3, 1)))
+
+
+def test_dropped_mesh_frees_its_operators_without_the_cycle_collector():
+    """The operator keeps only a weak reference to its mesh, so a mesh with
+    a factorized operator is freed as soon as its last reference goes."""
+    gc.disable()
+    try:
+        mesh = build_disk_mesh(0.1, DiskDomain())
+        op = operator(mesh, 0.0)
+        assert op.mesh is mesh
+        op.solve_dirichlet(np.ones(len(mesh.boundary)), source=1.0)
+        ref = weakref.ref(mesh)
+        del mesh
+        assert ref() is None
+        with pytest.raises(ReferenceError):
+            op.mesh
+    finally:
+        gc.enable()
 
 
 def test_cauchy_data_csv_roundtrip(tmp_path, quarter_mesh_mid):

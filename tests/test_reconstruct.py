@@ -3,10 +3,11 @@ import pytest
 
 from calderon import cgo as _cgo
 from calderon import reconstruct as _rc
+from calderon.forward import boundary_pairing, operator
 from calderon.geometry import as_values
 from calderon.holo import HoloFunction, build_amplitude, build_morse_phase
 
-from conftest import P_STAR, gaussian_bump
+from conftest import P_STAR, CountingLU, gaussian_bump
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +285,29 @@ def test_boundary_noise_floor(ref_mesh, ref_scenario, boundary_cal):
     )
     assert est["below_noise_floor"]
     assert est["D"] == 0.0
+
+
+@pytest.mark.parametrize("h_list", [[0.2], [0.2, 0.14, 0.1], [0.3, 0.2, 0.16, 0.14, 0.12, 0.1, 0.09]])
+def test_boundary_sweep_solves_one_block_per_operator(quarter_mesh_mid, quarter_domain, h_list, monkeypatch):
+    """A sweep makes 2 LU passes (one block per operator) for any number of
+    h, and each pairing matches the one-datum solves of its own h."""
+    mesh, V1 = quarter_mesh_mid, wide_bump(np.pi)
+    ops = [operator(mesh, V1), operator(mesh, 0.0)]
+    lus = [CountingLU(op.lu) for op in ops]
+    for op, lu in zip(ops, lus):
+        monkeypatch.setattr(op, "lu", lu)
+    pairs = _rc.boundary_pairing_sweep(mesh, quarter_domain, V1, 0.0, np.pi, h_list)
+    assert [len(lu.columns) for lu in lus] == [1, 1]
+    assert [h for h, _ in pairs] == sorted(h_list, reverse=True)
+    on_gamma = ~mesh.boundary_is_gamma0
+    for h, S in pairs:
+        traces = []
+        for op, sign in zip(ops, (+1.0, -1.0)):
+            g = np.zeros(len(mesh.boundary), dtype=complex)
+            g[on_gamma] = _rc._concentrating_trace(mesh, np.pi, h, sign)
+            traces.append((g, op.weak_neumann_trace(op.solve_dirichlet(g))))
+        want = boundary_pairing(mesh, *traces)
+        assert abs(S - want) <= 1e-12 * abs(want)
 
 
 def test_boundary_sweep_rejects_unresolved_h(ref_mesh, ref_scenario):

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -13,6 +14,7 @@ from calderon.forward import SchrodingerOperator
 from calderon.geometry import ConfigurationError
 from calderon.holo import build_morse_phase
 from calderon.scenarios import (
+    SCHEMA,
     load_scenario,
     make_potential,
     make_rho,
@@ -179,6 +181,24 @@ def test_emit_report_empty_results(tmp_path):
     assert summary["checks"] == []
     assert summary["command"] == "empty"
     assert len(files) == 2
+
+
+def test_schemas_pass_the_metaschema():
+    jsonschema.Draft202012Validator.check_schema(SCHEMA)
+    jsonschema.Draft202012Validator.check_schema(_cli.SUMMARY_SCHEMA)
+
+
+def test_emit_report_does_not_recheck_the_schema(tmp_path, monkeypatch):
+    """emit_report validates with a prebuilt validator: no metaschema check
+    per call, and an invalid summary still raises."""
+    checks = []
+    monkeypatch.setattr(
+        jsonschema.Draft202012Validator, "check_schema", classmethod(lambda cls, schema: checks.append(schema))
+    )
+    _cli.emit_report({"checks": [_cli._check("x", True, 1.0)]}, str(tmp_path), "once")
+    assert checks == []
+    with pytest.raises(jsonschema.ValidationError):
+        _cli.emit_report({"checks": [{"name": "x"}]}, str(tmp_path), "bad")
 
 
 def test_run_scenario_forward(tmp_path, capsys):
