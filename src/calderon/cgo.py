@@ -180,21 +180,6 @@ def green_dz(mesh: Mesh, source: np.ndarray) -> np.ndarray:
     return theta
 
 
-def decay_slope(b: np.ndarray, mesh: Mesh, p: complex) -> float:
-    """Fitted log-log slope of max |b| on rings around p, radii in
-    [2, 8] * resolution; linear vanishing gives slope ~1."""
-    r = np.abs(mesh.vertices - complex(p))
-    radii = np.linspace(2.0, 8.0, 7) * mesh.resolution
-    vals = []
-    for rad in radii:
-        ring = (r >= rad - 0.6 * mesh.resolution) & (r <= rad + 0.6 * mesh.resolution)
-        vals.append(np.max(np.abs(b[ring])))
-    vals = np.asarray(vals)
-    if np.max(vals) == 0:
-        return np.nan
-    return float(np.polyfit(np.log(radii), np.log(np.maximum(vals, 1e-300)), 1)[0])
-
-
 def build_r11(
     mesh: Mesh,
     phase: HoloFunction,

@@ -101,6 +101,8 @@ class CauchyData:
 # The pivot threshold keeps its default: partial pivoting stays on, so an
 # indefinite Delta_g + V is still safe.
 SYMMETRIC_LU = {"permc_spec": "MMD_AT_PLUS_A", "options": {"SymmetricMode": True}}
+# seed of the random start columns of the condition estimate
+CONDITION_SEED = 0
 
 
 class SchrodingerOperator:
@@ -159,7 +161,15 @@ class SchrodingerOperator:
         op = spla.LinearOperator(
             (n, n), matvec=solve, rmatvec=solve, matmat=solve, rmatmat=solve, dtype=float
         )
-        inv_norm = spla.onenormest(op)
+        # onenormest draws its random start columns from numpy's global RNG:
+        # seed it privately, so the estimate depends on the operator alone,
+        # and hand the caller's stream back untouched
+        caller_state = np.random.get_state()
+        np.random.seed(CONDITION_SEED)
+        try:
+            inv_norm = spla.onenormest(op)
+        finally:
+            np.random.set_state(caller_state)
         cond = inv_norm * spla.norm(A_ii, 1)
         self.condition_estimate = float(cond)
         if not np.isfinite(cond) or cond > limit:

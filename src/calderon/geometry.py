@@ -198,33 +198,34 @@ def as_values(f, mesh: Mesh) -> np.ndarray:
     return arr
 
 
-def _merge_rings(inner_idx, inner_theta, outer_idx, outer_theta):
+def _merge_rings(inner_idx, inner_theta, outer_idx, outer_theta) -> np.ndarray:
     """Triangulate the annulus strip between two vertex rings.
 
-    Walks both angle sequences simultaneously, always advancing the ring
-    whose next vertex comes first.
+    Each step advances the ring whose next vertex comes first, the outer
+    one on a tie.  Both next-angle sequences are sorted, so the steps are a
+    merge of the two: an outer step follows the inner steps whose next angle
+    lies strictly below its own (searchsorted left), an inner step follows
+    the outer steps whose next angle is at or below its own (searchsorted
+    right).  Returns the (len(inner) + len(outer), 3) triangles in step
+    order.
     """
     m, M = len(inner_idx), len(outer_idx)
-    # start the outer pointer at the angle closest to inner_theta[0]
+    # start the outer ring at the angle closest to inner_theta[0]
     j0 = int(np.argmin(np.abs(_wrap_angle(outer_theta - inner_theta[0] + np.pi) - np.pi)))
-    tris = []
-    i = 0
-    j = 0
     ti = inner_theta - inner_theta[0]
     tj = _wrap_angle(outer_theta[(j0 + np.arange(M)) % M] - inner_theta[0])
     if tj[0] > np.pi:  # nearest outer vertex sits just behind the start angle
         tj[0] -= TWO_PI
-    ii = lambda k: inner_idx[k % m]
-    jj = lambda k: outer_idx[(j0 + k) % M]
-    next_i = lambda k: ti[k + 1] if k + 1 < m else TWO_PI + ti[0]
-    next_j = lambda k: tj[k + 1] if k + 1 < M else TWO_PI + tj[0]
-    while i < m or j < M:
-        if j < M and (i >= m or next_j(j) <= next_i(i)):
-            tris.append((ii(i), jj(j), jj(j + 1)))
-            j += 1
-        else:
-            tris.append((ii(i), jj(j), ii(i + 1)))
-            i += 1
+    next_i = np.append(ti[1:], TWO_PI + ti[0])
+    next_j = np.append(tj[1:], TWO_PI + tj[0])
+    inner = inner_idx[np.arange(m + 1) % m]
+    outer = outer_idx[(j0 + np.arange(M + 1)) % M]
+    i, j = np.arange(m), np.arange(M)
+    i_at_j = np.searchsorted(next_i, next_j, side="left")
+    j_at_i = np.searchsorted(next_j, next_i, side="right")
+    tris = np.empty((m + M, 3), dtype=int)
+    tris[j + i_at_j] = np.column_stack([inner[i_at_j], outer[j], outer[j + 1]])
+    tris[i + j_at_i] = np.column_stack([inner[i], outer[j_at_i], inner[i + 1]])
     return tris
 
 
@@ -232,8 +233,11 @@ def build_disk_mesh(resolution: float, domain: DiskDomain) -> Mesh:
     """Concentric-ring triangulation with target edge length `resolution`.
 
     Ring k (of n) sits at radius k/n and carries 6k vertices, giving
-    near-uniform edge lengths ~1/n.  Arc endpoints of gamma0 are snapped
-    onto boundary vertices so arc membership is exact.
+    near-uniform edge lengths ~1/n; the centre is vertex 0 and ring k holds
+    the vertices 1 + 3k(k-1) .. 3k(k+1) in increasing angle.  Ring 1 is a
+    fan around the centre and each pair of neighbouring rings is one
+    _merge_rings strip.  Arc endpoints of gamma0 are snapped onto boundary
+    vertices so arc membership is exact.
     """
     if resolution <= 0:
         raise ConfigurationError("resolution must be positive")
@@ -256,25 +260,20 @@ def build_disk_mesh(resolution: float, domain: DiskDomain) -> Mesh:
         order = np.argsort(btheta)
         ring_angles[-1] = btheta[order]
 
-    verts = [0.0 + 0.0j]
-    ring_index = []
-    for k, angles in enumerate(ring_angles, start=1):
-        idx = np.arange(len(verts), len(verts) + len(angles))
-        ring_index.append(idx)
-        verts.extend((k / n) * np.exp(1j * angles))
-    verts = np.asarray(verts, dtype=complex)
+    rings = np.arange(1, n + 1)
+    ring_index = [np.arange(1 + 3 * k * (k - 1), 1 + 3 * k * (k + 1)) for k in rings]
+    radii = np.repeat(rings / n, 6 * rings)
+    verts = np.concatenate([[0.0 + 0.0j], radii * np.exp(1j * np.concatenate(ring_angles))])
     # force boundary exactly onto the unit circle
     verts[ring_index[-1]] = np.exp(1j * ring_angles[-1])
 
-    cells = []
     first = ring_index[0]
-    for s in range(len(first)):
-        cells.append((0, first[s], first[(s + 1) % len(first)]))
-    for k in range(len(ring_index) - 1):
-        cells.extend(
-            _merge_rings(ring_index[k], ring_angles[k], ring_index[k + 1], ring_angles[k + 1])
-        )
-    cells = np.asarray(cells, dtype=int)
+    fan = np.column_stack([np.zeros(6, dtype=int), first, np.roll(first, -1)])
+    strips = [
+        _merge_rings(ring_index[q], ring_angles[q], ring_index[q + 1], ring_angles[q + 1])
+        for q in range(n - 1)
+    ]
+    cells = np.concatenate([fan] + strips)
     # enforce positive orientation
     e1 = verts[cells[:, 1]] - verts[cells[:, 0]]
     e2 = verts[cells[:, 2]] - verts[cells[:, 0]]
@@ -295,20 +294,6 @@ def build_disk_mesh(resolution: float, domain: DiskDomain) -> Mesh:
         boundary_is_gamma0=is_g0,
         resolution=1.0 / n,
     )
-
-
-def interior_integral(f, mesh: Optional[Mesh] = None) -> complex:
-    """Integral over the disk with the metric area measure e^{2*rho} dx dy.
-
-    Midpoint (vertex-average) rule per triangle; O(resolution^2) for smooth
-    integrands.
-    """
-    if mesh is None:
-        mesh = f.mesh
-    vals = as_values(f, mesh) * np.exp(2.0 * mesh.rho_v)
-    cell_avg = vals[mesh.cells].mean(axis=1)
-    total = np.sum(mesh.cell_areas * cell_avg)
-    return complex(total) if np.iscomplexobj(vals) else float(total.real)
 
 
 def boundary_integral(trace, mesh: Mesh, arc: str = "full"):
@@ -375,31 +360,3 @@ def dzbar_field(values: np.ndarray, mesh: Mesh) -> np.ndarray:
         gi = vertex_gradient(np.imag(values), mesh)
         out = out + 0.5j * (gi.real + 1j * gi.imag)
     return out
-
-
-def normal_derivative_trace(u, mesh: Mesh) -> np.ndarray:
-    """Exterior metric normal derivative on the boundary by one-sided differencing.
-
-    Samples u along the inward radial ray with linear interpolation on the
-    mesh and applies a second-order one-sided stencil; the metric normal is
-    e^{-rho} times the radial derivative.
-    """
-    from scipy.interpolate import LinearNDInterpolator
-
-    vals = as_values(u, mesh)
-    pts = np.column_stack([mesh.vertices.real, mesh.vertices.imag])
-    zb = mesh.vertices[mesh.boundary]
-    delta = 1.5 * mesh.resolution
-    out_dtype = complex if np.iscomplexobj(vals) else float
-    parts = [np.real(vals)] if out_dtype is float else [np.real(vals), np.imag(vals)]
-    acc = []
-    for comp in parts:
-        interp = LinearNDInterpolator(pts, comp)
-        u0 = comp[mesh.boundary]
-        z1 = zb * (1.0 - delta)
-        z2 = zb * (1.0 - 2.0 * delta)
-        u1 = interp(np.column_stack([z1.real, z1.imag]))
-        u2 = interp(np.column_stack([z2.real, z2.imag]))
-        acc.append((3.0 * u0 - 4.0 * u1 + u2) / (2.0 * delta))
-    result = acc[0] if out_dtype is float else acc[0] + 1j * acc[1]
-    return result * np.exp(-mesh.rho_v[mesh.boundary])

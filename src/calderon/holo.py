@@ -94,10 +94,11 @@ def cauchy_transform(f_values, mesh: Mesh, eval_points=None, eval_index=None) ->
     The sum is split in two.  The far field is dense: the point-mass kernel
     1/conj(z - xi) against areas * f over the support of f, with exact
     self-pairs zeroed.  The near field runs only over the (evaluation,
-    source) pairs closer than the subtraction radius of 4 mesh resolutions,
-    taken from a k-d tree pair list: it swaps in the disk-averaged kernel
-    inside each source's equal-area disk and applies the subtraction window,
-    whose sources are the support of f dilated by that radius.
+    source) pairs within the subtraction radius of 4 mesh resolutions, found
+    on a grid of cells of that size (_pairs_within): it swaps in the
+    disk-averaged kernel inside each source's equal-area disk and applies
+    the subtraction window, whose sources are the support of f dilated by
+    that radius.
 
     R f is evaluated at the mesh vertices eval_index (all vertices when both
     eval_index and eval_points are None), where f is read directly, or at
@@ -122,6 +123,46 @@ def _far_field_kernel(z: np.ndarray, xs: np.ndarray) -> np.ndarray:
     np.divide(1.0, d_sq, out=d_sq, where=d_sq != 0)
     d *= d_sq
     return d
+
+
+def _pairs_within(a: np.ndarray, b: np.ndarray, r: float) -> tuple:
+    """Index pairs (i, j) with |a_i - b_j| <= r of two complex point sets,
+    sorted by (i, j).
+
+    The points are binned on a grid of square cells a hair wider than r, so
+    a point within r of a_i lies in a_i's cell or one of the 8 around it,
+    whatever the rounding of the cell indices.  Each of the 9 cell offsets
+    keeps only its candidates within r before they are joined.  The test is
+    the inclusive dx^2 + dy^2 <= r^2: points exactly r apart pair up.
+    """
+    side = r * (1.0 + 1e-9)
+    x0, y0 = min(a.real.min(), b.real.min()), min(a.imag.min(), b.imag.min())
+    ax, ay = ((a.real - x0) // side).astype(np.int64), ((a.imag - y0) // side).astype(np.int64)
+    bx, by = ((b.real - x0) // side).astype(np.int64), ((b.imag - y0) // side).astype(np.int64)
+    # cell (x, y) -> (x + 1) * rows + y + 1, so every neighbour of a cell has a key
+    rows = int(max(ay.max(), by.max())) + 3
+    key_a = (ax + 1) * rows + ay + 1
+    key_b = (bx + 1) * rows + by + 1
+    order = np.argsort(key_b, kind="stable")
+    sorted_keys = key_b[order]
+    r_sq = r * r
+    found_i, found_j = [], []
+    for dx in (-1, 0, 1):
+        for dy in (-1, 0, 1):
+            cell = key_a + dx * rows + dy
+            lo = np.searchsorted(sorted_keys, cell, side="left")
+            counts = np.searchsorted(sorted_keys, cell, side="right") - lo
+            i = np.repeat(np.arange(len(a)), counts)
+            # position k of each candidate within its cell's run of sorted_keys
+            k = np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts, counts)
+            j = order[np.repeat(lo, counts) + k]
+            d = a[i] - b[j]
+            keep = d.real**2 + d.imag**2 <= r_sq
+            found_i.append(i[keep])
+            found_j.append(j[keep])
+    i, j = np.concatenate(found_i), np.concatenate(found_j)
+    pair_order = np.argsort(i * len(b) + j)
+    return i[pair_order], j[pair_order]
 
 
 def _cauchy_transform_columns(F: np.ndarray, mesh: Mesh, eval_points=None, eval_index=None) -> tuple:
@@ -152,12 +193,10 @@ def _cauchy_transform_columns(F: np.ndarray, mesh: Mesh, eval_points=None, eval_
     if not np.any(support) or len(z) == 0:
         return out, shape
     sub_radius = 4.0 * mesh.resolution
-    from scipy.spatial import cKDTree
-
-    pts = np.column_stack([mesh.vertices.real, mesh.vertices.imag])
     if eval_points is not None:
         from scipy.interpolate import LinearNDInterpolator
 
+        pts = np.column_stack([mesh.vertices.real, mesh.vertices.imag])
         zp = np.column_stack([z.real, z.imag])
         F_at_eval = np.empty((len(F), len(z)), dtype=complex)
         for k, f in enumerate(F):
@@ -175,16 +214,13 @@ def _cauchy_transform_columns(F: np.ndarray, mesh: Mesh, eval_points=None, eval_
             out_k[s : s + block] = kernel @ w
     # near field: zero-valued sources still carry quadrature weight in the
     # local defect sum, so its sources are the support dilated by sub_radius
-    dist, _ = cKDTree(pts[support]).query(pts)
-    local = dist <= sub_radius + 1e-12
+    local = np.zeros(mesh.n_vertices, dtype=bool)
+    local[_pairs_within(mesh.vertices, mesh.vertices[support], sub_radius + 1e-12)[0]] = True
     src = mesh.vertices[local]
     areas = mesh.vertex_areas[local]
     radii = np.sqrt(areas / np.pi)
     # the equal-area disks (radius about resolution / 2) lie well inside it
-    pairs = cKDTree(np.column_stack([z.real, z.imag])).sparse_distance_matrix(
-        cKDTree(pts[local]), sub_radius, output_type="ndarray"
-    )
-    i, j = pairs["i"], pairs["j"]
+    i, j = _pairs_within(z, src, sub_radius)
     d = z[i] - src[j]
     absd = np.abs(d)
     near = absd < radii[j]

@@ -85,13 +85,6 @@ def stationary_phase_constant(phase: HoloFunction, amplitude: HoloFunction, p, r
     )
 
 
-def oscillatory_integral(g, phase: HoloFunction, h: float, mesh: Mesh) -> complex:
-    """Quadrature of the oscillatory integral of e^{2 i psi/h} g dv_g."""
-    z = mesh.vertices
-    vals = as_values(g, mesh) * np.exp(2j * np.imag(phase(z)) / h)
-    return complex(np.sum(mesh.mass * vals))
-
-
 def fit_pairing_model(h_list, S_values, psi_p: float) -> dict:
     """Least squares of S(h) ~ A + B h + C h cos(2 psi_p / h).
 

@@ -253,10 +253,3 @@ def load_scenario(source) -> Scenario:
         V1=make_potential(config["v1"]),
         V2=make_potential(config["v2"]),
     )
-
-
-def reference_config(**overrides) -> dict:
-    """The reference scenario (all schema defaults) with optional overrides."""
-    cfg = {"name": "reference", "seed": 0}
-    cfg.update(overrides)
-    return validate_config(cfg)

@@ -5,11 +5,22 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import null_space
 
 from functools import cached_property
+from typing import Optional
 
 from calderon import holo
 from calderon.forward import SchrodingerOperator, operator
-from calderon.geometry import TWO_PI, DiskDomain, Mesh, ScalarField, boundary_integral, build_disk_mesh
-from calderon.scenarios import load_scenario
+from calderon.geometry import (
+    TWO_PI,
+    ConfigurationError,
+    DiskDomain,
+    Mesh,
+    ScalarField,
+    as_values,
+    boundary_integral,
+    build_disk_mesh,
+)
+from calderon.holo import HoloFunction
+from calderon.scenarios import load_scenario, validate_config
 
 P_STAR = 0.2 + 0.1j
 BUMP_WIDTH = 0.25
@@ -21,14 +32,12 @@ def dense_cauchy_transform(f_values, mesh, eval_points=None):
     disk, smooth-window singularity subtraction) that
     calderon.holo.cauchy_transform splits into a far and a near field."""
     from scipy.interpolate import LinearNDInterpolator
-    from scipy.spatial import cKDTree
 
     f = np.asarray(f_values, dtype=complex)
     support = np.abs(f) > 0
     sub_radius = 4.0 * mesh.resolution
     pts = np.column_stack([mesh.vertices.real, mesh.vertices.imag])
-    dist, _ = cKDTree(pts[support]).query(pts)
-    support = dist <= sub_radius + 1e-12
+    support = kdtree_dilation(mesh.vertices, mesh.vertices[support], sub_radius + 1e-12)
     if eval_points is None:
         z, f_at_eval = mesh.vertices, f
     else:
@@ -66,6 +75,77 @@ def green_apply(mesh, V, f):
     return ScalarField(mesh, u)
 
 
+def interior_integral(f, mesh: Optional[Mesh] = None) -> complex:
+    """Integral over the disk with the metric area measure e^{2*rho} dx dy.
+
+    Midpoint (vertex-average) rule per triangle; O(resolution^2) for smooth
+    integrands.
+    """
+    if mesh is None:
+        mesh = f.mesh
+    vals = as_values(f, mesh) * np.exp(2.0 * mesh.rho_v)
+    cell_avg = vals[mesh.cells].mean(axis=1)
+    total = np.sum(mesh.cell_areas * cell_avg)
+    return complex(total) if np.iscomplexobj(vals) else float(total.real)
+
+
+def normal_derivative_trace(u, mesh: Mesh) -> np.ndarray:
+    """Exterior metric normal derivative on the boundary by one-sided differencing.
+
+    Samples u along the inward radial ray with linear interpolation on the
+    mesh and applies a second-order one-sided stencil; the metric normal is
+    e^{-rho} times the radial derivative.
+    """
+    from scipy.interpolate import LinearNDInterpolator
+
+    vals = as_values(u, mesh)
+    pts = np.column_stack([mesh.vertices.real, mesh.vertices.imag])
+    zb = mesh.vertices[mesh.boundary]
+    delta = 1.5 * mesh.resolution
+    out_dtype = complex if np.iscomplexobj(vals) else float
+    parts = [np.real(vals)] if out_dtype is float else [np.real(vals), np.imag(vals)]
+    acc = []
+    for comp in parts:
+        interp = LinearNDInterpolator(pts, comp)
+        u0 = comp[mesh.boundary]
+        z1 = zb * (1.0 - delta)
+        z2 = zb * (1.0 - 2.0 * delta)
+        u1 = interp(np.column_stack([z1.real, z1.imag]))
+        u2 = interp(np.column_stack([z2.real, z2.imag]))
+        acc.append((3.0 * u0 - 4.0 * u1 + u2) / (2.0 * delta))
+    result = acc[0] if out_dtype is float else acc[0] + 1j * acc[1]
+    return result * np.exp(-mesh.rho_v[mesh.boundary])
+
+
+def decay_slope(b: np.ndarray, mesh: Mesh, p: complex) -> float:
+    """Fitted log-log slope of max |b| on rings around p, radii in
+    [2, 8] * resolution; linear vanishing gives slope ~1."""
+    r = np.abs(mesh.vertices - complex(p))
+    radii = np.linspace(2.0, 8.0, 7) * mesh.resolution
+    vals = []
+    for rad in radii:
+        ring = (r >= rad - 0.6 * mesh.resolution) & (r <= rad + 0.6 * mesh.resolution)
+        vals.append(np.max(np.abs(b[ring])))
+    vals = np.asarray(vals)
+    if np.max(vals) == 0:
+        return np.nan
+    return float(np.polyfit(np.log(radii), np.log(np.maximum(vals, 1e-300)), 1)[0])
+
+
+def oscillatory_integral(g, phase: HoloFunction, h: float, mesh: Mesh) -> complex:
+    """Quadrature of the oscillatory integral of e^{2 i psi/h} g dv_g."""
+    z = mesh.vertices
+    vals = as_values(g, mesh) * np.exp(2j * np.imag(phase(z)) / h)
+    return complex(np.sum(mesh.mass * vals))
+
+
+def reference_config(**overrides) -> dict:
+    """The reference scenario (all schema defaults) with optional overrides."""
+    cfg = {"name": "reference", "seed": 0}
+    cfg.update(overrides)
+    return validate_config(cfg)
+
+
 class CountingLU:
     """A sparse LU factorization that records the number of right-hand-side
     columns of each solve (one entry per pass over the factors)."""
@@ -86,13 +166,35 @@ def splu_normal_solve(S, rhs, h):
     return spla.splu(sp.csc_matrix(S)).solve(rhs)
 
 
-def single_field_cauchy_transform(f_values, mesh, eval_points=None, eval_index=None):
+def kdtree_pairs(a, b, r):
+    """Reference near-field pair list: index pairs (i, j) with
+    |a_i - b_j| <= r from scipy's k-d tree, in the tree's order."""
+    from scipy.spatial import cKDTree
+
+    pairs = cKDTree(np.column_stack([a.real, a.imag])).sparse_distance_matrix(
+        cKDTree(np.column_stack([b.real, b.imag])), r, output_type="ndarray"
+    )
+    return pairs["i"], pairs["j"]
+
+
+def kdtree_dilation(points, support, r):
+    """Reference support dilation: which points lie within r of a point of
+    support, by k-d tree nearest-neighbour distance."""
+    from scipy.spatial import cKDTree
+
+    dist, _ = cKDTree(np.column_stack([support.real, support.imag])).query(
+        np.column_stack([points.real, points.imag])
+    )
+    return dist <= r
+
+
+def single_field_cauchy_transform(f_values, mesh, eval_points=None, eval_index=None, kdtree=False):
     """Reference solid Cauchy transform of one field: the far-field row
     blocks, near-field pair list and disk-averaged kernel built for this
     field alone, as calderon.holo.cauchy_transform did before a sweep's
-    fields shared them (same quadrature and operation order)."""
-    from scipy.spatial import cKDTree
-
+    fields shared them (same quadrature and operation order).  With kdtree
+    the near-field sources and pairs come from scipy's k-d tree, in its pair
+    order, as they did before calderon.holo found them on a cell grid."""
     f = np.asarray(f_values, dtype=complex)
     if eval_points is None:
         idx = np.arange(mesh.n_vertices) if eval_index is None else np.asarray(eval_index, dtype=int)
@@ -107,10 +209,10 @@ def single_field_cauchy_transform(f_values, mesh, eval_points=None, eval_index=N
     if not np.any(support) or len(z) == 0:
         return out.reshape(shape)
     sub_radius = 4.0 * mesh.resolution
-    pts = np.column_stack([mesh.vertices.real, mesh.vertices.imag])
     if eval_points is not None:
         from scipy.interpolate import LinearNDInterpolator
 
+        pts = np.column_stack([mesh.vertices.real, mesh.vertices.imag])
         zp = np.column_stack([z.real, z.imag])
         interp_re = LinearNDInterpolator(pts, f.real, fill_value=0.0)
         interp_im = LinearNDInterpolator(pts, f.imag, fill_value=0.0)
@@ -124,16 +226,16 @@ def single_field_cauchy_transform(f_values, mesh, eval_points=None, eval_index=N
         np.divide(1.0, d_sq, out=d_sq, where=d_sq != 0)
         d *= d_sq
         out[s : s + block] = d @ weights
-    dist, _ = cKDTree(pts[support]).query(pts)
-    local = dist <= sub_radius + 1e-12
+    if kdtree:
+        local = kdtree_dilation(mesh.vertices, xs, sub_radius + 1e-12)
+    else:
+        local = np.zeros(mesh.n_vertices, dtype=bool)
+        local[holo._pairs_within(mesh.vertices, xs, sub_radius + 1e-12)[0]] = True
     src = mesh.vertices[local]
     fs = f[local]
     areas = mesh.vertex_areas[local]
     radii = np.sqrt(areas / np.pi)
-    pairs = cKDTree(np.column_stack([z.real, z.imag])).sparse_distance_matrix(
-        cKDTree(pts[local]), sub_radius, output_type="ndarray"
-    )
-    i, j = pairs["i"], pairs["j"]
+    i, j = (kdtree_pairs if kdtree else holo._pairs_within)(z, src, sub_radius)
     d = z[i] - src[j]
     absd = np.abs(d)
     near = absd < radii[j]
@@ -360,6 +462,70 @@ def subdivision_critical_points(phi, seed=0):
         )
     points.sort(key=lambda q: (q.location.real, q.location.imag))
     return holo.CriticalPointReport(points=points, count_check=total)
+
+
+def _loop_merge_rings(inner_idx, inner_theta, outer_idx, outer_theta):
+    m, M = len(inner_idx), len(outer_idx)
+    j0 = int(np.argmin(np.abs(np.mod(outer_theta - inner_theta[0] + np.pi, TWO_PI) - np.pi)))
+    tris = []
+    i = 0
+    j = 0
+    ti = inner_theta - inner_theta[0]
+    tj = np.mod(outer_theta[(j0 + np.arange(M)) % M] - inner_theta[0], TWO_PI)
+    if tj[0] > np.pi:
+        tj[0] -= TWO_PI
+    ii = lambda k: inner_idx[k % m]
+    jj = lambda k: outer_idx[(j0 + k) % M]
+    next_i = lambda k: ti[k + 1] if k + 1 < m else TWO_PI + ti[0]
+    next_j = lambda k: tj[k + 1] if k + 1 < M else TWO_PI + tj[0]
+    while i < m or j < M:
+        if j < M and (i >= m or next_j(j) <= next_i(i)):
+            tris.append((ii(i), jj(j), jj(j + 1)))
+            j += 1
+        else:
+            tris.append((ii(i), jj(j), ii(i + 1)))
+            i += 1
+    return tris
+
+
+def loop_disk_mesh(resolution, domain):
+    """Reference ring mesh: (vertices, cells, boundary, boundary_is_gamma0)
+    built by the per-triangle walk over each ring pair, as
+    calderon.geometry.build_disk_mesh did before it merged the rings by
+    searchsorted (same snapping, orientation fix and errors)."""
+    if resolution <= 0:
+        raise ConfigurationError("resolution must be positive")
+    n = max(1, int(round(1.0 / resolution)))
+    ring_angles = [np.mod(TWO_PI * np.arange(6 * k) / (6 * k), TWO_PI) for k in range(1, n + 1)]
+    btheta = ring_angles[-1]
+    if domain.gamma0 is not None:
+        a, b = (np.mod(domain.gamma0[0], TWO_PI), np.mod(domain.gamma0[1], TWO_PI))
+        for end in (a, b):
+            k = int(np.argmin(np.abs(np.mod(btheta - end + np.pi, TWO_PI) - np.pi)))
+            btheta[k] = end
+        if len(np.unique(btheta)) != len(btheta):
+            raise ConfigurationError("resolution too coarse to separate gamma from gamma0")
+        ring_angles[-1] = btheta[np.argsort(btheta)]
+    verts = [0.0 + 0.0j]
+    ring_index = []
+    for k, angles in enumerate(ring_angles, start=1):
+        ring_index.append(np.arange(len(verts), len(verts) + len(angles)))
+        verts.extend((k / n) * np.exp(1j * angles))
+    verts = np.asarray(verts, dtype=complex)
+    verts[ring_index[-1]] = np.exp(1j * ring_angles[-1])
+    first = ring_index[0]
+    cells = [(0, first[s], first[(s + 1) % len(first)]) for s in range(len(first))]
+    for k in range(len(ring_index) - 1):
+        cells.extend(_loop_merge_rings(ring_index[k], ring_angles[k], ring_index[k + 1], ring_angles[k + 1]))
+    cells = np.asarray(cells, dtype=int)
+    e1 = verts[cells[:, 1]] - verts[cells[:, 0]]
+    e2 = verts[cells[:, 2]] - verts[cells[:, 0]]
+    flip = e1.real * e2.imag - e1.imag * e2.real < 0
+    cells[flip] = cells[flip][:, [0, 2, 1]]
+    is_g0 = domain.on_gamma0(ring_angles[-1])
+    if domain.gamma0 is not None and not np.any(~is_g0):
+        raise ConfigurationError("gamma is empty at this resolution")
+    return verts, cells, ring_index[-1], is_g0
 
 
 def gaussian_bump(z, center=P_STAR, width=BUMP_WIDTH, amplitude=1.0):

@@ -17,10 +17,10 @@ from calderon import cgo as _cgo
 from calderon import cli as _cli
 from calderon import reconstruct as _rc
 from calderon.forward import SchrodingerOperator, boundary_pairing
-from calderon.geometry import DiskDomain, as_values, build_disk_mesh, interior_integral
+from calderon.geometry import DiskDomain, as_values, build_disk_mesh
 from calderon.holo import HoloFunction, build_amplitude, build_morse_phase, cauchy_transform, find_critical_points
 
-from conftest import P_STAR, gaussian_bump, green_apply, solve_schrodinger_dirichlet
+from conftest import P_STAR, gaussian_bump, green_apply, interior_integral, solve_schrodinger_dirichlet
 from test_holo import dz_inversion_error
 
 

@@ -8,10 +8,10 @@ from calderon.geometry import (
     DiskDomain,
     build_disk_mesh,
     boundary_integral,
-    interior_integral,
-    normal_derivative_trace,
 )
 from calderon.geometry import ScalarField
+
+from conftest import interior_integral, loop_disk_mesh, normal_derivative_trace
 
 
 def test_domain_rejects_empty_gamma():
@@ -35,6 +35,32 @@ def test_gamma0_snapped_to_vertices(quarter_mesh_mid, quarter_domain):
     labelled = quarter_mesh_mid.boundary_is_gamma0
     assert np.array_equal(labelled, quarter_domain.on_gamma0(theta))
     assert labelled.any() and (~labelled).any()
+
+
+@pytest.mark.parametrize("resolution", [1.0, 0.5, 0.3, 0.1, 0.05, 0.0175, 0.01])
+@pytest.mark.parametrize("gamma0", [None, (0.0, np.pi / 2), (5.5, 0.7), (1.0, 1.05)])
+def test_mesh_matches_loop_walk(resolution, gamma0):
+    """The searchsorted ring merge builds the per-triangle walk's mesh bit
+    for bit: vertices, cells in their order, boundary and arc labels (gamma0
+    off, a quarter arc, an arc across angle 0 and a short arc)."""
+    domain = DiskDomain(gamma0=gamma0)
+    mesh = build_disk_mesh(resolution, domain)
+    got = (mesh.vertices, mesh.cells, mesh.boundary, mesh.boundary_is_gamma0)
+    for g, want in zip(got, loop_disk_mesh(resolution, domain)):
+        assert g.dtype == want.dtype and g.shape == want.shape
+        assert g.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("resolution, gamma0", [(0.0, None), (-0.1, (0.0, np.pi / 2)), (1.0, (0.1, 6.2)), (0.3, (0.1, 6.2))])
+def test_mesh_errors_match_loop_walk(resolution, gamma0):
+    """A non-positive resolution and an arc gamma0 that takes every boundary
+    vertex fail as they did with the per-triangle walk."""
+    domain = DiskDomain(gamma0=gamma0)
+    with pytest.raises(ConfigurationError) as want:
+        loop_disk_mesh(resolution, domain)
+    with pytest.raises(ConfigurationError) as got:
+        build_disk_mesh(resolution, domain)
+    assert str(got.value) == str(want.value)
 
 
 def test_interior_integral_disk_area(mesh_mid):

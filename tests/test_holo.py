@@ -18,6 +18,8 @@ from calderon.reconstruct import make_grid
 from conftest import (
     P_STAR,
     dense_cauchy_transform,
+    kdtree_dilation,
+    kdtree_pairs,
     reference_phase_candidate,
     scalar_derivative_row,
     single_field_cauchy_transform,
@@ -74,11 +76,40 @@ def test_cauchy_transform_zero(mesh_mid):
     assert np.max(np.abs(got)) == 0.0
 
 
+@pytest.mark.parametrize("where", ["vertices", "vertex_subset", "off_mesh"])
+def test_near_pairs_match_kdtree(mesh_mid, where):
+    """The cell-grid near field finds the k-d tree's pairs within 4
+    resolutions, sorted by (i, j), and its support dilation; pairs exactly
+    4 resolutions apart (the ring mesh has them) are kept."""
+    z = mesh_mid.vertices
+    r = 4.0 * mesh_mid.resolution
+    support = z[np.abs(z - (0.1 + 0.1j)) < 0.4]
+    rng = np.random.default_rng(5)
+    a = {
+        "vertices": z,
+        "vertex_subset": z[::7],
+        "off_mesh": np.sqrt(rng.uniform(0, 0.9, 400)) * np.exp(2j * np.pi * rng.uniform(0, 1, 400)),
+    }[where]
+    for b in (support, z):
+        i, j = holo._pairs_within(a, b, r)
+        ki, kj = kdtree_pairs(a, b, r)
+        order = np.lexsort((kj, ki))
+        assert np.array_equal(i, ki[order]) and np.array_equal(j, kj[order])
+        assert np.all(np.diff(i * len(b) + j) > 0)
+    if where == "vertices":
+        d = z[i] - z[j]
+        assert np.any(d.real**2 + d.imag**2 == r * r)
+    local = np.zeros(len(a), dtype=bool)
+    local[holo._pairs_within(a, support, r + 1e-12)[0]] = True
+    assert np.array_equal(local, kdtree_dilation(a, support, r + 1e-12))
+
+
 def test_transform_fields_match_single_field_reference(mesh_mid, monkeypatch):
     """Fields with one support transformed together give, field by field,
     the bits of transforming each alone (at every vertex, at a vertex subset
     and at off-mesh points, over several far-field row blocks); so does the
-    public one-field call."""
+    public one-field call.  The k-d tree's pair order sums the near field in
+    another order, so that reference agrees to rounding."""
     monkeypatch.setattr(holo, "TRANSFORM_BLOCK_ENTRIES", 20_000)
     z = mesh_mid.vertices
     t = np.abs(z - (0.1 + 0.1j)) / 0.4
@@ -92,6 +123,8 @@ def test_transform_fields_match_single_field_reference(mesh_mid, monkeypatch):
             want = single_field_cauchy_transform(f, mesh_mid, **kw)
             assert np.array_equal(g, want)
             assert np.array_equal(cauchy_transform(f, mesh_mid, **kw), want)
+            kd = single_field_cauchy_transform(f, mesh_mid, kdtree=True, **kw)
+            assert np.max(np.abs(g - kd)) <= 1e-14 * np.max(np.abs(kd))
 
 
 def smooth_compact_field(z):

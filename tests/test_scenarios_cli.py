@@ -18,9 +18,10 @@ from calderon.scenarios import (
     load_scenario,
     make_potential,
     make_rho,
-    reference_config,
     validate_config,
 )
+
+from conftest import reference_config
 
 
 # ---------------------------------------------------------------------------
@@ -428,12 +429,27 @@ def test_reference_boundary_check_flagged_trivial(tmp_path):
         assert any(c["name"] == "boundary_exponent_window" for c in summary["checks"]) is not trivial
 
 
-def test_import_loads_no_optional_scipy_modules():
+def test_import_loads_no_optional_scipy_modules(tmp_path):
     """Start-up stays lean: scipy.spatial, scipy.interpolate and
-    scipy.special are imported only by the functions that use them."""
+    scipy.special are imported only by the functions that use them, and a
+    cgo run and a reconstruct run (whose Cauchy transforms find their near
+    field on a cell grid) use none of them."""
     lazy = ("scipy.spatial", "scipy.interpolate", "scipy.special")
-    code = f"import sys, calderon; print([m for m in {lazy!r} if m in sys.modules])"
+    runs = [
+        ("cgo", {**CHEAP, "h_list": [0.5, 0.4, 0.32, 0.25]}),
+        ("reconstruct", {**CHEAP, **RECONSTRUCT_CHEAP}),
+    ]
+    code = (
+        "import sys, calderon\n"
+        f"loaded = lambda: [m for m in {lazy!r} if m in sys.modules]\n"
+        "print('import', loaded())\n"
+        f"for cmd, cfg in {runs!r}:\n"
+        "    getattr(calderon.cli, 'run_' + cmd)(calderon.load_scenario(cfg), sys.argv[1])\n"
+        "    print(cmd, loaded())\n"
+    )
     src = os.path.dirname(os.path.dirname(os.path.abspath(_cli.__file__)))
     env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.splitlines() == ["import []", "cgo []", "reconstruct []"]
