@@ -13,7 +13,7 @@ Modules:
 from .geometry import ConfigurationError, DiskDomain, Mesh, build_disk_mesh
 from .forward import CauchyData, SchrodingerOperator, boundary_pairing, operator, partial_cauchy_data
 from .holo import HoloFunction, build_amplitude, build_morse_phase, cauchy_transform, find_critical_points
-from .cgo import CGOComponents, residual_scaling_report
+from .cgo import CGO, residual_scaling_report
 from .carleman import CarlemanWeight, build_carleman_weight, carleman_sweep
 from .reconstruct import (
     StationaryPhaseModel,
@@ -42,7 +42,7 @@ __all__ = [
     "build_morse_phase",
     "cauchy_transform",
     "find_critical_points",
-    "CGOComponents",
+    "CGO",
     "residual_scaling_report",
     "CarlemanWeight",
     "build_carleman_weight",

@@ -368,7 +368,6 @@ def fit_holomorphic_on_arc(
         got = vals.imag if part == "im" else vals.real
         residual = float(np.max(np.abs(got - want)))
     fn.meta["arc_residual"] = residual
-    fn.meta["arc_part"] = part
     for z0, order, t in constraints:
         got = fn.derivative(order)(z0)
         if abs(got - t) > HARD_CONSTRAINT_TOL * max(1.0, abs(t)):
@@ -690,10 +689,7 @@ def build_morse_phase(
         last_report = report
         ours = [q for q in report.points if abs(q.location - p) < 1e-8]
         if report.is_morse and ours and not ours[0].degenerate:
-            circle = np.exp(1j * np.linspace(0.0, TWO_PI, 2048, endpoint=False))
             phi.meta["critical_points"] = report
-            phi.meta["hessian"] = complex(phi.derivative(2)(p))
-            phi.meta["max_gradient"] = float(np.max(np.abs(phi.derivative()(circle))))
             return phi
     raise MorseVerificationError(
         f"no Morse phase after {max_retries} retries; last report: {last_report}"

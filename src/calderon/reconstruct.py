@@ -114,26 +114,6 @@ def fit_pairing_model(h_list, S_values, psi_p: float) -> dict:
     return {"A": float(coef[0]), "B": float(coef[1]), "C": float(coef[2]), "residual": resid, "cond": float(cond)}
 
 
-def _r11_sweep(mesh, prep, phase, h_list, include_r1) -> dict:
-    """build_r11's {h: (r11, eta)} for one CGO, or {} when r1 is left out
-    or b = 0 (then r11 = 0)."""
-    if not include_r1 or not np.any(np.abs(prep["b"]) > 0):
-        return {}
-    return _cgo.build_r11(mesh, phase, prep["b"], prep["chi"], prep["chi1"], h_list)
-
-
-def _slow_amplitude(prep, a_z, a0_z, h, include_r1, r11s):
-    """a + h a0 (+ r1) at the mesh vertices, from a and a0 sampled there
-    and the r11 fields of _r11_sweep."""
-    A = a_z + h * a0_z
-    if include_r1:
-        r1 = h * prep["r12"]
-        if h in r11s:
-            r1 = r11s[h][0] + h * prep["r12"]
-        A = A + r1
-    return A
-
-
 def cgo_pairings(
     mesh: Mesh,
     domain: DiskDomain,
@@ -152,24 +132,24 @@ def cgo_pairings(
     S(h) is the interior identity integral of u1 (V1 - V2) u2 dv_g,
     evaluated directly on the CGO approximations with the true V1 - V2 (the
     two e^{+-phi/h} weights cancel pointwise); no boundary data is read.
-    Each CGO's r11 fields for the whole h list come from one build_r11
-    sweep.
+    Each side is one CGO of cgo.prepare_cgo, whose slow_amplitude gives
+    a + h a0, plus r1 when include_r1 is set; then each CGO's r11 fields
+    for the whole h list come from one r11_sweep.
     """
     p = complex(p)
     mirror = HoloFunction(-np.asarray(phase.coeffs), meta=dict(phase.meta))
-    prep1 = _cgo.prepare_cgo(mesh, domain, V1, phase, amplitude, jet_degree, p=p)
-    prep2 = _cgo.prepare_cgo(mesh, domain, V2, mirror, amplitude, jet_degree, p=p)
-    z = mesh.vertices
+    cgo1 = _cgo.prepare_cgo(mesh, domain, V1, phase, amplitude, jet_degree, p=p)
+    cgo2 = _cgo.prepare_cgo(mesh, domain, V2, mirror, amplitude, jet_degree, p=p)
     dV = as_values(V1, mesh) - as_values(V2, mesh)
-    psi = np.imag(phase(z))
-    a_z = amplitude(z)
-    a0_1, a0_2 = prep1["a0"](z), prep2["a0"](z)
-    r11_1 = _r11_sweep(mesh, prep1, phase, h_list, include_r1)
-    r11_2 = _r11_sweep(mesh, prep2, mirror, h_list, include_r1)
+    psi = np.imag(phase(mesh.vertices))
+    r11_1, r11_2 = (
+        {h: fields[0] for h, fields in cgo.r11_sweep(h_list).items()} if include_r1 else {}
+        for cgo in (cgo1, cgo2)
+    )
     out = []
     for h in h_list:
-        A1 = _slow_amplitude(prep1, a_z, a0_1, h, include_r1, r11_1)
-        A2 = _slow_amplitude(prep2, a_z, a0_2, h, include_r1, r11_2)
+        A1 = cgo1.slow_amplitude(h, r11_1.get(h))
+        A2 = cgo2.slow_amplitude(h, r11_2.get(h))
         osc = np.exp(1j * psi / h)
         u1w = osc * A1
         u2w = np.conj(osc) * A2
@@ -248,7 +228,7 @@ def pointwise_difference(
     }
 
 
-def make_grid(n: int, radius: float = 0.72) -> np.ndarray:
+def make_grid(n: int, radius: float) -> np.ndarray:
     """Square lattice of interior points within the given radius."""
     xs = np.linspace(-radius, radius, n)
     pts = (xs[None, :] + 1j * xs[:, None]).ravel()
@@ -412,7 +392,7 @@ def boundary_recovery(
     V2,
     theta_p: float,
     h_list,
-    calibration: float = None,
+    calibration: float,
 ) -> dict:
     """Estimate (V1 - V2) at the boundary point e^{i theta_p} of gamma.
 
@@ -421,8 +401,6 @@ def boundary_recovery(
     sweep.  `calibration` is the prefactor measured once on a unit-value
     scenario via calibrate_boundary_constant.
     """
-    if calibration is None:
-        calibration = calibrate_boundary_constant(mesh, domain, theta_p, h_list)
     pairs = boundary_pairing_sweep(mesh, domain, V1, V2, theta_p, h_list)
     C, e = fit_boundary_law(pairs)
     h_min, s_min = min(pairs, key=lambda x: x[0])
@@ -432,7 +410,6 @@ def boundary_recovery(
             "D": 0.0,
             "exponent": e,
             "pairings": pairs,
-            "calibration": calibration,
             "below_noise_floor": True,
         }
     if not (1.35 <= e <= 1.65):
@@ -445,7 +422,6 @@ def boundary_recovery(
         "D": float(sign * C / calibration),
         "exponent": e,
         "pairings": pairs,
-        "calibration": calibration,
         "below_noise_floor": False,
     }
 
@@ -457,7 +433,7 @@ def boundary_scan(
     V2,
     theta_list,
     h_list,
-    calibration: float = None,
+    calibration: float,
     csv_path=None,
 ) -> dict:
     """boundary_recovery over several gamma points; CSV (theta, D, fitted_exponent)."""
@@ -474,7 +450,6 @@ def boundary_scan(
                     "below_noise_floor": est["below_noise_floor"],
                 }
             )
-            calibration = est["calibration"]
         except ReconstructionError as exc:
             failures.append({"theta": float(theta), "error": str(exc)})
     if csv_path is not None:

@@ -8,6 +8,7 @@ from functools import cached_property
 from typing import Optional
 
 from calderon import holo
+from calderon.cgo import build_r11
 from calderon.forward import SchrodingerOperator, operator
 from calderon.geometry import (
     TWO_PI,
@@ -264,6 +265,19 @@ def per_h_r11(mesh, phase, b, chi, chi1, h):
     T[idx] = single_field_cauchy_transform(osc * chi1(z) * b, mesh, eval_index=idx)
     r11_hat = np.conj(osc) * T
     return c * r11_hat, r11_hat * dchi, T
+
+
+def per_h_slow_amplitude(cgo, h):
+    """Reference a + h a0 + (r11 + h r12) of a CGO at one h: a and a0
+    re-evaluated on the mesh and r11 from a one-h build_r11 (zero when
+    b = 0), as calderon.reconstruct computed each side of a pairing before
+    the CGO object held a, a0 and its r11 sweep."""
+    z = cgo.mesh.vertices
+    A = cgo.amplitude(z) + h * cgo.a0(z)
+    r1 = h * cgo.r12
+    if np.any(np.abs(cgo.b) > 0):
+        r1 = build_r11(cgo.mesh, cgo.phase, cgo.b, cgo.chi, cgo.chi1, [h])[h][0] + h * cgo.r12
+    return A + r1
 
 
 def per_sample_ratio_terms(mesh, weight, B, u):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -16,15 +18,22 @@ def quarter_prep(quarter_mesh_mid, quarter_domain):
     """Shared h-independent CGO ingredients on the moderate quarter mesh."""
     phase = build_morse_phase(quarter_domain, P_STAR, degree=16, psi_target=0.3)
     amplitude = build_amplitude(phase.meta["critical_points"], P_STAR, quarter_domain)
-    prep = _cgo.prepare_cgo(quarter_mesh_mid, quarter_domain, gaussian_bump, phase, amplitude)
-    return {"phase": phase, "amplitude": amplitude, "prep": prep}
+    cgo = _cgo.prepare_cgo(quarter_mesh_mid, quarter_domain, gaussian_bump, phase, amplitude)
+    return {"phase": phase, "amplitude": amplitude, "cgo": cgo}
 
 
 def test_b_zero_for_zero_potential(quarter_mesh_mid, quarter_domain):
+    """V = 0 gives b = 0, and then the r11 sweep is zero r11 and eta and no
+    transform at every h, an h the mesh could not resolve included."""
     phase = build_morse_phase(quarter_domain, P_STAR, degree=16)
     amplitude = build_amplitude(phase.meta["critical_points"], P_STAR, quarter_domain)
-    prep = _cgo.prepare_cgo(quarter_mesh_mid, quarter_domain, 0.0, phase, amplitude)
-    assert np.max(np.abs(prep["b"])) == 0.0
+    cgo = _cgo.prepare_cgo(quarter_mesh_mid, quarter_domain, 0.0, phase, amplitude)
+    assert np.max(np.abs(cgo.b)) == 0.0
+    sweep = cgo.r11_sweep([0.2, 1e-5])
+    assert list(sweep) == [0.2, 1e-5]
+    for r11, eta, T in sweep.values():
+        assert np.max(np.abs(r11)) == 0.0 and np.max(np.abs(eta)) == 0.0
+        assert T is None
 
 
 @pytest.fixture(scope="module")
@@ -32,8 +41,8 @@ def ref_prep(ref_mesh, ref_scenario, quarter_domain):
     """Reference-resolution ingredients for the weak completion phase."""
     phase = build_morse_phase(quarter_domain, P_STAR, degree=36, psi_target=0.12)
     amplitude = build_amplitude(phase.meta["critical_points"], P_STAR, quarter_domain)
-    prep = _cgo.prepare_cgo(ref_mesh, quarter_domain, ref_scenario.V1, phase, amplitude)
-    return {"phase": phase, "amplitude": amplitude, "prep": prep}
+    cgo = _cgo.prepare_cgo(ref_mesh, quarter_domain, ref_scenario.V1, phase, amplitude)
+    return {"phase": phase, "amplitude": amplitude, "cgo": cgo}
 
 
 def _dzbar_recovered(values, mesh):
@@ -79,20 +88,20 @@ def _derivative_check(b, mesh, V, a):
 def test_b_derivative_identity(ref_prep, ref_mesh, ref_scenario):
     """4 e^{-2 rho} dzbar b = a V, checked by the recovered-derivative oracle."""
     err = _derivative_check(
-        ref_prep["prep"]["b"], ref_mesh, ref_scenario.V1, ref_prep["amplitude"]
+        ref_prep["cgo"].b, ref_mesh, ref_scenario.V1, ref_prep["amplitude"]
     )
     assert err <= 2e-2
 
 
 def test_b_decay_at_primary_point(ref_prep, ref_mesh):
-    slope = decay_slope(ref_prep["prep"]["b"], ref_mesh, P_STAR)
+    slope = decay_slope(ref_prep["cgo"].b, ref_mesh, P_STAR)
     assert slope >= 0.8
 
 
 def test_cutoff_nesting(quarter_prep, quarter_mesh_mid):
     z = quarter_mesh_mid.vertices
-    chi = quarter_prep["prep"]["chi"](z)
-    chi1 = quarter_prep["prep"]["chi1"](z)
+    chi = quarter_prep["cgo"].chi(z)
+    chi1 = quarter_prep["cgo"].chi1(z)
     # chi == 1 wherever chi1 is supported
     assert np.all(chi[chi1 > 0] >= 1.0 - 1e-12)
     near = np.abs(z - P_STAR) < 0.02
@@ -101,9 +110,9 @@ def test_cutoff_nesting(quarter_prep, quarter_mesh_mid):
 
 def test_r11_zero_for_zero_b(quarter_prep, quarter_mesh_mid):
     b0 = np.zeros(quarter_mesh_mid.n_vertices, dtype=complex)
-    r11, eta = _cgo.build_r11(
+    r11, eta, _ = _cgo.build_r11(
         quarter_mesh_mid, quarter_prep["phase"], b0,
-        quarter_prep["prep"]["chi"], quarter_prep["prep"]["chi1"], [0.2],
+        quarter_prep["cgo"].chi, quarter_prep["cgo"].chi1, [0.2],
     )[0.2]
     assert np.max(np.abs(r11)) == 0.0
     assert np.max(np.abs(eta)) == 0.0
@@ -112,27 +121,27 @@ def test_r11_zero_for_zero_b(quarter_prep, quarter_mesh_mid):
 def test_r11_supp_chi_matches_full_evaluation(quarter_prep, quarter_mesh_mid):
     """Evaluating the transform on supp chi and supp dz(chi) only leaves r11
     and eta as the full-mesh evaluation gives them."""
-    prep = quarter_prep["prep"]
+    cgo = quarter_prep["cgo"]
     mesh = quarter_mesh_mid
     z = mesh.vertices
     h = 0.2
     osc = np.exp(2j * quarter_prep["phase"](z).imag / h)
-    T_full = dense_cauchy_transform(osc * prep["chi1"](z) * prep["b"], mesh)
-    r11, eta, T = _cgo.build_r11(mesh, quarter_prep["phase"], prep["b"], prep["chi"], prep["chi1"], [h], full=True)[h]
-    r11_want = prep["chi"](z) * np.conj(osc) * T_full
-    eta_want = np.conj(osc) * T_full * prep["chi"].dz(z)
+    T_full = dense_cauchy_transform(osc * cgo.chi1(z) * cgo.b, mesh)
+    r11, eta, T = _cgo.build_r11(mesh, quarter_prep["phase"], cgo.b, cgo.chi, cgo.chi1, [h])[h]
+    r11_want = cgo.chi(z) * np.conj(osc) * T_full
+    eta_want = np.conj(osc) * T_full * cgo.chi.dz(z)
     assert np.max(np.abs(r11 - r11_want)) <= 1e-12 * np.max(np.abs(r11_want))
     assert np.max(np.abs(eta - eta_want)) <= 1e-12 * np.max(np.abs(eta_want))
-    assert np.all(T[prep["chi"](z) == 0] == 0)
+    assert np.all(T[cgo.chi(z) == 0] == 0)
 
 
 def test_build_r11_sweep_matches_per_h(quarter_prep, quarter_mesh_mid):
     """One build_r11 sweep gives every h the bits of its own transform; an
     unresolvable h is skipped with the message a lone call raises."""
-    prep = quarter_prep["prep"]
-    args = (quarter_mesh_mid, quarter_prep["phase"], prep["b"], prep["chi"], prep["chi1"])
+    cgo = quarter_prep["cgo"]
+    args = (quarter_mesh_mid, quarter_prep["phase"], cgo.b, cgo.chi, cgo.chi1)
     skipped = []
-    got = _cgo.build_r11(*args, [0.3, 0.2, 1e-5, 0.14], full=True, skipped=skipped)
+    got = _cgo.build_r11(*args, [0.3, 0.2, 1e-5, 0.14], skipped=skipped)
     assert list(got) == [0.3, 0.2, 0.14]
     for h, fields in got.items():
         for g, want in zip(fields, per_h_r11(*args, h)):
@@ -154,8 +163,8 @@ def test_scaling_report_builds_far_field_kernel_once(quarter_prep, quarter_mesh_
 
     monkeypatch.setattr(holo, "_far_field_kernel", counting_kernel)
     monkeypatch.setattr(holo, "TRANSFORM_BLOCK_ENTRIES", 20_000)
-    prep = quarter_prep["prep"]
-    _cgo.build_r11(quarter_mesh_mid, quarter_prep["phase"], prep["b"], prep["chi"], prep["chi1"], [0.2])
+    cgo = quarter_prep["cgo"]
+    _cgo.build_r11(quarter_mesh_mid, quarter_prep["phase"], cgo.b, cgo.chi, cgo.chi1, [0.2])
     one_h = list(builds)
     builds.clear()
     rep = _cgo.residual_scaling_report(
@@ -198,25 +207,25 @@ def test_h1_norm_of_paraboloid():
 def test_r11_unresolvable_h_raises(quarter_prep, quarter_mesh_mid):
     with pytest.raises(_cgo.ResolvabilityError):
         _cgo.build_r11(
-            quarter_mesh_mid, quarter_prep["phase"], quarter_prep["prep"]["b"],
-            quarter_prep["prep"]["chi"], quarter_prep["prep"]["chi1"], [1e-5],
+            quarter_mesh_mid, quarter_prep["phase"], quarter_prep["cgo"].b,
+            quarter_prep["cgo"].chi, quarter_prep["cgo"].chi1, [1e-5],
         )
 
 
 def test_r12_defining_identity(quarter_prep, quarter_mesh_mid):
     """2i r12 dz(psi) = (1-chi1) b to rounding where chi1 = 0 (and dphi
     above the regularization scale)."""
-    prep = quarter_prep["prep"]
+    cgo = quarter_prep["cgo"]
     phase = quarter_prep["phase"]
     z = quarter_mesh_mid.vertices
-    chi1 = prep["chi1"](z)
+    chi1 = cgo.chi1(z)
     dphi = phase.derivative()(z)
     hess = abs(phase.derivative(2)(P_STAR))
     tau = 0.5 * hess * quarter_mesh_mid.resolution
     mask = (chi1 == 0.0) & (np.abs(dphi) > tau)
     # dz(psi) = dPhi / (2i), so 2i r12 dz(psi) = r12 dPhi
-    lhs = prep["r12"][mask] * dphi[mask]
-    rhs = prep["b"][mask]
+    lhs = cgo.r12[mask] * dphi[mask]
+    rhs = cgo.b[mask]
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(np.max(np.abs(rhs)), 1.0)
 
 
@@ -226,37 +235,39 @@ def test_r_tilde12_bounded_under_refinement(quarter_domain):
         mesh = build_disk_mesh(res, quarter_domain)
         phase = build_morse_phase(quarter_domain, P_STAR, degree=16, psi_target=0.3)
         amplitude = build_amplitude(phase.meta["critical_points"], P_STAR, quarter_domain)
-        prep = _cgo.prepare_cgo(mesh, quarter_domain, gaussian_bump, phase, amplitude)
+        cgo = _cgo.prepare_cgo(mesh, quarter_domain, gaussian_bump, phase, amplitude)
         near = np.abs(mesh.vertices - P_STAR) < 0.15
-        sups.append(np.max(np.abs(prep["r_tilde12"][near])))
+        sups.append(np.max(np.abs(cgo.r_tilde12[near])))
     assert sups[1] <= 1.5 * sups[0]
 
 
 def test_a0_zero_for_full_data(mesh_mid, full_domain):
     phase = build_morse_phase(full_domain, 0.1 + 0.0j, degree=8)
     amplitude = build_amplitude(phase.meta["critical_points"], 0.1 + 0.0j, full_domain)
-    prep = _cgo.prepare_cgo(mesh_mid, full_domain, gaussian_bump, phase, amplitude)
+    cgo = _cgo.prepare_cgo(mesh_mid, full_domain, gaussian_bump, phase, amplitude)
     z = 0.5 * np.exp(1j * np.linspace(0, 2 * np.pi, 16))
-    assert np.max(np.abs(prep["a0"](z))) <= 1e-10
+    assert np.max(np.abs(cgo.a0(z))) <= 1e-10
 
 
 def test_a0_arc_residual(quarter_prep):
-    assert quarter_prep["prep"]["a0"].meta["arc_residual"] <= 1e-4
+    assert quarter_prep["cgo"].a0.meta["arc_residual"] <= 1e-4
 
 
-def _completed(mesh, domain, V, phase, amplitude, h, prepared=None):
-    """prepare_cgo + assemble_cgo + duality_completion at one h."""
-    if prepared is None:
-        prepared = _cgo.prepare_cgo(mesh, domain, V, phase, amplitude)
-    (comp,) = _cgo.assemble_cgo(mesh, phase, amplitude, [h], prepared)
-    _cgo.duality_completion(mesh, comp, _cgo.residual_field(mesh, V, comp), schrodinger_matrix(mesh, V))
-    return comp
+def _completed(mesh, domain, V, phase, amplitude, h, cgo=None):
+    """prepare_cgo + r11_sweep + residual_field + duality_completion at one
+    h; returns (cgo, r11, r2)."""
+    if cgo is None:
+        cgo = _cgo.prepare_cgo(mesh, domain, V, phase, amplitude)
+    ((r11, _, T),) = cgo.r11_sweep([h]).values()
+    res = _cgo.residual_field(cgo, V, h, r11, T)
+    return cgo, r11, _cgo.duality_completion(cgo, h, r11, res, schrodinger_matrix(mesh, V))
 
 
 def test_residual_field_takes_slow_derivatives_once_per_sweep(quarter_prep, quarter_mesh_mid, monkeypatch):
-    """assemble_cgo takes the h-independent d/dzbar of r12 and chi1 b once
-    per sweep (two complex fields, 4 vertex gradients); residual_field then
-    differentiates only dz(chi) T, 2 vertex gradients per h."""
+    """A residual_field sweep over one CGO takes 4 + 2 n_h vertex
+    gradients: the h-independent d/dzbar of r12 and chi1 b once (two complex
+    fields, cached on the CGO), and d/dzbar(dz(chi) T) at each h.  A second
+    sweep over the same CGO takes only the 2 n_h."""
     calls = []
     gradient = geometry.vertex_gradient
 
@@ -266,14 +277,13 @@ def test_residual_field_takes_slow_derivatives_once_per_sweep(quarter_prep, quar
 
     monkeypatch.setattr(geometry, "vertex_gradient", counting_gradient)
     h_list = [0.2, 0.14, 0.1]
-    comps = _cgo.assemble_cgo(
-        quarter_mesh_mid, quarter_prep["phase"], quarter_prep["amplitude"], h_list, quarter_prep["prep"]
-    )
-    assert len(calls) == 4
-    calls.clear()
-    for comp in comps:
-        _cgo.residual_field(quarter_mesh_mid, gaussian_bump, comp)
-    assert len(calls) == 2 * len(h_list)
+    # a copy of the shared CGO, so no derivative is cached yet
+    cgo = dataclasses.replace(quarter_prep["cgo"])
+    for expected in (4 + 2 * len(h_list), 2 * len(h_list)):
+        calls.clear()
+        for h, (r11, _, T) in cgo.r11_sweep(h_list).items():
+            _cgo.residual_field(cgo, gaussian_bump, h, r11, T)
+        assert len(calls) == expected
 
 
 def test_complete_solution_trivial_phase(mesh_mid, full_domain):
@@ -281,18 +291,19 @@ def test_complete_solution_trivial_phase(mesh_mid, full_domain):
     solution; the analytic-residual completion returns r2 = 0 to rounding."""
     phase = HoloFunction([1j, 0.0, 1.0])
     phase.meta["critical_points"] = find_critical_points(phase)
-    comp = _completed(mesh_mid, full_domain, 0.0, phase, HoloFunction([1.0]), 0.2)
-    assert _cgo.l2_norm(comp.r2, mesh_mid) <= 1e-12
+    _, _, r2 = _completed(mesh_mid, full_domain, 0.0, phase, HoloFunction([1.0]), 0.2)
+    assert _cgo.l2_norm(r2, mesh_mid) <= 1e-12
 
 
 def test_complete_solution_vanishes_on_gamma0(ref_mesh, ref_scenario, quarter_domain):
     phase = build_morse_phase(quarter_domain, P_STAR, degree=36, psi_target=0.12)
     amplitude = build_amplitude(phase.meta["critical_points"], P_STAR, quarter_domain)
-    comp = _completed(ref_mesh, quarter_domain, ref_scenario.V1, phase, amplitude, 0.1)
+    h = 0.1
+    cgo, r11, r2 = _completed(ref_mesh, quarter_domain, ref_scenario.V1, phase, amplitude, h)
     g0 = ref_mesh.boundary[ref_mesh.boundary_is_gamma0]
     # in weighted variables: e^{-phi/h} u = ansatz + r2
-    ansatz = 2.0 * np.real(np.exp(1j * comp.phi_psi()[1] / comp.h) * comp.slow_amplitude())
-    assert np.max(np.abs((ansatz + comp.r2)[g0])) == 0.0
+    ansatz = 2.0 * np.real(np.exp(1j * phase(ref_mesh.vertices).imag / h) * cgo.slow_amplitude(h, r11))
+    assert np.max(np.abs((ansatz + r2)[g0])) == 0.0
 
 
 def test_scaling_report_zero_potential_flags(quarter_mesh_mid, quarter_domain):
@@ -329,23 +340,23 @@ def test_too_few_h_values_raises(quarter_prep, quarter_mesh_mid, quarter_domain)
 
 
 def test_mirror_phase_pairing_runs(quarter_mesh_mid, quarter_domain):
-    """Mirror components (phase -Phi) assemble and complete to finite values."""
+    """A mirror CGO (phase -Phi) is built and completes to finite values."""
     phase = build_morse_phase(quarter_domain, P_STAR, degree=16, psi_target=0.3)
     amplitude = build_amplitude(phase.meta["critical_points"], P_STAR, quarter_domain)
     mirror = HoloFunction(-phase.coeffs, meta=dict(phase.meta))
     c1 = _completed(quarter_mesh_mid, quarter_domain, gaussian_bump, phase, amplitude, 0.2)
-    prep2 = _cgo.prepare_cgo(quarter_mesh_mid, quarter_domain, 0.0, mirror, amplitude, p=P_STAR)
-    c2 = _completed(quarter_mesh_mid, quarter_domain, 0.0, mirror, amplitude, 0.2, prepared=prep2)
-    for comp in (c1, c2):
-        assert np.all(np.isfinite(comp.slow_amplitude()))
-        assert np.all(np.isfinite(comp.r2))
+    cgo2 = _cgo.prepare_cgo(quarter_mesh_mid, quarter_domain, 0.0, mirror, amplitude, p=P_STAR)
+    c2 = _completed(quarter_mesh_mid, quarter_domain, 0.0, mirror, amplitude, 0.2, cgo=cgo2)
+    for cgo, r11, r2 in (c1, c2):
+        assert np.all(np.isfinite(cgo.slow_amplitude(0.2, r11)))
+        assert np.all(np.isfinite(r2))
 
 
 def _banded_vs_default_lu(mesh, domain, V, setup, h, monkeypatch):
     """max |r2 - r2_ref| / max |r2_ref|, r2_ref from default-ordering splu."""
 
     def solve():
-        return _completed(mesh, domain, V, setup["phase"], setup["amplitude"], h, setup["prep"]).r2
+        return _completed(mesh, domain, V, setup["phase"], setup["amplitude"], h, setup["cgo"])[2]
 
     got = solve()
     monkeypatch.setattr(_cgo, "_solve_spd_banded", splu_normal_solve)

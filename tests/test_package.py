@@ -1,6 +1,76 @@
+import ast
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
 import calderon
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+# layer_metrics still totals the deleted cgo.complete_solution, so
+# cgo.complete_s reads 0; it is the one name known not to resolve.
+KNOWN_STALE_TRACER_NAMES = {"cgo.complete_solution"}
 
 
 def test_every_export_resolves():
     missing = [name for name in calderon.__all__ if not hasattr(calderon, name)]
     assert missing == []
+
+
+def _tracer():
+    spec = importlib.util.spec_from_file_location("calderon_bench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _timed_names(tracer) -> set:
+    """The "<layer>.<name>[.<method>]" span names layer_metrics reads,
+    leaving out the metric keys it writes (out["..."])."""
+    fn = next(
+        node
+        for node in ast.walk(ast.parse(TRACER_PATH.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name == "layer_metrics"
+    )
+    keys = {
+        id(node.slice)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name) and node.value.id == "out"
+    }
+    prefixes = tuple(f"{layer}." for layer in tracer.LAYERS)
+    return {
+        node.value
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and node.value.startswith(prefixes)
+        and id(node) not in keys
+    }
+
+
+def _wrapped_by_tracer(name: str, private_wrapped) -> bool:
+    """True when the tracer wraps calderon.<name>: a public function of its
+    layer module, or a public method or __init__ of a public class there."""
+    layer, *path = name.split(".")
+    obj = importlib.import_module(f"calderon.{layer}")
+    for attr in path:
+        obj = vars(obj).get(attr)
+        if obj is None:
+            return False
+    if not inspect.isfunction(obj):
+        return False
+    if len(path) == 1:
+        return not path[0].startswith("_") or name in private_wrapped
+    return not path[0].startswith("_") and (path[1] == "__init__" or not path[1].startswith("_"))
+
+
+def test_tracer_times_live_functions():
+    """Every function perfbench/tracer.py's layer_metrics times by name is
+    still one the tracer wraps, so no per-layer metric silently reads 0,
+    except the known stale name."""
+    tracer = _tracer()
+    names = _timed_names(tracer)
+    assert {"cgo.prepare_cgo", "cgo.duality_completion", "cgo.h1_norm", "reconstruct.cgo_pairings"} <= names
+    stale = {name for name in names if not _wrapped_by_tracer(name, tracer.PRIVATE_WRAPPED)}
+    assert stale == KNOWN_STALE_TRACER_NAMES

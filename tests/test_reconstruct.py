@@ -7,7 +7,7 @@ from calderon.forward import boundary_pairing, operator
 from calderon.geometry import as_values
 from calderon.holo import HoloFunction, build_amplitude, build_morse_phase
 
-from conftest import P_STAR, CountingLU, gaussian_bump, oscillatory_integral
+from conftest import P_STAR, CountingLU, gaussian_bump, oscillatory_integral, per_h_slow_amplitude
 
 
 # ---------------------------------------------------------------------------
@@ -111,20 +111,18 @@ def ref_estimate(ref_mesh, ref_scenario, ref_phase_amp):
 
 def _per_h_pairings(mesh, domain, V1, V2, phase, amplitude, h_list, p):
     """Reference S(h): a, a0 and r11 re-evaluated on the mesh for every h
-    and side."""
+    and side (conftest.per_h_slow_amplitude)."""
     mirror = HoloFunction(-np.asarray(phase.coeffs), meta=dict(phase.meta))
-    prep1 = _cgo.prepare_cgo(mesh, domain, V1, phase, amplitude, p=p)
-    prep2 = _cgo.prepare_cgo(mesh, domain, V2, mirror, amplitude, p=p)
+    cgo1 = _cgo.prepare_cgo(mesh, domain, V1, phase, amplitude, p=p)
+    cgo2 = _cgo.prepare_cgo(mesh, domain, V2, mirror, amplitude, p=p)
     z = mesh.vertices
     w_area = mesh.vertex_areas * np.exp(2.0 * mesh.rho_v)
     dV = as_values(V1, mesh) - as_values(V2, mesh)
     psi = np.imag(phase(z))
     out = []
     for h in h_list:
-        r11_1 = _rc._r11_sweep(mesh, prep1, phase, [h], True)
-        r11_2 = _rc._r11_sweep(mesh, prep2, mirror, [h], True)
-        A1 = _rc._slow_amplitude(prep1, amplitude(z), prep1["a0"](z), h, True, r11_1)
-        A2 = _rc._slow_amplitude(prep2, amplitude(z), prep2["a0"](z), h, True, r11_2)
+        A1 = per_h_slow_amplitude(cgo1, h)
+        A2 = per_h_slow_amplitude(cgo2, h)
         osc = np.exp(1j * psi / h)
         u1w = osc * A1
         u2w = np.conj(osc) * A2
@@ -135,33 +133,60 @@ def _per_h_pairings(mesh, domain, V1, V2, phase, amplitude, h_list, p):
 
 
 def test_cgo_pairings_evaluate_amplitudes_once(quarter_mesh_mid, quarter_domain, monkeypatch):
-    """a, and a0 of each side, are sampled on the mesh once for the whole h
-    list; S(h) is bitwise that of re-sampling them for every h."""
+    """Over a whole cgo_pairings call, a and each side's a0 are sampled on
+    the mesh once per CGO, and never per h; S(h) is bitwise that of
+    re-sampling them for every h."""
     mesh, dom = quarter_mesh_mid, quarter_domain
     phase = build_morse_phase(dom, P_STAR, degree=16, psi_target=0.3)
     amplitude = build_amplitude(phase.meta["critical_points"], P_STAR, dom)
     h_list = [0.3, 0.25, 0.2]
     want = _per_h_pairings(mesh, dom, gaussian_bump, 0.0, phase, amplitude, h_list, P_STAR)
 
-    evaluated, preps, marks = [], [], []
+    sampled, cgos = [], []
     call, prepare = HoloFunction.__call__, _cgo.prepare_cgo
 
     def logging_call(self, z):
-        evaluated.append(self)
+        if np.shape(z) == (mesh.n_vertices,):
+            sampled.append(self)
         return call(self, z)
 
     def logging_prepare(*args, **kwargs):
-        preps.append(prepare(*args, **kwargs))
-        marks.append(len(evaluated))
-        return preps[-1]
+        cgos.append(prepare(*args, **kwargs))
+        return cgos[-1]
 
     monkeypatch.setattr(HoloFunction, "__call__", logging_call)
     monkeypatch.setattr(_cgo, "prepare_cgo", logging_prepare)
     got = _rc.cgo_pairings(mesh, dom, gaussian_bump, 0.0, phase, amplitude, h_list, P_STAR)
-    after = evaluated[marks[-1] :]
-    for field in (amplitude, preps[0]["a0"], preps[1]["a0"]):
-        assert sum(fn is field for fn in after) == 1
+    assert len(cgos) == 2
+    assert sum(fn is amplitude for fn in sampled) == len(cgos)
+    for cgo in cgos:
+        assert sum(fn is cgo.a0 for fn in sampled) == 1
     assert got == want
+
+
+@pytest.mark.parametrize(
+    "include_r1, v2_scale, n_sweeps", [(False, 0.5, 0), (True, 0.0, 1), (True, 0.5, 2)]
+)
+def test_cgo_pairings_sweep_r11_once_per_cgo_with_potential(
+    quarter_mesh_mid, quarter_domain, monkeypatch, include_r1, v2_scale, n_sweeps
+):
+    """cgo_pairings makes no build_r11 call with include_r1=False, and one
+    per CGO with b != 0 when it is set: V2 = 0 gives its CGO b = 0."""
+    mesh, dom = quarter_mesh_mid, quarter_domain
+    phase = build_morse_phase(dom, P_STAR, degree=16, psi_target=0.3)
+    amplitude = build_amplitude(phase.meta["critical_points"], P_STAR, dom)
+    sweeps = []
+    build_r11 = _cgo.build_r11
+
+    def counting_build_r11(*args, **kwargs):
+        sweeps.append(args[5])
+        return build_r11(*args, **kwargs)
+
+    monkeypatch.setattr(_cgo, "build_r11", counting_build_r11)
+    h_list = [0.3, 0.25, 0.2]
+    V2 = lambda z: v2_scale * gaussian_bump(z)
+    _rc.cgo_pairings(mesh, dom, gaussian_bump, V2, phase, amplitude, h_list, P_STAR, include_r1=include_r1)
+    assert sweeps == [h_list] * n_sweeps
 
 
 def test_interior_recovery_at_primary_point(ref_estimate):
