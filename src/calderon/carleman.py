@@ -12,7 +12,6 @@ constant, never derived.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -122,21 +121,14 @@ def build_carleman_weight(
     phase: HoloFunction,
     epsilon: float,
     h: float,
+    mesh: Mesh,
     degree: int = 16,
-    mesh: Mesh = None,
 ) -> CarlemanWeight:
     """Assemble the convexified weight and record the positivity margin of
-    sum_j |d phi_j|^2 (measured on the mesh when given, else on a dense
-    sample of the closed disk)."""
+    sum_j |d phi_j|^2, measured at the mesh vertices."""
     aux = build_auxiliaries(domain, phase, degree)
     w = CarlemanWeight(phase, aux, epsilon, h)
-    if mesh is not None:
-        sample = mesh.vertices
-    else:
-        rr = np.sqrt(np.linspace(0.0, 1.0, 64))
-        tt = np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False)
-        sample = (rr[:, None] * np.exp(1j * tt)[None, :]).ravel()
-    w.meta["gradient_sq_min"] = float(np.min(w.gradient_sq(sample)))
+    w.meta["gradient_sq_min"] = float(np.min(w.gradient_sq(mesh.vertices)))
     if w.meta["gradient_sq_min"] <= 0:
         raise InfeasibleDegreeError("sum |d phi_j|^2 not uniformly positive")
     return w
@@ -242,15 +234,14 @@ def carleman_sweep(
     h_list,
     sample_count: int = 50,
     seed: int = 0,
-    csv_path=None,
-    json_path=None,
 ) -> dict:
     """Minimum Carleman ratio over seeded test functions and an h sweep.
 
     Unresolvable h (weight variation per cell exceeding unity in the
     conjugation) and h beyond the epsilon constraint are skipped with a
     warning.  PASS means every surviving minimum is positive and the
-    min-ratio trend does not head to zero as h decreases.
+    min-ratio trend does not head to zero as h decreases.  The report's
+    "rows" are (h, sample_id, lhs, rhs, ratio) tuples in sweep order.
 
     The stiffness matrix and lumped mass are the mesh's, shared with
     convexity_check.  The h-independent work is done once: the operator is
@@ -286,7 +277,7 @@ def carleman_sweep(
         best = np.inf
         for sid, terms in enumerate(fixed):
             lhs, rhs, ratio = _ratio_terms(mesh, B, h, terms)
-            rows.append({"h": h, "sample_id": sid, "lhs": lhs, "rhs": rhs, "ratio": ratio})
+            rows.append((h, sid, lhs, rhs, ratio))
             best = min(best, ratio)
         minima[h] = best
     if not minima:
@@ -302,7 +293,7 @@ def carleman_sweep(
     else:
         slope, trending_to_zero = 0.0, False
     v_inf = float(np.max(np.abs(V_values)))
-    report = {
+    return {
         "c_star": c_star,
         "min_ratio_per_h": {repr(float(h)): float(minima[h]) for h in hs},
         "slope_min_ratio_vs_h": float(slope),
@@ -313,14 +304,5 @@ def carleman_sweep(
         "epsilon": weight.epsilon,
         "v_inf": v_inf,
         "skipped": skipped,
+        "rows": rows,
     }
-    if csv_path is not None:
-        with open(csv_path, "w") as fh:
-            fh.write("h,sample_id,lhs,rhs,ratio\n")
-            for r in rows:
-                fh.write(f"{r['h']!r},{r['sample_id']},{r['lhs']!r},{r['rhs']!r},{r['ratio']!r}\n")
-    if json_path is not None:
-        with open(json_path, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    return report

@@ -548,8 +548,6 @@ def residual_scaling_report(
     amplitude: HoloFunction,
     h_list,
     jet_degree: int = 16,
-    csv_path=None,
-    json_path=None,
     cutoff_scale: float = 1.0,
 ) -> dict:
     """Measure every remainder norm across an h sweep and fit the scaling
@@ -603,24 +601,10 @@ def residual_scaling_report(
         for k in norms:
             slope, band = _fit_exponent(used_h, norms[k], log_corrected=k in log_corrected)
             exponents[k] = {"exponent": slope, "band": band, "exact_zero": False}
-    report = {
+    return {
         "h_list": used_h,
         "cutoff_scale": cutoff_scale,
         "skipped": skipped,
         "norms": rows,
         "exponents": exponents,
     }
-    if csv_path is not None:
-        with open(csv_path, "w") as fh:
-            fh.write("h,norm_name,value\n")
-            for r in rows:
-                for k, val in r.items():
-                    if k != "h":
-                        fh.write(f"{r['h']!r},{k},{val!r}\n")
-    if json_path is not None:
-        import json
-
-        with open(json_path, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    return report

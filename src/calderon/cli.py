@@ -3,10 +3,13 @@
 `calderon <command> --config <path> --out <dir> [--seed S]`
 with commands forward | cgo | carleman | reconstruct | boundary | all.
 Every pipeline writes CSV data plus a JSON summary with PASS/FAIL checks;
-outputs are deterministic given (config, seed).  The pipelines of one run
-share the scenario mesh, which holds its stiffness matrix and factorized
-operators (forward.operator), so each (mesh, potential) pair is factorized
-once per run.
+outputs are deterministic given (config, seed).  This module is the one
+writer of output files: the computing modules return rows and reports,
+which _write_csv and _write_json write (the Cauchy data files excepted:
+CauchyData.to_csv writes them, beside their reader).  The pipelines of
+one run share the scenario mesh, which holds its stiffness matrix and
+factorized operators (forward.operator), so each (mesh, potential) pair
+is factorized once per run.
 """
 
 from __future__ import annotations
@@ -75,6 +78,21 @@ def _check(name, passed, value=None, detail="", trivial=False):
     return entry
 
 
+def _write_csv(path, header, rows) -> None:
+    """Header line, then one line per row; str.format prints a Python
+    float as its shortest repr, so every float reads back bit for bit."""
+    line = ",".join(["{}"] * len(header)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(line.format(*row) for row in rows)
+
+
+def _write_json(path, data) -> None:
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True, ensure_ascii=False)
+        fh.write("\n")
+
+
 def emit_report(results: dict, out_dir: str, name: str) -> list:
     """Persist one pipeline's results: JSON summary (schema-validated,
     sorted keys, stable float repr) and a human-readable table."""
@@ -89,9 +107,7 @@ def emit_report(results: dict, out_dir: str, name: str) -> list:
     }
     _SUMMARY_VALIDATOR.validate(summary)
     json_path = os.path.join(out_dir, f"{name}_summary.json")
-    with open(json_path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True, ensure_ascii=False)
-        fh.write("\n")
+    _write_json(json_path, summary)
     txt_path = os.path.join(out_dir, f"{name}_summary.txt")
     with open(txt_path, "w") as fh:
         fh.write(f"scenario: {summary['name']}   command: {summary['command']}   seed: {summary['seed']}\n")
@@ -111,20 +127,17 @@ def _mesh_export(sc: Scenario, out_dir: str) -> list:
     vpath = os.path.join(out_dir, "mesh_vertices.csv")
     g0 = np.zeros(mesh.n_vertices, dtype=bool)
     g0[mesh.boundary] = mesh.boundary_is_gamma0
-    # Python floats from tolist(): repr of a numpy scalar is "np.float64(...)"
+    # plain Python scalars from tolist(), as _write_csv formats them
     rows = zip(
+        range(mesh.n_vertices),
         mesh.vertices.real.tolist(),
         mesh.vertices.imag.tolist(),
         mesh.is_boundary.astype(int).tolist(),
         g0.astype(int).tolist(),
     )
-    with open(vpath, "w") as fh:
-        fh.write("index,x,y,is_boundary,is_gamma0\n")
-        fh.writelines(f"{i},{x!r},{y!r},{b},{g}\n" for i, (x, y, b, g) in enumerate(rows))
+    _write_csv(vpath, ("index", "x", "y", "is_boundary", "is_gamma0"), rows)
     cpath = os.path.join(out_dir, "mesh_cells.csv")
-    with open(cpath, "w") as fh:
-        fh.write("v0,v1,v2\n")
-        fh.writelines(f"{a},{b},{c}\n" for a, b, c in mesh.cells.tolist())
+    _write_csv(cpath, ("v0", "v1", "v2"), mesh.cells.tolist())
     return [vpath, cpath]
 
 
@@ -187,13 +200,15 @@ def run_cgo(sc: Scenario, out_dir: str) -> dict:
             phase.meta["critical_points"], sc.point, sc.domain,
             vanish_order=cfg["vanish_order"], degree=cfg["degree"],
         )
-        csv_path = os.path.join(out_dir, f"cgo_scaling_{k}.csv")
-        json_path = os.path.join(out_dir, f"cgo_scaling_{k}.json")
         rep = _cgo.residual_scaling_report(
             mesh, sc.domain, sc.V1, phase, amplitude, sc.h_list,
-            jet_degree=cfg["degree"], csv_path=csv_path, json_path=json_path,
-            cutoff_scale=regime["cutoff_scale"],
+            jet_degree=cfg["degree"], cutoff_scale=regime["cutoff_scale"],
         )
+        csv_path = os.path.join(out_dir, f"cgo_scaling_{k}.csv")
+        json_path = os.path.join(out_dir, f"cgo_scaling_{k}.json")
+        rows = ((r["h"], key, val) for r in rep["norms"] for key, val in r.items() if key != "h")
+        _write_csv(csv_path, ("h", "norm_name", "value"), rows)
+        _write_json(json_path, rep)
         reports.append(rep)
         files += [csv_path, json_path]
     checks = []
@@ -219,13 +234,13 @@ def run_carleman(sc: Scenario, out_dir: str) -> dict:
     weight = _carleman.build_carleman_weight(
         sc.domain, phase, cfg["epsilon"], h_min, degree=cfg["degree"], mesh=mesh
     )
+    rep = _carleman.carleman_sweep(
+        mesh, weight, sc.V1, sc.h_list, sample_count=cfg["carleman_samples"], seed=sc.seed,
+    )
     csv_path = os.path.join(out_dir, "carleman_sweep.csv")
     json_path = os.path.join(out_dir, "carleman_report.json")
-    rep = _carleman.carleman_sweep(
-        mesh, weight, sc.V1, sc.h_list,
-        sample_count=cfg["carleman_samples"], seed=sc.seed,
-        csv_path=csv_path, json_path=json_path,
-    )
+    _write_csv(csv_path, ("h", "sample_id", "lhs", "rhs", "ratio"), rep.pop("rows"))
+    _write_json(json_path, rep)
     conv = _carleman.convexity_check(weight, mesh)
     checks = [
         _check("carleman_min_ratio_positive", rep["pass"], rep["c_star"]),
@@ -250,12 +265,14 @@ def run_reconstruct(sc: Scenario, out_dir: str) -> dict:
     )
     true_p = float(np.real(_eval_potential(sc.V1, sc.point) - _eval_potential(sc.V2, sc.point)))
     grid = _rc.make_grid(cfg["grid_n"], cfg["grid_radius"])
-    csv_path = os.path.join(out_dir, "difference_map.csv")
     dmap = _rc.difference_map(
         mesh, sc.domain, sc.V1, sc.V2, grid, sc.h_list,
         degree=cfg["phase_degree"], psi_target=cfg["psi_target"],
-        seed=sc.seed, jet_degree=cfg["degree"], csv_path=csv_path,
+        seed=sc.seed, jet_degree=cfg["degree"],
     )
+    header = ("x", "y", "D", "fit_residual", "abs_a_p", "C_p")
+    csv_path = os.path.join(out_dir, "difference_map.csv")
+    _write_csv(csv_path, header, ([r[k] for k in header] for r in dmap["rows"]))
     checks = [
         _check(
             "pointwise_difference_accuracy",
@@ -302,11 +319,11 @@ def run_boundary(sc: Scenario, out_dir: str) -> dict:
     theta_p = float(cfg["theta_p"])
     h_list = cfg["boundary_h_list"]
     cal = _rc.calibrate_boundary_constant(mesh, sc.domain, theta_p, h_list)
-    csv_path = os.path.join(out_dir, "boundary_scan.csv")
     thetas = [theta_p - 0.5, theta_p, theta_p + 0.5]
-    scan = _rc.boundary_scan(
-        mesh, sc.domain, sc.V1, sc.V2, thetas, h_list, calibration=cal, csv_path=csv_path
-    )
+    scan = _rc.boundary_scan(mesh, sc.domain, sc.V1, sc.V2, thetas, h_list, calibration=cal)
+    header = ("theta", "D", "fitted_exponent")
+    csv_path = os.path.join(out_dir, "boundary_scan.csv")
+    _write_csv(csv_path, header, ([r[k] for k in header] for r in scan["rows"]))
     row = next((r for r in scan["rows"] if abs(r["theta"] - theta_p) < 1e-12), None)
     checks = []
     constants = {"calibration": cal, "scan_failures": len(scan["failures"])}

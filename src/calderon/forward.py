@@ -101,8 +101,10 @@ class CauchyData:
 # The pivot threshold keeps its default: partial pivoting stays on, so an
 # indefinite Delta_g + V is still safe.
 SYMMETRIC_LU = {"permc_spec": "MMD_AT_PLUS_A", "options": {"SymmetricMode": True}}
-# seed of the random start columns of the condition estimate
+# seed of the random start columns of the condition estimate, and the
+# estimate above which Delta_g + V counts as near-singular
 CONDITION_SEED = 0
+CONDITION_LIMIT = 1e12
 
 
 class SchrodingerOperator:
@@ -152,7 +154,7 @@ class SchrodingerOperator:
             raise ReferenceError(f"the mesh of operator {self.name} has been freed")
         return mesh
 
-    def _check_conditioning(self, A_ii, limit=1e12):
+    def _check_conditioning(self, A_ii):
         n = A_ii.shape[0]
         # A_ii is symmetric, so the adjoint solve is the same solve;
         # onenormest applies it to blocks of t = 2 columns, one LU pass each
@@ -172,7 +174,7 @@ class SchrodingerOperator:
             np.random.set_state(caller_state)
         cond = inv_norm * spla.norm(A_ii, 1)
         self.condition_estimate = float(cond)
-        if not np.isfinite(cond) or cond > limit:
+        if not np.isfinite(cond) or cond > CONDITION_LIMIT:
             raise DirichletEigenvalueError(
                 f"discrete Delta_g + {self.name} is near-singular "
                 f"(condition estimate {cond:.2e}); 0 is close to a Dirichlet eigenvalue"

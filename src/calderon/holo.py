@@ -25,6 +25,10 @@ HARD_CONSTRAINT_TOL = 1e-10
 DEGENERACY_THRESHOLD = 1e-8
 # Tikhonov weight of the Morse-phase fits (ridge lam = sqrt of it)
 PHASE_TIKHONOV = 1e-18
+# Morse-phase attempts (the first unbiased, the rest with a random soft
+# Hessian bias) and gamma0 collocation nodes per degree of an arc fit
+PHASE_ATTEMPTS = 8
+ARC_NODES_PER_DEGREE = 8
 # critical-point finder: Newton polishes the eigenvalues within NEWTON_RADIUS
 # for at most NEWTON_STEPS steps; candidates closer than MERGE_TOL are one zero
 NEWTON_RADIUS = 1.5
@@ -337,17 +341,13 @@ def fit_holomorphic_on_arc(
     domain: DiskDomain,
     degree: int,
     part: str = "im",
-    arc_target=None,
-    nodes_per_degree: int = 8,
-    tolerance: float = ARC_RESIDUAL_TOL,
 ) -> HoloFunction:
-    """Polynomial with `part` (re/im) prescribed on gamma0, hard constraints exact.
+    """Polynomial with `part` (re/im) zero on gamma0, hard constraints exact.
 
     constraints: list of (point, derivative order, complex target) interpolation
-    conditions enforced exactly.  arc_target: callable of boundary points (or
-    None for zero).  The achieved sup-residual on a 4x finer verification grid
-    is stored in meta["arc_residual"]; exceeding `tolerance` raises
-    InfeasibleDegreeError suggesting a larger degree.
+    conditions enforced exactly.  The achieved sup-residual on a 4x finer
+    verification grid is stored in meta["arc_residual"]; exceeding
+    ARC_RESIDUAL_TOL raises InfeasibleDegreeError suggesting a larger degree.
     """
     hard_A, hard_b = (None, None)
     if constraints:
@@ -355,18 +355,16 @@ def fit_holomorphic_on_arc(
         hard_A, hard_b = _complex_rows(_derivative_rows(points, orders, degree), targets)
     soft_A = soft_b = None
     if domain.gamma0 is not None:
-        nodes = _gamma0_nodes(domain, nodes_per_degree * max(degree, 1))
+        nodes = _gamma0_nodes(domain, ARC_NODES_PER_DEGREE * max(degree, 1))
         soft_A = _part_rows(_power_matrix(nodes, degree), part)
-        soft_b = np.zeros(len(nodes)) if arc_target is None else np.real(arc_target(nodes))
+        soft_b = np.zeros(len(nodes))
     coeffs = _solve_constrained(degree, hard_A, hard_b, soft_A, soft_b)
     fn = HoloFunction(coeffs)
     residual = 0.0
     if domain.gamma0 is not None:
-        fine = _gamma0_nodes(domain, 4 * nodes_per_degree * max(degree, 1))
-        vals = fn(fine)
-        want = np.zeros(len(fine)) if arc_target is None else np.real(arc_target(fine))
+        vals = fn(_gamma0_nodes(domain, 4 * ARC_NODES_PER_DEGREE * max(degree, 1)))
         got = vals.imag if part == "im" else vals.real
-        residual = float(np.max(np.abs(got - want)))
+        residual = float(np.max(np.abs(got)))
     fn.meta["arc_residual"] = residual
     for z0, order, t in constraints:
         got = fn.derivative(order)(z0)
@@ -374,9 +372,9 @@ def fit_holomorphic_on_arc(
             raise InfeasibleDegreeError(
                 f"hard constraint at {z0} (order {order}) violated: {got} vs {t}"
             )
-    if residual > tolerance:
+    if residual > ARC_RESIDUAL_TOL:
         raise InfeasibleDegreeError(
-            f"arc residual {residual:.2e} exceeds {tolerance:.0e} at degree {degree}; "
+            f"arc residual {residual:.2e} exceeds {ARC_RESIDUAL_TOL:.0e} at degree {degree}; "
             "increase the degree"
         )
     return fn
@@ -612,18 +610,17 @@ def build_morse_phase(
     degree: int = 16,
     seed: int = 0,
     psi_target: float = 1.0,
-    residual_tol: float = ARC_RESIDUAL_TOL,
-    max_retries: int = 8,
 ) -> HoloFunction:
     """Holomorphic Morse phase: dPhi(p)=0 exactly, Phi(p)=i*psi_target,
-    Im Phi = 0 on gamma0 within residual_tol.
+    Im Phi = 0 on gamma0 within ARC_RESIDUAL_TOL.
 
     Among fits meeting the residual target the builder takes the one with
     the smallest gradient energy (largest feasible penalty weight, found by
     bisection), since downstream semiclassical solves must resolve
     oscillations at wavelength ~ h/|dPhi|.  psi_target rescales the whole
     phase; Im Phi(p) = psi_target stays nonzero.  Degenerate outcomes are
-    retried with a randomized soft Hessian bias.
+    retried, up to PHASE_ATTEMPTS attempts in all, with a randomized soft
+    Hessian bias.
 
     Within one attempt only the penalty weight mu changes, so the hard
     constraints, their null space, the arc and penalty rows, their R factors
@@ -644,7 +641,7 @@ def build_morse_phase(
         raise ConfigurationError("psi_target must be positive")
     rng = np.random.default_rng(seed)
     last_report = None
-    for attempt in range(max_retries):
+    for attempt in range(PHASE_ATTEMPTS):
         bias = None
         if attempt > 0:
             angle = float(rng.uniform(0.0, TWO_PI))
@@ -659,7 +656,7 @@ def build_morse_phase(
             phi = HoloFunction(base)
             phi.meta["arc_residual"] = 0.0
         else:
-            target = 0.8 * residual_tol / psi_target
+            target = 0.8 * ARC_RESIDUAL_TOL / psi_target
             lo, hi = 1e-9, 1e-2  # residual grows with the penalty weight mu
             fit = _phase_fitter(domain, p, degree, bias)
             screen_res = None
@@ -692,7 +689,7 @@ def build_morse_phase(
             phi.meta["critical_points"] = report
             return phi
     raise MorseVerificationError(
-        f"no Morse phase after {max_retries} retries; last report: {last_report}"
+        f"no Morse phase after {PHASE_ATTEMPTS} attempts; last report: {last_report}"
     )
 
 
@@ -720,7 +717,7 @@ def build_amplitude(
 
 
 def field_jets(values, mesh: Mesh, z0: complex, order: int = 2) -> np.ndarray:
-    """d/dz jets (orders 0..order) of a discrete complex field at z0.
+    """d/dz jets (orders 0..order, order <= 2) of a discrete complex field at z0.
 
     Local least-squares bivariate polynomial of degree order+2 over the
     vertices within radius 4*resolution (the wide centered stencil), then
@@ -758,8 +755,6 @@ def field_jets(values, mesh: Mesh, z0: complex, order: int = 2) -> np.ndarray:
         jets.append(0.5 * (c(1, 0) - 1j * c(0, 1)))
     if order >= 2:
         jets.append(0.25 * (c(2, 0) - c(0, 2) - 2j * c(1, 1)))
-    if order >= 3:
-        jets.append(0.125 * (c(3, 0) - 3 * c(1, 2) - 1j * (3 * c(2, 1) - c(0, 3))))
     return np.asarray(jets[: order + 1])
 
 

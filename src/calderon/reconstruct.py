@@ -247,10 +247,11 @@ def difference_map(
     seed: int = 0,
     jet_degree: int = 16,
     include_r1: bool = False,
-    csv_path=None,
 ) -> dict:
     """pointwise_difference over a grid; individual failures are recorded,
-    not fatal.  include_r1 defaults off here: the r1 transform costs one
+    not fatal.  Returns {"rows": one dict (x, y, D, fit_residual, abs_a_p,
+    C_p) per recovered point, "failures": one dict (x, y, error) per failed
+    point}.  include_r1 defaults off here: the r1 transform costs one
     singular quadrature per (point, h) and moves D by O(h)."""
     rows = []
     failures = []
@@ -272,13 +273,6 @@ def difference_map(
             )
         except (ReconstructionError, MorseVerificationError, _cgo.ResolvabilityError, RuntimeError) as exc:
             failures.append({"x": p.real, "y": p.imag, "error": f"{type(exc).__name__}: {exc}"})
-    if csv_path is not None:
-        with open(csv_path, "w") as fh:
-            fh.write("x,y,D,fit_residual,abs_a_p,C_p\n")
-            for r in rows:
-                fh.write(
-                    f"{r['x']!r},{r['y']!r},{r['D']!r},{r['fit_residual']!r},{r['abs_a_p']!r},{r['C_p']!r}\n"
-                )
     return {"rows": rows, "failures": failures}
 
 
@@ -434,9 +428,10 @@ def boundary_scan(
     theta_list,
     h_list,
     calibration: float,
-    csv_path=None,
 ) -> dict:
-    """boundary_recovery over several gamma points; CSV (theta, D, fitted_exponent)."""
+    """boundary_recovery over several gamma points.  Returns {"rows": one
+    dict (theta, D, fitted_exponent, below_noise_floor) per recovered point,
+    "failures": one dict (theta, error) per failed point}."""
     rows = []
     failures = []
     for theta in theta_list:
@@ -452,9 +447,4 @@ def boundary_scan(
             )
         except ReconstructionError as exc:
             failures.append({"theta": float(theta), "error": str(exc)})
-    if csv_path is not None:
-        with open(csv_path, "w") as fh:
-            fh.write("theta,D,fitted_exponent\n")
-            for r in rows:
-                fh.write(f"{r['theta']!r},{r['D']!r},{r['fitted_exponent']!r}\n")
     return {"rows": rows, "failures": failures}

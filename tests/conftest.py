@@ -25,6 +25,10 @@ from calderon.scenarios import load_scenario, validate_config
 
 P_STAR = 0.2 + 0.1j
 BUMP_WIDTH = 0.25
+# A cheap config on which the carleman pipeline runs to the end: epsilon = 1
+# admits h <= 0.2 under the Carleman constraint h <= epsilon/5, and the h
+# list stays above the 0.08 mesh's weight-resolvability bound.
+CARLEMAN_CHEAP = {"resolution": 0.08, "epsilon": 1.0, "carleman_samples": 10, "h_list": [0.2, 0.17, 0.14]}
 
 
 def dense_cauchy_transform(f_values, mesh, eval_points=None):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from calderon.forward import schrodinger_matrix
 from calderon.geometry import ConfigurationError, DiskDomain
 from calderon.holo import HoloFunction, build_morse_phase
 
-from conftest import P_STAR, per_sample_ratio_terms
+from conftest import CARLEMAN_CHEAP, P_STAR, per_sample_ratio_terms
 
 
 @pytest.fixture(scope="module")
@@ -128,27 +130,39 @@ def test_sweep_baseline_and_negative_potential_degrades(quarter_weight, ref_mesh
     assert repn["v_inf"] == 20.0
 
 
-def test_sweep_csv_and_json(tmp_path, quarter_weight, ref_mesh):
-    csv_path = tmp_path / "sweep.csv"
-    json_path = tmp_path / "sweep.json"
-    rep = _ca.carleman_sweep(
-        ref_mesh, quarter_weight, 0.0, [0.2, 0.1], sample_count=3,
-        csv_path=csv_path, json_path=json_path,
-    )
-    header = csv_path.read_text().splitlines()[0]
-    assert header == "h,sample_id,lhs,rhs,ratio"
-    import json
+def test_sweep_csv_and_json(tmp_path, monkeypatch):
+    """run_carleman writes the sweep rows to carleman_sweep.csv, which
+    parses back to them exactly, and keeps them out of
+    carleman_report.json."""
+    from calderon import cli
+    from calderon.scenarios import load_scenario
 
-    back = json.loads(json_path.read_text())
-    assert back["c_star"] == pytest.approx(rep["c_star"])
+    sweeps = []
+    sweep = _ca.carleman_sweep
+
+    def recording_sweep(*args, **kwargs):
+        rep = sweep(*args, **kwargs)
+        sweeps.append(rep["rows"])
+        return rep
+
+    monkeypatch.setattr(_ca, "carleman_sweep", recording_sweep)
+    cli.run_carleman(load_scenario({"name": "cheap", "seed": 3, **CARLEMAN_CHEAP}), str(tmp_path))
+    (rows,) = sweeps
+    assert rows
+    lines = (tmp_path / "carleman_sweep.csv").read_text().splitlines()
+    assert lines[0] == "h,sample_id,lhs,rhs,ratio"
+    back = [line.split(",") for line in lines[1:]]
+    assert [(float(h), int(sid), float(lhs), float(rhs), float(r)) for h, sid, lhs, rhs, r in back] == rows
+    report = json.loads((tmp_path / "carleman_report.json").read_text())
+    assert "rows" not in report
+    assert report["c_star"] == min(r[4] for r in rows)
 
 
-def test_sweep_matches_per_sample_reference(tmp_path, quarter_weight, ref_mesh):
+def test_sweep_matches_per_sample_reference(quarter_weight, ref_mesh):
     """Every sweep row, and carleman_ratio, equal the per-(h, u) reference
     that recomputes all terms, to the bit."""
     V, h_list, count = -20.0, [0.2, 0.1], 4
-    csv_path = tmp_path / "sweep.csv"
-    _ca.carleman_sweep(ref_mesh, quarter_weight, V, h_list, sample_count=count, csv_path=csv_path)
+    rep = _ca.carleman_sweep(ref_mesh, quarter_weight, V, h_list, sample_count=count)
     A = schrodinger_matrix(ref_mesh, V)
     samples = _ca.sample_test_functions(ref_mesh, count, seed=0)
     want = []
@@ -157,10 +171,10 @@ def test_sweep_matches_per_sample_reference(tmp_path, quarter_weight, ref_mesh):
         B = conjugated_matrix(A, _ca.convexify_weight(wh, ref_mesh), h)
         for sid, u in enumerate(samples):
             lhs, rhs, ratio = per_sample_ratio_terms(ref_mesh, wh, B, u)
-            want.append(f"{h!r},{sid},{lhs!r},{rhs!r},{ratio!r}")
+            want.append((h, sid, lhs, rhs, ratio))
             if sid == 1:
                 assert _ca.carleman_ratio(ref_mesh, wh, V, u) == (lhs, rhs, ratio)
-    assert csv_path.read_text().splitlines()[1:] == want
+    assert rep["rows"] == want
 
 
 def test_sweep_samples_phase_derivative_once(quarter_weight, quarter_mesh_mid, monkeypatch):

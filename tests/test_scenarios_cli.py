@@ -21,7 +21,7 @@ from calderon.scenarios import (
     validate_config,
 )
 
-from conftest import reference_config
+from conftest import CARLEMAN_CHEAP, reference_config
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +49,9 @@ def test_default_epsilon_admits_default_h_list():
         sc.domain, sc.point, degree=cfg["phase_degree"],
         psi_target=cfg["carleman_psi_target"], seed=sc.seed,
     )
-    weight = _carleman.build_carleman_weight(sc.domain, phase, cfg["epsilon"], h_min, degree=cfg["degree"])
+    weight = _carleman.build_carleman_weight(
+        sc.domain, phase, cfg["epsilon"], h_min, degree=cfg["degree"], mesh=sc.build_mesh()
+    )
     assert weight.h == h_min
 
 
@@ -147,13 +149,11 @@ def test_scenario_properties_and_mesh_cache():
 
 CHEAP = {"name": "cheap", "seed": 0, "resolution": 0.08}
 
-# Cheap configs on which each pipeline runs to the end.  epsilon = 1 admits
-# h <= 0.2 under the Carleman constraint h <= epsilon/5, and the Carleman h
-# list stays above the 0.08 mesh's weight-resolvability bound.  The
-# boundary one puts the V1 bump on the scanned point theta_p = pi, so the
-# scan fits the h^(3/2) law instead of taking its below-noise-floor branch.
+# Cheap configs on which each pipeline runs to the end (CARLEMAN_CHEAP is in
+# conftest).  The boundary one puts the V1 bump on the scanned point
+# theta_p = pi, so the scan fits the h^(3/2) law instead of taking its
+# below-noise-floor branch.
 RECONSTRUCT_CHEAP = {"resolution": 0.04, "grid_n": 3, "h_list": [0.5, 0.3, 0.18, 0.1]}
-CARLEMAN_CHEAP = {"resolution": 0.08, "epsilon": 1.0, "carleman_samples": 10, "h_list": [0.2, 0.17, 0.14]}
 BOUNDARY_CHEAP = {
     "resolution": 0.03,
     "v1": {"profile": "gaussian", "center": [-1.0, 0.0], "width": 0.6},
@@ -411,6 +411,46 @@ def test_pipeline_outputs_hold_plain_numbers(tmp_path, command, overrides):
     for f in files:
         text = f.read_text()
         assert "np." not in text and "float64(" not in text, f.name
+
+
+CSV_HEADERS = {
+    "mesh_vertices.csv": "index,x,y,is_boundary,is_gamma0",
+    "mesh_cells.csv": "v0,v1,v2",
+    "cauchy_v1.csv": "theta,dirichlet_re,dirichlet_im,neumann_re,neumann_im,arc_label",
+    "cauchy_v2.csv": "theta,dirichlet_re,dirichlet_im,neumann_re,neumann_im,arc_label",
+    "cgo_scaling_0.csv": "h,norm_name,value",
+    "cgo_scaling_1.csv": "h,norm_name,value",
+    "carleman_sweep.csv": "h,sample_id,lhs,rhs,ratio",
+    "difference_map.csv": "x,y,D,fit_residual,abs_a_p,C_p",
+    "boundary_scan.csv": "theta,D,fitted_exponent",
+}
+# every other CSV column holds floats
+CSV_NON_FLOAT_COLUMNS = {
+    "index", "is_boundary", "is_gamma0", "v0", "v1", "v2", "sample_id", "norm_name", "arc_label"
+}
+
+
+def test_every_csv_round_trips(tmp_path):
+    """Every CSV of an `all` run has its header, header-many fields on each
+    line, and float fields that are the shortest repr of their value, so
+    they parse back bit for bit."""
+    out = tmp_path / "out"
+    cfg = _write_cfg(tmp_path, {"name": "cheap", "seed": 3, **ALL_CHEAP})
+    _cli.run_scenario(cfg, "all", out_dir=str(out))
+    assert sorted(f.name for f in out.glob("*.csv")) == sorted(CSV_HEADERS)
+    for name, header in CSV_HEADERS.items():
+        text = (out / name).read_text()
+        assert "np." not in text, name
+        lines = text.splitlines()
+        assert lines[0] == header, name
+        columns = header.split(",")
+        assert len(lines) > 1, name
+        for line in lines[1:]:
+            fields = line.split(",")
+            assert len(fields) == len(columns), (name, line)
+            for col, s in zip(columns, fields):
+                if col not in CSV_NON_FLOAT_COLUMNS:
+                    assert repr(float(s)) == s, (name, col, s)
 
 
 def test_reference_boundary_check_flagged_trivial(tmp_path):
