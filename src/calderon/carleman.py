@@ -117,16 +117,16 @@ def build_auxiliaries(domain: DiskDomain, phase: HoloFunction, degree: int = 16)
 
 
 def build_carleman_weight(
-    domain: DiskDomain,
+    mesh: Mesh,
     phase: HoloFunction,
     epsilon: float,
     h: float,
-    mesh: Mesh,
     degree: int = 16,
 ) -> CarlemanWeight:
-    """Assemble the convexified weight and record the positivity margin of
-    sum_j |d phi_j|^2, measured at the mesh vertices."""
-    aux = build_auxiliaries(domain, phase, degree)
+    """Assemble the convexified weight, with auxiliaries for the gamma0 of
+    mesh.domain, and record the positivity margin of sum_j |d phi_j|^2,
+    measured at the mesh vertices."""
+    aux = build_auxiliaries(mesh.domain, phase, degree)
     w = CarlemanWeight(phase, aux, epsilon, h)
     w.meta["gradient_sq_min"] = float(np.min(w.gradient_sq(mesh.vertices)))
     if w.meta["gradient_sq_min"] <= 0:

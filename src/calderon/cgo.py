@@ -20,8 +20,9 @@ residual e^{-Phi/h}(Delta_g + V) e^{Phi/h} A decays like h (up to logs):
     they are solved by banded Cholesky rather than a sparse LU.
 
 One CGO per (phase, potential): prepare_cgo builds the h-independent
-ingredients once and returns them as a CGO, whose r11_sweep gives the r11
-fields of a whole h list from one Cauchy-transform sweep and whose
+ingredients once and returns them as a CGO, which holds its potential V
+and, in CGO.A, the assembled Delta_g + V.  Its r11_sweep gives the r11
+fields of a whole h list from one Cauchy-transform sweep and its
 slow_amplitude gives a + h a0 + r1 at one h.  The remainder report runs
 residual_field and duality_completion on it at each h; the interior
 pairing of reconstruct reads the same object.  All advertised norm
@@ -40,7 +41,6 @@ from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
 from .geometry import (
     ConfigurationError,
-    DiskDomain,
     Mesh,
     as_values,
     dz_field,
@@ -235,10 +235,10 @@ def build_r12(mesh: Mesh, phase: HoloFunction, b: np.ndarray, chi1: Cutoff, hess
     return r12, r_tilde12
 
 
-def build_a0(r_tilde12: np.ndarray, mesh: Mesh, domain: DiskDomain, degree: int = 16) -> HoloFunction:
+def build_a0(r_tilde12: np.ndarray, mesh: Mesh, degree: int = 16) -> HoloFunction:
     """Holomorphic corrector with Re a0 = -Re r_tilde12 on gamma0 (residual
     at the gamma0 vertices <= 1e-4); identically zero when gamma0 is empty."""
-    if domain.gamma0 is None:
+    if mesh.domain.gamma0 is None:
         return HoloFunction([0.0])
     idx = mesh.gamma0_indices()
     nodes = mesh.vertices[idx] / np.abs(mesh.vertices[idx])
@@ -280,13 +280,15 @@ def conjugated_matrix(A: sp.spmatrix, phi_vals: np.ndarray, h: float) -> sp.csr_
 class CGO:
     """The h-independent ingredients of one CGO solution
     u = e^{Phi/h}(a + h a0 + r1) + r2 for one (phase, amplitude, V), with
-    r1 = r11 + h r12: the primary critical point p, the cutoffs chi and
-    chi1, the potential term b, the algebraic remainders r12 and r_tilde12,
-    the corrector a0, and a and a0 sampled at the mesh vertices (a_z, a0_z).
-    Built by prepare_cgo; r11 comes per h list from r11_sweep, and r2 per h
-    from duality_completion."""
+    r1 = r11 + h r12: the potential V sampled at the mesh vertices, the
+    primary critical point p, the cutoffs chi and chi1, the potential term
+    b, the algebraic remainders r12 and r_tilde12, the corrector a0, and a
+    and a0 sampled at the mesh vertices (a_z, a0_z); A is the assembled
+    Delta_g + V, built on first use.  Built by prepare_cgo; r11 comes per h
+    list from r11_sweep, and r2 per h from duality_completion."""
 
     mesh: Mesh
+    V: np.ndarray
     phase: HoloFunction
     amplitude: HoloFunction
     p: complex
@@ -298,6 +300,12 @@ class CGO:
     a0: HoloFunction
     a_z: np.ndarray
     a0_z: np.ndarray
+
+    @cached_property
+    def A(self) -> sp.csc_matrix:
+        """Delta_g + V assembled (forward.schrodinger_matrix) on first use;
+        never factorized."""
+        return schrodinger_matrix(self.mesh, self.V)
 
     @cached_property
     def dzbar_r12(self) -> np.ndarray:
@@ -330,7 +338,6 @@ class CGO:
 
 def prepare_cgo(
     mesh,
-    domain,
     V,
     phase,
     amplitude,
@@ -352,24 +359,26 @@ def prepare_cgo(
         # the primary point is the one the phase was normalized at: Im Phi = psi_target > 0 there
         p = max(points, key=lambda q: phase(q.location).imag).location
     chi, chi1 = build_cutoffs(report, p, scale=cutoff_scale)
+    V = as_values(V, mesh)
     a_z = amplitude(mesh.vertices)
-    aV = a_z * as_values(V, mesh)
+    aV = a_z * V
     if not np.any(np.abs(aV) > 0):
         b = np.zeros(mesh.n_vertices, dtype=complex)
     else:
         theta = green_dz(mesh, aV)
-        f = build_jet_form(theta, mesh, report, p, domain, degree=jet_degree)
+        f = build_jet_form(theta, mesh, report, p, degree=jet_degree)
         b = f.meta["omega"](mesh.vertices) - theta
     hess_abs = abs(phase.derivative(2)(p))
     if np.any(np.abs(b) > 0):
         r12, r_tilde12 = build_r12(mesh, phase, b, chi1, hess_abs)
-        a0 = build_a0(r_tilde12, mesh, domain, degree=jet_degree)
+        a0 = build_a0(r_tilde12, mesh, degree=jet_degree)
     else:
         r12 = np.zeros(mesh.n_vertices, dtype=complex)
         r_tilde12 = np.zeros(mesh.n_vertices, dtype=complex)
         a0 = HoloFunction([0.0])
     return CGO(
         mesh=mesh,
+        V=V,
         phase=phase,
         amplitude=amplitude,
         p=p,
@@ -384,7 +393,7 @@ def prepare_cgo(
     )
 
 
-def residual_field(cgo: CGO, V, h: float, r11: np.ndarray, T: Optional[np.ndarray]) -> np.ndarray:
+def residual_field(cgo: CGO, h: float, r11: np.ndarray, T: Optional[np.ndarray]) -> np.ndarray:
     """Conjugated residual e^{-Phi/h}(Delta_g + V) e^{Phi/h}(a + h a0 + r1)
     as a complex vertex field, from cgo and the (r11, T) of its r11_sweep
     at h.
@@ -395,18 +404,17 @@ def residual_field(cgo: CGO, V, h: float, r11: np.ndarray, T: Optional[np.ndarra
     contaminated by unresolved oscillation.  The two 1/h transport terms
     that cancel in exact arithmetic are dropped analytically.
 
-    The stiffness matrix and lumped mass are the mesh's, and the
-    h-independent derivatives dzbar(r12) and dzbar(chi1 b) are the cgo's
-    cached ones, taken once per CGO; nothing is factorized.
+    V is the cgo's own, the stiffness matrix and lumped mass are the
+    mesh's, and the h-independent derivatives dzbar(r12) and dzbar(chi1 b)
+    are the cgo's cached ones, taken once per CGO; nothing is factorized.
     """
     mesh = cgo.mesh
     z = mesh.vertices
-    V_v = as_values(V, mesh)
     dphi = cgo.phase.derivative()(z)
     inv_metric = np.exp(-2.0 * mesh.rho_v)
     A_slow = cgo.a_z + h * cgo.a0_z + h * cgo.r12
     res = (
-        V_v * A_slow
+        cgo.V * A_slow
         + h * (mesh.stiffness @ cgo.r12) / mesh.mass
         - 4.0 * inv_metric * dphi * cgo.dzbar_r12
     )
@@ -418,7 +426,7 @@ def residual_field(cgo: CGO, V, h: float, r11: np.ndarray, T: Optional[np.ndarra
         res = res - 4.0 * inv_metric * osc_conj * (
             dzbar_field(dchi * T, mesh) + (np.conj(dphi) / h) * dchi * T
         )
-        res = res + V_v * r11
+        res = res + cgo.V * r11
     return res
 
 
@@ -432,7 +440,7 @@ def ansatz_residual(mesh: Mesh, res: np.ndarray) -> float:
     return l2_norm(np.where(bulk, res, 0.0), mesh)
 
 
-def duality_completion(cgo: CGO, h: float, r11: np.ndarray, res: np.ndarray, A: sp.spmatrix) -> np.ndarray:
+def duality_completion(cgo: CGO, h: float, r11: np.ndarray, res: np.ndarray) -> np.ndarray:
     """Weighted remainder r2 realized by the minimal-norm (duality) solve.
 
     Finds the smallest r2 (in the lumped-mass L2 norm) with
@@ -446,8 +454,8 @@ def duality_completion(cgo: CGO, h: float, r11: np.ndarray, res: np.ndarray, A: 
     evaluated term by term via residual_field, so it stays at the true
     remainder scale on any mesh that resolves the slow fields; the ansatz
     is cgo's at h with the r11 of its r11_sweep, res is
-    residual_field(cgo, V, h, r11, T), which the caller evaluates once, and
-    A is forward.schrodinger_matrix(mesh, V), which a sweep assembles once.
+    residual_field(cgo, h, r11, T), which the caller evaluates once, and
+    Delta_g + V is cgo.A, assembled once per CGO.
 
     Why not a direct Dirichlet solve with the ansatz trace prescribed on
     gamma: its weighted solution operator contains
@@ -472,7 +480,7 @@ def duality_completion(cgo: CGO, h: float, r11: np.ndarray, res: np.ndarray, A: 
     phi_v, psi_v = phase_v.real, phase_v.imag
     rhs_field = 2.0 * np.real(np.exp(1j * psi_v / h) * res)
     w = 2.0 * np.real(np.exp(1j * psi_v / h) * cgo.slow_amplitude(h, r11))
-    B = conjugated_matrix(A, phi_v, h)
+    B = conjugated_matrix(cgo.A, phi_v, h)
     ii = np.flatnonzero(mesh.interior)
     bb = mesh.boundary
     gamma0_idx = bb[mesh.boundary_is_gamma0]
@@ -542,7 +550,6 @@ def _fit_exponent(h_list, norms, log_corrected=False):
 
 def residual_scaling_report(
     mesh: Mesh,
-    domain: DiskDomain,
     V,
     phase: HoloFunction,
     amplitude: HoloFunction,
@@ -559,20 +566,19 @@ def residual_scaling_report(
     residual_field once, for both its duality completion and its ansatz
     residual.  r2 is the minimal-norm remainder of duality_completion.
 
-    Delta_g + V is assembled once per sweep and never factorized, so the
-    sweep runs no Dirichlet-eigenvalue guard for V: the duality solve does
-    not invert Delta_g + V, and fails loudly instead when its normal
-    equations are not positive definite."""
+    Delta_g + V is the CGO's A, assembled once per sweep and never
+    factorized, so the sweep runs no Dirichlet-eigenvalue guard for V: the
+    duality solve does not invert Delta_g + V, and fails loudly instead
+    when its normal equations are not positive definite."""
     h_list = sorted(set(float(h) for h in h_list), reverse=True)
-    cgo = prepare_cgo(mesh, domain, V, phase, amplitude, jet_degree, cutoff_scale=cutoff_scale)
-    A = schrodinger_matrix(mesh, V)
+    cgo = prepare_cgo(mesh, V, phase, amplitude, jet_degree, cutoff_scale=cutoff_scale)
     rows = []
     used_h = []
     skipped = []
     for h, (r11, eta, T) in cgo.r11_sweep(h_list, skipped=skipped).items():
         used_h.append(h)
-        res = residual_field(cgo, V, h, r11, T)
-        r2 = duality_completion(cgo, h, r11, res, A)
+        res = residual_field(cgo, h, r11, T)
+        r2 = duality_completion(cgo, h, r11, res)
         r1 = r11 + h * cgo.r12
         rows.append(
             {

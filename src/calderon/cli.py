@@ -95,11 +95,12 @@ def _write_json(path, data) -> None:
 
 def emit_report(results: dict, out_dir: str, name: str) -> list:
     """Persist one pipeline's results: JSON summary (schema-validated,
-    sorted keys, stable float repr) and a human-readable table."""
+    sorted keys, stable float repr) and a human-readable table.  name is
+    the pipeline (or "all"), and the summary's command."""
     os.makedirs(out_dir, exist_ok=True)
     summary = {
         "name": results.get("name", name),
-        "command": results.get("command", name),
+        "command": name,
         "seed": int(results.get("seed", 0)),
         "checks": results.get("checks", []),
         "constants": results.get("constants", {}),
@@ -166,7 +167,6 @@ def run_forward(sc: Scenario, out_dir: str) -> dict:
     scale = max(abs(inner), np.max(np.abs(u1)) * np.max(np.abs(u2)))
     err = float(abs(pair - inner) / scale)
     return {
-        "command": "forward",
         "checks": [_check("green_identity_relative_error", err <= 1e-2, err)],
         "constants": {
             "n_vertices": mesh.n_vertices,
@@ -201,7 +201,7 @@ def run_cgo(sc: Scenario, out_dir: str) -> dict:
             vanish_order=cfg["vanish_order"], degree=cfg["degree"],
         )
         rep = _cgo.residual_scaling_report(
-            mesh, sc.domain, sc.V1, phase, amplitude, sc.h_list,
+            mesh, sc.V1, phase, amplitude, sc.h_list,
             jet_degree=cfg["degree"], cutoff_scale=regime["cutoff_scale"],
         )
         csv_path = os.path.join(out_dir, f"cgo_scaling_{k}.csv")
@@ -220,7 +220,7 @@ def run_cgo(sc: Scenario, out_dir: str) -> dict:
         constants[f"exponent_{key}_regime{idx}"] = e
         ok = e is not None and lo <= e <= hi
         checks.append(_check(f"exponent_{key}", ok, e, detail=f"window [{lo}, {hi}]"))
-    return {"command": "cgo", "checks": checks, "constants": constants, "files": files}
+    return {"checks": checks, "constants": constants, "files": files}
 
 
 def run_carleman(sc: Scenario, out_dir: str) -> dict:
@@ -231,9 +231,7 @@ def run_carleman(sc: Scenario, out_dir: str) -> dict:
         psi_target=cfg["carleman_psi_target"], seed=sc.seed,
     )
     h_min = min(sc.h_list)
-    weight = _carleman.build_carleman_weight(
-        sc.domain, phase, cfg["epsilon"], h_min, degree=cfg["degree"], mesh=mesh
-    )
+    weight = _carleman.build_carleman_weight(mesh, phase, cfg["epsilon"], h_min, degree=cfg["degree"])
     rep = _carleman.carleman_sweep(
         mesh, weight, sc.V1, sc.h_list, sample_count=cfg["carleman_samples"], seed=sc.seed,
     )
@@ -252,21 +250,21 @@ def run_carleman(sc: Scenario, out_dir: str) -> dict:
         "gradient_sq_min": weight.meta["gradient_sq_min"],
         "convexity_check": conv,
     }
-    return {"command": "carleman", "checks": checks, "constants": constants, "files": [csv_path, json_path]}
+    return {"checks": checks, "constants": constants, "files": [csv_path, json_path]}
 
 
 def run_reconstruct(sc: Scenario, out_dir: str) -> dict:
     mesh = sc.build_mesh()
     cfg = sc.config
     est = _rc.pointwise_difference(
-        mesh, sc.domain, sc.V1, sc.V2, sc.point, sc.h_list,
+        mesh, sc.V1, sc.V2, sc.point, sc.h_list,
         degree=cfg["phase_degree"], psi_target=cfg["psi_target"],
         seed=sc.seed, jet_degree=cfg["degree"],
     )
     true_p = float(np.real(_eval_potential(sc.V1, sc.point) - _eval_potential(sc.V2, sc.point)))
     grid = _rc.make_grid(cfg["grid_n"], cfg["grid_radius"])
     dmap = _rc.difference_map(
-        mesh, sc.domain, sc.V1, sc.V2, grid, sc.h_list,
+        mesh, sc.V1, sc.V2, grid, sc.h_list,
         degree=cfg["phase_degree"], psi_target=cfg["psi_target"],
         seed=sc.seed, jet_degree=cfg["degree"],
     )
@@ -294,7 +292,6 @@ def run_reconstruct(sc: Scenario, out_dir: str) -> dict:
             dist = np.hypot(p_true["x"] - p_got["x"], p_true["y"] - p_got["y"])
             checks.append(_check("difference_map_argmax", dist <= 2.0 * step + 1e-12, dist))
     return {
-        "command": "reconstruct",
         "checks": checks,
         "constants": {
             "D_point": est["D"],
@@ -318,9 +315,9 @@ def run_boundary(sc: Scenario, out_dir: str) -> dict:
     cfg = sc.config
     theta_p = float(cfg["theta_p"])
     h_list = cfg["boundary_h_list"]
-    cal = _rc.calibrate_boundary_constant(mesh, sc.domain, theta_p, h_list)
+    cal = _rc.calibrate_boundary_constant(mesh, theta_p, h_list)
     thetas = [theta_p - 0.5, theta_p, theta_p + 0.5]
-    scan = _rc.boundary_scan(mesh, sc.domain, sc.V1, sc.V2, thetas, h_list, calibration=cal)
+    scan = _rc.boundary_scan(mesh, sc.V1, sc.V2, thetas, h_list, calibration=cal)
     header = ("theta", "D", "fitted_exponent")
     csv_path = os.path.join(out_dir, "boundary_scan.csv")
     _write_csv(csv_path, header, ([r[k] for k in header] for r in scan["rows"]))
@@ -351,7 +348,7 @@ def run_boundary(sc: Scenario, out_dir: str) -> dict:
         constants["D_boundary"] = row["D"]
     else:
         checks.append(_check("boundary_exponent_window", False, detail="recovery failed at theta_p"))
-    return {"command": "boundary", "checks": checks, "constants": constants, "files": [csv_path]}
+    return {"checks": checks, "constants": constants, "files": [csv_path]}
 
 
 _PIPELINES = {
@@ -384,7 +381,6 @@ def run_scenario(config_path, command: str, out_dir: str = None, seed: int = Non
     if command == "all":
         combined = {
             "name": sc.name,
-            "command": "all",
             "seed": sc.seed,
             "checks": all_checks,
             "constants": {},

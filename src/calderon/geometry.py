@@ -170,24 +170,7 @@ class Mesh:
         return self.boundary[self.boundary_is_gamma0]
 
 
-@dataclass
-class ScalarField:
-    """Function sampled at mesh vertices (real or complex values)."""
-
-    mesh: Mesh
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values)
-        if self.values.shape != (self.mesh.n_vertices,):
-            raise ValueError("value count must equal vertex count")
-
-
 def as_values(f, mesh: Mesh) -> np.ndarray:
-    if isinstance(f, ScalarField):
-        if f.mesh is not mesh:
-            raise ValueError("field lives on a different mesh")
-        return f.values
     if callable(f):
         return np.asarray(f(mesh.vertices))
     arr = np.asarray(f)

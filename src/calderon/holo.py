@@ -763,12 +763,11 @@ def build_jet_form(
     mesh: Mesh,
     report: CriticalPointReport,
     p: complex,
-    domain: DiskDomain,
     degree: int = 16,
 ) -> HoloFunction:
-    """Holomorphic f, real on gamma0, whose derivative omega = df matches the
-    0th-2nd d/dz jets of theta at every secondary critical point and the 0th
-    jet at p."""
+    """Holomorphic f, real on the gamma0 of mesh.domain, whose derivative
+    omega = df matches the 0th-2nd d/dz jets of theta at every secondary
+    critical point and the 0th jet at p."""
     p = complex(p)
     constraints = []
     jp = field_jets(theta_values, mesh, p, order=0)
@@ -781,7 +780,7 @@ def build_jet_form(
         raise InfeasibleDegreeError(
             f"{len(constraints)} jet constraints need degree > {len(constraints)}"
         )
-    fn = fit_holomorphic_on_arc(constraints, domain, degree, part="im")
+    fn = fit_holomorphic_on_arc(constraints, mesh.domain, degree, part="im")
     # verify the jets of omega = f' directly
     omega = fn.derivative()
     for z0, order, t in constraints:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forward import boundary_pairing, operator
-from .geometry import ConfigurationError, DiskDomain, Mesh, as_values
+from .geometry import ConfigurationError, DiskDomain, Mesh
 from .holo import (
     DEGENERACY_THRESHOLD,
     HoloFunction,
@@ -116,7 +116,6 @@ def fit_pairing_model(h_list, S_values, psi_p: float) -> dict:
 
 def cgo_pairings(
     mesh: Mesh,
-    domain: DiskDomain,
     V1,
     V2,
     phase: HoloFunction,
@@ -138,9 +137,9 @@ def cgo_pairings(
     """
     p = complex(p)
     mirror = HoloFunction(-np.asarray(phase.coeffs), meta=dict(phase.meta))
-    cgo1 = _cgo.prepare_cgo(mesh, domain, V1, phase, amplitude, jet_degree, p=p)
-    cgo2 = _cgo.prepare_cgo(mesh, domain, V2, mirror, amplitude, jet_degree, p=p)
-    dV = as_values(V1, mesh) - as_values(V2, mesh)
+    cgo1 = _cgo.prepare_cgo(mesh, V1, phase, amplitude, jet_degree, p=p)
+    cgo2 = _cgo.prepare_cgo(mesh, V2, mirror, amplitude, jet_degree, p=p)
+    dV = cgo1.V - cgo2.V
     psi = np.imag(phase(mesh.vertices))
     r11_1, r11_2 = (
         {h: fields[0] for h, fields in cgo.r11_sweep(h_list).items()} if include_r1 else {}
@@ -161,7 +160,6 @@ def cgo_pairings(
 
 def pointwise_difference(
     mesh: Mesh,
-    domain: DiskDomain,
     V1,
     V2,
     p,
@@ -178,12 +176,15 @@ def pointwise_difference(
     """Estimate (V1 - V2)(p) from the interior identity S(h) of
     opposite-phase CGO pairs (see cgo_pairings).
 
-    mode="fit" does the three-parameter least squares over h_list;
+    The phase and amplitude, when not given, are built for mesh.domain,
+    which also gives rho(p).  mode="fit" does the three-parameter least
+    squares over h_list;
     mode="subsequence" reproduces the two-sequence trick, generating its own
     h values with cos(2 psi(p)/h) = +1 and -1 inside [min(h_list), max(h_list)]
     and differencing the fitted h-slopes.
     """
     p = complex(p)
+    domain = mesh.domain
     if phase is None:
         phase = build_morse_phase(domain, p, degree=degree, psi_target=psi_target, seed=seed)
     if amplitude is None:
@@ -192,9 +193,7 @@ def pointwise_difference(
     scale = model.C_p * abs(model.a_p) ** 2 * np.exp(2.0 * model.rho_p)
     h_arr = np.asarray(sorted(set(float(x) for x in h_list), reverse=True))
     if mode == "fit":
-        S = cgo_pairings(
-            mesh, domain, V1, V2, phase, amplitude, h_arr, p, jet_degree, include_r1
-        )
+        S = cgo_pairings(mesh, V1, V2, phase, amplitude, h_arr, p, jet_degree, include_r1)
         fit = fit_pairing_model(h_arr, np.real(S), model.psi_p)
         D = fit["C"] / scale
         table = list(zip(h_arr.tolist(), [complex(s) for s in S]))
@@ -209,8 +208,8 @@ def pointwise_difference(
                 "h range admits fewer than two members of a cos = +-1 subsequence; "
                 "extend the h range or increase psi(p)"
             )
-        Sp = np.real(cgo_pairings(mesh, domain, V1, V2, phase, amplitude, plus, p, jet_degree, include_r1))
-        Sm = np.real(cgo_pairings(mesh, domain, V1, V2, phase, amplitude, minus, p, jet_degree, include_r1))
+        Sp = np.real(cgo_pairings(mesh, V1, V2, phase, amplitude, plus, p, jet_degree, include_r1))
+        Sm = np.real(cgo_pairings(mesh, V1, V2, phase, amplitude, minus, p, jet_degree, include_r1))
         bp = np.polyfit(plus, Sp, 1)[0]
         bm = np.polyfit(minus, Sm, 1)[0]
         D = (bp - bm) / (2.0 * scale)
@@ -237,7 +236,6 @@ def make_grid(n: int, radius: float) -> np.ndarray:
 
 def difference_map(
     mesh: Mesh,
-    domain: DiskDomain,
     V1,
     V2,
     points,
@@ -259,7 +257,7 @@ def difference_map(
         p = complex(p)
         try:
             est = pointwise_difference(
-                mesh, domain, V1, V2, p, h_list,
+                mesh, V1, V2, p, h_list,
                 degree=degree, psi_target=psi_target, seed=seed,
                 jet_degree=jet_degree, include_r1=include_r1,
             )
@@ -303,7 +301,6 @@ def _gamma_margin(domain: DiskDomain, theta_p: float) -> float:
 
 def boundary_pairing_sweep(
     mesh: Mesh,
-    domain: DiskDomain,
     V1,
     V2,
     theta_p: float,
@@ -324,7 +321,7 @@ def boundary_pairing_sweep(
             f"mesh cannot resolve the boundary layer at h = {min(h_arr):g}: "
             f"need h >= {2.0 * mesh.resolution:.3g}"
         )
-    margin = _gamma_margin(domain, theta_p)
+    margin = _gamma_margin(mesh.domain, theta_p)
     if np.sqrt(max(h_arr)) > margin:
         raise ReconstructionError(
             f"concentration width sqrt(h) = {np.sqrt(max(h_arr)):.3f} exceeds the "
@@ -358,7 +355,6 @@ def fit_boundary_law(pairings) -> tuple:
 
 def calibrate_boundary_constant(
     mesh: Mesh,
-    domain: DiskDomain,
     theta_p: float,
     h_list,
     width: float = 0.8,
@@ -369,7 +365,7 @@ def calibrate_boundary_constant(
     potential's variation scale, hence the wide default bump."""
     p = np.exp(1j * theta_p)
     V1 = lambda z: np.exp(-np.abs(z - p) ** 2 / width**2)
-    pairs = boundary_pairing_sweep(mesh, domain, V1, 0.0, theta_p, h_list)
+    pairs = boundary_pairing_sweep(mesh, V1, 0.0, theta_p, h_list)
     C, e = fit_boundary_law(pairs)
     if not (1.35 <= e <= 1.65):
         raise ReconstructionError(
@@ -381,7 +377,6 @@ def calibrate_boundary_constant(
 
 def boundary_recovery(
     mesh: Mesh,
-    domain: DiskDomain,
     V1,
     V2,
     theta_p: float,
@@ -395,7 +390,7 @@ def boundary_recovery(
     sweep.  `calibration` is the prefactor measured once on a unit-value
     scenario via calibrate_boundary_constant.
     """
-    pairs = boundary_pairing_sweep(mesh, domain, V1, V2, theta_p, h_list)
+    pairs = boundary_pairing_sweep(mesh, V1, V2, theta_p, h_list)
     C, e = fit_boundary_law(pairs)
     h_min, s_min = min(pairs, key=lambda x: x[0])
     if abs(s_min) <= 0.05 * calibration * h_min**1.5:
@@ -422,7 +417,6 @@ def boundary_recovery(
 
 def boundary_scan(
     mesh: Mesh,
-    domain: DiskDomain,
     V1,
     V2,
     theta_list,
@@ -436,7 +430,7 @@ def boundary_scan(
     failures = []
     for theta in theta_list:
         try:
-            est = boundary_recovery(mesh, domain, V1, V2, float(theta), h_list, calibration=calibration)
+            est = boundary_recovery(mesh, V1, V2, float(theta), h_list, calibration=calibration)
             rows.append(
                 {
                     "theta": float(theta),

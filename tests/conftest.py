@@ -5,7 +5,6 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import null_space
 
 from functools import cached_property
-from typing import Optional
 
 from calderon import holo
 from calderon.cgo import build_r11
@@ -15,7 +14,6 @@ from calderon.geometry import (
     ConfigurationError,
     DiskDomain,
     Mesh,
-    ScalarField,
     as_values,
     boundary_integral,
     build_disk_mesh,
@@ -68,26 +66,20 @@ def dense_cauchy_transform(f_values, mesh, eval_points=None):
 
 def solve_schrodinger_dirichlet(mesh, V, f_boundary):
     """Solution of (Delta_g + V) u = 0 with full Dirichlet data f_boundary."""
-    op = operator(mesh, V)
-    u = op.solve_dirichlet(np.asarray(f_boundary))
-    return ScalarField(mesh, u)
+    return operator(mesh, V).solve_dirichlet(np.asarray(f_boundary))
 
 
 def green_apply(mesh, V, f):
     """Green operator with Dirichlet condition: (Delta_g + V) u = f, u|_boundary = 0."""
-    op = operator(mesh, V)
-    u = op.solve_dirichlet(np.zeros(len(mesh.boundary)), source=f)
-    return ScalarField(mesh, u)
+    return operator(mesh, V).solve_dirichlet(np.zeros(len(mesh.boundary)), source=f)
 
 
-def interior_integral(f, mesh: Optional[Mesh] = None) -> complex:
+def interior_integral(f, mesh: Mesh) -> complex:
     """Integral over the disk with the metric area measure e^{2*rho} dx dy.
 
     Midpoint (vertex-average) rule per triangle; O(resolution^2) for smooth
     integrands.
     """
-    if mesh is None:
-        mesh = f.mesh
     vals = as_values(f, mesh) * np.exp(2.0 * mesh.rho_v)
     cell_avg = vals[mesh.cells].mean(axis=1)
     total = np.sum(mesh.cell_areas * cell_avg)

@@ -47,11 +47,11 @@ def test_criterion_01_forward_convergence(mesh_coarse, mesh_mid, mesh_fine):
                 z = mesh.vertices
                 exact = np.real(z**2)  # x^2 - y^2, harmonic
                 u = solve_schrodinger_dirichlet(mesh, 0.0, np.real(z[mesh.boundary] ** 2))
-                errs.append(_l2(mesh, u.values - exact))
+                errs.append(_l2(mesh, u - exact))
             else:
                 exact = (1.0 - np.abs(mesh.vertices) ** 2) / 4.0
                 u = green_apply(mesh, 0.0, 1.0)
-                errs.append(_l2(mesh, u.values - exact))
+                errs.append(_l2(mesh, u - exact))
         slopes.append(float(np.polyfit(np.log(res), np.log(errs), 1)[0]))
     ok = all(1.7 <= s <= 2.3 for s in slopes)
     assert _line(1, ok, f"L2 convergence slopes harmonic/radial = {slopes[0]:.3f}/{slopes[1]:.3f}, window [1.7, 2.3]")
@@ -140,7 +140,7 @@ def test_criterion_05_cgo_scalings(ref_mesh, ref_scenario):
         phase = build_morse_phase(dom, P_STAR, degree=36, psi_target=psi_target, seed=0)
         amp = build_amplitude(phase.meta["critical_points"], P_STAR, dom, degree=16)
         rep = _cgo.residual_scaling_report(
-            ref_mesh, dom, ref_scenario.V1, phase, amp, ref_scenario.h_list,
+            ref_mesh, ref_scenario.V1, phase, amp, ref_scenario.h_list,
             cutoff_scale=cutoff_scale,
         )
         exps[psi_target] = {k: v["exponent"] for k, v in rep["exponents"].items()}
@@ -161,7 +161,7 @@ C_STAR_GOLDEN = 22.417988079011536  # first certified run of this exact setup
 def test_criterion_06_carleman_golden(ref_mesh, ref_scenario):
     dom = ref_scenario.domain
     phase = build_morse_phase(dom, P_STAR, degree=36, psi_target=0.12, seed=0)
-    weight = _carleman.build_carleman_weight(dom, phase, 1.0, min(ref_scenario.h_list), degree=16, mesh=ref_mesh)
+    weight = _carleman.build_carleman_weight(ref_mesh, phase, 1.0, min(ref_scenario.h_list), degree=16)
     rep = _carleman.carleman_sweep(
         ref_mesh, weight, ref_scenario.V1, ref_scenario.h_list, sample_count=50, seed=0,
     )
@@ -197,17 +197,16 @@ def test_criterion_07_stationary_phase_constant():
 
 
 def test_criterion_08_interior_identification(ref_mesh, ref_scenario):
-    dom = ref_scenario.domain
     est = _rc.pointwise_difference(
-        ref_mesh, dom, ref_scenario.V1, ref_scenario.V2, P_STAR, ref_scenario.h_list
+        ref_mesh, ref_scenario.V1, ref_scenario.V2, P_STAR, ref_scenario.h_list
     )
     grid = _rc.make_grid(5, radius=0.6)
     control = _rc.difference_map(
-        ref_mesh, dom, ref_scenario.V1, ref_scenario.V1, grid, ref_scenario.h_list
+        ref_mesh, ref_scenario.V1, ref_scenario.V1, grid, ref_scenario.h_list
     )
     ctrl_max = max((abs(r["D"]) for r in control["rows"]), default=np.inf)
     dmap = _rc.difference_map(
-        ref_mesh, dom, ref_scenario.V1, ref_scenario.V2, grid, ref_scenario.h_list
+        ref_mesh, ref_scenario.V1, ref_scenario.V2, grid, ref_scenario.h_list
     )
     rows = dmap["rows"]
     got = max(rows, key=lambda r: abs(r["D"]))
@@ -222,17 +221,16 @@ def test_criterion_08_interior_identification(ref_mesh, ref_scenario):
 
 
 def test_criterion_09_boundary_determination(ref_mesh, ref_scenario):
-    dom = ref_scenario.domain
     h_list = ref_scenario.config["boundary_h_list"]
     width = 0.8
-    cal = _rc.calibrate_boundary_constant(ref_mesh, dom, np.pi, h_list, width=width)
+    cal = _rc.calibrate_boundary_constant(ref_mesh, np.pi, h_list, width=width)
     p1 = np.exp(1j * np.pi)
     V = lambda z: np.exp(-np.abs(np.asarray(z) - p1) ** 2 / width**2)
-    _, e = _rc.fit_boundary_law(_rc.boundary_pairing_sweep(ref_mesh, dom, V, 0.0, np.pi, h_list))
+    _, e = _rc.fit_boundary_law(_rc.boundary_pairing_sweep(ref_mesh, V, 0.0, np.pi, h_list))
     theta2 = 1.3 * np.pi
     p2 = np.exp(1j * theta2)
     V2 = lambda z: 0.5 * np.exp(-np.abs(np.asarray(z) - p2) ** 2 / width**2)
-    est = _rc.boundary_recovery(ref_mesh, dom, V2, 0.0, theta2, h_list, calibration=cal)
+    est = _rc.boundary_recovery(ref_mesh, V2, 0.0, theta2, h_list, calibration=cal)
     ok = (1.35 <= e <= 1.65) and abs(est["D"] - 0.5) <= 0.25 * 0.5
     assert _line(9, ok, f"fitted exponent {e:.3f} in [1.35,1.65]; transfer estimate {est['D']:.3f} vs 0.5 within 25%")
 

@@ -17,7 +17,7 @@ from conftest import CARLEMAN_CHEAP, P_STAR, per_sample_ratio_terms
 @pytest.fixture(scope="module")
 def quarter_weight(quarter_domain, ref_mesh):
     phase = build_morse_phase(quarter_domain, P_STAR, degree=36, psi_target=0.12)
-    return _ca.build_carleman_weight(quarter_domain, phase, 1.0, 0.1, mesh=ref_mesh)
+    return _ca.build_carleman_weight(ref_mesh, phase, 1.0, 0.1)
 
 
 def test_epsilon_h_constraint(quarter_weight):
@@ -87,7 +87,7 @@ def _homogeneity_case():
         dom = DiskDomain(gamma0=(0.0, np.pi / 2))
         mesh = build_disk_mesh(0.08, dom)
         phase = build_morse_phase(dom, P_STAR, degree=16, psi_target=0.3)
-        weight = _ca.build_carleman_weight(dom, phase, 1.0, 0.1, mesh=mesh)
+        weight = _ca.build_carleman_weight(mesh, phase, 1.0, 0.1)
         u = _ca.sample_test_functions(mesh, 1, seed=3)[0]
         _, _, base = _ca.carleman_ratio(mesh, weight, 0.0, u)
         _H_CACHE.update(mesh=mesh, weight=weight, u=u, base=base)

@@ -6,7 +6,6 @@ import scipy.sparse as sp
 
 from calderon import cgo as _cgo
 from calderon import geometry, holo
-from calderon.forward import schrodinger_matrix
 from calderon.geometry import DiskDomain, as_values, build_disk_mesh
 from calderon.holo import HoloFunction, build_amplitude, build_morse_phase, find_critical_points
 
@@ -18,7 +17,7 @@ def quarter_prep(quarter_mesh_mid, quarter_domain):
     """Shared h-independent CGO ingredients on the moderate quarter mesh."""
     phase = build_morse_phase(quarter_domain, P_STAR, degree=16, psi_target=0.3)
     amplitude = build_amplitude(phase.meta["critical_points"], P_STAR, quarter_domain)
-    cgo = _cgo.prepare_cgo(quarter_mesh_mid, quarter_domain, gaussian_bump, phase, amplitude)
+    cgo = _cgo.prepare_cgo(quarter_mesh_mid, gaussian_bump, phase, amplitude)
     return {"phase": phase, "amplitude": amplitude, "cgo": cgo}
 
 
@@ -27,7 +26,7 @@ def test_b_zero_for_zero_potential(quarter_mesh_mid, quarter_domain):
     transform at every h, an h the mesh could not resolve included."""
     phase = build_morse_phase(quarter_domain, P_STAR, degree=16)
     amplitude = build_amplitude(phase.meta["critical_points"], P_STAR, quarter_domain)
-    cgo = _cgo.prepare_cgo(quarter_mesh_mid, quarter_domain, 0.0, phase, amplitude)
+    cgo = _cgo.prepare_cgo(quarter_mesh_mid, 0.0, phase, amplitude)
     assert np.max(np.abs(cgo.b)) == 0.0
     sweep = cgo.r11_sweep([0.2, 1e-5])
     assert list(sweep) == [0.2, 1e-5]
@@ -41,7 +40,7 @@ def ref_prep(ref_mesh, ref_scenario, quarter_domain):
     """Reference-resolution ingredients for the weak completion phase."""
     phase = build_morse_phase(quarter_domain, P_STAR, degree=36, psi_target=0.12)
     amplitude = build_amplitude(phase.meta["critical_points"], P_STAR, quarter_domain)
-    cgo = _cgo.prepare_cgo(ref_mesh, quarter_domain, ref_scenario.V1, phase, amplitude)
+    cgo = _cgo.prepare_cgo(ref_mesh, ref_scenario.V1, phase, amplitude)
     return {"phase": phase, "amplitude": amplitude, "cgo": cgo}
 
 
@@ -151,7 +150,7 @@ def test_build_r11_sweep_matches_per_h(quarter_prep, quarter_mesh_mid):
     assert skipped == [{"h": 1e-5, "reason": str(err.value)}]
 
 
-def test_scaling_report_builds_far_field_kernel_once(quarter_prep, quarter_mesh_mid, quarter_domain, monkeypatch):
+def test_scaling_report_builds_far_field_kernel_once(quarter_prep, quarter_mesh_mid, monkeypatch):
     """The Cauchy transforms of a whole residual_scaling_report sweep share
     their far-field kernel: the sweep builds as many row blocks as one h."""
     builds = []
@@ -168,7 +167,7 @@ def test_scaling_report_builds_far_field_kernel_once(quarter_prep, quarter_mesh_
     one_h = list(builds)
     builds.clear()
     rep = _cgo.residual_scaling_report(
-        quarter_mesh_mid, quarter_domain, gaussian_bump,
+        quarter_mesh_mid, gaussian_bump,
         quarter_prep["phase"], quarter_prep["amplitude"], [0.2, 0.14, 0.1, 0.07],
     )
     assert len(rep["h_list"]) == 4
@@ -176,7 +175,7 @@ def test_scaling_report_builds_far_field_kernel_once(quarter_prep, quarter_mesh_
     assert builds == one_h
 
 
-def test_scaling_report_far_field_blocks_fit_the_cache(ref_prep, ref_mesh, ref_scenario, quarter_domain, monkeypatch):
+def test_scaling_report_far_field_blocks_fit_the_cache(ref_prep, ref_mesh, ref_scenario, monkeypatch):
     """Every far-field kernel block of a residual_scaling_report sweep on the
     reference mesh holds at most 2^16 complex entries (1 MiB)."""
     entries = []
@@ -188,7 +187,7 @@ def test_scaling_report_far_field_blocks_fit_the_cache(ref_prep, ref_mesh, ref_s
 
     monkeypatch.setattr(holo, "_far_field_kernel", sized_kernel)
     rep = _cgo.residual_scaling_report(
-        ref_mesh, quarter_domain, ref_scenario.V1,
+        ref_mesh, ref_scenario.V1,
         ref_prep["phase"], ref_prep["amplitude"], [0.2, 0.14, 0.1, 0.07],
     )
     assert len(rep["h_list"]) == 4
@@ -235,7 +234,7 @@ def test_r_tilde12_bounded_under_refinement(quarter_domain):
         mesh = build_disk_mesh(res, quarter_domain)
         phase = build_morse_phase(quarter_domain, P_STAR, degree=16, psi_target=0.3)
         amplitude = build_amplitude(phase.meta["critical_points"], P_STAR, quarter_domain)
-        cgo = _cgo.prepare_cgo(mesh, quarter_domain, gaussian_bump, phase, amplitude)
+        cgo = _cgo.prepare_cgo(mesh, gaussian_bump, phase, amplitude)
         near = np.abs(mesh.vertices - P_STAR) < 0.15
         sups.append(np.max(np.abs(cgo.r_tilde12[near])))
     assert sups[1] <= 1.5 * sups[0]
@@ -244,7 +243,7 @@ def test_r_tilde12_bounded_under_refinement(quarter_domain):
 def test_a0_zero_for_full_data(mesh_mid, full_domain):
     phase = build_morse_phase(full_domain, 0.1 + 0.0j, degree=8)
     amplitude = build_amplitude(phase.meta["critical_points"], 0.1 + 0.0j, full_domain)
-    cgo = _cgo.prepare_cgo(mesh_mid, full_domain, gaussian_bump, phase, amplitude)
+    cgo = _cgo.prepare_cgo(mesh_mid, gaussian_bump, phase, amplitude)
     z = 0.5 * np.exp(1j * np.linspace(0, 2 * np.pi, 16))
     assert np.max(np.abs(cgo.a0(z))) <= 1e-10
 
@@ -253,14 +252,14 @@ def test_a0_arc_residual(quarter_prep):
     assert quarter_prep["cgo"].a0.meta["arc_residual"] <= 1e-4
 
 
-def _completed(mesh, domain, V, phase, amplitude, h, cgo=None):
+def _completed(mesh, V, phase, amplitude, h, cgo=None):
     """prepare_cgo + r11_sweep + residual_field + duality_completion at one
     h; returns (cgo, r11, r2)."""
     if cgo is None:
-        cgo = _cgo.prepare_cgo(mesh, domain, V, phase, amplitude)
+        cgo = _cgo.prepare_cgo(mesh, V, phase, amplitude)
     ((r11, _, T),) = cgo.r11_sweep([h]).values()
-    res = _cgo.residual_field(cgo, V, h, r11, T)
-    return cgo, r11, _cgo.duality_completion(cgo, h, r11, res, schrodinger_matrix(mesh, V))
+    res = _cgo.residual_field(cgo, h, r11, T)
+    return cgo, r11, _cgo.duality_completion(cgo, h, r11, res)
 
 
 def test_residual_field_takes_slow_derivatives_once_per_sweep(quarter_prep, quarter_mesh_mid, monkeypatch):
@@ -282,16 +281,16 @@ def test_residual_field_takes_slow_derivatives_once_per_sweep(quarter_prep, quar
     for expected in (4 + 2 * len(h_list), 2 * len(h_list)):
         calls.clear()
         for h, (r11, _, T) in cgo.r11_sweep(h_list).items():
-            _cgo.residual_field(cgo, gaussian_bump, h, r11, T)
+            _cgo.residual_field(cgo, h, r11, T)
         assert len(calls) == expected
 
 
-def test_complete_solution_trivial_phase(mesh_mid, full_domain):
+def test_complete_solution_trivial_phase(mesh_mid):
     """V = 0, a = 1, Phi = z^2 + i: the oscillatory ansatz is an exact
     solution; the analytic-residual completion returns r2 = 0 to rounding."""
     phase = HoloFunction([1j, 0.0, 1.0])
     phase.meta["critical_points"] = find_critical_points(phase)
-    _, _, r2 = _completed(mesh_mid, full_domain, 0.0, phase, HoloFunction([1.0]), 0.2)
+    _, _, r2 = _completed(mesh_mid, 0.0, phase, HoloFunction([1.0]), 0.2)
     assert _cgo.l2_norm(r2, mesh_mid) <= 1e-12
 
 
@@ -299,7 +298,7 @@ def test_complete_solution_vanishes_on_gamma0(ref_mesh, ref_scenario, quarter_do
     phase = build_morse_phase(quarter_domain, P_STAR, degree=36, psi_target=0.12)
     amplitude = build_amplitude(phase.meta["critical_points"], P_STAR, quarter_domain)
     h = 0.1
-    cgo, r11, r2 = _completed(ref_mesh, quarter_domain, ref_scenario.V1, phase, amplitude, h)
+    cgo, r11, r2 = _completed(ref_mesh, ref_scenario.V1, phase, amplitude, h)
     g0 = ref_mesh.boundary[ref_mesh.boundary_is_gamma0]
     # in weighted variables: e^{-phi/h} u = ansatz + r2
     ansatz = 2.0 * np.real(np.exp(1j * phase(ref_mesh.vertices).imag / h) * cgo.slow_amplitude(h, r11))
@@ -310,7 +309,7 @@ def test_scaling_report_zero_potential_flags(quarter_mesh_mid, quarter_domain):
     phase = build_morse_phase(quarter_domain, P_STAR, degree=16, psi_target=0.3)
     amplitude = build_amplitude(phase.meta["critical_points"], P_STAR, quarter_domain)
     rep = _cgo.residual_scaling_report(
-        quarter_mesh_mid, quarter_domain, 0.0, phase, amplitude, [0.2, 0.14, 0.1, 0.07]
+        quarter_mesh_mid, 0.0, phase, amplitude, [0.2, 0.14, 0.1, 0.07]
     )
     for key in ("r1_l2", "r11_l2", "eta_l2"):
         assert rep["exponents"][key]["exact_zero"]
@@ -321,7 +320,7 @@ def test_scaling_report_deterministic(quarter_mesh_mid, quarter_domain):
     amplitude = build_amplitude(phase.meta["critical_points"], P_STAR, quarter_domain)
     reps = [
         _cgo.residual_scaling_report(
-            quarter_mesh_mid, quarter_domain, gaussian_bump, phase, amplitude,
+            quarter_mesh_mid, gaussian_bump, phase, amplitude,
             [0.2, 0.14, 0.1, 0.07],
         )
         for _ in range(2)
@@ -329,12 +328,12 @@ def test_scaling_report_deterministic(quarter_mesh_mid, quarter_domain):
     assert reps[0] == reps[1]
 
 
-def test_too_few_h_values_raises(quarter_prep, quarter_mesh_mid, quarter_domain):
+def test_too_few_h_values_raises(quarter_prep, quarter_mesh_mid):
     from calderon.geometry import ConfigurationError
 
     with pytest.raises(ConfigurationError):
         _cgo.residual_scaling_report(
-            quarter_mesh_mid, quarter_domain, gaussian_bump,
+            quarter_mesh_mid, gaussian_bump,
             quarter_prep["phase"], quarter_prep["amplitude"], [0.2, 0.14],
         )
 
@@ -344,19 +343,19 @@ def test_mirror_phase_pairing_runs(quarter_mesh_mid, quarter_domain):
     phase = build_morse_phase(quarter_domain, P_STAR, degree=16, psi_target=0.3)
     amplitude = build_amplitude(phase.meta["critical_points"], P_STAR, quarter_domain)
     mirror = HoloFunction(-phase.coeffs, meta=dict(phase.meta))
-    c1 = _completed(quarter_mesh_mid, quarter_domain, gaussian_bump, phase, amplitude, 0.2)
-    cgo2 = _cgo.prepare_cgo(quarter_mesh_mid, quarter_domain, 0.0, mirror, amplitude, p=P_STAR)
-    c2 = _completed(quarter_mesh_mid, quarter_domain, 0.0, mirror, amplitude, 0.2, cgo=cgo2)
+    c1 = _completed(quarter_mesh_mid, gaussian_bump, phase, amplitude, 0.2)
+    cgo2 = _cgo.prepare_cgo(quarter_mesh_mid, 0.0, mirror, amplitude, p=P_STAR)
+    c2 = _completed(quarter_mesh_mid, 0.0, mirror, amplitude, 0.2, cgo=cgo2)
     for cgo, r11, r2 in (c1, c2):
         assert np.all(np.isfinite(cgo.slow_amplitude(0.2, r11)))
         assert np.all(np.isfinite(r2))
 
 
-def _banded_vs_default_lu(mesh, domain, V, setup, h, monkeypatch):
+def _banded_vs_default_lu(mesh, V, setup, h, monkeypatch):
     """max |r2 - r2_ref| / max |r2_ref|, r2_ref from default-ordering splu."""
 
     def solve():
-        return _completed(mesh, domain, V, setup["phase"], setup["amplitude"], h, setup["cgo"])[2]
+        return _completed(mesh, V, setup["phase"], setup["amplitude"], h, setup["cgo"])[2]
 
     got = solve()
     monkeypatch.setattr(_cgo, "_solve_spd_banded", splu_normal_solve)
@@ -364,20 +363,20 @@ def _banded_vs_default_lu(mesh, domain, V, setup, h, monkeypatch):
     return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
 
-def test_symmetric_ordering_matches_default_lu(quarter_prep, quarter_mesh_mid, quarter_domain, monkeypatch):
+def test_symmetric_ordering_matches_default_lu(quarter_prep, quarter_mesh_mid, monkeypatch):
     """The banded Cholesky solve (reverse Cuthill-McKee order) of the
     duality normal equations agrees with a default-ordering splu solve of
     the same equations."""
-    rel = _banded_vs_default_lu(quarter_mesh_mid, quarter_domain, gaussian_bump, quarter_prep, 0.3, monkeypatch)
+    rel = _banded_vs_default_lu(quarter_mesh_mid, gaussian_bump, quarter_prep, 0.3, monkeypatch)
     assert rel <= 1e-10
 
 
 def test_banded_cholesky_matches_default_lu_on_reference_mesh(
-    ref_prep, ref_mesh, ref_scenario, quarter_domain, monkeypatch
+    ref_prep, ref_mesh, ref_scenario, monkeypatch
 ):
     """The same agreement on the reference mesh at h = 0.05, the smallest h
     of the reference cgo sweep."""
-    rel = _banded_vs_default_lu(ref_mesh, quarter_domain, ref_scenario.V1, ref_prep, 0.05, monkeypatch)
+    rel = _banded_vs_default_lu(ref_mesh, ref_scenario.V1, ref_prep, 0.05, monkeypatch)
     assert rel <= 1e-10
 
 

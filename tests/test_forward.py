@@ -31,12 +31,12 @@ def test_harmonic_extension_of_cos_theta(mesh_mid):
     f = np.real(mesh_mid.vertices[mesh_mid.boundary])
     u = solve_schrodinger_dirichlet(mesh_mid, 0.0, f)
     # u = x is in the P1 space, so the only error is the solver's
-    assert _l2(mesh_mid, u.values - np.real(mesh_mid.vertices)) <= 1e-10
+    assert _l2(mesh_mid, u - np.real(mesh_mid.vertices)) <= 1e-10
 
 
 def test_constant_data_constant_solution(mesh_mid):
     u = solve_schrodinger_dirichlet(mesh_mid, 0.0, np.ones(len(mesh_mid.boundary)))
-    assert np.max(np.abs(u.values - 1.0)) <= 1e-10
+    assert np.max(np.abs(u - 1.0)) <= 1e-10
 
 
 def test_radial_potential_matches_ode_oracle(mesh_mid):
@@ -59,12 +59,12 @@ def test_radial_potential_matches_ode_oracle(mesh_mid):
 def test_green_apply_radial(mesh_mid):
     u = green_apply(mesh_mid, 0.0, 1.0)
     exact = (1.0 - np.abs(mesh_mid.vertices) ** 2) / 4.0
-    assert _l2(mesh_mid, u.values - exact) <= 1e-4
+    assert _l2(mesh_mid, u - exact) <= 1e-4
 
 
 def test_green_apply_zero(mesh_mid):
     u = green_apply(mesh_mid, 0.0, 0.0)
-    assert np.max(np.abs(u.values)) == 0.0
+    assert np.max(np.abs(u)) == 0.0
 
 
 def test_green_operator_self_adjoint(mesh_mid):
@@ -72,8 +72,8 @@ def test_green_operator_self_adjoint(mesh_mid):
     z = mesh_mid.vertices
     f = np.exp(-np.abs(z - 0.2) ** 2 / 0.3**2) * (1 + 0.5 * np.real(z))
     g = np.exp(-np.abs(z + 0.3j) ** 2 / 0.4**2)
-    Gf = green_apply(mesh_mid, 0.0, f).values
-    Gg = green_apply(mesh_mid, 0.0, g).values
+    Gf = green_apply(mesh_mid, 0.0, f)
+    Gg = green_apply(mesh_mid, 0.0, g)
     w = mesh_mid.vertex_areas
     lhs = float(np.sum(w * Gf * g))
     rhs = float(np.sum(w * f * Gg))

@@ -9,7 +9,6 @@ from calderon.geometry import (
     build_disk_mesh,
     boundary_integral,
 )
-from calderon.geometry import ScalarField
 
 from conftest import interior_integral, loop_disk_mesh, normal_derivative_trace
 
@@ -152,8 +151,3 @@ def _linearity_mesh():
     if "m" not in _MESH_CACHE:
         _MESH_CACHE["m"] = build_disk_mesh(0.1, DiskDomain())
     return _MESH_CACHE["m"]
-
-
-def test_scalar_field_wraps_values(mesh_mid):
-    f = ScalarField(mesh_mid, np.real(mesh_mid.vertices))
-    assert len(f.values) == mesh_mid.n_vertices

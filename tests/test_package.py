@@ -2,6 +2,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import pkgutil
 from pathlib import Path
 
 import calderon
@@ -74,3 +75,33 @@ def test_tracer_times_live_functions():
     assert {"cgo.prepare_cgo", "cgo.duality_completion", "cgo.h1_norm", "reconstruct.cgo_pairings"} <= names
     stale = {name for name in names if not _wrapped_by_tracer(name, tracer.PRIVATE_WRAPPED)}
     assert stale == KNOWN_STALE_TRACER_NAMES
+
+
+def _calderon_functions() -> dict:
+    """{"<module>.<name>[.<method>]": function} for every function, and every
+    method of a class, defined in a calderon module."""
+    out = {}
+    for info in pkgutil.iter_modules(calderon.__path__):
+        module = importlib.import_module(f"calderon.{info.name}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                out[f"{info.name}.{name}"] = obj
+            elif inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    if inspect.isfunction(member):
+                        out[f"{info.name}.{name}.{attr}"] = member
+    return out
+
+
+def test_no_function_takes_a_mesh_and_its_domain():
+    """A mesh carries its domain (Mesh.domain) and a CGO its potential
+    (CGO.V, and CGO.A = Delta_g + V), so no function takes a second copy
+    that could disagree with the first."""
+    functions = _calderon_functions()
+    assert {"cgo.prepare_cgo", "reconstruct.pointwise_difference", "geometry.Mesh.__init__"} <= set(functions)
+    params = {name: set(inspect.signature(fn).parameters) for name, fn in functions.items()}
+    assert [name for name, p in params.items() if {"mesh", "domain"} <= p] == []
+    for name in ("cgo.residual_field", "cgo.duality_completion"):
+        assert params[name] & {"V", "A"} == set()

@@ -104,17 +104,17 @@ def ref_phase_amp(ref_scenario):
 def ref_estimate(ref_mesh, ref_scenario, ref_phase_amp):
     phase, amp = ref_phase_amp
     return _rc.pointwise_difference(
-        ref_mesh, ref_scenario.domain, ref_scenario.V1, ref_scenario.V2,
+        ref_mesh, ref_scenario.V1, ref_scenario.V2,
         P_STAR, ref_scenario.h_list, phase=phase, amplitude=amp,
     )
 
 
-def _per_h_pairings(mesh, domain, V1, V2, phase, amplitude, h_list, p):
+def _per_h_pairings(mesh, V1, V2, phase, amplitude, h_list, p):
     """Reference S(h): a, a0 and r11 re-evaluated on the mesh for every h
     and side (conftest.per_h_slow_amplitude)."""
     mirror = HoloFunction(-np.asarray(phase.coeffs), meta=dict(phase.meta))
-    cgo1 = _cgo.prepare_cgo(mesh, domain, V1, phase, amplitude, p=p)
-    cgo2 = _cgo.prepare_cgo(mesh, domain, V2, mirror, amplitude, p=p)
+    cgo1 = _cgo.prepare_cgo(mesh, V1, phase, amplitude, p=p)
+    cgo2 = _cgo.prepare_cgo(mesh, V2, mirror, amplitude, p=p)
     z = mesh.vertices
     w_area = mesh.vertex_areas * np.exp(2.0 * mesh.rho_v)
     dV = as_values(V1, mesh) - as_values(V2, mesh)
@@ -140,7 +140,7 @@ def test_cgo_pairings_evaluate_amplitudes_once(quarter_mesh_mid, quarter_domain,
     phase = build_morse_phase(dom, P_STAR, degree=16, psi_target=0.3)
     amplitude = build_amplitude(phase.meta["critical_points"], P_STAR, dom)
     h_list = [0.3, 0.25, 0.2]
-    want = _per_h_pairings(mesh, dom, gaussian_bump, 0.0, phase, amplitude, h_list, P_STAR)
+    want = _per_h_pairings(mesh, gaussian_bump, 0.0, phase, amplitude, h_list, P_STAR)
 
     sampled, cgos = [], []
     call, prepare = HoloFunction.__call__, _cgo.prepare_cgo
@@ -156,7 +156,7 @@ def test_cgo_pairings_evaluate_amplitudes_once(quarter_mesh_mid, quarter_domain,
 
     monkeypatch.setattr(HoloFunction, "__call__", logging_call)
     monkeypatch.setattr(_cgo, "prepare_cgo", logging_prepare)
-    got = _rc.cgo_pairings(mesh, dom, gaussian_bump, 0.0, phase, amplitude, h_list, P_STAR)
+    got = _rc.cgo_pairings(mesh, gaussian_bump, 0.0, phase, amplitude, h_list, P_STAR)
     assert len(cgos) == 2
     assert sum(fn is amplitude for fn in sampled) == len(cgos)
     for cgo in cgos:
@@ -185,7 +185,7 @@ def test_cgo_pairings_sweep_r11_once_per_cgo_with_potential(
     monkeypatch.setattr(_cgo, "build_r11", counting_build_r11)
     h_list = [0.3, 0.25, 0.2]
     V2 = lambda z: v2_scale * gaussian_bump(z)
-    _rc.cgo_pairings(mesh, dom, gaussian_bump, V2, phase, amplitude, h_list, P_STAR, include_r1=include_r1)
+    _rc.cgo_pairings(mesh, gaussian_bump, V2, phase, amplitude, h_list, P_STAR, include_r1=include_r1)
     assert sweeps == [h_list] * n_sweeps
 
 
@@ -197,7 +197,7 @@ def test_interior_recovery_at_primary_point(ref_estimate):
 def test_interior_control_identical_potentials(ref_mesh, ref_scenario, ref_phase_amp):
     phase, amp = ref_phase_amp
     est = _rc.pointwise_difference(
-        ref_mesh, ref_scenario.domain, ref_scenario.V1, ref_scenario.V1,
+        ref_mesh, ref_scenario.V1, ref_scenario.V1,
         P_STAR, ref_scenario.h_list, phase=phase, amplitude=amp,
     )
     # the interior pairing weight (V1 - V2) vanishes identically
@@ -208,7 +208,7 @@ def test_interior_estimate_scales_with_amplitude(ref_mesh, ref_scenario, ref_pha
     phase, amp = ref_phase_amp
     V_half = lambda z: 0.5 * gaussian_bump(z)
     est = _rc.pointwise_difference(
-        ref_mesh, ref_scenario.domain, V_half, 0.0,
+        ref_mesh, V_half, 0.0,
         P_STAR, ref_scenario.h_list, phase=phase, amplitude=amp,
     )
     assert est["D"] == pytest.approx(0.5 * ref_estimate["D"], rel=0.2)
@@ -217,7 +217,7 @@ def test_interior_estimate_scales_with_amplitude(ref_mesh, ref_scenario, ref_pha
 def test_subsequence_mode_cross_checks_fit(ref_mesh, ref_scenario, ref_phase_amp, ref_estimate):
     phase, amp = ref_phase_amp
     est = _rc.pointwise_difference(
-        ref_mesh, ref_scenario.domain, ref_scenario.V1, ref_scenario.V2,
+        ref_mesh, ref_scenario.V1, ref_scenario.V2,
         P_STAR, ref_scenario.h_list, phase=phase, amplitude=amp, mode="subsequence",
     )
     assert est["D"] == pytest.approx(ref_estimate["D"], abs=0.2)
@@ -226,7 +226,7 @@ def test_subsequence_mode_cross_checks_fit(ref_mesh, ref_scenario, ref_phase_amp
 def test_difference_map_localizes_bump(ref_mesh, ref_scenario):
     pts = _rc.make_grid(3, radius=0.3)
     out = _rc.difference_map(
-        ref_mesh, ref_scenario.domain, ref_scenario.V1, ref_scenario.V2,
+        ref_mesh, ref_scenario.V1, ref_scenario.V2,
         pts, ref_scenario.h_list,
     )
     assert not out["failures"]
@@ -259,14 +259,14 @@ def wide_bump(theta_p, amplitude=1.0):
 @pytest.fixture(scope="module")
 def boundary_cal(ref_mesh, ref_scenario):
     h_list = ref_scenario.config["boundary_h_list"]
-    cal = _rc.calibrate_boundary_constant(ref_mesh, ref_scenario.domain, np.pi, h_list)
+    cal = _rc.calibrate_boundary_constant(ref_mesh, np.pi, h_list)
     return cal, h_list
 
 
 def test_boundary_sweep_exponent_window(ref_mesh, ref_scenario, boundary_cal):
     _, h_list = boundary_cal
     pairs = _rc.boundary_pairing_sweep(
-        ref_mesh, ref_scenario.domain, wide_bump(np.pi), 0.0, np.pi, h_list
+        ref_mesh, wide_bump(np.pi), 0.0, np.pi, h_list
     )
     _, e = _rc.fit_boundary_law(pairs)
     assert 1.35 <= e <= 1.65
@@ -275,7 +275,7 @@ def test_boundary_sweep_exponent_window(ref_mesh, ref_scenario, boundary_cal):
 def test_boundary_recovery_known_value(ref_mesh, ref_scenario, boundary_cal):
     cal, h_list = boundary_cal
     est = _rc.boundary_recovery(
-        ref_mesh, ref_scenario.domain, wide_bump(np.pi, 0.7), 0.0, np.pi, h_list,
+        ref_mesh, wide_bump(np.pi, 0.7), 0.0, np.pi, h_list,
         calibration=cal,
     )
     assert not est["below_noise_floor"]
@@ -285,7 +285,7 @@ def test_boundary_recovery_known_value(ref_mesh, ref_scenario, boundary_cal):
 def test_boundary_recovery_sign(ref_mesh, ref_scenario, boundary_cal):
     cal, h_list = boundary_cal
     est = _rc.boundary_recovery(
-        ref_mesh, ref_scenario.domain, 0.0, wide_bump(np.pi, 0.7), np.pi, h_list,
+        ref_mesh, 0.0, wide_bump(np.pi, 0.7), np.pi, h_list,
         calibration=cal,
     )
     assert est["D"] < -0.4
@@ -295,7 +295,7 @@ def test_boundary_calibration_transfers(ref_mesh, ref_scenario, boundary_cal):
     cal, h_list = boundary_cal
     theta = 1.3 * np.pi
     est = _rc.boundary_recovery(
-        ref_mesh, ref_scenario.domain, wide_bump(theta, 0.5), 0.0, theta, h_list,
+        ref_mesh, wide_bump(theta, 0.5), 0.0, theta, h_list,
         calibration=cal,
     )
     assert est["D"] == pytest.approx(0.5, rel=0.25)
@@ -304,14 +304,14 @@ def test_boundary_calibration_transfers(ref_mesh, ref_scenario, boundary_cal):
 def test_boundary_noise_floor(ref_mesh, ref_scenario, boundary_cal):
     cal, h_list = boundary_cal
     est = _rc.boundary_recovery(
-        ref_mesh, ref_scenario.domain, 0.0, 0.0, np.pi, h_list, calibration=cal
+        ref_mesh, 0.0, 0.0, np.pi, h_list, calibration=cal
     )
     assert est["below_noise_floor"]
     assert est["D"] == 0.0
 
 
 @pytest.mark.parametrize("h_list", [[0.2], [0.2, 0.14, 0.1], [0.3, 0.2, 0.16, 0.14, 0.12, 0.1, 0.09]])
-def test_boundary_sweep_solves_one_block_per_operator(quarter_mesh_mid, quarter_domain, h_list, monkeypatch):
+def test_boundary_sweep_solves_one_block_per_operator(quarter_mesh_mid, h_list, monkeypatch):
     """A sweep makes 2 LU passes (one block per operator) for any number of
     h, and each pairing matches the one-datum solves of its own h."""
     mesh, V1 = quarter_mesh_mid, wide_bump(np.pi)
@@ -319,7 +319,7 @@ def test_boundary_sweep_solves_one_block_per_operator(quarter_mesh_mid, quarter_
     lus = [CountingLU(op.lu) for op in ops]
     for op, lu in zip(ops, lus):
         monkeypatch.setattr(op, "lu", lu)
-    pairs = _rc.boundary_pairing_sweep(mesh, quarter_domain, V1, 0.0, np.pi, h_list)
+    pairs = _rc.boundary_pairing_sweep(mesh, V1, 0.0, np.pi, h_list)
     assert [len(lu.columns) for lu in lus] == [1, 1]
     assert [h for h, _ in pairs] == sorted(h_list, reverse=True)
     on_gamma = ~mesh.boundary_is_gamma0
@@ -336,7 +336,7 @@ def test_boundary_sweep_solves_one_block_per_operator(quarter_mesh_mid, quarter_
 def test_boundary_sweep_rejects_unresolved_h(ref_mesh, ref_scenario):
     with pytest.raises(_rc.ReconstructionError):
         _rc.boundary_pairing_sweep(
-            ref_mesh, ref_scenario.domain, 0.0, 0.0, np.pi, [0.1, 0.01]
+            ref_mesh, 0.0, 0.0, np.pi, [0.1, 0.01]
         )
 
 
@@ -344,7 +344,7 @@ def test_boundary_scan_records_failures(ref_mesh, ref_scenario, boundary_cal):
     cal, h_list = boundary_cal
     # pi is fine; the second angle sits essentially on the end of gamma
     out = _rc.boundary_scan(
-        ref_mesh, ref_scenario.domain, wide_bump(np.pi, 0.7), 0.0,
+        ref_mesh, wide_bump(np.pi, 0.7), 0.0,
         [np.pi, 0.52 * np.pi], h_list, calibration=cal,
     )
     assert [r["theta"] for r in out["rows"]] == [np.pi]

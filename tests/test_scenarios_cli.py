@@ -49,9 +49,7 @@ def test_default_epsilon_admits_default_h_list():
         sc.domain, sc.point, degree=cfg["phase_degree"],
         psi_target=cfg["carleman_psi_target"], seed=sc.seed,
     )
-    weight = _carleman.build_carleman_weight(
-        sc.domain, phase, cfg["epsilon"], h_min, degree=cfg["degree"], mesh=sc.build_mesh()
-    )
+    weight = _carleman.build_carleman_weight(sc.build_mesh(), phase, cfg["epsilon"], h_min, degree=cfg["degree"])
     assert weight.h == h_min
 
 
@@ -354,7 +352,7 @@ def test_difference_map_without_cache_factorizes_once(operator_builds):
     cfg = sc.config
     grid = _rc.make_grid(cfg["grid_n"], cfg["grid_radius"])
     out = _rc.difference_map(
-        sc.build_mesh(), sc.domain, sc.V1, sc.V2, grid, sc.h_list,
+        sc.build_mesh(), sc.V1, sc.V2, grid, sc.h_list,
         degree=cfg["phase_degree"], psi_target=cfg["psi_target"], seed=sc.seed,
     )
     assert len(out["rows"]) == len(grid)
@@ -430,13 +428,24 @@ CSV_NON_FLOAT_COLUMNS = {
 }
 
 
+# The checks ALL_CHEAP fails, pinned so that a new FAIL shows and so does a
+# fix: the ROADMAP defect "the one config the tests run `all` on fails three
+# of its own checks" (r2 exponent 1.793 above [1.3, 1.7], r1 - h r12~
+# exponent 0.918 below 1.1, D = 0.708 against 1.0).  Why they fail is not
+# established.
+ALL_CHEAP_FAILING_CHECKS = {"exponent_r2_l2", "exponent_r1_minus_hr12t_l2", "pointwise_difference_accuracy"}
+
+
 def test_every_csv_round_trips(tmp_path):
     """Every CSV of an `all` run has its header, header-many fields on each
     line, and float fields that are the shortest repr of their value, so
-    they parse back bit for bit."""
+    they parse back bit for bit.  The run exits 1, failing exactly the
+    known ALL_CHEAP checks."""
     out = tmp_path / "out"
     cfg = _write_cfg(tmp_path, {"name": "cheap", "seed": 3, **ALL_CHEAP})
-    _cli.run_scenario(cfg, "all", out_dir=str(out))
+    assert _cli.run_scenario(cfg, "all", out_dir=str(out)) == 1
+    summary = json.loads((out / "all_summary.json").read_text())
+    assert {c["name"] for c in summary["checks"] if not c["passed"]} == ALL_CHEAP_FAILING_CHECKS
     assert sorted(f.name for f in out.glob("*.csv")) == sorted(CSV_HEADERS)
     for name, header in CSV_HEADERS.items():
         text = (out / name).read_text()
