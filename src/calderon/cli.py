@@ -19,7 +19,6 @@ import json
 import os
 import sys
 
-import jsonschema
 import numpy as np
 
 from . import carleman as _carleman
@@ -28,7 +27,7 @@ from . import reconstruct as _rc
 from .forward import CauchyData, boundary_pairing, operator
 from .geometry import ConfigurationError, as_values
 from .holo import build_amplitude, build_morse_phase
-from .scenarios import Scenario, load_scenario
+from .scenarios import Scenario, _require_schema, load_scenario
 
 COMMANDS = ("forward", "cgo", "carleman", "reconstruct", "boundary", "all")
 
@@ -61,8 +60,6 @@ SUMMARY_SCHEMA = {
         "files": {"type": "array", "items": {"type": "string"}},
     },
 }
-# built once: jsonschema.validate would re-check the schema on every call
-_SUMMARY_VALIDATOR = jsonschema.Draft202012Validator(SUMMARY_SCHEMA)
 
 
 def _check(name, passed, value=None, detail="", trivial=False):
@@ -106,7 +103,7 @@ def emit_report(results: dict, out_dir: str, name: str) -> list:
         "constants": results.get("constants", {}),
         "files": sorted(os.path.basename(f) for f in results.get("files", [])),
     }
-    _SUMMARY_VALIDATOR.validate(summary)
+    _require_schema(summary, SUMMARY_SCHEMA, ValueError, "invalid run summary")
     json_path = os.path.join(out_dir, f"{name}_summary.json")
     _write_json(json_path, summary)
     txt_path = os.path.join(out_dir, f"{name}_summary.txt")
@@ -373,10 +370,14 @@ def run_scenario(config_path, command: str, out_dir: str = None, seed: int = Non
     all_checks = []
     written = []
     for name in names:
-        results = _PIPELINES[name](sc, out_dir)
-        results["name"] = sc.name
-        results["seed"] = sc.seed
-        written += emit_report(results, out_dir, name)
+        try:
+            results = _PIPELINES[name](sc, out_dir)
+            results["name"] = sc.name
+            results["seed"] = sc.seed
+            written += emit_report(results, out_dir, name)
+        except Exception as exc:
+            exc.stage = name  # main() prints it; an untagged error is the config's
+            raise
         all_checks += results["checks"]
     if command == "all":
         combined = {
@@ -409,8 +410,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return run_scenario(args.config, args.command, out_dir=args.out, seed=args.seed)
-    except Exception as exc:  # infeasible stage: nonzero exit, error verbatim
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # infeasible stage: nonzero exit, stage and error verbatim
+        print(f"error: {getattr(exc, 'stage', 'config')}: {exc}", file=sys.stderr)
         return 1
 
 

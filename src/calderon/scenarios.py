@@ -2,15 +2,15 @@
 potentials.
 
 All numeric defaults live in the JSON schema below, never in module logic;
-unknown keys are always fatal.
+unknown keys and non-finite numbers are always fatal.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
-import jsonschema
 import numpy as np
 
 from .geometry import ConfigurationError, DiskDomain, Mesh, build_disk_mesh
@@ -139,18 +139,62 @@ def _apply_defaults(config: dict, schema: dict = SCHEMA) -> dict:
     return out
 
 
-def validate_config(config: dict) -> dict:
-    """Strictly validate; unknown keys are fatal and named in the error."""
-    if not isinstance(config, dict):
-        raise ConfigurationError("scenario config must be a JSON object")
-    validator = jsonschema.Draft202012Validator(SCHEMA)
-    errors = sorted(validator.iter_errors(config), key=lambda e: list(e.absolute_path))
+# the keywords _schema_errors implements; the last four are annotations
+_KEYWORDS = {"type", "enum", "required", "properties", "additionalProperties", "items", "minItems", "maxItems",
+             "minimum", "exclusiveMinimum", "oneOf", "default", "description", "title", "$schema"}
+
+
+def _schema_errors(value, schema: dict, path: tuple = (), finite: bool = False) -> list:
+    """(path, message) pairs for a JSON value against a schema, by Draft
+    2020-12 rules: an integer may be written 1.0, and a bool is no number.
+    Only the keywords of SCHEMA and cli.SUMMARY_SCHEMA are implemented
+    (additionalProperties false only); any other raises.  finite=True also
+    refuses NaN and +-Infinity, which a Draft 2020-12 validator admits."""
+    if set(schema) - _KEYWORDS or schema.get("additionalProperties", False) is not False:
+        raise ValueError(f"schema keywords not implemented: {schema}")
+    if finite and isinstance(value, float) and not math.isfinite(value):
+        return [(path, f"{value!r} is not a finite number")]
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    is_type = {"object": isinstance(value, dict), "array": isinstance(value, list), "string": isinstance(value, str),
+               "boolean": isinstance(value, bool), "null": value is None, "number": number,
+               "integer": number and (isinstance(value, int) or value.is_integer())}
+    types = [schema["type"]] if isinstance(schema.get("type"), str) else schema.get("type", [])
+    if types and not any(is_type[t] for t in types):
+        return [(path, f"{value!r} is not of type {' or '.join(types)}")]
+    errors = []
+    if "enum" in schema and value not in schema["enum"]:
+        errors.append((path, f"{value!r} is not one of {schema['enum']}"))
+    if "oneOf" in schema and sum(not _schema_errors(value, sub, path, finite) for sub in schema["oneOf"]) != 1:
+        errors.append((path, f"{value!r} does not match exactly one of its oneOf schemas"))
+    if number and value < schema.get("minimum", value):
+        errors.append((path, f"{value!r} is below the minimum {schema['minimum']}"))
+    if number and value <= schema.get("exclusiveMinimum", -math.inf):
+        errors.append((path, f"{value!r} is not above {schema['exclusiveMinimum']}"))
+    if isinstance(value, list):
+        if not schema.get("minItems", 0) <= len(value) <= schema.get("maxItems", len(value)):
+            errors.append((path, f"{len(value)} items, not {schema.get('minItems', 0)} to {schema.get('maxItems', 'any')}"))
+        for i, item in enumerate(value if "items" in schema else ()):
+            errors += _schema_errors(item, schema["items"], path + (i,), finite)
+    if isinstance(value, dict):
+        errors += [(path, f"required key {k!r} is missing") for k in schema.get("required", ()) if k not in value]
+        for key, item in value.items():
+            if key in schema.get("properties", {}):
+                errors += _schema_errors(item, schema["properties"][key], path + (key,), finite)
+            elif "additionalProperties" in schema:
+                errors.append((path + (key,), f"unknown key {key!r}"))
+    return errors
+
+
+def _require_schema(value, schema: dict, error: type, what: str, finite: bool = False) -> None:
+    """Raise error("<what>: loc: message; ...") if value breaks schema."""
+    errors = sorted(_schema_errors(value, schema, (), finite), key=lambda e: e[0])
     if errors:
-        msgs = []
-        for e in errors:
-            loc = ".".join(str(x) for x in e.absolute_path) or "<root>"
-            msgs.append(f"{loc}: {e.message}")
-        raise ConfigurationError("invalid scenario config: " + "; ".join(msgs))
+        raise error(f"{what}: " + "; ".join(f"{'.'.join(map(str, p)) or '<root>'}: {m}" for p, m in errors))
+
+
+def validate_config(config: dict) -> dict:
+    """Strictly validate; unknown keys and non-finite numbers are fatal and named in the error."""
+    _require_schema(config, SCHEMA, ConfigurationError, "invalid scenario config", finite=True)
     return _apply_defaults(config)
 
 

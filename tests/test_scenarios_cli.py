@@ -6,6 +6,8 @@ import sys
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from calderon import carleman as _carleman
 from calderon import cli as _cli
@@ -15,6 +17,7 @@ from calderon.geometry import ConfigurationError
 from calderon.holo import build_morse_phase
 from calderon.scenarios import (
     SCHEMA,
+    _schema_errors,
     load_scenario,
     make_potential,
     make_rho,
@@ -81,6 +84,202 @@ def test_invalid_json_text_fatal():
 def test_wrong_type_fatal():
     with pytest.raises(ConfigurationError):
         validate_config({"name": "x", "seed": 0, "resolution": -0.1})
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"name": "x", "seed": 0, "resolution": NaN}', "resolution"),
+        ('{"name": "x", "seed": 0, "epsilon": NaN}', "epsilon"),
+        ('{"name": "x", "seed": 0, "psi_target": Infinity}', "psi_target"),
+        ('{"name": "x", "seed": 0, "h_list": [NaN, 0.1, 0.07, 0.05]}', "h_list.0"),
+    ],
+)
+def test_non_finite_config_number_fatal(text, key):
+    """json.loads reads NaN and Infinity, and a JSON-schema validator
+    admits them (NaN passes exclusiveMinimum); a config refuses them."""
+    with pytest.raises(ConfigurationError, match=f"{key}: (nan|inf) is not a finite number"):
+        load_scenario(text)
+
+
+def test_summary_keeps_non_finite_numbers(tmp_path):
+    """A summary may carry nan (say, an exponent no fit could produce)."""
+    results = {"checks": [_cli._check("x", False, float("nan"))], "constants": {"e": float("nan")}}
+    _cli.emit_report(results, str(tmp_path), "nan")
+    summary = json.loads((tmp_path / "nan_summary.json").read_text())
+    assert np.isnan(summary["checks"][0]["value"]) and np.isnan(summary["constants"]["e"])
+
+
+# ---------------------------------------------------------------------------
+# the in-package schema checker against jsonschema, the reference
+
+
+def _valid(schema):
+    """Strategy for finite JSON values that satisfy a (sub)schema."""
+    if "oneOf" in schema:
+        return st.one_of([_valid(sub) for sub in schema["oneOf"]])
+    if "enum" in schema:
+        return st.sampled_from(schema["enum"])
+    kind = schema.get("type")
+    kind = kind[0] if isinstance(kind, list) else kind
+    if kind == "object":
+        props = schema.get("properties", {})
+        optional = [k for k in props if k not in schema.get("required", ())]
+        fixed = st.fixed_dictionaries({k: _valid(props[k]) for k in schema.get("required", ())})
+        extra = st.fixed_dictionaries({}, optional={k: _valid(props[k]) for k in optional})
+        return st.tuples(fixed, extra).map(lambda pair: {**pair[0], **pair[1]})
+    if kind == "array":
+        size = {"min_size": schema.get("minItems", 0), "max_size": schema.get("maxItems", schema.get("minItems", 0) + 3)}
+        return st.lists(_valid(schema.get("items", {"type": "null"})), **size)
+    if kind == "integer":
+        return st.integers(min_value=schema.get("minimum"), max_value=2**40)
+    if kind == "number":
+        low = schema.get("exclusiveMinimum", schema.get("minimum"))
+        return st.floats(
+            min_value=low, max_value=1e6, exclude_min="exclusiveMinimum" in schema, allow_nan=False, allow_infinity=False
+        )
+    return {"string": st.text(max_size=5), "boolean": st.booleans(), "null": st.none()}[kind]
+
+
+_WRONG = st.sampled_from(["x", True, 1.0, 0, -1, 0.0, None, [], [1.0], {}, {"profile": "zero"}, [0.1, 0.2, 0.3]])
+
+
+def _mutations():
+    """Strategy for in-place edits of a config, each of a kind a config
+    can go wrong by; some edits leave it valid, which counts as well."""
+    keys = sorted(SCHEMA["properties"])
+    bounded = [k for k, sub in SCHEMA["properties"].items() if "exclusiveMinimum" in sub or "minimum" in sub]
+    arrays = ["gamma0", "h_list", "point", "boundary_h_list", "cgo_regimes"]
+    integers = ["seed", "degree", "phase_degree", "grid_n", "carleman_samples"]
+
+    def put(path, value):
+        def edit(cfg):
+            node = cfg.setdefault(path[0], {"profile": "zero"}) if len(path) > 1 else cfg
+            if isinstance(node, dict):
+                node[path[-1]] = value
+        return edit
+
+    def drop(key, nested=None):
+        def edit(cfg):
+            node = cfg.setdefault(nested, {"profile": "zero"}) if nested else cfg
+            if isinstance(node, dict):
+                node.pop(key, None)
+        return edit
+
+    regime = {"psi_target": 0.1, "cutoff_scale": 1.0}
+    return st.one_of(
+        st.tuples(st.sampled_from(keys), _WRONG).map(lambda kv: put([kv[0]], kv[1])),
+        st.tuples(st.sampled_from(["v1", "v2"]), st.sampled_from(["amplitude", "center", "width", "pieces"]), _WRONG).map(
+            lambda kv: put([kv[0], kv[1]], kv[2])
+        ),
+        st.sampled_from([
+            put(["resolutoin"], 0.1),
+            put(["v1", "widht"], 0.3),
+            put(["cgo_regimes"], [regime, {**regime, "cutof_scale": 1.0}]),
+            put(["cgo_regimes"], [{"psi_target": 0.1}]),
+            drop("name"),
+            drop("seed"),
+            drop("profile", "v1"),
+            drop("profile", "v2"),
+        ]),
+        st.tuples(st.sampled_from(bounded), st.sampled_from([0, 0.0, -0.5, 1, 3, 4])).map(lambda kv: put([kv[0]], kv[1])),
+        st.tuples(st.sampled_from(["h_list", "boundary_h_list"]), st.sampled_from([0.0, -1.0, 1e-9])).map(
+            lambda kv: put([kv[0]], [kv[1], 0.1, 0.05])
+        ),
+        st.tuples(st.sampled_from(arrays), st.integers(0, 4)).map(lambda kv: put([kv[0]], [0.1] * kv[1])),
+        st.sampled_from([[], [1.0], [1.0, 2.0, 3.0]]).map(lambda v: put(["v1", "center"], v)),
+        st.sampled_from([[0.1, 0.2], [0.1, 0.2, 0.3, 0.4], []]).map(lambda v: put(["v2", "pieces"], [v])),
+        st.sampled_from(["a", [0.0], {"profile": "gaussian", "x": 1}, {"amplitude": 1.0}, True, None]).map(
+            lambda v: put(["rho"], v)
+        ),
+        st.sampled_from(["a", 0.5, 0, None, [0.0], [0.0, 1.0, 2.0], [True, 1.0], {}, False]).map(lambda v: put(["gamma0"], v)),
+        st.tuples(st.sampled_from(["v1", "v2"]), st.sampled_from(["gaussian", "Gaussian", "", None, 0, ["zero"]])).map(
+            lambda kv: put([kv[0], "profile"], kv[1])
+        ),
+        st.tuples(st.sampled_from(integers), st.sampled_from([1.0, 4.0, 36.0])).map(lambda kv: put([kv[0]], kv[1])),
+        st.tuples(st.sampled_from(integers), st.sampled_from([True, False, 1.5])).map(lambda kv: put([kv[0]], kv[1])),
+    )
+
+
+_CONFIG_REFERENCE = jsonschema.Draft202012Validator(SCHEMA)
+
+
+@settings(max_examples=500, deadline=None)
+@given(config=_valid(SCHEMA), edits=st.lists(_mutations(), max_size=3))
+@example(config={"name": "x", "seed": 1.0}, edits=[])
+@example(config={"name": "x", "seed": True}, edits=[])
+@example(config={"name": "x", "seed": 0, "resolution": False}, edits=[])
+@example(config={"name": ["x"], "seed": 0}, edits=[])
+@example(config={"name": "x", "seed": 0, "degree": 0}, edits=[])
+@example(config={"name": "x", "seed": 0, "gamma0": 0}, edits=[])
+@example(config={"name": "x", "seed": 0, "v2": []}, edits=[])
+@example(config={"name": "x", "seed": 0, "v1": {"profile": None}}, edits=[])
+def test_config_check_agrees_with_jsonschema(config, edits):
+    """validate_config raises exactly when jsonschema, the reference,
+    rejects the (finite) config; the pinned examples are its edge cases."""
+    for edit in edits:
+        edit(config)
+    expected = next(_CONFIG_REFERENCE.iter_errors(config), None) is not None
+    try:
+        validate_config(json.loads(json.dumps(config)))
+        raised = False
+    except ConfigurationError:
+        raised = True
+    assert raised == expected, config
+
+
+_SUMMARY_REFERENCE = jsonschema.Draft202012Validator(_cli.SUMMARY_SCHEMA)
+_CHECK = _cli.SUMMARY_SCHEMA["properties"]["checks"]["items"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    summary=_valid(_cli.SUMMARY_SCHEMA),
+    check_edits=st.lists(
+        st.tuples(st.sampled_from(sorted(_CHECK["properties"]) + ["extra"]), _WRONG | st.sampled_from([2.5, "d", False])),
+        min_size=1,
+        max_size=3,
+    ),
+    dropped=st.sampled_from([None, "name", "passed"]),
+    top_edit=st.none() | st.tuples(st.sampled_from(["name", "constants", "checks"]), _WRONG),
+)
+@example(summary={"name": "s", "seed": 0, "checks": [], "constants": {}}, check_edits=[("passed", 0)], dropped=None, top_edit=None)
+@example(summary={"name": "s", "seed": 0, "checks": [], "constants": {}}, check_edits=[("value", True)], dropped=None, top_edit=None)
+def test_summary_check_agrees_with_jsonschema(tmp_path_factory, summary, check_edits, dropped, top_edit):
+    """emit_report raises exactly when jsonschema rejects the summary it
+    builds (emit_report sets its command, seed and files itself)."""
+    summary["checks"].append({"name": "c", "passed": True})
+    summary["checks"][-1].update(check_edits)
+    summary["checks"][-1].pop(dropped, None)
+    if top_edit:
+        summary[top_edit[0]] = top_edit[1]
+    summary["files"] = ["a.csv"]
+    built = {**summary, "command": "run", "seed": int(summary["seed"])}
+    expected = next(_SUMMARY_REFERENCE.iter_errors(built), None) is not None
+    try:
+        _cli.emit_report(summary, str(tmp_path_factory.getbasetemp() / "summaries"), "run")
+        raised = False
+    except ValueError:
+        raised = True
+    assert raised == expected, built
+
+
+def _subschemas(schema):
+    yield schema
+    for sub in [*schema.get("properties", {}).values(), *schema.get("oneOf", ()), schema.get("items")]:
+        if sub is not None:
+            yield from _subschemas(sub)
+
+
+def test_schema_checker_refuses_unimplemented_keywords():
+    """Every keyword of both schemas is implemented; any other raises, so
+    a schema edit cannot go unchecked."""
+    for schema in (SCHEMA, _cli.SUMMARY_SCHEMA):
+        for sub in _subschemas(schema):
+            _schema_errors(None, sub)
+    for schema in ({"type": "string", "pattern": "x"}, {"type": "object", "additionalProperties": True}):
+        with pytest.raises(ValueError, match="not implemented"):
+            _schema_errors("x", schema)
 
 
 # ---------------------------------------------------------------------------
@@ -187,16 +386,10 @@ def test_schemas_pass_the_metaschema():
     jsonschema.Draft202012Validator.check_schema(_cli.SUMMARY_SCHEMA)
 
 
-def test_emit_report_does_not_recheck_the_schema(tmp_path, monkeypatch):
-    """emit_report validates with a prebuilt validator: no metaschema check
-    per call, and an invalid summary still raises."""
-    checks = []
-    monkeypatch.setattr(
-        jsonschema.Draft202012Validator, "check_schema", classmethod(lambda cls, schema: checks.append(schema))
-    )
+def test_emit_report_rejects_an_invalid_summary(tmp_path):
+    """A summary that breaks SUMMARY_SCHEMA raises, naming the bad field."""
     _cli.emit_report({"checks": [_cli._check("x", True, 1.0)]}, str(tmp_path), "once")
-    assert checks == []
-    with pytest.raises(jsonschema.ValidationError):
+    with pytest.raises(ValueError, match="passed"):
         _cli.emit_report({"checks": [{"name": "x"}]}, str(tmp_path), "bad")
 
 
@@ -223,6 +416,25 @@ def test_main_misspelled_key_exits_nonzero(tmp_path, capsys):
     status = _cli.main(["forward", "--config", cfg, "--out", str(tmp_path)])
     assert status == 1
     assert "resolutoin" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "cfg, stage, message",
+    [
+        # the default h_list reaches h = 0.05, above epsilon/5
+        (
+            {"name": "x", "seed": 0, "resolution": 0.08, "epsilon": 0.1, "carleman_samples": 5},
+            "carleman",
+            "h = 0.05 too large for epsilon = 0.1",
+        ),
+        ({"name": "x", "seed": 0, "resolutoin": 0.1}, "config", "resolutoin"),
+    ],
+)
+def test_main_error_names_the_failing_stage(tmp_path, capsys, cfg, stage, message):
+    status = _cli.main(["carleman", "--config", _write_cfg(tmp_path, cfg), "--out", str(tmp_path)])
+    assert status == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {stage}: ") and message in err
 
 
 def test_main_forward_ok(tmp_path):
@@ -482,8 +694,9 @@ def test_import_loads_no_optional_scipy_modules(tmp_path):
     """Start-up stays lean: scipy.spatial, scipy.interpolate and
     scipy.special are imported only by the functions that use them, and a
     cgo run and a reconstruct run (whose Cauchy transforms find their near
-    field on a cell grid) use none of them."""
-    lazy = ("scipy.spatial", "scipy.interpolate", "scipy.special")
+    field on a cell grid) use none of them.  No run imports jsonschema:
+    configs and summaries are checked in-package."""
+    lazy = ("scipy.spatial", "scipy.interpolate", "scipy.special", "jsonschema")
     runs = [
         ("cgo", {**CHEAP, "h_list": [0.5, 0.4, 0.32, 0.25]}),
         ("reconstruct", {**CHEAP, **RECONSTRUCT_CHEAP}),
@@ -495,10 +708,12 @@ def test_import_loads_no_optional_scipy_modules(tmp_path):
         f"for cmd, cfg in {runs!r}:\n"
         "    getattr(calderon.cli, 'run_' + cmd)(calderon.load_scenario(cfg), sys.argv[1])\n"
         "    print(cmd, loaded())\n"
+        "calderon.cli.emit_report({'checks': [calderon.cli._check('x', True, 1.0)]}, sys.argv[1], 'lean')\n"
+        "print('emit_report', loaded())\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(_cli.__file__)))
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(
         [sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.splitlines() == ["import []", "cgo []", "reconstruct []"]
+    assert out.stdout.splitlines() == ["import []", "cgo []", "reconstruct []", "emit_report []"]
