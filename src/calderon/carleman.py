@@ -18,19 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .forward import schrodinger_matrix
-from .geometry import ConfigurationError, DiskDomain, Mesh, as_values, boundary_integral
-from .holo import (
-    HoloFunction,
-    InfeasibleDegreeError,
-    _complex_rows,
-    _derivative_rows,
-    _gamma0_nodes,
-    _part_rows,
-    _solve_constrained,
-)
+from .geometry import ConfigurationError, Mesh, as_values, boundary_integral
+from .holo import HoloFunction, InfeasibleDegreeError, build_auxiliaries
 from .cgo import conjugated_matrix
 
-AUX_NEUMANN_TOL = 1e-4
 EPSILON_H_FACTOR = 5.0
 
 
@@ -80,42 +71,6 @@ class CarlemanWeight:
         return out
 
 
-def build_auxiliaries(domain: DiskDomain, phase: HoloFunction, degree: int = 16) -> list:
-    """One holomorphic g_j per critical point p_j of the phase, with
-    g_j'(p_j) = 1 (hard) and normal derivative of Im g_j vanishing on gamma0
-    (least squares, verified to AUX_NEUMANN_TOL)."""
-    report = phase.meta.get("critical_points")
-    if report is None:
-        raise ConfigurationError("phase must carry its critical-point report")
-    out = []
-    for q in report.points:
-        p = complex(q.location)
-        hard_A, hard_b = _complex_rows(_derivative_rows(p, 1, degree), [1.0])
-        if domain.gamma0 is None:
-            coeffs = np.zeros(degree + 1, dtype=complex)
-            coeffs[1] = 1.0
-            g = HoloFunction(coeffs)
-        else:
-            nodes = _gamma0_nodes(domain, 8 * degree)
-            # radial derivative of Im g on the unit circle: Im(g'(t) t)
-            k = np.arange(degree + 1)
-            rows = k[None, :] * nodes[:, None] ** k[None, :]
-            soft_A = _part_rows(rows, "im")
-            soft_b = np.zeros(len(nodes))
-            coeffs = _solve_constrained(degree, hard_A, hard_b, soft_A, soft_b)
-            g = HoloFunction(coeffs)
-            check = _gamma0_nodes(domain, 32 * degree)
-            resid = np.max(np.abs(np.imag(g.derivative()(check) * check)))
-            if resid > AUX_NEUMANN_TOL:
-                raise InfeasibleDegreeError(
-                    f"gamma0 Neumann residual {resid:.2e} > {AUX_NEUMANN_TOL} "
-                    f"for auxiliary at {p:.4f}; raise the degree"
-                )
-        g.meta["critical_point"] = p
-        out.append(g)
-    return out
-
-
 def build_carleman_weight(
     mesh: Mesh,
     phase: HoloFunction,
@@ -124,8 +79,8 @@ def build_carleman_weight(
     degree: int = 16,
 ) -> CarlemanWeight:
     """Assemble the convexified weight, with auxiliaries for the gamma0 of
-    mesh.domain, and record the positivity margin of sum_j |d phi_j|^2,
-    measured at the mesh vertices."""
+    mesh.domain (holo.build_auxiliaries), and record the positivity margin
+    of sum_j |d phi_j|^2, measured at the mesh vertices."""
     aux = build_auxiliaries(mesh.domain, phase, degree)
     w = CarlemanWeight(phase, aux, epsilon, h)
     w.meta["gradient_sq_min"] = float(np.min(w.gradient_sq(mesh.vertices)))

@@ -51,14 +51,10 @@ from .holo import (
     HoloFunction,
     InfeasibleDegreeError,
     CriticalPointReport,
-    _part_rows,
-    _power_matrix,
-    _solve_constrained,
     _cauchy_transform_columns,
+    build_a0,
     build_jet_form,
 )
-
-A0_RESIDUAL_TOL = 1e-4
 
 
 class ResolvabilityError(RuntimeError):
@@ -235,34 +231,6 @@ def build_r12(mesh: Mesh, phase: HoloFunction, b: np.ndarray, chi1: Cutoff, hess
     return r12, r_tilde12
 
 
-def build_a0(r_tilde12: np.ndarray, mesh: Mesh, degree: int = 16) -> HoloFunction:
-    """Holomorphic corrector with Re a0 = -Re r_tilde12 on gamma0 (residual
-    at the gamma0 vertices <= 1e-4); identically zero when gamma0 is empty."""
-    if mesh.domain.gamma0 is None:
-        return HoloFunction([0.0])
-    idx = mesh.gamma0_indices()
-    nodes = mesh.vertices[idx] / np.abs(mesh.vertices[idx])
-    target = -np.asarray(r_tilde12)[idx].real
-    rows = _part_rows(_power_matrix(nodes, degree), "re")
-    coeffs = _solve_constrained(
-        degree,
-        np.zeros((0, 2 * (degree + 1))),
-        np.zeros(0),
-        rows,
-        target,
-        tikhonov=1e-12,
-    )
-    fn = HoloFunction(coeffs)
-    resid = float(np.max(np.abs(fn(nodes).real - target)))
-    if resid > A0_RESIDUAL_TOL:
-        raise InfeasibleDegreeError(
-            f"corrector arc residual {resid:.2e} exceeds {A0_RESIDUAL_TOL:.0e} "
-            f"at degree {degree}"
-        )
-    fn.meta["arc_residual"] = resid
-    return fn
-
-
 def conjugated_matrix(A: sp.spmatrix, phi_vals: np.ndarray, h: float) -> sp.csr_matrix:
     """Similarity transform B = D^{-1} A D with D = diag(e^{phi/h}) of the
     assembled Delta_g + V (forward.schrodinger_matrix).
@@ -367,7 +335,7 @@ def prepare_cgo(
     else:
         theta = green_dz(mesh, aV)
         f = build_jet_form(theta, mesh, report, p, degree=jet_degree)
-        b = f.meta["omega"](mesh.vertices) - theta
+        b = f.derivative()(mesh.vertices) - theta
     hess_abs = abs(phase.derivative(2)(p))
     if np.any(np.abs(b) > 0):
         r12, r_tilde12 = build_r12(mesh, phase, b, chi1, hess_abs)

@@ -3,10 +3,12 @@
 Polynomial representations of holomorphic functions, a solid Cauchy
 transform inverting d/dz on compactly supported data, arc-constrained
 least-squares builders (phases real on the inaccessible arc, amplitudes
-with prescribed zeros, jet-matching primitives), and a critical-point
-finder: the companion-matrix eigenvalues of dPhi, Newton-polished as one
-array, each certified by an argument-principle winding on a small circle
-and checked in total against the winding over the disk contour.
+with prescribed zeros, jet-matching primitives, the CGO corrector a0 and
+the Carleman auxiliaries; all but the phase are fitted by _fit_on_arc),
+and a critical-point finder: the companion-matrix eigenvalues of dPhi,
+Newton-polished as one array, each certified by an argument-principle
+winding on a small circle and checked in total against the winding over
+the disk contour.
 """
 
 from __future__ import annotations
@@ -21,9 +23,14 @@ from scipy.linalg import null_space, solve_triangular
 from .geometry import ConfigurationError, DiskDomain, Mesh, TWO_PI
 
 ARC_RESIDUAL_TOL = 1e-6
+# arc residual targets of the corrector a0 and of the Carleman auxiliaries'
+# gamma0 Neumann condition
+A0_RESIDUAL_TOL = 1e-4
+AUX_NEUMANN_TOL = 1e-4
 HARD_CONSTRAINT_TOL = 1e-10
 DEGENERACY_THRESHOLD = 1e-8
-# Tikhonov weight of the Morse-phase fits (ridge lam = sqrt of it)
+# Tikhonov weights of the arc fits and of the Morse-phase fits (ridge lam = sqrt of it)
+ARC_TIKHONOV = 1e-12
 PHASE_TIKHONOV = 1e-18
 # Morse-phase attempts (the first unbiased, the rest with a random soft
 # Hessian bias) and gamma0 collocation nodes per degree of an arc fit
@@ -58,10 +65,6 @@ class HoloFunction:
     def __init__(self, coeffs, meta: Optional[dict] = None):
         self.coeffs = np.atleast_1d(np.asarray(coeffs, dtype=complex))
         self.meta = dict(meta or {})
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
@@ -250,7 +253,9 @@ def _cauchy_transform_columns(F: np.ndarray, mesh: Mesh, eval_points=None, eval_
 #
 # Unknowns are x = [Re c_0..Re c_K, Im c_0..Im c_K].  A complex functional
 # row r (meaning sum_k r_k c_k = t) expands to two real rows; an arc row
-# asking Im(sum c_k w^k) = t or Re(...) = t expands to one real row.
+# asking Im(sum c_k w^k) = t or Re(...) = t expands to one real row.  The
+# exact rows of every fit come from _hard_space, and every fit but the
+# Morse phase's (_phase_fitter) is solved and checked by _fit_on_arc.
 
 
 def _complex_rows(rows, targets):
@@ -295,24 +300,23 @@ def _derivative_rows(z, order, degree):
     return np.where(shift >= 0, fac * z[:, None] ** np.maximum(shift, 0), 0)
 
 
-def _hard_space(degree, hard_A, hard_b):
-    """Particular solution x0 and null-space basis N of the exact constraints."""
+def _hard_space(degree, constraints):
+    """Particular solution x0 and null-space basis N of the exact constraints,
+    a list of (point, derivative order, complex target)."""
     n = 2 * (degree + 1)
-    if hard_A is None or len(hard_A) == 0:
+    if not constraints:
         return np.zeros(n), np.eye(n)
+    points, orders, targets = zip(*constraints)
+    hard_A, hard_b = _complex_rows(_derivative_rows(points, orders, degree), targets)
     x0, *_ = np.linalg.lstsq(hard_A, hard_b, rcond=None)
-    if np.linalg.norm(hard_A @ x0 - hard_b) > HARD_CONSTRAINT_TOL * max(
-        1.0, np.linalg.norm(hard_b)
-    ):
-        raise InfeasibleDegreeError(
-            f"hard constraints inconsistent or underrepresented at degree {degree}"
-        )
+    if np.linalg.norm(hard_A @ x0 - hard_b) > HARD_CONSTRAINT_TOL * max(1.0, np.linalg.norm(hard_b)):
+        raise InfeasibleDegreeError(f"hard constraints inconsistent or underrepresented at degree {degree}")
     return x0, null_space(hard_A)
 
 
 def _solve_soft(degree, x0, N, soft_A, soft_b, tikhonov):
     """Least squares over soft rows in the affine space x0 + span N."""
-    if soft_A is None or len(soft_A) == 0:
+    if len(soft_A) == 0:
         x = x0
     else:
         lam = np.sqrt(tikhonov)
@@ -323,17 +327,51 @@ def _solve_soft(degree, x0, N, soft_A, soft_b, tikhonov):
     return x[: degree + 1] + 1j * x[degree + 1 :]
 
 
-def _solve_constrained(degree, hard_A, hard_b, soft_A, soft_b, tikhonov=1e-12):
-    """Least squares over soft rows subject to exact hard constraints."""
-    x0, N = _hard_space(degree, hard_A, hard_b)
-    return _solve_soft(degree, x0, N, soft_A, soft_b, tikhonov)
-
-
 def _gamma0_nodes(domain: DiskDomain, count: int) -> np.ndarray:
     a, b = domain.gamma0
     span = np.mod(b - a, TWO_PI)
     theta = a + span * np.linspace(0.0, 1.0, count)
     return np.exp(1j * theta)
+
+
+def _arc_grids(domain: DiskDomain, degree: int) -> tuple:
+    """Fit nodes on gamma0 (ARC_NODES_PER_DEGREE per degree) and the 4x finer
+    check nodes; both empty for full data."""
+    if domain.gamma0 is None:
+        return np.zeros(0, dtype=complex), np.zeros(0, dtype=complex)
+    count = ARC_NODES_PER_DEGREE * max(degree, 1)
+    return _gamma0_nodes(domain, count), _gamma0_nodes(domain, 4 * count)
+
+
+def _fit_on_arc(degree, constraints, nodes, check, part, label, tol, target=0.0, radial=False):
+    """The one arc fit behind fit_holomorphic_on_arc, build_a0 and
+    build_auxiliaries.
+
+    The polynomial P of the given degree meets the exact constraints (list
+    of (point, derivative order, complex target)) and fits part(F) = target
+    at the arc nodes in least squares, where F is P itself or, when radial,
+    its radial derivative t P'(t) on the unit circle; no nodes, no arc rows.
+    Every constraint is checked to HARD_CONSTRAINT_TOL.  The arc residual
+    max |part(F) - target| over the check nodes (target is a scalar or given
+    at the check nodes) is stored in meta["arc_residual"], and one above tol
+    raises InfeasibleDegreeError worded with label.
+    """
+    x0, N = _hard_space(degree, constraints)
+    rows = _power_matrix(nodes, degree)
+    if radial:
+        rows = np.arange(degree + 1) * rows
+    fn = HoloFunction(_solve_soft(degree, x0, N, _part_rows(rows, part), target, ARC_TIKHONOV))
+    vals = fn.derivative()(check) * check if radial else fn(check)
+    got = vals.imag if part == "im" else vals.real
+    residual = float(np.max(np.abs(got - target), initial=0.0))
+    fn.meta["arc_residual"] = residual
+    for z0, order, t in constraints:
+        value = fn.derivative(order)(z0)
+        if abs(value - t) > HARD_CONSTRAINT_TOL * max(1.0, abs(t)):
+            raise InfeasibleDegreeError(f"hard constraint at {z0} (order {order}) violated: {value} vs {t}")
+    if residual > tol:
+        raise InfeasibleDegreeError(f"{label} {residual:.2e} exceeds {tol:.0e} at degree {degree}; increase the degree")
+    return fn
 
 
 def fit_holomorphic_on_arc(
@@ -349,35 +387,8 @@ def fit_holomorphic_on_arc(
     verification grid is stored in meta["arc_residual"]; exceeding
     ARC_RESIDUAL_TOL raises InfeasibleDegreeError suggesting a larger degree.
     """
-    hard_A, hard_b = (None, None)
-    if constraints:
-        points, orders, targets = zip(*constraints)
-        hard_A, hard_b = _complex_rows(_derivative_rows(points, orders, degree), targets)
-    soft_A = soft_b = None
-    if domain.gamma0 is not None:
-        nodes = _gamma0_nodes(domain, ARC_NODES_PER_DEGREE * max(degree, 1))
-        soft_A = _part_rows(_power_matrix(nodes, degree), part)
-        soft_b = np.zeros(len(nodes))
-    coeffs = _solve_constrained(degree, hard_A, hard_b, soft_A, soft_b)
-    fn = HoloFunction(coeffs)
-    residual = 0.0
-    if domain.gamma0 is not None:
-        vals = fn(_gamma0_nodes(domain, 4 * ARC_NODES_PER_DEGREE * max(degree, 1)))
-        got = vals.imag if part == "im" else vals.real
-        residual = float(np.max(np.abs(got)))
-    fn.meta["arc_residual"] = residual
-    for z0, order, t in constraints:
-        got = fn.derivative(order)(z0)
-        if abs(got - t) > HARD_CONSTRAINT_TOL * max(1.0, abs(t)):
-            raise InfeasibleDegreeError(
-                f"hard constraint at {z0} (order {order}) violated: {got} vs {t}"
-            )
-    if residual > ARC_RESIDUAL_TOL:
-        raise InfeasibleDegreeError(
-            f"arc residual {residual:.2e} exceeds {ARC_RESIDUAL_TOL:.0e} at degree {degree}; "
-            "increase the degree"
-        )
-    return fn
+    nodes, check = _arc_grids(domain, degree)
+    return _fit_on_arc(degree, constraints, nodes, check, part, "arc residual", ARC_RESIDUAL_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -571,14 +582,11 @@ def _phase_fitter(domain, p, degree, bias=None):
     cons = [(p, 0, 1j), (p, 1, 0.0)]
     if bias is not None:
         cons = cons + [bias]
-    points, orders, targets = zip(*cons)
-    hard_A, hard_b = _complex_rows(_derivative_rows(points, orders, degree), targets)
-    x0, N = _hard_space(degree, hard_A, hard_b)
-    nodes = _gamma0_nodes(domain, 8 * max(degree, 1))
+    x0, N = _hard_space(degree, cons)
+    nodes, fine = _arc_grids(domain, degree)
     arc_rows = _part_rows(_power_matrix(nodes, degree), "im")
     samp = np.exp(1j * TWO_PI * np.arange(4 * degree) / (4 * degree))
     dA, _ = _complex_rows(_derivative_rows(samp, 1, degree), np.zeros(len(samp)))
-    fine = _gamma0_nodes(domain, 32 * max(degree, 1))
     lam = np.sqrt(PHASE_TIKHONOV)
 
     def fit(mu):
@@ -716,6 +724,28 @@ def build_amplitude(
     return fit_holomorphic_on_arc(constraints, domain, degree, part="re")
 
 
+def build_auxiliaries(domain: DiskDomain, phase: HoloFunction, degree: int = 16) -> list:
+    """One holomorphic g_j per critical point p_j of the phase, with
+    g_j'(p_j) = 1 (hard) and normal derivative of Im g_j vanishing on gamma0
+    (least squares, verified to AUX_NEUMANN_TOL)."""
+    report = phase.meta.get("critical_points")
+    if report is None:
+        raise ConfigurationError("phase must carry its critical-point report")
+    nodes, check = _arc_grids(domain, degree)
+    out = []
+    for q in report.points:
+        p = complex(q.location)
+        if domain.gamma0 is None:
+            g = HoloFunction(np.eye(degree + 1, dtype=complex)[1])  # g = z
+        else:
+            # radial derivative of Im g on the unit circle: Im(g'(t) t)
+            label = f"gamma0 Neumann residual (auxiliary at {p:.4f})"
+            g = _fit_on_arc(degree, [(p, 1, 1.0)], nodes, check, "im", label, AUX_NEUMANN_TOL, radial=True)
+        g.meta["critical_point"] = p
+        out.append(g)
+    return out
+
+
 def field_jets(values, mesh: Mesh, z0: complex, order: int = 2) -> np.ndarray:
     """d/dz jets (orders 0..order, order <= 2) of a discrete complex field at z0.
 
@@ -767,7 +797,8 @@ def build_jet_form(
 ) -> HoloFunction:
     """Holomorphic f, real on the gamma0 of mesh.domain, whose derivative
     omega = df matches the 0th-2nd d/dz jets of theta at every secondary
-    critical point and the 0th jet at p."""
+    critical point and the 0th jet at p (each to HARD_CONSTRAINT_TOL, checked
+    by fit_holomorphic_on_arc)."""
     p = complex(p)
     constraints = []
     jp = field_jets(theta_values, mesh, p, order=0)
@@ -780,12 +811,16 @@ def build_jet_form(
         raise InfeasibleDegreeError(
             f"{len(constraints)} jet constraints need degree > {len(constraints)}"
         )
-    fn = fit_holomorphic_on_arc(constraints, mesh.domain, degree, part="im")
-    # verify the jets of omega = f' directly
-    omega = fn.derivative()
-    for z0, order, t in constraints:
-        got = fn.derivative(order)(z0)
-        if abs(got - t) > 1e-6 * max(1.0, abs(t)):
-            raise InfeasibleDegreeError("jet reproduction failed verification")
-    fn.meta["omega"] = omega
-    return fn
+    return fit_holomorphic_on_arc(constraints, mesh.domain, degree, part="im")
+
+
+def build_a0(r_tilde12, mesh: Mesh, degree: int = 16) -> HoloFunction:
+    """Holomorphic corrector with Re a0 = -Re r_tilde12 on gamma0, fitted and
+    checked at the gamma0 vertices of the mesh (residual <= A0_RESIDUAL_TOL);
+    identically zero when gamma0 is empty."""
+    if mesh.domain.gamma0 is None:
+        return HoloFunction([0.0])
+    idx = mesh.gamma0_indices()
+    nodes = mesh.vertices[idx] / np.abs(mesh.vertices[idx])
+    target = -np.asarray(r_tilde12)[idx].real
+    return _fit_on_arc(degree, [], nodes, nodes, "re", "corrector arc residual", A0_RESIDUAL_TOL, target)

@@ -208,8 +208,8 @@ def pointwise_difference(
                 "h range admits fewer than two members of a cos = +-1 subsequence; "
                 "extend the h range or increase psi(p)"
             )
-        Sp = np.real(cgo_pairings(mesh, V1, V2, phase, amplitude, plus, p, jet_degree, include_r1))
-        Sm = np.real(cgo_pairings(mesh, V1, V2, phase, amplitude, minus, p, jet_degree, include_r1))
+        S = np.real(cgo_pairings(mesh, V1, V2, phase, amplitude, plus + minus, p, jet_degree, include_r1))
+        Sp, Sm = S[: len(plus)], S[len(plus) :]
         bp = np.polyfit(plus, Sp, 1)[0]
         bm = np.polyfit(minus, Sm, 1)[0]
         D = (bp - bm) / (2.0 * scale)

@@ -7,6 +7,7 @@ unknown keys and non-finite numbers are always fatal.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass, field
@@ -84,7 +85,6 @@ SCHEMA = {
         "vanish_order": {"type": "integer", "minimum": 1, "default": 4},
         "epsilon": {"type": "number", "exclusiveMinimum": 0.0, "default": 1.0},
         "psi_target": {"type": "number", "exclusiveMinimum": 0.0, "default": 0.8},
-        "cutoff_scale": {"type": "number", "exclusiveMinimum": 0.0, "default": 1.0},
         "point": {
             "description": "interior evaluation point for cgo/reconstruct",
             "type": "array",
@@ -125,17 +125,19 @@ SCHEMA = {
 }
 
 
-def _apply_defaults(config: dict, schema: dict = SCHEMA) -> dict:
-    out = dict(config)
-    for key, sub in schema["properties"].items():
+def _apply_defaults(config: dict) -> dict:
+    """A deep copy of config with the schema defaults filled in, so that the
+    caller's dict, nested v1/v2 included, is left as it was."""
+    out = copy.deepcopy(config)
+    for key, sub in SCHEMA["properties"].items():
         if key not in out and "default" in sub:
-            out[key] = json.loads(json.dumps(sub["default"]))
+            out[key] = copy.deepcopy(sub["default"])
     for key in ("v1", "v2"):
         spec = out.get(key)
         if isinstance(spec, dict):
             for pkey, psub in _POTENTIAL_SCHEMA["properties"].items():
                 if pkey not in spec and "default" in psub:
-                    spec[pkey] = json.loads(json.dumps(psub["default"]))
+                    spec[pkey] = copy.deepcopy(psub["default"])
     return out
 
 

@@ -548,7 +548,7 @@ def test_jet_form_zero_field(quarter_mesh_mid, quarter_domain):
     report = phi.meta["critical_points"]
     theta = np.zeros(quarter_mesh_mid.n_vertices, dtype=complex)
     f = build_jet_form(theta, quarter_mesh_mid, report, P_STAR)
-    omega = f.meta["omega"]
+    omega = f.derivative()
     z = 0.5 * np.exp(1j * np.linspace(0, 2 * np.pi, 16))
     assert np.max(np.abs(omega(z))) <= 1e-8
 
@@ -559,7 +559,7 @@ def test_jet_form_matches_prescribed_jets(quarter_mesh_mid, quarter_domain):
     z = quarter_mesh_mid.vertices
     theta = (1.0 + 0.5j) + (0.3 - 0.2j) * z + (0.1 + 0.1j) * z**2
     f = build_jet_form(theta, quarter_mesh_mid, report, P_STAR, degree=16)
-    omega = f.meta["omega"]
+    omega = f.derivative()
     # the 0th jet is matched at the primary point
     theta_fn = lambda w: (1.0 + 0.5j) + (0.3 - 0.2j) * w + (0.1 + 0.1j) * w**2
     assert abs(omega(P_STAR) - theta_fn(P_STAR)) <= 1e-4

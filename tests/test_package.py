@@ -105,3 +105,23 @@ def test_no_function_takes_a_mesh_and_its_domain():
     assert [name for name, p in params.items() if {"mesh", "domain"} <= p] == []
     for name in ("cgo.residual_field", "cgo.duality_completion"):
         assert params[name] & {"V", "A"} == set()
+
+
+# the only underscore names one calderon module imports from another:
+# (importing module, source module, name)
+PRIVATE_IMPORTS = {
+    ("cgo", "holo", "_cauchy_transform_columns"),
+    ("cli", "scenarios", "_require_schema"),
+}
+
+
+def test_private_names_stay_in_their_module():
+    """A name starting with _ is imported by another calderon module only
+    in the named set: holo alone builds least-squares rows and solves the
+    fits, so cgo and carleman call its builders, not its helpers."""
+    crossing = set()
+    for path in Path(calderon.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                crossing |= {(path.stem, node.module, a.name) for a in node.names if a.name.startswith("_")}
+    assert crossing == PRIVATE_IMPORTS

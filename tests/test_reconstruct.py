@@ -214,13 +214,18 @@ def test_interior_estimate_scales_with_amplitude(ref_mesh, ref_scenario, ref_pha
     assert est["D"] == pytest.approx(0.5 * ref_estimate["D"], rel=0.2)
 
 
-def test_subsequence_mode_cross_checks_fit(ref_mesh, ref_scenario, ref_phase_amp, ref_estimate):
+def test_subsequence_mode_cross_checks_fit(ref_mesh, ref_scenario, ref_phase_amp, ref_estimate, monkeypatch):
+    """Both subsequences are paired on one CGO per side: 2 prepare_cgo calls."""
     phase, amp = ref_phase_amp
+    calls = []
+    prepare = _cgo.prepare_cgo
+    monkeypatch.setattr(_cgo, "prepare_cgo", lambda *args, **kwargs: calls.append(1) or prepare(*args, **kwargs))
     est = _rc.pointwise_difference(
         ref_mesh, ref_scenario.V1, ref_scenario.V2,
         P_STAR, ref_scenario.h_list, phase=phase, amplitude=amp, mode="subsequence",
     )
     assert est["D"] == pytest.approx(ref_estimate["D"], abs=0.2)
+    assert len(calls) == 2
 
 
 def test_difference_map_localizes_bump(ref_mesh, ref_scenario):

@@ -56,10 +56,24 @@ def test_default_epsilon_admits_default_h_list():
     assert weight.h == h_min
 
 
-def test_unknown_top_level_key_fatal():
+@pytest.mark.parametrize("key", ["resolutoin", "cutoff_scale"])
+def test_unknown_top_level_key_fatal(key):
+    """A misspelt key, and cutoff_scale, which only cgo_regimes entries take."""
     with pytest.raises(ConfigurationError) as err:
-        validate_config({"name": "x", "seed": 0, "resolutoin": 0.05})
-    assert "resolutoin" in str(err.value)
+        validate_config({"name": "x", "seed": 0, key: 0.05})
+    assert key in str(err.value)
+
+
+def test_defaults_leave_the_callers_config_alone():
+    """validate_config and load_scenario fill the defaults into a copy: the
+    dict they are given, nested potentials included, is not changed."""
+    config = {"name": "x", "seed": 0, "v1": {"profile": "gaussian"}, "v2": {"profile": "zero"}}
+    before = json.loads(json.dumps(config))
+    resolved = validate_config(config)
+    assert config == before
+    assert resolved["v1"]["width"] == 0.25 and resolved["v1"] is not config["v1"]
+    load_scenario(config)
+    assert config == before
 
 
 def test_unknown_nested_potential_key_fatal():
@@ -221,7 +235,7 @@ def test_config_check_agrees_with_jsonschema(config, edits):
         edit(config)
     expected = next(_CONFIG_REFERENCE.iter_errors(config), None) is not None
     try:
-        validate_config(json.loads(json.dumps(config)))
+        validate_config(config)
         raised = False
     except ConfigurationError:
         raised = True
