@@ -2,7 +2,7 @@
 
 Modules:
   geometry    - conformal disk domains, triangulations, quadrature
-  forward     - P1 finite-element Schrodinger solves and partial Cauchy data
+  forward     - P1 finite-element Schrodinger solves and boundary traces
   holo        - holomorphic Morse phases real on the inaccessible arc
   cgo         - complex-geometric-optics solutions and remainder hierarchy
   carleman    - numerical verification of the Carleman inequality
@@ -11,7 +11,7 @@ Modules:
 """
 
 from .geometry import ConfigurationError, DiskDomain, Mesh, build_disk_mesh
-from .forward import CauchyData, SchrodingerOperator, boundary_pairing, operator, partial_cauchy_data
+from .forward import SchrodingerOperator, boundary_pairing, operator
 from .holo import HoloFunction, build_amplitude, build_morse_phase, cauchy_transform, find_critical_points
 from .cgo import CGO, residual_scaling_report
 from .carleman import CarlemanWeight, build_carleman_weight, carleman_sweep
@@ -32,11 +32,9 @@ __all__ = [
     "DiskDomain",
     "Mesh",
     "build_disk_mesh",
-    "CauchyData",
     "SchrodingerOperator",
     "boundary_pairing",
     "operator",
-    "partial_cauchy_data",
     "HoloFunction",
     "build_amplitude",
     "build_morse_phase",

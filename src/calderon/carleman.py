@@ -12,7 +12,6 @@ constant, never derived.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,9 +53,6 @@ class CarlemanWeight:
     def at(self, h: float) -> "CarlemanWeight":
         """Same weight family at another semiclassical parameter."""
         return CarlemanWeight(self.phase, self.auxiliaries, self.epsilon, h, dict(self.meta))
-
-    def phi(self, z) -> np.ndarray:
-        return np.real(self.phase(z))
 
     def phi_values(self, z) -> list:
         """[phi_0, phi_1, ...] sampled at z."""
@@ -193,10 +189,11 @@ def carleman_sweep(
     """Minimum Carleman ratio over seeded test functions and an h sweep.
 
     Unresolvable h (weight variation per cell exceeding unity in the
-    conjugation) and h beyond the epsilon constraint are skipped with a
-    warning.  PASS means every surviving minimum is positive and the
-    min-ratio trend does not head to zero as h decreases.  The report's
-    "rows" are (h, sample_id, lhs, rhs, ratio) tuples in sweep order.
+    conjugation) and h beyond the epsilon constraint are skipped, each
+    recorded once in the report's "skipped" list with its reason.  PASS
+    means every surviving minimum is positive and the min-ratio trend does
+    not head to zero as h decreases.  The report's "rows" are (h,
+    sample_id, lhs, rhs, ratio) tuples in sweep order.
 
     The stiffness matrix and lumped mass are the mesh's, shared with
     convexity_check.  The h-independent work is done once: the operator is
@@ -220,12 +217,10 @@ def carleman_sweep(
     for h in sorted(set(float(x) for x in h_list), reverse=True):
         if h > weight.epsilon / EPSILON_H_FACTOR:
             msg = f"h = {h} skipped: exceeds epsilon/{EPSILON_H_FACTOR:g} = {weight.epsilon / EPSILON_H_FACTOR}"
-            warnings.warn(msg)
             skipped.append({"h": h, "reason": msg})
             continue
         if h < 0.5 * mesh.resolution * maxgrad:
             msg = f"h = {h} skipped: below weight resolvability {0.5 * mesh.resolution * maxgrad:.3g}"
-            warnings.warn(msg)
             skipped.append({"h": h, "reason": msg})
             continue
         B = conjugated_matrix(A, convexify_weight(weight.at(h), mesh), h)

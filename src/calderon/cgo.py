@@ -50,7 +50,6 @@ from .forward import operator, schrodinger_matrix
 from .holo import (
     HoloFunction,
     InfeasibleDegreeError,
-    CriticalPointReport,
     _cauchy_transform_columns,
     build_a0,
     build_jet_form,
@@ -112,19 +111,19 @@ class Cutoff:
         return out
 
 
-def build_cutoffs(report: CriticalPointReport, p: complex, scale: float = 1.0) -> tuple[Cutoff, Cutoff]:
-    """chi (outer) and chi1 (inner) centered at p; chi is identically 1 on the
-    support of chi1, and both avoid every other critical point and the
-    boundary circle.
+def build_cutoffs(phase: HoloFunction, scale: float = 1.0) -> tuple[Cutoff, Cutoff]:
+    """chi (outer) and chi1 (inner) centered at the phase's primary critical
+    point p = meta["p"]; chi is identically 1 on the support of chi1, and
+    both avoid every other critical point and the boundary circle.
 
     scale > 1 widens both cutoffs (still respecting the nesting and the
     boundary margin); a wider chi1 collects more oscillation cycles of
     e^{2i psi/h} and brings the transform remainders r11 and eta into their
     asymptotic regime on coarser meshes.
     """
-    p = complex(p)
+    p = phase.meta["p"]
     d = 1.0 - abs(p)
-    for q in report.secondary(p):
+    for q in phase.meta["critical_points"].secondary(p):
         d = min(d, abs(q.location - p))
     outer = min(0.5 * d * scale, 0.95 * (1.0 - abs(p)))
     inner = min(0.25 * d * scale, 0.5 * outer)
@@ -249,7 +248,7 @@ class CGO:
     """The h-independent ingredients of one CGO solution
     u = e^{Phi/h}(a + h a0 + r1) + r2 for one (phase, amplitude, V), with
     r1 = r11 + h r12: the potential V sampled at the mesh vertices, the
-    primary critical point p, the cutoffs chi and chi1, the potential term
+    cutoffs chi and chi1 at the phase's primary point, the potential term
     b, the algebraic remainders r12 and r_tilde12, the corrector a0, and a
     and a0 sampled at the mesh vertices (a_z, a0_z); A is the assembled
     Delta_g + V, built on first use.  Built by prepare_cgo; r11 comes per h
@@ -259,7 +258,6 @@ class CGO:
     V: np.ndarray
     phase: HoloFunction
     amplitude: HoloFunction
-    p: complex
     chi: Cutoff
     chi1: Cutoff
     b: np.ndarray
@@ -311,22 +309,16 @@ def prepare_cgo(
     amplitude,
     jet_degree: int = 16,
     cutoff_scale: float = 1.0,
-    p: Optional[complex] = None,
 ) -> CGO:
     """The CGO of one (phase, amplitude, V): every ingredient shared across
     h, with a and a0 sampled at the mesh vertices once.
 
-    p overrides the primary-critical-point selection (needed for mirror
-    phases -Phi, where Im(-Phi) is most negative at the primary point).
-    The only operator factorized here is the V = 0 one of the Green
-    potential, kept on the mesh (forward.operator).
+    The primary critical point is the phase's own meta["p"], which a mirror
+    phase -Phi keeps with the rest of its meta.  The only operator
+    factorized here is the V = 0 one of the Green potential, kept on the
+    mesh (forward.operator).
     """
-    report: CriticalPointReport = phase.meta["critical_points"]
-    points = [q for q in report.points if not q.degenerate]
-    if p is None:
-        # the primary point is the one the phase was normalized at: Im Phi = psi_target > 0 there
-        p = max(points, key=lambda q: phase(q.location).imag).location
-    chi, chi1 = build_cutoffs(report, p, scale=cutoff_scale)
+    chi, chi1 = build_cutoffs(phase, scale=cutoff_scale)
     V = as_values(V, mesh)
     a_z = amplitude(mesh.vertices)
     aV = a_z * V
@@ -334,9 +326,9 @@ def prepare_cgo(
         b = np.zeros(mesh.n_vertices, dtype=complex)
     else:
         theta = green_dz(mesh, aV)
-        f = build_jet_form(theta, mesh, report, p, degree=jet_degree)
+        f = build_jet_form(theta, mesh, phase, degree=jet_degree)
         b = f.derivative()(mesh.vertices) - theta
-    hess_abs = abs(phase.derivative(2)(p))
+    hess_abs = abs(phase.derivative(2)(phase.meta["p"]))
     if np.any(np.abs(b) > 0):
         r12, r_tilde12 = build_r12(mesh, phase, b, chi1, hess_abs)
         a0 = build_a0(r_tilde12, mesh, degree=jet_degree)
@@ -349,7 +341,6 @@ def prepare_cgo(
         V=V,
         phase=phase,
         amplitude=amplitude,
-        p=p,
         chi=chi,
         chi1=chi1,
         b=b,

@@ -5,11 +5,10 @@ with commands forward | cgo | carleman | reconstruct | boundary | all.
 Every pipeline writes CSV data plus a JSON summary with PASS/FAIL checks;
 outputs are deterministic given (config, seed).  This module is the one
 writer of output files: the computing modules return rows and reports,
-which _write_csv and _write_json write (the Cauchy data files excepted:
-CauchyData.to_csv writes them, beside their reader).  The pipelines of
-one run share the scenario mesh, which holds its stiffness matrix and
-factorized operators (forward.operator), so each (mesh, potential) pair
-is factorized once per run.
+which _write_csv and _write_json write.  The pipelines of one run share
+the scenario mesh, which holds its stiffness matrix and factorized
+operators (forward.operator), so each (mesh, potential) pair is
+factorized once per run.
 """
 
 from __future__ import annotations
@@ -24,8 +23,8 @@ import numpy as np
 from . import carleman as _carleman
 from . import cgo as _cgo
 from . import reconstruct as _rc
-from .forward import CauchyData, boundary_pairing, operator
-from .geometry import ConfigurationError, as_values
+from .forward import boundary_pairing, operator
+from .geometry import GAMMA, ConfigurationError, as_values
 from .holo import build_amplitude, build_morse_phase
 from .scenarios import Scenario, _require_schema, load_scenario
 
@@ -146,6 +145,10 @@ def run_forward(sc: Scenario, out_dir: str) -> dict:
     f = np.real(mesh.vertices[mesh.gamma_indices()])
     g = np.zeros(len(mesh.boundary))
     g[on_gamma] = f
+    # Cauchy data rows on gamma: angle, the real Dirichlet datum f (zero on
+    # gamma0), then each potential's Neumann trace and the arc label
+    header = ("theta", "dirichlet_re", "dirichlet_im", "neumann_re", "neumann_im", "arc_label")
+    dirichlet = (mesh.boundary_theta()[on_gamma].tolist(), f.tolist(), [0.0] * len(f))
     # one solve per potential gives both its partial Cauchy data and its
     # full-boundary traces for the Green-identity cross-check
     traces = []
@@ -154,7 +157,8 @@ def run_forward(sc: Scenario, out_dir: str) -> dict:
         u = op.solve_dirichlet(g)
         dn = op.weak_neumann_trace(u)
         path = os.path.join(out_dir, f"cauchy_{tag}.csv")
-        CauchyData(mesh, f, dn[on_gamma]).to_csv(path)
+        nn = dn[on_gamma].astype(complex)
+        _write_csv(path, header, zip(*dirichlet, nn.real.tolist(), nn.imag.tolist(), [GAMMA] * len(f)))
         files.append(path)
         traces.append((u, dn))
     (u1, dn1), (u2, dn2) = traces
@@ -194,8 +198,7 @@ def run_cgo(sc: Scenario, out_dir: str) -> dict:
             psi_target=regime["psi_target"], seed=sc.seed,
         )
         amplitude = build_amplitude(
-            phase.meta["critical_points"], sc.point, sc.domain,
-            vanish_order=cfg["vanish_order"], degree=cfg["degree"],
+            phase, sc.domain, vanish_order=cfg["vanish_order"], degree=cfg["degree"],
         )
         rep = _cgo.residual_scaling_report(
             mesh, sc.V1, phase, amplitude, sc.h_list,

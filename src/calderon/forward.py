@@ -1,4 +1,4 @@
-"""P1 finite-element Schrodinger solves and partial Cauchy data on the disk.
+"""P1 finite-element Schrodinger solves and boundary traces on the disk.
 
 The weak form of the positive Laplacian is conformally invariant in 2D, so
 the stiffness matrix is the plain Euclidean one; the metric enters only
@@ -16,13 +16,12 @@ the LU factors once instead of twice per complex datum.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .geometry import GAMMA, Mesh, as_values, boundary_integral
+from .geometry import Mesh, as_values, boundary_integral
 
 
 class DirichletEigenvalueError(RuntimeError):
@@ -33,66 +32,6 @@ def schrodinger_matrix(mesh: Mesh, V) -> sp.csc_matrix:
     """A = K + diag(V * mass) (CSC) of Delta_g + V from the mesh's stiffness
     matrix and lumped mass; nothing is factorized."""
     return (mesh.stiffness + sp.diags(as_values(V, mesh) * mesh.mass)).tocsc()
-
-
-@dataclass
-class CauchyData:
-    """Dirichlet/Neumann traces on the accessible arc gamma.
-
-    The Dirichlet datum is implicitly extended by zero on gamma0.
-    """
-
-    mesh: Mesh
-    dirichlet_trace: np.ndarray  # values at gamma vertices (mesh.gamma_indices order)
-    neumann_trace: np.ndarray
-
-    def __post_init__(self):
-        ng = len(self.mesh.gamma_indices())
-        if len(self.dirichlet_trace) != ng or len(self.neumann_trace) != ng:
-            raise ValueError("traces must live on exactly the gamma vertices")
-
-    def to_csv(self, path):
-        idx = self.mesh.gamma_indices()
-        theta_all = np.full(self.mesh.n_vertices, np.nan)
-        theta_all[self.mesh.boundary] = self.mesh.boundary_theta()
-        with open(path, "w") as fh:
-            fh.write("theta,dirichlet_re,dirichlet_im,neumann_re,neumann_im,arc_label\n")
-            for k, i in enumerate(idx):
-                d = complex(self.dirichlet_trace[k])
-                nn = complex(self.neumann_trace[k])
-                fh.write(
-                    f"{float(theta_all[i])!r},{d.real!r},{d.imag!r},{nn.real!r},{nn.imag!r},{GAMMA}\n"
-                )
-
-    @classmethod
-    def from_csv(cls, path, mesh: Mesh) -> "CauchyData":
-        theta, dr, di, nr, ni = [], [], [], [], []
-        with open(path) as fh:
-            header = fh.readline().strip().split(",")
-            expected = ["theta", "dirichlet_re", "dirichlet_im", "neumann_re", "neumann_im", "arc_label"]
-            if header != expected:
-                raise ValueError(f"unexpected Cauchy data header {header}")
-            for line in fh:
-                parts = line.strip().split(",")
-                if parts[-1] != GAMMA:
-                    raise ValueError(f"unexpected arc label {parts[-1]!r}")
-                theta.append(float(parts[0]))
-                dr.append(float(parts[1]))
-                di.append(float(parts[2]))
-                nr.append(float(parts[3]))
-                ni.append(float(parts[4]))
-        theta = np.asarray(theta)
-        mesh_theta = mesh.boundary_theta()[~mesh.boundary_is_gamma0]
-        order = np.argsort(theta)
-        if not np.allclose(np.sort(mesh_theta), theta[order], atol=1e-9):
-            raise ValueError("Cauchy data angles do not match the mesh gamma vertices")
-        # reorder rows into mesh gamma order
-        perm = order[np.searchsorted(theta[order], mesh_theta)]
-        d = (np.asarray(dr) + 1j * np.asarray(di))[perm]
-        nn = (np.asarray(nr) + 1j * np.asarray(ni))[perm]
-        if np.allclose(d.imag, 0) and np.allclose(nn.imag, 0):
-            d, nn = d.real, nn.real
-        return cls(mesh, d, nn)
 
 
 # The interior block A_ii, the one matrix this package factorizes by sparse
@@ -246,17 +185,6 @@ def operator(mesh: Mesh, V=0.0, name: str = "V") -> SchrodingerOperator:
     if op is None:
         op = mesh.operators[key] = SchrodingerOperator(mesh, values, name=name)
     return op
-
-
-def partial_cauchy_data(mesh: Mesh, V, f_on_gamma) -> CauchyData:
-    """Solve with Dirichlet data f on gamma and 0 on gamma0; return traces on gamma."""
-    f_on_gamma = np.asarray(f_on_gamma)
-    op = operator(mesh, V)
-    g = np.zeros(len(mesh.boundary), dtype=f_on_gamma.dtype)
-    g[~mesh.boundary_is_gamma0] = f_on_gamma
-    u = op.solve_dirichlet(g)
-    neumann = op.weak_neumann_trace(u)[~mesh.boundary_is_gamma0]
-    return CauchyData(mesh, f_on_gamma, neumann)
 
 
 def boundary_pairing(mesh: Mesh, u1_traces, u2_traces) -> complex:

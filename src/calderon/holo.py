@@ -639,7 +639,10 @@ def build_morse_phase(
     that fit alone is checked against the residual target.  At the floor
     mu = 1e-9 (no screened mu met the target) a miss means the degree is
     too low; above it, that the screen and the full fit disagree.  meta
-    records the chosen "penalty_weight" and the "attempt" index.
+    records the chosen "penalty_weight", the "attempt" index, the
+    "critical_points" report and "p", the exact point the phase was built
+    at (the report holds its Newton-polished root), which every consumer
+    reads as the primary critical point.
     """
     p = complex(p)
     margin = 0.02
@@ -695,6 +698,7 @@ def build_morse_phase(
         ours = [q for q in report.points if abs(q.location - p) < 1e-8]
         if report.is_morse and ours and not ours[0].degenerate:
             phi.meta["critical_points"] = report
+            phi.meta["p"] = p
             return phi
     raise MorseVerificationError(
         f"no Morse phase after {PHASE_ATTEMPTS} attempts; last report: {last_report}"
@@ -702,15 +706,15 @@ def build_morse_phase(
 
 
 def build_amplitude(
-    report: CriticalPointReport,
-    p: complex,
+    phase: HoloFunction,
     domain: DiskDomain,
     vanish_order: int = 4,
     degree: int = 16,
 ) -> HoloFunction:
-    """Holomorphic amplitude: a(p)=1, zeros of order vanish_order at other
-    critical points, Re a = 0 on gamma0."""
-    p = complex(p)
+    """Holomorphic amplitude: a(p)=1 at the phase's primary critical point
+    p = meta["p"], zeros of order vanish_order at its other critical points
+    (meta["critical_points"]), Re a = 0 on gamma0."""
+    report, p = phase.meta["critical_points"], phase.meta["p"]
     if not any(abs(q.location - p) < 1e-8 for q in report.points):
         raise ValueError("p is not among the report's critical points")
     constraints = [(p, 0, 1.0 + 0.0j)]
@@ -791,15 +795,15 @@ def field_jets(values, mesh: Mesh, z0: complex, order: int = 2) -> np.ndarray:
 def build_jet_form(
     theta_values,
     mesh: Mesh,
-    report: CriticalPointReport,
-    p: complex,
+    phase: HoloFunction,
     degree: int = 16,
 ) -> HoloFunction:
     """Holomorphic f, real on the gamma0 of mesh.domain, whose derivative
     omega = df matches the 0th-2nd d/dz jets of theta at every secondary
-    critical point and the 0th jet at p (each to HARD_CONSTRAINT_TOL, checked
-    by fit_holomorphic_on_arc)."""
-    p = complex(p)
+    critical point of the phase and the 0th jet at its primary point
+    p = meta["p"] (each to HARD_CONSTRAINT_TOL, checked by
+    fit_holomorphic_on_arc)."""
+    report, p = phase.meta["critical_points"], phase.meta["p"]
     constraints = []
     jp = field_jets(theta_values, mesh, p, order=0)
     constraints.append((p, 1, complex(jp[0])))

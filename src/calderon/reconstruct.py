@@ -42,13 +42,13 @@ class ReconstructionError(RuntimeError):
 
 @dataclass
 class StationaryPhaseModel:
-    """Leading stationary-phase data of a holomorphic Morse phase at p."""
+    """Leading stationary-phase data of a holomorphic Morse phase at its
+    primary critical point p."""
 
     C_p: float
     psi_p: float
     a_p: complex
     hess_abs: float
-    p: complex = 0.0
     rho_p: float = 0.0
 
     def __post_init__(self):
@@ -60,14 +60,15 @@ class StationaryPhaseModel:
             raise ReconstructionError("amplitude must not vanish at p")
 
 
-def stationary_phase_constant(phase: HoloFunction, amplitude: HoloFunction, p, rho_p: float = 0.0) -> StationaryPhaseModel:
-    """C_p = 2 pi / |Phi''(p)|.
+def stationary_phase_constant(phase: HoloFunction, amplitude: HoloFunction, rho_p: float = 0.0) -> StationaryPhaseModel:
+    """C_p = 2 pi / |Phi''(p)| at the phase's primary critical point
+    p = meta["p"].
 
     det Hess psi(p) = -|Phi''(p)|^2 with signature 0 for a holomorphic Morse
     phase, so the stationary-phase factor is 2 pi h / (2 |Phi''(p)|) with no
     extra phase; verified against an oscillatory-quadrature oracle in tests.
     """
-    p = complex(p)
+    p = phase.meta["p"]
     d1 = phase.derivative()(p)
     d2 = phase.derivative(2)(p)
     scale = max(np.max(np.abs(phase.coeffs)), 1e-300)
@@ -80,7 +81,6 @@ def stationary_phase_constant(phase: HoloFunction, amplitude: HoloFunction, p, r
         psi_p=float(np.imag(phase(p))),
         a_p=complex(amplitude(p)),
         hess_abs=float(abs(d2)),
-        p=p,
         rho_p=float(rho_p),
     )
 
@@ -121,7 +121,6 @@ def cgo_pairings(
     phase: HoloFunction,
     amplitude: HoloFunction,
     h_list,
-    p,
     jet_degree: int = 16,
     include_r1: bool = True,
 ) -> list:
@@ -133,12 +132,12 @@ def cgo_pairings(
     two e^{+-phi/h} weights cancel pointwise); no boundary data is read.
     Each side is one CGO of cgo.prepare_cgo, whose slow_amplitude gives
     a + h a0, plus r1 when include_r1 is set; then each CGO's r11 fields
-    for the whole h list come from one r11_sweep.
+    for the whole h list come from one r11_sweep.  The mirror phase -Phi
+    copies the phase's meta, so both sides share its primary point.
     """
-    p = complex(p)
     mirror = HoloFunction(-np.asarray(phase.coeffs), meta=dict(phase.meta))
-    cgo1 = _cgo.prepare_cgo(mesh, V1, phase, amplitude, jet_degree, p=p)
-    cgo2 = _cgo.prepare_cgo(mesh, V2, mirror, amplitude, jet_degree, p=p)
+    cgo1 = _cgo.prepare_cgo(mesh, V1, phase, amplitude, jet_degree)
+    cgo2 = _cgo.prepare_cgo(mesh, V2, mirror, amplitude, jet_degree)
     dV = cgo1.V - cgo2.V
     psi = np.imag(phase(mesh.vertices))
     r11_1, r11_2 = (
@@ -170,13 +169,11 @@ def pointwise_difference(
     jet_degree: int = 16,
     mode: str = "fit",
     include_r1: bool = True,
-    phase: HoloFunction = None,
-    amplitude: HoloFunction = None,
 ) -> dict:
     """Estimate (V1 - V2)(p) from the interior identity S(h) of
     opposite-phase CGO pairs (see cgo_pairings).
 
-    The phase and amplitude, when not given, are built for mesh.domain,
+    The phase (critical point p) and amplitude are built for mesh.domain,
     which also gives rho(p).  mode="fit" does the three-parameter least
     squares over h_list;
     mode="subsequence" reproduces the two-sequence trick, generating its own
@@ -185,15 +182,13 @@ def pointwise_difference(
     """
     p = complex(p)
     domain = mesh.domain
-    if phase is None:
-        phase = build_morse_phase(domain, p, degree=degree, psi_target=psi_target, seed=seed)
-    if amplitude is None:
-        amplitude = build_amplitude(phase.meta["critical_points"], p, domain, degree=jet_degree)
-    model = stationary_phase_constant(phase, amplitude, p, rho_p=float(domain.rho(np.array([p]))[0]))
+    phase = build_morse_phase(domain, p, degree=degree, psi_target=psi_target, seed=seed)
+    amplitude = build_amplitude(phase, domain, degree=jet_degree)
+    model = stationary_phase_constant(phase, amplitude, rho_p=float(domain.rho(np.array([p]))[0]))
     scale = model.C_p * abs(model.a_p) ** 2 * np.exp(2.0 * model.rho_p)
     h_arr = np.asarray(sorted(set(float(x) for x in h_list), reverse=True))
     if mode == "fit":
-        S = cgo_pairings(mesh, V1, V2, phase, amplitude, h_arr, p, jet_degree, include_r1)
+        S = cgo_pairings(mesh, V1, V2, phase, amplitude, h_arr, jet_degree, include_r1)
         fit = fit_pairing_model(h_arr, np.real(S), model.psi_p)
         D = fit["C"] / scale
         table = list(zip(h_arr.tolist(), [complex(s) for s in S]))
@@ -208,7 +203,7 @@ def pointwise_difference(
                 "h range admits fewer than two members of a cos = +-1 subsequence; "
                 "extend the h range or increase psi(p)"
             )
-        S = np.real(cgo_pairings(mesh, V1, V2, phase, amplitude, plus + minus, p, jet_degree, include_r1))
+        S = np.real(cgo_pairings(mesh, V1, V2, phase, amplitude, plus + minus, jet_degree, include_r1))
         Sp, Sm = S[: len(plus)], S[len(plus) :]
         bp = np.polyfit(plus, Sp, 1)[0]
         bm = np.polyfit(minus, Sm, 1)[0]

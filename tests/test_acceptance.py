@@ -138,7 +138,7 @@ def test_criterion_05_cgo_scalings(ref_mesh, ref_scenario):
     exps = {}
     for psi_target, cutoff_scale in ((0.12, 1.0), (0.45, 1.9)):
         phase = build_morse_phase(dom, P_STAR, degree=36, psi_target=psi_target, seed=0)
-        amp = build_amplitude(phase.meta["critical_points"], P_STAR, dom, degree=16)
+        amp = build_amplitude(phase, dom, degree=16)
         rep = _cgo.residual_scaling_report(
             ref_mesh, ref_scenario.V1, phase, amp, ref_scenario.h_list,
             cutoff_scale=cutoff_scale,

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -43,11 +44,11 @@ def test_convexify_formula_instance(quarter_weight, quarter_mesh_mid):
     w = quarter_weight
     z = quarter_mesh_mid.vertices
     sq = sum(p**2 for p in w.phi_values(z))
-    expected = w.phi(z) - (w.h / (2.0 * w.epsilon)) * sq
+    expected = np.real(w.phase(z)) - (w.h / (2.0 * w.epsilon)) * sq
     got = _ca.convexify_weight(w, quarter_mesh_mid)
     assert np.max(np.abs(got - expected)) <= 1e-14
     # uniform bound ||phi_eps - phi||_inf <= (h / 2 eps) max sum |phi_j|^2
-    assert np.max(np.abs(got - w.phi(z))) <= (w.h / (2 * w.epsilon)) * np.max(sq) + 1e-14
+    assert np.max(np.abs(got - np.real(w.phase(z)))) <= (w.h / (2 * w.epsilon)) * np.max(sq) + 1e-14
 
 
 def test_convexity_laplacian_identity(quarter_weight, ref_mesh):
@@ -110,11 +111,15 @@ def test_sweep_zero_samples_rejected(quarter_weight, quarter_mesh_mid):
 
 
 def test_sweep_skips_unusable_h(quarter_weight, ref_mesh):
-    with pytest.warns(UserWarning):
+    """A refused h has exactly one record, its entry in the report's
+    skipped list: no warning is raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         rep = _ca.carleman_sweep(
             ref_mesh, quarter_weight, 0.0, [0.5, 0.1], sample_count=5
         )
-    assert any(r["h"] == 0.5 for r in rep["skipped"])
+    assert caught == []
+    assert rep["skipped"] == [{"h": 0.5, "reason": "h = 0.5 skipped: exceeds epsilon/5 = 0.2"}]
 
 
 def test_sweep_baseline_and_negative_potential_degrades(quarter_weight, ref_mesh):

@@ -16,7 +16,7 @@ from conftest import P_STAR, decay_slope, dense_cauchy_transform, gaussian_bump,
 def quarter_prep(quarter_mesh_mid, quarter_domain):
     """Shared h-independent CGO ingredients on the moderate quarter mesh."""
     phase = build_morse_phase(quarter_domain, P_STAR, degree=16, psi_target=0.3)
-    amplitude = build_amplitude(phase.meta["critical_points"], P_STAR, quarter_domain)
+    amplitude = build_amplitude(phase, quarter_domain)
     cgo = _cgo.prepare_cgo(quarter_mesh_mid, gaussian_bump, phase, amplitude)
     return {"phase": phase, "amplitude": amplitude, "cgo": cgo}
 
@@ -25,7 +25,7 @@ def test_b_zero_for_zero_potential(quarter_mesh_mid, quarter_domain):
     """V = 0 gives b = 0, and then the r11 sweep is zero r11 and eta and no
     transform at every h, an h the mesh could not resolve included."""
     phase = build_morse_phase(quarter_domain, P_STAR, degree=16)
-    amplitude = build_amplitude(phase.meta["critical_points"], P_STAR, quarter_domain)
+    amplitude = build_amplitude(phase, quarter_domain)
     cgo = _cgo.prepare_cgo(quarter_mesh_mid, 0.0, phase, amplitude)
     assert np.max(np.abs(cgo.b)) == 0.0
     sweep = cgo.r11_sweep([0.2, 1e-5])
@@ -35,11 +35,30 @@ def test_b_zero_for_zero_potential(quarter_mesh_mid, quarter_domain):
         assert T is None
 
 
+def test_cutoffs_centre_at_the_phase_point_not_the_highest_psi(full_domain):
+    """The cutoffs sit at the phase's own primary point meta["p"], even
+    when another critical point q has the larger Im Phi."""
+    p, q = 0.2 + 0.1j, -0.3 - 0.4j
+    # Phi' = (z - p)(z - q), Phi(p) = 0.8i
+    coeffs = np.array([0.0, p * q, -(p + q) / 2.0, 1.0 / 3.0], dtype=complex)
+    coeffs[0] = 0.8j - HoloFunction(coeffs)(p)
+    phase = HoloFunction(coeffs)
+    report = find_critical_points(phase)
+    assert report.is_morse and len(report.points) == 2
+    for w in (p, q):
+        assert min(abs(c.location - w) for c in report.points) < 1e-12
+    assert phase(q).imag == pytest.approx(0.8417, abs=1e-4)
+    phase.meta = {"critical_points": report, "p": p}
+    cgo = _cgo.prepare_cgo(build_disk_mesh(0.05, full_domain), 0.0, phase, HoloFunction([1.0]))
+    assert cgo.chi.center == p
+    assert cgo.chi1.center == p
+
+
 @pytest.fixture(scope="module")
 def ref_prep(ref_mesh, ref_scenario, quarter_domain):
     """Reference-resolution ingredients for the weak completion phase."""
     phase = build_morse_phase(quarter_domain, P_STAR, degree=36, psi_target=0.12)
-    amplitude = build_amplitude(phase.meta["critical_points"], P_STAR, quarter_domain)
+    amplitude = build_amplitude(phase, quarter_domain)
     cgo = _cgo.prepare_cgo(ref_mesh, ref_scenario.V1, phase, amplitude)
     return {"phase": phase, "amplitude": amplitude, "cgo": cgo}
 
@@ -233,7 +252,7 @@ def test_r_tilde12_bounded_under_refinement(quarter_domain):
     for res in (0.05, 0.025):
         mesh = build_disk_mesh(res, quarter_domain)
         phase = build_morse_phase(quarter_domain, P_STAR, degree=16, psi_target=0.3)
-        amplitude = build_amplitude(phase.meta["critical_points"], P_STAR, quarter_domain)
+        amplitude = build_amplitude(phase, quarter_domain)
         cgo = _cgo.prepare_cgo(mesh, gaussian_bump, phase, amplitude)
         near = np.abs(mesh.vertices - P_STAR) < 0.15
         sups.append(np.max(np.abs(cgo.r_tilde12[near])))
@@ -242,7 +261,7 @@ def test_r_tilde12_bounded_under_refinement(quarter_domain):
 
 def test_a0_zero_for_full_data(mesh_mid, full_domain):
     phase = build_morse_phase(full_domain, 0.1 + 0.0j, degree=8)
-    amplitude = build_amplitude(phase.meta["critical_points"], 0.1 + 0.0j, full_domain)
+    amplitude = build_amplitude(phase, full_domain)
     cgo = _cgo.prepare_cgo(mesh_mid, gaussian_bump, phase, amplitude)
     z = 0.5 * np.exp(1j * np.linspace(0, 2 * np.pi, 16))
     assert np.max(np.abs(cgo.a0(z))) <= 1e-10
@@ -289,14 +308,14 @@ def test_complete_solution_trivial_phase(mesh_mid):
     """V = 0, a = 1, Phi = z^2 + i: the oscillatory ansatz is an exact
     solution; the analytic-residual completion returns r2 = 0 to rounding."""
     phase = HoloFunction([1j, 0.0, 1.0])
-    phase.meta["critical_points"] = find_critical_points(phase)
+    phase.meta.update(critical_points=find_critical_points(phase), p=0.0j)
     _, _, r2 = _completed(mesh_mid, 0.0, phase, HoloFunction([1.0]), 0.2)
     assert _cgo.l2_norm(r2, mesh_mid) <= 1e-12
 
 
 def test_complete_solution_vanishes_on_gamma0(ref_mesh, ref_scenario, quarter_domain):
     phase = build_morse_phase(quarter_domain, P_STAR, degree=36, psi_target=0.12)
-    amplitude = build_amplitude(phase.meta["critical_points"], P_STAR, quarter_domain)
+    amplitude = build_amplitude(phase, quarter_domain)
     h = 0.1
     cgo, r11, r2 = _completed(ref_mesh, ref_scenario.V1, phase, amplitude, h)
     g0 = ref_mesh.boundary[ref_mesh.boundary_is_gamma0]
@@ -307,7 +326,7 @@ def test_complete_solution_vanishes_on_gamma0(ref_mesh, ref_scenario, quarter_do
 
 def test_scaling_report_zero_potential_flags(quarter_mesh_mid, quarter_domain):
     phase = build_morse_phase(quarter_domain, P_STAR, degree=16, psi_target=0.3)
-    amplitude = build_amplitude(phase.meta["critical_points"], P_STAR, quarter_domain)
+    amplitude = build_amplitude(phase, quarter_domain)
     rep = _cgo.residual_scaling_report(
         quarter_mesh_mid, 0.0, phase, amplitude, [0.2, 0.14, 0.1, 0.07]
     )
@@ -317,7 +336,7 @@ def test_scaling_report_zero_potential_flags(quarter_mesh_mid, quarter_domain):
 
 def test_scaling_report_deterministic(quarter_mesh_mid, quarter_domain):
     phase = build_morse_phase(quarter_domain, P_STAR, degree=16, psi_target=0.3)
-    amplitude = build_amplitude(phase.meta["critical_points"], P_STAR, quarter_domain)
+    amplitude = build_amplitude(phase, quarter_domain)
     reps = [
         _cgo.residual_scaling_report(
             quarter_mesh_mid, gaussian_bump, phase, amplitude,
@@ -341,10 +360,10 @@ def test_too_few_h_values_raises(quarter_prep, quarter_mesh_mid):
 def test_mirror_phase_pairing_runs(quarter_mesh_mid, quarter_domain):
     """A mirror CGO (phase -Phi) is built and completes to finite values."""
     phase = build_morse_phase(quarter_domain, P_STAR, degree=16, psi_target=0.3)
-    amplitude = build_amplitude(phase.meta["critical_points"], P_STAR, quarter_domain)
+    amplitude = build_amplitude(phase, quarter_domain)
     mirror = HoloFunction(-phase.coeffs, meta=dict(phase.meta))
     c1 = _completed(quarter_mesh_mid, gaussian_bump, phase, amplitude, 0.2)
-    cgo2 = _cgo.prepare_cgo(quarter_mesh_mid, 0.0, mirror, amplitude, p=P_STAR)
+    cgo2 = _cgo.prepare_cgo(quarter_mesh_mid, 0.0, mirror, amplitude)
     c2 = _completed(quarter_mesh_mid, 0.0, mirror, amplitude, 0.2, cgo=cgo2)
     for cgo, r11, r2 in (c1, c2):
         assert np.all(np.isfinite(cgo.slow_amplitude(0.2, r11)))

@@ -527,7 +527,7 @@ def test_critical_points_evaluate_few_polynomials(quarter_domain, monkeypatch):
 def test_amplitude_single_point_full_data():
     dom = DiskDomain()
     phi = build_morse_phase(dom, 0.0, degree=8)
-    a = build_amplitude(phi.meta["critical_points"], 0.0, dom)
+    a = build_amplitude(phi, dom)
     z = 0.8 * np.exp(1j * np.linspace(0, 2 * np.pi, 32))
     assert np.max(np.abs(a(z) - 1.0)) <= 1e-8
 
@@ -535,7 +535,7 @@ def test_amplitude_single_point_full_data():
 def test_amplitude_vanishing_orders(quarter_domain):
     phi = build_morse_phase(quarter_domain, P_STAR, degree=16)
     report = phi.meta["critical_points"]
-    a = build_amplitude(report, P_STAR, quarter_domain, vanish_order=4, degree=16)
+    a = build_amplitude(phi, quarter_domain, vanish_order=4, degree=16)
     assert abs(a(P_STAR) - 1.0) <= 1e-10
     for q in report.secondary(P_STAR):
         for order in range(4):
@@ -545,9 +545,8 @@ def test_amplitude_vanishing_orders(quarter_domain):
 
 def test_jet_form_zero_field(quarter_mesh_mid, quarter_domain):
     phi = build_morse_phase(quarter_domain, P_STAR, degree=16)
-    report = phi.meta["critical_points"]
     theta = np.zeros(quarter_mesh_mid.n_vertices, dtype=complex)
-    f = build_jet_form(theta, quarter_mesh_mid, report, P_STAR)
+    f = build_jet_form(theta, quarter_mesh_mid, phi)
     omega = f.derivative()
     z = 0.5 * np.exp(1j * np.linspace(0, 2 * np.pi, 16))
     assert np.max(np.abs(omega(z))) <= 1e-8
@@ -558,7 +557,7 @@ def test_jet_form_matches_prescribed_jets(quarter_mesh_mid, quarter_domain):
     report = phi.meta["critical_points"]
     z = quarter_mesh_mid.vertices
     theta = (1.0 + 0.5j) + (0.3 - 0.2j) * z + (0.1 + 0.1j) * z**2
-    f = build_jet_form(theta, quarter_mesh_mid, report, P_STAR, degree=16)
+    f = build_jet_form(theta, quarter_mesh_mid, phi, degree=16)
     omega = f.derivative()
     # the 0th jet is matched at the primary point
     theta_fn = lambda w: (1.0 + 0.5j) + (0.3 - 0.2j) * w + (0.1 + 0.1j) * w**2
@@ -577,4 +576,4 @@ def test_infeasible_degree_raises(quarter_domain):
     if n_sec == 0:
         pytest.skip("phase has a single critical point")
     with pytest.raises(InfeasibleDegreeError):
-        build_amplitude(report, P_STAR, quarter_domain, vanish_order=50, degree=16)
+        build_amplitude(phi, quarter_domain, vanish_order=50, degree=16)

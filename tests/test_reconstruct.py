@@ -15,29 +15,29 @@ from conftest import P_STAR, CountingLU, gaussian_bump, oscillatory_integral, pe
 
 
 def test_constant_for_parabola_phase():
-    phase = HoloFunction([1j, 0.0, 1.0])  # z^2 + i, critical point 0, Phi'' = 2
-    m = _rc.stationary_phase_constant(phase, HoloFunction([1.0]), 0.0)
+    phase = HoloFunction([1j, 0.0, 1.0], meta={"p": 0.0j})  # z^2 + i, critical point 0, Phi'' = 2
+    m = _rc.stationary_phase_constant(phase, HoloFunction([1.0]))
     assert m.C_p == pytest.approx(np.pi)
     assert m.psi_p == pytest.approx(1.0)
     assert m.hess_abs == pytest.approx(2.0)
 
 
 def test_constant_scales_with_hessian():
-    phase = HoloFunction([1j, 0.0, 2.0])  # Phi'' = 4
-    m = _rc.stationary_phase_constant(phase, HoloFunction([1.0]), 0.0)
+    phase = HoloFunction([1j, 0.0, 2.0], meta={"p": 0.0j})  # Phi'' = 4
+    m = _rc.stationary_phase_constant(phase, HoloFunction([1.0]))
     assert m.C_p == pytest.approx(np.pi / 2.0)
 
 
 def test_constant_rejects_noncritical_point():
-    phase = HoloFunction([1j, 0.0, 1.0])
+    phase = HoloFunction([1j, 0.0, 1.0], meta={"p": 0.3 + 0.0j})
     with pytest.raises(_rc.ReconstructionError):
-        _rc.stationary_phase_constant(phase, HoloFunction([1.0]), 0.3)
+        _rc.stationary_phase_constant(phase, HoloFunction([1.0]))
 
 
 def test_constant_rejects_degenerate_point():
-    phase = HoloFunction([1j, 0.0, 0.0, 1.0])  # z^3 + i, degenerate at 0
+    phase = HoloFunction([1j, 0.0, 0.0, 1.0], meta={"p": 0.0j})  # z^3 + i, degenerate at 0
     with pytest.raises(_rc.ReconstructionError):
-        _rc.stationary_phase_constant(phase, HoloFunction([1.0]), 0.0)
+        _rc.stationary_phase_constant(phase, HoloFunction([1.0]))
 
 
 def test_oscillatory_oracle_matches_leading_term():
@@ -93,28 +93,18 @@ def test_fit_rejects_short_oscillation_span():
 
 
 @pytest.fixture(scope="module")
-def ref_phase_amp(ref_scenario):
-    dom = ref_scenario.domain
-    phase = build_morse_phase(dom, P_STAR, degree=36, psi_target=0.8, seed=0)
-    amp = build_amplitude(phase.meta["critical_points"], P_STAR, dom, degree=16)
-    return phase, amp
-
-
-@pytest.fixture(scope="module")
-def ref_estimate(ref_mesh, ref_scenario, ref_phase_amp):
-    phase, amp = ref_phase_amp
+def ref_estimate(ref_mesh, ref_scenario):
     return _rc.pointwise_difference(
-        ref_mesh, ref_scenario.V1, ref_scenario.V2,
-        P_STAR, ref_scenario.h_list, phase=phase, amplitude=amp,
+        ref_mesh, ref_scenario.V1, ref_scenario.V2, P_STAR, ref_scenario.h_list,
     )
 
 
-def _per_h_pairings(mesh, V1, V2, phase, amplitude, h_list, p):
+def _per_h_pairings(mesh, V1, V2, phase, amplitude, h_list):
     """Reference S(h): a, a0 and r11 re-evaluated on the mesh for every h
     and side (conftest.per_h_slow_amplitude)."""
     mirror = HoloFunction(-np.asarray(phase.coeffs), meta=dict(phase.meta))
-    cgo1 = _cgo.prepare_cgo(mesh, V1, phase, amplitude, p=p)
-    cgo2 = _cgo.prepare_cgo(mesh, V2, mirror, amplitude, p=p)
+    cgo1 = _cgo.prepare_cgo(mesh, V1, phase, amplitude)
+    cgo2 = _cgo.prepare_cgo(mesh, V2, mirror, amplitude)
     z = mesh.vertices
     w_area = mesh.vertex_areas * np.exp(2.0 * mesh.rho_v)
     dV = as_values(V1, mesh) - as_values(V2, mesh)
@@ -138,9 +128,9 @@ def test_cgo_pairings_evaluate_amplitudes_once(quarter_mesh_mid, quarter_domain,
     re-sampling them for every h."""
     mesh, dom = quarter_mesh_mid, quarter_domain
     phase = build_morse_phase(dom, P_STAR, degree=16, psi_target=0.3)
-    amplitude = build_amplitude(phase.meta["critical_points"], P_STAR, dom)
+    amplitude = build_amplitude(phase, dom)
     h_list = [0.3, 0.25, 0.2]
-    want = _per_h_pairings(mesh, gaussian_bump, 0.0, phase, amplitude, h_list, P_STAR)
+    want = _per_h_pairings(mesh, gaussian_bump, 0.0, phase, amplitude, h_list)
 
     sampled, cgos = [], []
     call, prepare = HoloFunction.__call__, _cgo.prepare_cgo
@@ -156,7 +146,7 @@ def test_cgo_pairings_evaluate_amplitudes_once(quarter_mesh_mid, quarter_domain,
 
     monkeypatch.setattr(HoloFunction, "__call__", logging_call)
     monkeypatch.setattr(_cgo, "prepare_cgo", logging_prepare)
-    got = _rc.cgo_pairings(mesh, gaussian_bump, 0.0, phase, amplitude, h_list, P_STAR)
+    got = _rc.cgo_pairings(mesh, gaussian_bump, 0.0, phase, amplitude, h_list)
     assert len(cgos) == 2
     assert sum(fn is amplitude for fn in sampled) == len(cgos)
     for cgo in cgos:
@@ -174,7 +164,7 @@ def test_cgo_pairings_sweep_r11_once_per_cgo_with_potential(
     per CGO with b != 0 when it is set: V2 = 0 gives its CGO b = 0."""
     mesh, dom = quarter_mesh_mid, quarter_domain
     phase = build_morse_phase(dom, P_STAR, degree=16, psi_target=0.3)
-    amplitude = build_amplitude(phase.meta["critical_points"], P_STAR, dom)
+    amplitude = build_amplitude(phase, dom)
     sweeps = []
     build_r11 = _cgo.build_r11
 
@@ -185,7 +175,7 @@ def test_cgo_pairings_sweep_r11_once_per_cgo_with_potential(
     monkeypatch.setattr(_cgo, "build_r11", counting_build_r11)
     h_list = [0.3, 0.25, 0.2]
     V2 = lambda z: v2_scale * gaussian_bump(z)
-    _rc.cgo_pairings(mesh, gaussian_bump, V2, phase, amplitude, h_list, P_STAR, include_r1=include_r1)
+    _rc.cgo_pairings(mesh, gaussian_bump, V2, phase, amplitude, h_list, include_r1=include_r1)
     assert sweeps == [h_list] * n_sweeps
 
 
@@ -194,35 +184,28 @@ def test_interior_recovery_at_primary_point(ref_estimate):
     assert 0.8 <= ref_estimate["D"] <= 1.2
 
 
-def test_interior_control_identical_potentials(ref_mesh, ref_scenario, ref_phase_amp):
-    phase, amp = ref_phase_amp
+def test_interior_control_identical_potentials(ref_mesh, ref_scenario):
     est = _rc.pointwise_difference(
-        ref_mesh, ref_scenario.V1, ref_scenario.V1,
-        P_STAR, ref_scenario.h_list, phase=phase, amplitude=amp,
+        ref_mesh, ref_scenario.V1, ref_scenario.V1, P_STAR, ref_scenario.h_list,
     )
     # the interior pairing weight (V1 - V2) vanishes identically
     assert est["D"] == 0.0
 
 
-def test_interior_estimate_scales_with_amplitude(ref_mesh, ref_scenario, ref_phase_amp, ref_estimate):
-    phase, amp = ref_phase_amp
+def test_interior_estimate_scales_with_amplitude(ref_mesh, ref_scenario, ref_estimate):
     V_half = lambda z: 0.5 * gaussian_bump(z)
-    est = _rc.pointwise_difference(
-        ref_mesh, V_half, 0.0,
-        P_STAR, ref_scenario.h_list, phase=phase, amplitude=amp,
-    )
+    est = _rc.pointwise_difference(ref_mesh, V_half, 0.0, P_STAR, ref_scenario.h_list)
     assert est["D"] == pytest.approx(0.5 * ref_estimate["D"], rel=0.2)
 
 
-def test_subsequence_mode_cross_checks_fit(ref_mesh, ref_scenario, ref_phase_amp, ref_estimate, monkeypatch):
+def test_subsequence_mode_cross_checks_fit(ref_mesh, ref_scenario, ref_estimate, monkeypatch):
     """Both subsequences are paired on one CGO per side: 2 prepare_cgo calls."""
-    phase, amp = ref_phase_amp
     calls = []
     prepare = _cgo.prepare_cgo
     monkeypatch.setattr(_cgo, "prepare_cgo", lambda *args, **kwargs: calls.append(1) or prepare(*args, **kwargs))
     est = _rc.pointwise_difference(
         ref_mesh, ref_scenario.V1, ref_scenario.V2,
-        P_STAR, ref_scenario.h_list, phase=phase, amplitude=amp, mode="subsequence",
+        P_STAR, ref_scenario.h_list, mode="subsequence",
     )
     assert est["D"] == pytest.approx(ref_estimate["D"], abs=0.2)
     assert len(calls) == 2
