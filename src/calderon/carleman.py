@@ -125,8 +125,8 @@ def _fixed_terms(mesh: Mesh, dphi_sq, u) -> tuple:
     Ku = mesh.stiffness @ u
     dirichlet = float(u @ Ku)
     flux = Ku[mesh.boundary] / mesh.boundary_weights
-    flux_g0, _ = boundary_integral(flux**2, mesh, "gamma0")
-    flux_g, _ = boundary_integral(flux**2, mesh, "gamma")
+    flux_g0 = boundary_integral(flux**2, mesh, "gamma0")
+    flux_g = boundary_integral(flux**2, mesh, "gamma")
     return u, norm_u, norm_udphi, dirichlet, flux_g0, flux_g
 
 

@@ -307,11 +307,11 @@ def prepare_cgo(
     V,
     phase,
     amplitude,
-    jet_degree: int = 16,
     cutoff_scale: float = 1.0,
 ) -> CGO:
     """The CGO of one (phase, amplitude, V): every ingredient shared across
-    h, with a and a0 sampled at the mesh vertices once.
+    h, with a and a0 sampled at the mesh vertices once.  The jet form and
+    a0 are fitted at the amplitude's own degree.
 
     The primary critical point is the phase's own meta["p"], which a mirror
     phase -Phi keeps with the rest of its meta.  The only operator
@@ -319,6 +319,7 @@ def prepare_cgo(
     mesh (forward.operator).
     """
     chi, chi1 = build_cutoffs(phase, scale=cutoff_scale)
+    degree = len(amplitude.coeffs) - 1
     V = as_values(V, mesh)
     a_z = amplitude(mesh.vertices)
     aV = a_z * V
@@ -326,12 +327,12 @@ def prepare_cgo(
         b = np.zeros(mesh.n_vertices, dtype=complex)
     else:
         theta = green_dz(mesh, aV)
-        f = build_jet_form(theta, mesh, phase, degree=jet_degree)
+        f = build_jet_form(theta, mesh, phase, degree=degree)
         b = f.derivative()(mesh.vertices) - theta
     hess_abs = abs(phase.derivative(2)(phase.meta["p"]))
     if np.any(np.abs(b) > 0):
         r12, r_tilde12 = build_r12(mesh, phase, b, chi1, hess_abs)
-        a0 = build_a0(r_tilde12, mesh, degree=jet_degree)
+        a0 = build_a0(r_tilde12, mesh, degree=degree)
     else:
         r12 = np.zeros(mesh.n_vertices, dtype=complex)
         r_tilde12 = np.zeros(mesh.n_vertices, dtype=complex)
@@ -513,7 +514,6 @@ def residual_scaling_report(
     phase: HoloFunction,
     amplitude: HoloFunction,
     h_list,
-    jet_degree: int = 16,
     cutoff_scale: float = 1.0,
 ) -> dict:
     """Measure every remainder norm across an h sweep and fit the scaling
@@ -530,7 +530,7 @@ def residual_scaling_report(
     duality solve does not invert Delta_g + V, and fails loudly instead
     when its normal equations are not positive definite."""
     h_list = sorted(set(float(h) for h in h_list), reverse=True)
-    cgo = prepare_cgo(mesh, V, phase, amplitude, jet_degree, cutoff_scale=cutoff_scale)
+    cgo = prepare_cgo(mesh, V, phase, amplitude, cutoff_scale=cutoff_scale)
     rows = []
     used_h = []
     skipped = []

@@ -25,7 +25,6 @@ from . import cgo as _cgo
 from . import reconstruct as _rc
 from .forward import boundary_pairing, operator
 from .geometry import GAMMA, ConfigurationError, as_values
-from .holo import build_amplitude, build_morse_phase
 from .scenarios import Scenario, _require_schema, load_scenario
 
 COMMANDS = ("forward", "cgo", "carleman", "reconstruct", "boundary", "all")
@@ -193,16 +192,9 @@ def run_cgo(sc: Scenario, out_dir: str) -> dict:
     reports = []
     files = []
     for k, regime in enumerate(cfg["cgo_regimes"]):
-        phase = build_morse_phase(
-            sc.domain, sc.point, degree=cfg["phase_degree"],
-            psi_target=regime["psi_target"], seed=sc.seed,
-        )
-        amplitude = build_amplitude(
-            phase, sc.domain, vanish_order=cfg["vanish_order"], degree=cfg["degree"],
-        )
+        phase = sc.phase(sc.point, regime["psi_target"])
         rep = _cgo.residual_scaling_report(
-            mesh, sc.V1, phase, amplitude, sc.h_list,
-            jet_degree=cfg["degree"], cutoff_scale=regime["cutoff_scale"],
+            mesh, sc.V1, phase, sc.amplitude(phase), sc.h_list, cutoff_scale=regime["cutoff_scale"],
         )
         csv_path = os.path.join(out_dir, f"cgo_scaling_{k}.csv")
         json_path = os.path.join(out_dir, f"cgo_scaling_{k}.json")
@@ -226,10 +218,7 @@ def run_cgo(sc: Scenario, out_dir: str) -> dict:
 def run_carleman(sc: Scenario, out_dir: str) -> dict:
     mesh = sc.build_mesh()
     cfg = sc.config
-    phase = build_morse_phase(
-        sc.domain, sc.point, degree=cfg["phase_degree"],
-        psi_target=cfg["carleman_psi_target"], seed=sc.seed,
-    )
+    phase = sc.phase(sc.point, cfg["carleman_psi_target"])
     h_min = min(sc.h_list)
     weight = _carleman.build_carleman_weight(mesh, phase, cfg["epsilon"], h_min, degree=cfg["degree"])
     rep = _carleman.carleman_sweep(
@@ -256,18 +245,15 @@ def run_carleman(sc: Scenario, out_dir: str) -> dict:
 def run_reconstruct(sc: Scenario, out_dir: str) -> dict:
     mesh = sc.build_mesh()
     cfg = sc.config
-    est = _rc.pointwise_difference(
-        mesh, sc.V1, sc.V2, sc.point, sc.h_list,
-        degree=cfg["phase_degree"], psi_target=cfg["psi_target"],
-        seed=sc.seed, jet_degree=cfg["degree"],
-    )
+
+    def basis(p):
+        phase = sc.phase(p, cfg["psi_target"])
+        return phase, sc.amplitude(phase)
+
+    est = _rc.pointwise_difference(mesh, sc.V1, sc.V2, *basis(sc.point), sc.h_list)
     true_p = float(np.real(_eval_potential(sc.V1, sc.point) - _eval_potential(sc.V2, sc.point)))
     grid = _rc.make_grid(cfg["grid_n"], cfg["grid_radius"])
-    dmap = _rc.difference_map(
-        mesh, sc.V1, sc.V2, grid, sc.h_list,
-        degree=cfg["phase_degree"], psi_target=cfg["psi_target"],
-        seed=sc.seed, jet_degree=cfg["degree"],
-    )
+    dmap = _rc.difference_map(mesh, sc.V1, sc.V2, grid, sc.h_list, basis)
     header = ("x", "y", "D", "fit_residual", "abs_a_p", "C_p")
     csv_path = os.path.join(out_dir, "difference_map.csv")
     _write_csv(csv_path, header, ([r[k] for k in header] for r in dmap["rows"]))
@@ -333,8 +319,9 @@ def run_boundary(sc: Scenario, out_dir: str) -> dict:
                 "reported without fitting the h^(3/2) law"
             )
         else:
+            lo, hi = _rc.BOUNDARY_EXPONENT_WINDOW
             checks.append(
-                _check("boundary_exponent_window", 1.35 <= row["fitted_exponent"] <= 1.65, row["fitted_exponent"])
+                _check("boundary_exponent_window", lo <= row["fitted_exponent"] <= hi, row["fitted_exponent"])
             )
         checks.append(
             _check(

@@ -197,5 +197,4 @@ def boundary_pairing(mesh: Mesh, u1_traces, u2_traces) -> complex:
     f1, dn1 = (np.asarray(a) for a in u1_traces)
     f2, dn2 = (np.asarray(a) for a in u2_traces)
     integrand = dn1 * f2 - f1 * dn2
-    val, _ = boundary_integral(integrand, mesh, "full")
-    return val
+    return boundary_integral(integrand, mesh, "full")

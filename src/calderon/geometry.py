@@ -284,7 +284,7 @@ def boundary_integral(trace, mesh: Mesh, arc: str = "full"):
 
     `trace` holds one value per boundary vertex (ordered as mesh.boundary)
     or, for arc="gamma"/"gamma0", one value per vertex of that arc.
-    Returns (value, warned) where warned flags an empty requested arc.
+    An empty requested arc integrates to zero.
     """
     trace = np.asarray(trace)
     nb = len(mesh.boundary)
@@ -296,8 +296,6 @@ def boundary_integral(trace, mesh: Mesh, arc: str = "full"):
         mask = mesh.boundary_is_gamma0
     else:
         raise ValueError(f"unknown arc {arc!r}")
-    if not np.any(mask):
-        return 0.0, True
     full = np.zeros(nb, dtype=trace.dtype)
     if trace.shape == (nb,):
         full[:] = trace
@@ -306,7 +304,7 @@ def boundary_integral(trace, mesh: Mesh, arc: str = "full"):
     else:
         raise ValueError("trace length matches neither the full boundary nor the arc")
     total = np.sum(mesh.boundary_weights[mask] * full[mask])
-    return (complex(total) if np.iscomplexobj(trace) else float(total.real)), False
+    return complex(total) if np.iscomplexobj(trace) else float(total.real)
 
 
 def vertex_gradient(values: np.ndarray, mesh: Mesh) -> np.ndarray:

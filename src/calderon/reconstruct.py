@@ -24,16 +24,13 @@ import numpy as np
 
 from .forward import boundary_pairing, operator
 from .geometry import ConfigurationError, DiskDomain, Mesh
-from .holo import (
-    DEGENERACY_THRESHOLD,
-    HoloFunction,
-    MorseVerificationError,
-    build_amplitude,
-    build_morse_phase,
-)
+from .holo import DEGENERACY_THRESHOLD, HoloFunction
 from . import cgo as _cgo
 
 MIN_PERIODS = 2.0
+
+# fitted boundary exponents in this window show the h^{3/2} regime is reached
+BOUNDARY_EXPONENT_WINDOW = (1.35, 1.65)
 
 
 class ReconstructionError(RuntimeError):
@@ -121,7 +118,6 @@ def cgo_pairings(
     phase: HoloFunction,
     amplitude: HoloFunction,
     h_list,
-    jet_degree: int = 16,
     include_r1: bool = True,
 ) -> list:
     """S(h) for opposite-phase CGO pairs, each built with its scenario's own
@@ -136,8 +132,8 @@ def cgo_pairings(
     copies the phase's meta, so both sides share its primary point.
     """
     mirror = HoloFunction(-np.asarray(phase.coeffs), meta=dict(phase.meta))
-    cgo1 = _cgo.prepare_cgo(mesh, V1, phase, amplitude, jet_degree)
-    cgo2 = _cgo.prepare_cgo(mesh, V2, mirror, amplitude, jet_degree)
+    cgo1 = _cgo.prepare_cgo(mesh, V1, phase, amplitude)
+    cgo2 = _cgo.prepare_cgo(mesh, V2, mirror, amplitude)
     dV = cgo1.V - cgo2.V
     psi = np.imag(phase(mesh.vertices))
     r11_1, r11_2 = (
@@ -161,34 +157,27 @@ def pointwise_difference(
     mesh: Mesh,
     V1,
     V2,
-    p,
+    phase: HoloFunction,
+    amplitude: HoloFunction,
     h_list,
-    degree: int = 36,
-    psi_target: float = 0.8,
-    seed: int = 0,
-    jet_degree: int = 16,
     mode: str = "fit",
     include_r1: bool = True,
 ) -> dict:
     """Estimate (V1 - V2)(p) from the interior identity S(h) of
     opposite-phase CGO pairs (see cgo_pairings).
 
-    The phase (critical point p) and amplitude are built for mesh.domain,
-    which also gives rho(p).  mode="fit" does the three-parameter least
-    squares over h_list;
+    p is the phase's primary critical point meta["p"]; mesh.domain gives
+    rho(p).  mode="fit" does the three-parameter least squares over h_list;
     mode="subsequence" reproduces the two-sequence trick, generating its own
     h values with cos(2 psi(p)/h) = +1 and -1 inside [min(h_list), max(h_list)]
     and differencing the fitted h-slopes.
     """
-    p = complex(p)
-    domain = mesh.domain
-    phase = build_morse_phase(domain, p, degree=degree, psi_target=psi_target, seed=seed)
-    amplitude = build_amplitude(phase, domain, degree=jet_degree)
-    model = stationary_phase_constant(phase, amplitude, rho_p=float(domain.rho(np.array([p]))[0]))
+    p = phase.meta["p"]
+    model = stationary_phase_constant(phase, amplitude, rho_p=float(mesh.domain.rho(np.array([p]))[0]))
     scale = model.C_p * abs(model.a_p) ** 2 * np.exp(2.0 * model.rho_p)
     h_arr = np.asarray(sorted(set(float(x) for x in h_list), reverse=True))
     if mode == "fit":
-        S = cgo_pairings(mesh, V1, V2, phase, amplitude, h_arr, jet_degree, include_r1)
+        S = cgo_pairings(mesh, V1, V2, phase, amplitude, h_arr, include_r1)
         fit = fit_pairing_model(h_arr, np.real(S), model.psi_p)
         D = fit["C"] / scale
         table = list(zip(h_arr.tolist(), [complex(s) for s in S]))
@@ -203,7 +192,7 @@ def pointwise_difference(
                 "h range admits fewer than two members of a cos = +-1 subsequence; "
                 "extend the h range or increase psi(p)"
             )
-        S = np.real(cgo_pairings(mesh, V1, V2, phase, amplitude, plus + minus, jet_degree, include_r1))
+        S = np.real(cgo_pairings(mesh, V1, V2, phase, amplitude, plus + minus, include_r1))
         Sp, Sm = S[: len(plus)], S[len(plus) :]
         bp = np.polyfit(plus, Sp, 1)[0]
         bm = np.polyfit(minus, Sm, 1)[0]
@@ -235,27 +224,21 @@ def difference_map(
     V2,
     points,
     h_list,
-    degree: int = 36,
-    psi_target: float = 0.8,
-    seed: int = 0,
-    jet_degree: int = 16,
+    basis,
     include_r1: bool = False,
 ) -> dict:
-    """pointwise_difference over a grid; individual failures are recorded,
-    not fatal.  Returns {"rows": one dict (x, y, D, fit_residual, abs_a_p,
-    C_p) per recovered point, "failures": one dict (x, y, error) per failed
-    point}.  include_r1 defaults off here: the r1 transform costs one
+    """pointwise_difference over a grid, pairing at each point p the
+    (phase, amplitude) of basis(p); individual failures, those of basis
+    included, are recorded, not fatal.  Returns {"rows": one dict (x, y,
+    D, fit_residual, abs_a_p, C_p) per recovered point, "failures": one
+    dict (x, y, error) per failed point}.  include_r1 defaults off here: the r1 transform costs one
     singular quadrature per (point, h) and moves D by O(h)."""
     rows = []
     failures = []
     for p in points:
         p = complex(p)
         try:
-            est = pointwise_difference(
-                mesh, V1, V2, p, h_list,
-                degree=degree, psi_target=psi_target, seed=seed,
-                jet_degree=jet_degree, include_r1=include_r1,
-            )
+            est = pointwise_difference(mesh, V1, V2, *basis(p), h_list, include_r1=include_r1)
             m = est["model"]
             rows.append(
                 {
@@ -264,7 +247,7 @@ def difference_map(
                     "abs_a_p": abs(m.a_p), "C_p": m.C_p,
                 }
             )
-        except (ReconstructionError, MorseVerificationError, _cgo.ResolvabilityError, RuntimeError) as exc:
+        except RuntimeError as exc:
             failures.append({"x": p.real, "y": p.imag, "error": f"{type(exc).__name__}: {exc}"})
     return {"rows": rows, "failures": failures}
 
@@ -362,9 +345,10 @@ def calibrate_boundary_constant(
     V1 = lambda z: np.exp(-np.abs(z - p) ** 2 / width**2)
     pairs = boundary_pairing_sweep(mesh, V1, 0.0, theta_p, h_list)
     C, e = fit_boundary_law(pairs)
-    if not (1.35 <= e <= 1.65):
+    lo, hi = BOUNDARY_EXPONENT_WINDOW
+    if not (lo <= e <= hi):
         raise ReconstructionError(
-            f"calibration exponent {e:.3f} outside [1.35, 1.65]: concentration regime "
+            f"calibration exponent {e:.3f} outside [{lo}, {hi}]: concentration regime "
             "not reached; use smaller h or a finer mesh"
         )
     return C
@@ -381,7 +365,7 @@ def boundary_recovery(
     """Estimate (V1 - V2) at the boundary point e^{i theta_p} of gamma.
 
     Returns the estimate D (sign taken from the real part of the fitted
-    pairings), the fitted exponent (must lie in [1.35, 1.65]), and the raw
+    pairings), the fitted exponent (must lie in BOUNDARY_EXPONENT_WINDOW), and the raw
     sweep.  `calibration` is the prefactor measured once on a unit-value
     scenario via calibrate_boundary_constant.
     """
@@ -396,9 +380,10 @@ def boundary_recovery(
             "pairings": pairs,
             "below_noise_floor": True,
         }
-    if not (1.35 <= e <= 1.65):
+    lo, hi = BOUNDARY_EXPONENT_WINDOW
+    if not (lo <= e <= hi):
         raise ReconstructionError(
-            f"fitted exponent {e:.3f} outside [1.35, 1.65]: concentration regime "
+            f"fitted exponent {e:.3f} outside [{lo}, {hi}]: concentration regime "
             "not reached; use smaller h or a finer mesh"
         )
     sign = np.sign(np.mean([x[1].real for x in pairs]))

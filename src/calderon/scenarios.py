@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import ConfigurationError, DiskDomain, Mesh, build_disk_mesh
+from .holo import HoloFunction, build_amplitude, build_morse_phase
 
 _POTENTIAL_SCHEMA = {
     "type": "object",
@@ -246,6 +247,8 @@ class Scenario:
 
     The mesh is built by the first build_mesh call.  It carries the
     factorized operators, so every pipeline run on one scenario shares them.
+    phase and amplitude build every Morse phase and amplitude by the
+    config's one recipe (phase_degree, seed; degree, vanish_order).
     """
 
     config: dict
@@ -275,6 +278,15 @@ class Scenario:
         if self.mesh is None:
             self.mesh = build_disk_mesh(float(self.config["resolution"]), self.domain)
         return self.mesh
+
+    def phase(self, p, psi_target: float) -> HoloFunction:
+        """The Morse phase with primary critical point p and Im Phi(p) = psi_target."""
+        return build_morse_phase(self.domain, p, degree=self.config["phase_degree"], psi_target=psi_target, seed=self.seed)
+
+    def amplitude(self, phase: HoloFunction) -> HoloFunction:
+        """The amplitude of phase: degree `degree`, vanishing to order
+        vanish_order at the phase's other critical points."""
+        return build_amplitude(phase, self.domain, vanish_order=self.config["vanish_order"], degree=self.config["degree"])
 
 
 def load_scenario(source) -> Scenario:

@@ -136,6 +136,28 @@ def oscillatory_integral(g, phase: HoloFunction, h: float, mesh: Mesh) -> comple
     return complex(np.sum(mesh.mass * vals))
 
 
+def interior_basis(domain, seed=0):
+    """basis(p) -> (phase, amplitude) by the reference recipe: phase degree
+    36 with psi_target 0.8, amplitude degree 16 vanishing to order 4 at the
+    phase's other critical points."""
+
+    def basis(p):
+        phase = holo.build_morse_phase(domain, p, degree=36, psi_target=0.8, seed=seed)
+        return phase, holo.build_amplitude(phase, domain, vanish_order=4, degree=16)
+
+    return basis
+
+
+def two_point_phase(p, q):
+    """Hand-built Morse phase with Phi' = (z - p)(z - q) and Phi(p) = 0.8i,
+    carrying its critical-point report and primary point p."""
+    coeffs = np.array([0.0, p * q, -(p + q) / 2.0, 1.0 / 3.0], dtype=complex)
+    coeffs[0] = 0.8j - HoloFunction(coeffs)(p)
+    phase = HoloFunction(coeffs)
+    phase.meta = {"critical_points": holo.find_critical_points(phase), "p": p}
+    return phase
+
+
 def reference_config(**overrides) -> dict:
     """The reference scenario (all schema defaults) with optional overrides."""
     cfg = {"name": "reference", "seed": 0}
@@ -290,8 +312,8 @@ def per_sample_ratio_terms(mesh, weight, B, u):
     norm_udphi = float(np.sum(mass * dphi_sq * u**2))
     dirichlet = float(u @ (mesh.stiffness @ u))
     flux = (mesh.stiffness @ u)[mesh.boundary] / mesh.boundary_weights
-    flux_g0, _ = boundary_integral(flux**2, mesh, "gamma0")
-    flux_g, _ = boundary_integral(flux**2, mesh, "gamma")
+    flux_g0 = boundary_integral(flux**2, mesh, "gamma0")
+    flux_g = boundary_integral(flux**2, mesh, "gamma")
     lhs = norm_u / h + norm_udphi / h**2 + dirichlet + flux_g0
     conj_residual = np.asarray(B @ u)[mesh.interior] / mass[mesh.interior]
     rhs = float(np.sum(mass[mesh.interior] * conj_residual**2)) + flux_g / h

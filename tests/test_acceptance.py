@@ -20,7 +20,7 @@ from calderon.forward import SchrodingerOperator, boundary_pairing
 from calderon.geometry import DiskDomain, as_values, build_disk_mesh
 from calderon.holo import HoloFunction, build_amplitude, build_morse_phase, cauchy_transform, find_critical_points
 
-from conftest import P_STAR, gaussian_bump, green_apply, interior_integral, solve_schrodinger_dirichlet
+from conftest import P_STAR, gaussian_bump, green_apply, interior_basis, interior_integral, solve_schrodinger_dirichlet
 from test_holo import dz_inversion_error
 
 
@@ -197,16 +197,17 @@ def test_criterion_07_stationary_phase_constant():
 
 
 def test_criterion_08_interior_identification(ref_mesh, ref_scenario):
+    basis = interior_basis(ref_mesh.domain)
     est = _rc.pointwise_difference(
-        ref_mesh, ref_scenario.V1, ref_scenario.V2, P_STAR, ref_scenario.h_list
+        ref_mesh, ref_scenario.V1, ref_scenario.V2, *basis(P_STAR), ref_scenario.h_list
     )
     grid = _rc.make_grid(5, radius=0.6)
     control = _rc.difference_map(
-        ref_mesh, ref_scenario.V1, ref_scenario.V1, grid, ref_scenario.h_list
+        ref_mesh, ref_scenario.V1, ref_scenario.V1, grid, ref_scenario.h_list, basis
     )
     ctrl_max = max((abs(r["D"]) for r in control["rows"]), default=np.inf)
     dmap = _rc.difference_map(
-        ref_mesh, ref_scenario.V1, ref_scenario.V2, grid, ref_scenario.h_list
+        ref_mesh, ref_scenario.V1, ref_scenario.V2, grid, ref_scenario.h_list, basis
     )
     rows = dmap["rows"]
     got = max(rows, key=lambda r: abs(r["D"]))

@@ -9,7 +9,7 @@ from calderon import geometry, holo
 from calderon.geometry import DiskDomain, as_values, build_disk_mesh
 from calderon.holo import HoloFunction, build_amplitude, build_morse_phase, find_critical_points
 
-from conftest import P_STAR, decay_slope, dense_cauchy_transform, gaussian_bump, per_h_r11, splu_normal_solve
+from conftest import P_STAR, decay_slope, dense_cauchy_transform, gaussian_bump, per_h_r11, splu_normal_solve, two_point_phase
 
 
 @pytest.fixture(scope="module")
@@ -39,16 +39,12 @@ def test_cutoffs_centre_at_the_phase_point_not_the_highest_psi(full_domain):
     """The cutoffs sit at the phase's own primary point meta["p"], even
     when another critical point q has the larger Im Phi."""
     p, q = 0.2 + 0.1j, -0.3 - 0.4j
-    # Phi' = (z - p)(z - q), Phi(p) = 0.8i
-    coeffs = np.array([0.0, p * q, -(p + q) / 2.0, 1.0 / 3.0], dtype=complex)
-    coeffs[0] = 0.8j - HoloFunction(coeffs)(p)
-    phase = HoloFunction(coeffs)
-    report = find_critical_points(phase)
+    phase = two_point_phase(p, q)
+    report = phase.meta["critical_points"]
     assert report.is_morse and len(report.points) == 2
     for w in (p, q):
         assert min(abs(c.location - w) for c in report.points) < 1e-12
     assert phase(q).imag == pytest.approx(0.8417, abs=1e-4)
-    phase.meta = {"critical_points": report, "p": p}
     cgo = _cgo.prepare_cgo(build_disk_mesh(0.05, full_domain), 0.0, phase, HoloFunction([1.0]))
     assert cgo.chi.center == p
     assert cgo.chi1.center == p

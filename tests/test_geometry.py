@@ -82,21 +82,20 @@ def test_interior_integral_conformal_weight():
 
 
 def test_boundary_integral_circumference(mesh_mid):
-    val, warned = boundary_integral(np.ones(len(mesh_mid.boundary)), mesh_mid, "full")
+    val = boundary_integral(np.ones(len(mesh_mid.boundary)), mesh_mid, "full")
     assert abs(val - 2.0 * np.pi) <= 1e-3
-    assert not warned
 
 
-def test_boundary_integral_empty_arc_warns(mesh_mid):
+def test_boundary_integral_empty_arc_is_zero(mesh_mid):
     # full-data domain: gamma0 is empty
-    val, warned = boundary_integral(np.ones(len(mesh_mid.boundary)), mesh_mid, "gamma0")
+    val = boundary_integral(np.ones(len(mesh_mid.boundary)), mesh_mid, "gamma0")
     assert val == 0.0
-    assert warned
+    assert boundary_integral(np.zeros(0), mesh_mid, "gamma0") == 0.0
 
 
 def test_boundary_integral_cos_theta(mesh_mid):
     theta = mesh_mid.boundary_theta()
-    val, _ = boundary_integral(np.cos(theta), mesh_mid, "full")
+    val = boundary_integral(np.cos(theta), mesh_mid, "full")
     assert abs(val) <= 1e-3
 
 
@@ -121,7 +120,7 @@ def test_divergence_theorem_consistency(mesh_mid, field):
     """Harmonic u: boundary integral of the normal derivative vanishes."""
     u = field(mesh_mid.vertices)
     tr = normal_derivative_trace(u, mesh_mid)
-    val, _ = boundary_integral(tr, mesh_mid, "full")
+    val = boundary_integral(tr, mesh_mid, "full")
     assert abs(val) <= 5e-2 * max(np.max(np.abs(u)), 1.0)
 
 

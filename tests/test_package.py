@@ -107,6 +107,31 @@ def test_no_function_takes_a_mesh_and_its_domain():
     assert [name for name, p in params.items() if "p" in p and p & {"phase", "report"}] == []
     for name in ("cgo.residual_field", "cgo.duality_completion"):
         assert params[name] & {"V", "A"} == set()
+    # an amplitude carries its fit degree, and the scenario alone picks a
+    # phase's psi_target
+    assert [name for name, p in params.items() if "jet_degree" in p] == []
+    assert sorted(name for name, p in params.items() if "psi_target" in p) == [
+        "holo.build_morse_phase",
+        "scenarios.Scenario.phase",
+    ]
+
+
+def test_only_the_scenario_builds_phases_and_amplitudes():
+    """Outside holo, every call to build_morse_phase or build_amplitude is
+    in scenarios (Scenario.phase, Scenario.amplitude), so each pipeline
+    pairs the phase and amplitude of the config's one recipe."""
+    callers = set()
+    for path in Path(calderon.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                fn = node.func
+                name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+                if name in ("build_morse_phase", "build_amplitude") and path.stem != "holo":
+                    callers.add((path.stem, name))
+    assert callers == {
+        ("scenarios", "build_morse_phase"),
+        ("scenarios", "build_amplitude"),
+    }
 
 
 # the only underscore names one calderon module imports from another:

@@ -7,7 +7,7 @@ from calderon.forward import boundary_pairing, operator
 from calderon.geometry import as_values
 from calderon.holo import HoloFunction, build_amplitude, build_morse_phase
 
-from conftest import P_STAR, CountingLU, gaussian_bump, oscillatory_integral, per_h_slow_amplitude
+from conftest import P_STAR, CountingLU, gaussian_bump, interior_basis, oscillatory_integral, per_h_slow_amplitude
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +95,7 @@ def test_fit_rejects_short_oscillation_span():
 @pytest.fixture(scope="module")
 def ref_estimate(ref_mesh, ref_scenario):
     return _rc.pointwise_difference(
-        ref_mesh, ref_scenario.V1, ref_scenario.V2, P_STAR, ref_scenario.h_list,
+        ref_mesh, ref_scenario.V1, ref_scenario.V2, *interior_basis(ref_mesh.domain)(P_STAR), ref_scenario.h_list,
     )
 
 
@@ -186,7 +186,7 @@ def test_interior_recovery_at_primary_point(ref_estimate):
 
 def test_interior_control_identical_potentials(ref_mesh, ref_scenario):
     est = _rc.pointwise_difference(
-        ref_mesh, ref_scenario.V1, ref_scenario.V1, P_STAR, ref_scenario.h_list,
+        ref_mesh, ref_scenario.V1, ref_scenario.V1, *interior_basis(ref_mesh.domain)(P_STAR), ref_scenario.h_list,
     )
     # the interior pairing weight (V1 - V2) vanishes identically
     assert est["D"] == 0.0
@@ -194,7 +194,7 @@ def test_interior_control_identical_potentials(ref_mesh, ref_scenario):
 
 def test_interior_estimate_scales_with_amplitude(ref_mesh, ref_scenario, ref_estimate):
     V_half = lambda z: 0.5 * gaussian_bump(z)
-    est = _rc.pointwise_difference(ref_mesh, V_half, 0.0, P_STAR, ref_scenario.h_list)
+    est = _rc.pointwise_difference(ref_mesh, V_half, 0.0, *interior_basis(ref_mesh.domain)(P_STAR), ref_scenario.h_list)
     assert est["D"] == pytest.approx(0.5 * ref_estimate["D"], rel=0.2)
 
 
@@ -205,7 +205,7 @@ def test_subsequence_mode_cross_checks_fit(ref_mesh, ref_scenario, ref_estimate,
     monkeypatch.setattr(_cgo, "prepare_cgo", lambda *args, **kwargs: calls.append(1) or prepare(*args, **kwargs))
     est = _rc.pointwise_difference(
         ref_mesh, ref_scenario.V1, ref_scenario.V2,
-        P_STAR, ref_scenario.h_list, mode="subsequence",
+        *interior_basis(ref_mesh.domain)(P_STAR), ref_scenario.h_list, mode="subsequence",
     )
     assert est["D"] == pytest.approx(ref_estimate["D"], abs=0.2)
     assert len(calls) == 2
@@ -215,7 +215,7 @@ def test_difference_map_localizes_bump(ref_mesh, ref_scenario):
     pts = _rc.make_grid(3, radius=0.3)
     out = _rc.difference_map(
         ref_mesh, ref_scenario.V1, ref_scenario.V2,
-        pts, ref_scenario.h_list,
+        pts, ref_scenario.h_list, interior_basis(ref_mesh.domain),
     )
     assert not out["failures"]
     rows = out["rows"]

@@ -14,7 +14,6 @@ from calderon import cli as _cli
 from calderon import reconstruct as _rc
 from calderon.forward import SchrodingerOperator
 from calderon.geometry import ConfigurationError
-from calderon.holo import build_morse_phase
 from calderon.scenarios import (
     SCHEMA,
     _schema_errors,
@@ -24,7 +23,7 @@ from calderon.scenarios import (
     validate_config,
 )
 
-from conftest import CARLEMAN_CHEAP, reference_config
+from conftest import CARLEMAN_CHEAP, interior_basis, reference_config, two_point_phase
 
 
 # ---------------------------------------------------------------------------
@@ -48,12 +47,23 @@ def test_default_epsilon_admits_default_h_list():
     cfg = sc.config
     h_min = min(cfg["h_list"])
     assert h_min <= cfg["epsilon"] / _carleman.EPSILON_H_FACTOR
-    phase = build_morse_phase(
-        sc.domain, sc.point, degree=cfg["phase_degree"],
-        psi_target=cfg["carleman_psi_target"], seed=sc.seed,
-    )
+    phase = sc.phase(sc.point, cfg["carleman_psi_target"])
     weight = _carleman.build_carleman_weight(sc.build_mesh(), phase, cfg["epsilon"], h_min, degree=cfg["degree"])
     assert weight.h == h_min
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_scenario_amplitude_honours_vanish_order(k):
+    """Scenario.amplitude vanishes to the config's vanish_order k at the
+    phase's other critical point q, and to no higher order."""
+    p, q = 0.2 + 0.1j, -0.3 - 0.4j
+    phase = two_point_phase(p, q)
+    sc = load_scenario({"name": "x", "seed": 0, "gamma0": None, "vanish_order": k})
+    a = sc.amplitude(phase)
+    assert abs(a(p) - 1.0) <= 1e-10
+    for j in range(k):
+        assert abs(a.derivative(j)(q)) <= 1e-10
+    assert abs(a.derivative(k)(q)) >= 1.0
 
 
 @pytest.mark.parametrize("key", ["resolutoin", "cutoff_scale"])
@@ -578,8 +588,7 @@ def test_difference_map_without_cache_factorizes_once(operator_builds):
     cfg = sc.config
     grid = _rc.make_grid(cfg["grid_n"], cfg["grid_radius"])
     out = _rc.difference_map(
-        sc.build_mesh(), sc.V1, sc.V2, grid, sc.h_list,
-        degree=cfg["phase_degree"], psi_target=cfg["psi_target"], seed=sc.seed,
+        sc.build_mesh(), sc.V1, sc.V2, grid, sc.h_list, interior_basis(sc.domain, seed=sc.seed),
     )
     assert len(out["rows"]) == len(grid)
     assert len(operator_builds) == 1
