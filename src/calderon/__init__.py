@@ -17,7 +17,7 @@ from .cgo import CGO, residual_scaling_report
 from .carleman import CarlemanWeight, build_carleman_weight, carleman_sweep
 from .reconstruct import (
     StationaryPhaseModel,
-    boundary_recovery,
+    boundary_scan,
     difference_map,
     pointwise_difference,
     stationary_phase_constant,
@@ -46,7 +46,7 @@ __all__ = [
     "build_carleman_weight",
     "carleman_sweep",
     "StationaryPhaseModel",
-    "boundary_recovery",
+    "boundary_scan",
     "difference_map",
     "pointwise_difference",
     "stationary_phase_constant",

@@ -202,8 +202,6 @@ def carleman_sweep(
     once; each (h, test function) pair then costs one product with the
     conjugated matrix of that h.
     """
-    if sample_count < 1:
-        raise ConfigurationError("sample_count must be >= 1")
     samples = sample_test_functions(mesh, sample_count, seed)
     dphi = weight.phase.derivative()(mesh.vertices)
     maxgrad = float(np.max(np.abs(dphi)))

@@ -146,66 +146,6 @@ def green_dz(mesh: Mesh, source: np.ndarray) -> np.ndarray:
     return theta
 
 
-def build_r11(
-    mesh: Mesh,
-    phase: HoloFunction,
-    b: np.ndarray,
-    chi: Cutoff,
-    chi1: Cutoff,
-    h_list,
-    skipped: Optional[list] = None,
-) -> dict:
-    """r11 = chi e^{-2i psi/h} R(e^{2i psi/h} chi1 b) and the cutoff error
-    eta = e^{-2i psi/h} R(...) dz(chi) at each h of h_list; returns
-    {h: (r11, eta, T)} with the raw transform T = R(e^{2i psi/h} chi1 b)
-    (used by the termwise residual evaluator, which must never
-    differentiate oscillations numerically).
-
-    Every consumer multiplies R(...) by chi or dz(chi), so the transform is
-    evaluated only at the vertices of supp chi and supp dz(chi); the
-    returned raw transform is zero at every other vertex.
-
-    Only the weights e^{2i psi/h} chi1 b depend on h, so the whole sweep is
-    one Cauchy transform of several fields: its kernels are built once and
-    each h's result equals a transform of that h alone bit for bit.  An h
-    the mesh cannot resolve raises ResolvabilityError before any transform,
-    or, when a skipped list is given, is appended to it as
-    {"h": h, "reason": message} and left out."""
-    z = mesh.vertices
-    dphi = phase.derivative()(z)
-    c1 = chi1(z)
-    supp = c1 > 0
-    max_grad = 0.5 * np.max(np.abs(dphi[supp])) if np.any(supp) else 0.0
-    h_min = 4.0 * mesh.resolution * max_grad
-    resolved = []
-    for h in h_list:
-        if h < h_min:
-            exc = ResolvabilityError(
-                f"mesh cannot resolve phase oscillation at h = {h}: need h >= {h_min:.3g}"
-            )
-            if skipped is None:
-                raise exc
-            skipped.append({"h": h, "reason": str(exc)})
-        else:
-            resolved.append(h)
-    if not resolved:
-        return {}
-    psi = phase(z).imag
-    osc = [np.exp(2j * psi / h) for h in resolved]
-    c = chi(z)
-    dchi = chi.dz(z)
-    idx = np.flatnonzero((c > 0) | (dchi != 0))
-    F = np.array([osc_h * c1 * b for osc_h in osc])
-    T_idx, _ = _cauchy_transform_columns(F, mesh, eval_index=idx)
-    out = {}
-    for h, osc_h, T_h in zip(resolved, osc, T_idx):
-        T = np.zeros(mesh.n_vertices, dtype=complex)
-        T[idx] = T_h
-        r11_hat = np.conj(osc_h) * T
-        out[h] = (c * r11_hat, r11_hat * dchi, T)
-    return out
-
-
 def build_r12(mesh: Mesh, phase: HoloFunction, b: np.ndarray, chi1: Cutoff, hess_abs: float):
     """Algebraic remainders: r12 with 2i r12 dz(psi) = (1 - chi1) b exactly
     where chi1 = 0, and the global quotient r_tilde12 = b / Phi' extended
@@ -284,14 +224,56 @@ class CGO:
         return dzbar_field(self.chi1(self.mesh.vertices) * self.b, self.mesh)
 
     def r11_sweep(self, h_list, skipped: Optional[list] = None) -> dict:
-        """{h: (r11, eta, T)} over h_list from one build_r11 sweep, which
-        raises on or, given skipped, records an h the mesh cannot resolve.
-        When b = 0, r11 and eta are zero and T is None at every h, and no h
-        is refused."""
-        if not np.any(np.abs(self.b) > 0):
-            zero = np.zeros(self.mesh.n_vertices, dtype=complex)
+        """r11 = chi e^{-2i psi/h} R(e^{2i psi/h} chi1 b) and the cutoff error
+        eta = e^{-2i psi/h} R(...) dz(chi) at each h of h_list; returns
+        {h: (r11, eta, T)} with the raw transform T = R(e^{2i psi/h} chi1 b)
+        (used by the termwise residual evaluator, which must never
+        differentiate oscillations numerically).  When b = 0, r11 and eta
+        are zero and T is None at every h, and no h is refused.
+
+        Every consumer multiplies R(...) by chi or dz(chi), so the transform is
+        evaluated only at the vertices of supp chi and supp dz(chi); the
+        returned raw transform is zero at every other vertex.
+
+        Only the weights e^{2i psi/h} chi1 b depend on h, so the whole sweep is
+        one Cauchy transform of several fields: its kernels are built once and
+        each h's result equals a transform of that h alone bit for bit.  An h
+        the mesh cannot resolve raises ResolvabilityError before any transform,
+        or, when a skipped list is given, is appended to it as
+        {"h": h, "reason": message} and left out."""
+        mesh, b, chi = self.mesh, self.b, self.chi
+        if not np.any(np.abs(b) > 0):
+            zero = np.zeros(mesh.n_vertices, dtype=complex)
             return {h: (zero, zero, None) for h in h_list}
-        return build_r11(self.mesh, self.phase, self.b, self.chi, self.chi1, h_list, skipped=skipped)
+        z = mesh.vertices
+        dphi = self.phase.derivative()(z)
+        c1 = self.chi1(z)
+        supp = c1 > 0
+        max_grad = 0.5 * np.max(np.abs(dphi[supp])) if np.any(supp) else 0.0
+        h_min = 4.0 * mesh.resolution * max_grad
+        resolved = [h for h in h_list if h >= h_min]
+        for h in h_list:
+            if h < h_min:
+                reason = f"mesh cannot resolve phase oscillation at h = {h}: need h >= {h_min:.3g}"
+                if skipped is None:
+                    raise ResolvabilityError(reason)
+                skipped.append({"h": h, "reason": reason})
+        if not resolved:
+            return {}
+        psi = self.phase(z).imag
+        osc = [np.exp(2j * psi / h) for h in resolved]
+        c = chi(z)
+        dchi = chi.dz(z)
+        idx = np.flatnonzero((c > 0) | (dchi != 0))
+        F = np.array([osc_h * c1 * b for osc_h in osc])
+        T_idx, _ = _cauchy_transform_columns(F, mesh, eval_index=idx)
+        out = {}
+        for h, osc_h, T_h in zip(resolved, osc, T_idx):
+            T = np.zeros(mesh.n_vertices, dtype=complex)
+            T[idx] = T_h
+            r11_hat = np.conj(osc_h) * T
+            out[h] = (c * r11_hat, r11_hat * dchi, T)
+        return out
 
     def slow_amplitude(self, h: float, r11: Optional[np.ndarray] = None) -> np.ndarray:
         """a + h a0 at the mesh vertices, plus r1 = r11 + h r12 when the

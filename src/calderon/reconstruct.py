@@ -32,6 +32,9 @@ MIN_PERIODS = 2.0
 # fitted boundary exponents in this window show the h^{3/2} regime is reached
 BOUNDARY_EXPONENT_WINDOW = (1.35, 1.65)
 
+# width of the unit-value bump that calibrate_boundary_constant sweeps
+CALIBRATION_WIDTH = 0.8
+
 
 class ReconstructionError(RuntimeError):
     """The extraction could not be performed reliably."""
@@ -247,7 +250,7 @@ def difference_map(
                     "abs_a_p": abs(m.a_p), "C_p": m.C_p,
                 }
             )
-        except RuntimeError as exc:
+        except (RuntimeError, ConfigurationError) as exc:
             failures.append({"x": p.real, "y": p.imag, "error": f"{type(exc).__name__}: {exc}"})
     return {"rows": rows, "failures": failures}
 
@@ -299,6 +302,9 @@ def boundary_pairing_sweep(
             f"mesh cannot resolve the boundary layer at h = {min(h_arr):g}: "
             f"need h >= {2.0 * mesh.resolution:.3g}"
         )
+    if mesh.domain.on_gamma0(theta_p):
+        a, b = mesh.domain.gamma0
+        raise ReconstructionError(f"theta = {theta_p:.3f} lies on gamma0 = [{a:.3f}, {b:.3f}], not on gamma")
     margin = _gamma_margin(mesh.domain, theta_p)
     if np.sqrt(max(h_arr)) > margin:
         raise ReconstructionError(
@@ -331,68 +337,32 @@ def fit_boundary_law(pairings) -> tuple:
     return float(np.exp(logc)), float(e)
 
 
+def _check_boundary_exponent(e: float, fit: str) -> None:
+    """Raise unless the exponent e of a fit ("calibration" or "fitted") lies
+    in BOUNDARY_EXPONENT_WINDOW, i.e. the h^{3/2} regime is reached."""
+    lo, hi = BOUNDARY_EXPONENT_WINDOW
+    if not (lo <= e <= hi):
+        raise ReconstructionError(
+            f"{fit} exponent {e:.3f} outside [{lo}, {hi}]: concentration regime "
+            "not reached; use smaller h or a finer mesh"
+        )
+
+
 def calibrate_boundary_constant(
     mesh: Mesh,
     theta_p: float,
     h_list,
-    width: float = 0.8,
 ) -> float:
     """Prefactor of the h^{3/2} law on the known scenario V1 - V2 = bump of
     value 1 at the boundary point; used to convert fitted prefactors into
     potential values.  The h^{3/2} regime needs sqrt(h) well below the
-    potential's variation scale, hence the wide default bump."""
+    potential's variation scale, hence the wide bump (CALIBRATION_WIDTH)."""
     p = np.exp(1j * theta_p)
-    V1 = lambda z: np.exp(-np.abs(z - p) ** 2 / width**2)
+    V1 = lambda z: np.exp(-np.abs(z - p) ** 2 / CALIBRATION_WIDTH**2)
     pairs = boundary_pairing_sweep(mesh, V1, 0.0, theta_p, h_list)
     C, e = fit_boundary_law(pairs)
-    lo, hi = BOUNDARY_EXPONENT_WINDOW
-    if not (lo <= e <= hi):
-        raise ReconstructionError(
-            f"calibration exponent {e:.3f} outside [{lo}, {hi}]: concentration regime "
-            "not reached; use smaller h or a finer mesh"
-        )
+    _check_boundary_exponent(e, "calibration")
     return C
-
-
-def boundary_recovery(
-    mesh: Mesh,
-    V1,
-    V2,
-    theta_p: float,
-    h_list,
-    calibration: float,
-) -> dict:
-    """Estimate (V1 - V2) at the boundary point e^{i theta_p} of gamma.
-
-    Returns the estimate D (sign taken from the real part of the fitted
-    pairings), the fitted exponent (must lie in BOUNDARY_EXPONENT_WINDOW), and the raw
-    sweep.  `calibration` is the prefactor measured once on a unit-value
-    scenario via calibrate_boundary_constant.
-    """
-    pairs = boundary_pairing_sweep(mesh, V1, V2, theta_p, h_list)
-    C, e = fit_boundary_law(pairs)
-    h_min, s_min = min(pairs, key=lambda x: x[0])
-    if abs(s_min) <= 0.05 * calibration * h_min**1.5:
-        # pairing at the noise floor: the potentials agree near the point
-        return {
-            "D": 0.0,
-            "exponent": e,
-            "pairings": pairs,
-            "below_noise_floor": True,
-        }
-    lo, hi = BOUNDARY_EXPONENT_WINDOW
-    if not (lo <= e <= hi):
-        raise ReconstructionError(
-            f"fitted exponent {e:.3f} outside [{lo}, {hi}]: concentration regime "
-            "not reached; use smaller h or a finer mesh"
-        )
-    sign = np.sign(np.mean([x[1].real for x in pairs]))
-    return {
-        "D": float(sign * C / calibration),
-        "exponent": e,
-        "pairings": pairs,
-        "below_noise_floor": False,
-    }
 
 
 def boundary_scan(
@@ -403,22 +373,33 @@ def boundary_scan(
     h_list,
     calibration: float,
 ) -> dict:
-    """boundary_recovery over several gamma points.  Returns {"rows": one
-    dict (theta, D, fitted_exponent, below_noise_floor) per recovered point,
-    "failures": one dict (theta, error) per failed point}."""
+    """Estimate (V1 - V2) at the boundary points e^{i theta} of gamma, one
+    per theta of theta_list.  Returns {"rows": one dict (theta, D,
+    fitted_exponent, below_noise_floor) per recovered point, "failures":
+    one dict (theta, error) per failed point}.
+
+    Each point fits the h^{3/2} law to its boundary_pairing_sweep: D takes
+    its sign from the real part of the pairings, and the fitted exponent
+    must lie in BOUNDARY_EXPONENT_WINDOW.  A pairing at the noise floor
+    gives D = 0 unfitted.  `calibration` is the prefactor measured once on
+    a unit-value scenario via calibrate_boundary_constant.
+    """
     rows = []
     failures = []
-    for theta in theta_list:
+    for theta in map(float, theta_list):
         try:
-            est = boundary_recovery(mesh, V1, V2, float(theta), h_list, calibration=calibration)
-            rows.append(
-                {
-                    "theta": float(theta),
-                    "D": est["D"],
-                    "fitted_exponent": est["exponent"],
-                    "below_noise_floor": est["below_noise_floor"],
-                }
-            )
+            pairs = boundary_pairing_sweep(mesh, V1, V2, theta, h_list)
+            C, e = fit_boundary_law(pairs)
+            h_min, s_min = min(pairs, key=lambda x: x[0])
+            # pairing at the noise floor: the potentials agree near the point
+            below = abs(s_min) <= 0.05 * calibration * h_min**1.5
+            if below:
+                D = 0.0
+            else:
+                _check_boundary_exponent(e, "fitted")
+                sign = np.sign(np.mean([x[1].real for x in pairs]))
+                D = float(sign * C / calibration)
+            rows.append({"theta": theta, "D": D, "fitted_exponent": e, "below_noise_floor": below})
         except ReconstructionError as exc:
-            failures.append({"theta": float(theta), "error": str(exc)})
+            failures.append({"theta": theta, "error": str(exc)})
     return {"rows": rows, "failures": failures}

@@ -7,7 +7,6 @@ from scipy.linalg import null_space
 from functools import cached_property
 
 from calderon import holo
-from calderon.cgo import build_r11
 from calderon.forward import SchrodingerOperator, operator
 from calderon.geometry import (
     TWO_PI,
@@ -271,8 +270,8 @@ def single_field_cauchy_transform(f_values, mesh, eval_points=None, eval_index=N
 
 def per_h_r11(mesh, phase, b, chi, chi1, h):
     """Reference (r11, eta, T) at one h: its own transform of
-    e^{2i psi/h} chi1 b on supp chi and supp dz(chi), as calderon.cgo.build_r11
-    did per h before a sweep shared the kernels (resolvability check left
+    e^{2i psi/h} chi1 b on supp chi and supp dz(chi), as calderon.cgo's r11
+    sweep did per h before a sweep shared the kernels (resolvability check left
     out)."""
     z = mesh.vertices
     osc = np.exp(2j * phase(z).imag / h)
@@ -287,14 +286,13 @@ def per_h_r11(mesh, phase, b, chi, chi1, h):
 
 def per_h_slow_amplitude(cgo, h):
     """Reference a + h a0 + (r11 + h r12) of a CGO at one h: a and a0
-    re-evaluated on the mesh and r11 from a one-h build_r11 (zero when
-    b = 0), as calderon.reconstruct computed each side of a pairing before
+    re-evaluated on the mesh and r11 from per_h_r11 (zero when b = 0), as calderon.reconstruct computed each side of a pairing before
     the CGO object held a, a0 and its r11 sweep."""
     z = cgo.mesh.vertices
     A = cgo.amplitude(z) + h * cgo.a0(z)
     r1 = h * cgo.r12
     if np.any(np.abs(cgo.b) > 0):
-        r1 = build_r11(cgo.mesh, cgo.phase, cgo.b, cgo.chi, cgo.chi1, [h])[h][0] + h * cgo.r12
+        r1 = per_h_r11(cgo.mesh, cgo.phase, cgo.b, cgo.chi, cgo.chi1, h)[0] + h * cgo.r12
     return A + r1
 
 

@@ -223,15 +223,15 @@ def test_criterion_08_interior_identification(ref_mesh, ref_scenario):
 
 def test_criterion_09_boundary_determination(ref_mesh, ref_scenario):
     h_list = ref_scenario.config["boundary_h_list"]
-    width = 0.8
-    cal = _rc.calibrate_boundary_constant(ref_mesh, np.pi, h_list, width=width)
+    width = _rc.CALIBRATION_WIDTH
+    cal = _rc.calibrate_boundary_constant(ref_mesh, np.pi, h_list)
     p1 = np.exp(1j * np.pi)
     V = lambda z: np.exp(-np.abs(np.asarray(z) - p1) ** 2 / width**2)
     _, e = _rc.fit_boundary_law(_rc.boundary_pairing_sweep(ref_mesh, V, 0.0, np.pi, h_list))
     theta2 = 1.3 * np.pi
     p2 = np.exp(1j * theta2)
     V2 = lambda z: 0.5 * np.exp(-np.abs(np.asarray(z) - p2) ** 2 / width**2)
-    est = _rc.boundary_recovery(ref_mesh, V2, 0.0, theta2, h_list, calibration=cal)
+    est = _rc.boundary_scan(ref_mesh, V2, 0.0, [theta2], h_list, calibration=cal)["rows"][0]
     ok = (1.35 <= e <= 1.65) and abs(est["D"] - 0.5) <= 0.25 * 0.5
     assert _line(9, ok, f"fitted exponent {e:.3f} in [1.35,1.65]; transfer estimate {est['D']:.3f} vs 0.5 within 25%")
 

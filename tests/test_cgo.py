@@ -123,11 +123,9 @@ def test_cutoff_nesting(quarter_prep, quarter_mesh_mid):
 
 
 def test_r11_zero_for_zero_b(quarter_prep, quarter_mesh_mid):
-    b0 = np.zeros(quarter_mesh_mid.n_vertices, dtype=complex)
-    r11, eta, _ = _cgo.build_r11(
-        quarter_mesh_mid, quarter_prep["phase"], b0,
-        quarter_prep["cgo"].chi, quarter_prep["cgo"].chi1, [0.2],
-    )[0.2]
+    cgo = _cgo.prepare_cgo(quarter_mesh_mid, 0.0, quarter_prep["phase"], quarter_prep["amplitude"])
+    assert np.max(np.abs(cgo.b)) == 0.0
+    r11, eta, _ = cgo.r11_sweep([0.2])[0.2]
     assert np.max(np.abs(r11)) == 0.0
     assert np.max(np.abs(eta)) == 0.0
 
@@ -141,7 +139,7 @@ def test_r11_supp_chi_matches_full_evaluation(quarter_prep, quarter_mesh_mid):
     h = 0.2
     osc = np.exp(2j * quarter_prep["phase"](z).imag / h)
     T_full = dense_cauchy_transform(osc * cgo.chi1(z) * cgo.b, mesh)
-    r11, eta, T = _cgo.build_r11(mesh, quarter_prep["phase"], cgo.b, cgo.chi, cgo.chi1, [h])[h]
+    r11, eta, T = cgo.r11_sweep([h])[h]
     r11_want = cgo.chi(z) * np.conj(osc) * T_full
     eta_want = np.conj(osc) * T_full * cgo.chi.dz(z)
     assert np.max(np.abs(r11 - r11_want)) <= 1e-12 * np.max(np.abs(r11_want))
@@ -149,19 +147,19 @@ def test_r11_supp_chi_matches_full_evaluation(quarter_prep, quarter_mesh_mid):
     assert np.all(T[cgo.chi(z) == 0] == 0)
 
 
-def test_build_r11_sweep_matches_per_h(quarter_prep, quarter_mesh_mid):
-    """One build_r11 sweep gives every h the bits of its own transform; an
+def test_r11_sweep_matches_per_h(quarter_prep, quarter_mesh_mid):
+    """One r11_sweep gives every h the bits of its own transform; an
     unresolvable h is skipped with the message a lone call raises."""
     cgo = quarter_prep["cgo"]
     args = (quarter_mesh_mid, quarter_prep["phase"], cgo.b, cgo.chi, cgo.chi1)
     skipped = []
-    got = _cgo.build_r11(*args, [0.3, 0.2, 1e-5, 0.14], skipped=skipped)
+    got = cgo.r11_sweep([0.3, 0.2, 1e-5, 0.14], skipped=skipped)
     assert list(got) == [0.3, 0.2, 0.14]
     for h, fields in got.items():
         for g, want in zip(fields, per_h_r11(*args, h)):
             assert np.array_equal(g, want)
     with pytest.raises(_cgo.ResolvabilityError) as err:
-        _cgo.build_r11(*args, [1e-5])
+        cgo.r11_sweep([1e-5])
     assert skipped == [{"h": 1e-5, "reason": str(err.value)}]
 
 
@@ -178,7 +176,7 @@ def test_scaling_report_builds_far_field_kernel_once(quarter_prep, quarter_mesh_
     monkeypatch.setattr(holo, "_far_field_kernel", counting_kernel)
     monkeypatch.setattr(holo, "TRANSFORM_BLOCK_ENTRIES", 20_000)
     cgo = quarter_prep["cgo"]
-    _cgo.build_r11(quarter_mesh_mid, quarter_prep["phase"], cgo.b, cgo.chi, cgo.chi1, [0.2])
+    cgo.r11_sweep([0.2])
     one_h = list(builds)
     builds.clear()
     rep = _cgo.residual_scaling_report(
@@ -220,10 +218,7 @@ def test_h1_norm_of_paraboloid():
 
 def test_r11_unresolvable_h_raises(quarter_prep, quarter_mesh_mid):
     with pytest.raises(_cgo.ResolvabilityError):
-        _cgo.build_r11(
-            quarter_mesh_mid, quarter_prep["phase"], quarter_prep["cgo"].b,
-            quarter_prep["cgo"].chi, quarter_prep["cgo"].chi1, [1e-5],
-        )
+        quarter_prep["cgo"].r11_sweep([1e-5])
 
 
 def test_r12_defining_identity(quarter_prep, quarter_mesh_mid):

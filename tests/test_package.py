@@ -116,6 +116,14 @@ def test_no_function_takes_a_mesh_and_its_domain():
     ]
 
 
+def test_only_the_cgo_takes_both_cutoffs():
+    """A CGO carries its cutoffs chi and chi1 (CGO.chi, CGO.chi1), so no
+    function but the CGO's own constructor takes both."""
+    functions = _calderon_functions()
+    both = sorted(name for name, fn in functions.items() if {"chi", "chi1"} <= set(inspect.signature(fn).parameters))
+    assert both == ["cgo.CGO.__init__"]
+
+
 def test_only_the_scenario_builds_phases_and_amplitudes():
     """Outside holo, every call to build_morse_phase or build_amplitude is
     in scenarios (Scenario.phase, Scenario.amplitude), so each pipeline

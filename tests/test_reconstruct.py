@@ -4,7 +4,7 @@ import pytest
 from calderon import cgo as _cgo
 from calderon import reconstruct as _rc
 from calderon.forward import boundary_pairing, operator
-from calderon.geometry import as_values
+from calderon.geometry import as_values, build_disk_mesh
 from calderon.holo import HoloFunction, build_amplitude, build_morse_phase
 
 from conftest import P_STAR, CountingLU, gaussian_bump, interior_basis, oscillatory_integral, per_h_slow_amplitude
@@ -160,23 +160,24 @@ def test_cgo_pairings_evaluate_amplitudes_once(quarter_mesh_mid, quarter_domain,
 def test_cgo_pairings_sweep_r11_once_per_cgo_with_potential(
     quarter_mesh_mid, quarter_domain, monkeypatch, include_r1, v2_scale, n_sweeps
 ):
-    """cgo_pairings makes no build_r11 call with include_r1=False, and one
-    per CGO with b != 0 when it is set: V2 = 0 gives its CGO b = 0."""
+    """cgo_pairings makes no Cauchy transform with include_r1=False, and
+    one, of every h at once, per CGO with b != 0 when it is set: V2 = 0
+    gives its CGO b = 0."""
     mesh, dom = quarter_mesh_mid, quarter_domain
     phase = build_morse_phase(dom, P_STAR, degree=16, psi_target=0.3)
     amplitude = build_amplitude(phase, dom)
     sweeps = []
-    build_r11 = _cgo.build_r11
+    transform = _cgo._cauchy_transform_columns
 
-    def counting_build_r11(*args, **kwargs):
-        sweeps.append(args[5])
-        return build_r11(*args, **kwargs)
+    def counting_transform(F, *args, **kwargs):
+        sweeps.append(len(F))
+        return transform(F, *args, **kwargs)
 
-    monkeypatch.setattr(_cgo, "build_r11", counting_build_r11)
+    monkeypatch.setattr(_cgo, "_cauchy_transform_columns", counting_transform)
     h_list = [0.3, 0.25, 0.2]
     V2 = lambda z: v2_scale * gaussian_bump(z)
     _rc.cgo_pairings(mesh, gaussian_bump, V2, phase, amplitude, h_list, include_r1=include_r1)
-    assert sweeps == [h_list] * n_sweeps
+    assert sweeps == [len(h_list)] * n_sweeps
 
 
 def test_interior_recovery_at_primary_point(ref_estimate):
@@ -226,6 +227,20 @@ def test_difference_map_localizes_bump(ref_mesh, ref_scenario):
     assert (got["x"], got["y"]) == (want["x"], want["y"])
 
 
+def test_difference_map_records_a_point_the_basis_refuses(quarter_domain):
+    """A basis that refuses a point with ConfigurationError (no Morse phase
+    at |p| >= 0.98) costs that point alone: it is a failure naming the
+    reason, and the map goes on."""
+    mesh = build_disk_mesh(0.08, quarter_domain)
+    out = _rc.difference_map(
+        mesh, gaussian_bump, 0.0, [0.2, 0.99], [0.2, 0.14, 0.1, 0.07, 0.05], interior_basis(quarter_domain)
+    )
+    assert [(r["x"], r["y"]) for r in out["rows"]] == [(0.2, 0.0)]
+    (failure,) = out["failures"]
+    assert (failure["x"], failure["y"]) == (0.99, 0.0)
+    assert "interior to the disk" in failure["error"]
+
+
 def test_make_grid_stays_inside_radius():
     pts = _rc.make_grid(9, radius=0.5)
     assert np.all(np.abs(pts) <= 0.5 + 1e-12)
@@ -262,40 +277,55 @@ def test_boundary_sweep_exponent_window(ref_mesh, ref_scenario, boundary_cal):
 
 def test_boundary_recovery_known_value(ref_mesh, ref_scenario, boundary_cal):
     cal, h_list = boundary_cal
-    est = _rc.boundary_recovery(
-        ref_mesh, wide_bump(np.pi, 0.7), 0.0, np.pi, h_list,
+    est = _rc.boundary_scan(
+        ref_mesh, wide_bump(np.pi, 0.7), 0.0, [np.pi], h_list,
         calibration=cal,
-    )
+    )["rows"][0]
     assert not est["below_noise_floor"]
     assert est["D"] == pytest.approx(0.7, abs=0.1)
 
 
 def test_boundary_recovery_sign(ref_mesh, ref_scenario, boundary_cal):
     cal, h_list = boundary_cal
-    est = _rc.boundary_recovery(
-        ref_mesh, 0.0, wide_bump(np.pi, 0.7), np.pi, h_list,
+    est = _rc.boundary_scan(
+        ref_mesh, 0.0, wide_bump(np.pi, 0.7), [np.pi], h_list,
         calibration=cal,
-    )
+    )["rows"][0]
     assert est["D"] < -0.4
 
 
 def test_boundary_calibration_transfers(ref_mesh, ref_scenario, boundary_cal):
     cal, h_list = boundary_cal
     theta = 1.3 * np.pi
-    est = _rc.boundary_recovery(
-        ref_mesh, wide_bump(theta, 0.5), 0.0, theta, h_list,
+    est = _rc.boundary_scan(
+        ref_mesh, wide_bump(theta, 0.5), 0.0, [theta], h_list,
         calibration=cal,
-    )
+    )["rows"][0]
     assert est["D"] == pytest.approx(0.5, rel=0.25)
 
 
 def test_boundary_noise_floor(ref_mesh, ref_scenario, boundary_cal):
     cal, h_list = boundary_cal
-    est = _rc.boundary_recovery(
-        ref_mesh, 0.0, 0.0, np.pi, h_list, calibration=cal
-    )
+    est = _rc.boundary_scan(
+        ref_mesh, 0.0, 0.0, [np.pi], h_list, calibration=cal
+    )["rows"][0]
     assert est["below_noise_floor"]
     assert est["D"] == 0.0
+
+
+def test_boundary_point_on_gamma0_is_a_failure(ref_mesh, boundary_cal):
+    """A point of gamma0 = [0, pi/2] carries no Dirichlet data to
+    concentrate: the sweep refuses it, naming theta and gamma0, and the scan
+    records a failure instead of a zero pairing below the noise floor (the
+    true value of V1 - V2 there is 1)."""
+    cal, h_list = boundary_cal
+    theta = np.pi / 4
+    with pytest.raises(_rc.ReconstructionError, match=r"theta = 0\.785 lies on gamma0 = \[0\.000, 1\.571\]"):
+        _rc.boundary_pairing_sweep(ref_mesh, wide_bump(theta), 0.0, theta, h_list)
+    out = _rc.boundary_scan(ref_mesh, wide_bump(theta), 0.0, [theta], h_list, calibration=cal)
+    assert out["rows"] == []
+    assert [f["theta"] for f in out["failures"]] == [theta]
+    assert "lies on gamma0" in out["failures"][0]["error"]
 
 
 @pytest.mark.parametrize("h_list", [[0.2], [0.2, 0.14, 0.1], [0.3, 0.2, 0.16, 0.14, 0.12, 0.1, 0.09]])
