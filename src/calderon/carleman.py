@@ -38,21 +38,11 @@ class CarlemanWeight:
     phase: HoloFunction
     auxiliaries: list
     epsilon: float
-    h: float
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.epsilon <= 0 or self.h <= 0:
-            raise ConfigurationError("epsilon and h must be positive")
-        if self.h > self.epsilon / EPSILON_H_FACTOR:
-            raise ConfigurationError(
-                f"h = {self.h} too large for epsilon = {self.epsilon}: "
-                f"the convexified estimate needs h <= epsilon/{EPSILON_H_FACTOR:g}"
-            )
-
-    def at(self, h: float) -> "CarlemanWeight":
-        """Same weight family at another semiclassical parameter."""
-        return CarlemanWeight(self.phase, self.auxiliaries, self.epsilon, h, dict(self.meta))
+        if self.epsilon <= 0:
+            raise ConfigurationError("epsilon must be positive")
 
     def phi_values(self, z) -> list:
         """[phi_0, phi_1, ...] sampled at z."""
@@ -71,33 +61,40 @@ def build_carleman_weight(
     mesh: Mesh,
     phase: HoloFunction,
     epsilon: float,
-    h: float,
     degree: int = 16,
 ) -> CarlemanWeight:
     """Assemble the convexified weight, with auxiliaries for the gamma0 of
     mesh.domain (holo.build_auxiliaries), and record the positivity margin
     of sum_j |d phi_j|^2, measured at the mesh vertices."""
     aux = build_auxiliaries(mesh.domain, phase, degree)
-    w = CarlemanWeight(phase, aux, epsilon, h)
+    w = CarlemanWeight(phase, aux, epsilon)
     w.meta["gradient_sq_min"] = float(np.min(w.gradient_sq(mesh.vertices)))
     if w.meta["gradient_sq_min"] <= 0:
         raise InfeasibleDegreeError("sum |d phi_j|^2 not uniformly positive")
     return w
 
 
-def convexify_weight(weight: CarlemanWeight, mesh: Mesh) -> np.ndarray:
-    """phi_eps = phi - (h/2 eps) sum_j |phi_j|^2 sampled on the mesh."""
+def convexify_weight(weight: CarlemanWeight, mesh: Mesh, h: float) -> np.ndarray:
+    """phi_eps = phi - (h/2 eps) sum_j |phi_j|^2 sampled on the mesh; the one
+    judge of the estimate's window 0 < h <= epsilon/EPSILON_H_FACTOR."""
+    if h <= 0:
+        raise ConfigurationError(f"h = {h} must be positive")
+    if h > weight.epsilon / EPSILON_H_FACTOR:
+        raise ConfigurationError(
+            f"h = {h} too large for epsilon = {weight.epsilon}: "
+            f"the convexified estimate needs h <= epsilon/{EPSILON_H_FACTOR:g}"
+        )
     values = weight.phi_values(mesh.vertices)
     sq = sum(p**2 for p in values)
-    return values[0] - (weight.h / (2.0 * weight.epsilon)) * sq
+    return values[0] - (h / (2.0 * weight.epsilon)) * sq
 
 
-def convexity_check(weight: CarlemanWeight, mesh: Mesh) -> float:
-    """Relative bulk error of the discrete metric Laplacian of phi_eps
+def convexity_check(weight: CarlemanWeight, mesh: Mesh, h: float) -> float:
+    """Relative bulk error of the discrete metric Laplacian of phi_eps at h
     against the exact identity (h/eps) e^{-2 rho} sum_j |grad phi_j|^2."""
-    lap = (mesh.stiffness @ convexify_weight(weight, mesh)) / mesh.mass
+    lap = (mesh.stiffness @ convexify_weight(weight, mesh, h)) / mesh.mass
     z = mesh.vertices
-    exact = (weight.h / weight.epsilon) * np.exp(-2.0 * mesh.rho_v) * weight.gradient_sq(z)
+    exact = (h / weight.epsilon) * np.exp(-2.0 * mesh.rho_v) * weight.gradient_sq(z)
     bulk = np.abs(z) < 1.0 - 2.0 * mesh.resolution
     num = np.sqrt(np.sum(mesh.vertex_areas[bulk] * (lap - exact)[bulk] ** 2))
     den = np.sqrt(np.sum(mesh.vertex_areas[bulk] * exact[bulk] ** 2))
@@ -141,8 +138,8 @@ def _ratio_terms(mesh: Mesh, B, h: float, fixed: tuple) -> tuple:
     return lhs, rhs, rhs / lhs
 
 
-def carleman_ratio(mesh: Mesh, weight: CarlemanWeight, V, u) -> tuple:
-    """Both sides of the Carleman inequality for one test function.
+def carleman_ratio(mesh: Mesh, weight: CarlemanWeight, V, u, h: float) -> tuple:
+    """Both sides of the Carleman inequality for one test function at h.
 
     lhs = (1/h)||u||^2 + (1/h^2)||u |d phi|||^2 + ||du||^2 + ||d_nu u||^2_{gamma0}
     rhs = ||e^{-phi_eps/h}(Delta_g+V) e^{phi_eps/h} u||^2 + (1/h)||d_nu u||^2_{gamma}
@@ -152,8 +149,8 @@ def carleman_ratio(mesh: Mesh, weight: CarlemanWeight, V, u) -> tuple:
     """
     dphi_sq = _metric_dphi_sq(mesh, weight.phase.derivative()(mesh.vertices))
     fixed = _fixed_terms(mesh, dphi_sq, u)
-    B = conjugated_matrix(schrodinger_matrix(mesh, V), convexify_weight(weight, mesh), weight.h)
-    return _ratio_terms(mesh, B, weight.h, fixed)
+    B = conjugated_matrix(schrodinger_matrix(mesh, V), convexify_weight(weight, mesh, h), h)
+    return _ratio_terms(mesh, B, h, fixed)
 
 
 def sample_test_functions(mesh: Mesh, count: int, seed: int = 0) -> list:
@@ -213,15 +210,16 @@ def carleman_sweep(
     minima = {}
     skipped = []
     for h in sorted(set(float(x) for x in h_list), reverse=True):
-        if h > weight.epsilon / EPSILON_H_FACTOR:
-            msg = f"h = {h} skipped: exceeds epsilon/{EPSILON_H_FACTOR:g} = {weight.epsilon / EPSILON_H_FACTOR}"
-            skipped.append({"h": h, "reason": msg})
+        try:
+            phi_eps = convexify_weight(weight, mesh, h)
+        except ConfigurationError as exc:
+            skipped.append({"h": h, "reason": str(exc)})
             continue
         if h < 0.5 * mesh.resolution * maxgrad:
             msg = f"h = {h} skipped: below weight resolvability {0.5 * mesh.resolution * maxgrad:.3g}"
             skipped.append({"h": h, "reason": msg})
             continue
-        B = conjugated_matrix(A, convexify_weight(weight.at(h), mesh), h)
+        B = conjugated_matrix(A, phi_eps, h)
         best = np.inf
         for sid, terms in enumerate(fixed):
             lhs, rhs, ratio = _ratio_terms(mesh, B, h, terms)
@@ -229,7 +227,8 @@ def carleman_sweep(
             best = min(best, ratio)
         minima[h] = best
     if not minima:
-        raise ConfigurationError("no h in the list was usable for the Carleman sweep")
+        msg = "no h in the list was usable for the Carleman sweep"
+        raise ConfigurationError("; ".join([msg] + [s["reason"] for s in skipped]))
     hs = np.array(sorted(minima, reverse=True))
     mins = np.array([minima[h] for h in hs])
     c_star = float(np.min(mins))

@@ -43,6 +43,7 @@ from .geometry import (
     ConfigurationError,
     Mesh,
     as_values,
+    bump,
     dz_field,
     dzbar_field,
 )
@@ -85,14 +86,8 @@ class Cutoff:
 
     def __call__(self, z) -> np.ndarray:
         r = np.abs(np.asarray(z, dtype=complex) - self.center)
-        return self._profile(r)
-
-    def _profile(self, r):
         half = 0.5 * self.radius
-        t = np.clip((r - half) / (self.radius - half), 0.0, 1.0 - 1e-12)
-        out = np.where(r <= half, 1.0, np.exp(1.0 - 1.0 / (1.0 - t**2)))
-        out[r >= self.radius] = 0.0
-        return out
+        return bump(np.maximum(r - half, 0.0) / half)
 
     def dz(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
@@ -102,7 +97,7 @@ class Cutoff:
         t = np.clip((r - half) / (self.radius - half), 0.0, 1.0 - 1e-12)
         dq = np.where(
             (r > half) & (r < self.radius),
-            np.exp(1.0 - 1.0 / (1.0 - t**2)) * (-2.0 * t / (1.0 - t**2) ** 2) / (self.radius - half),
+            bump(t) * (-2.0 * t / (1.0 - t**2) ** 2) / (self.radius - half),
             0.0,
         )
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -534,9 +529,8 @@ def residual_scaling_report(
             }
         )
     if len(used_h) < 4:
-        raise ConfigurationError(
-            f"need at least 4 usable h values for exponent fits, got {len(used_h)}"
-        )
+        msg = f"need at least 4 usable h values for exponent fits, got {len(used_h)}"
+        raise ConfigurationError("; ".join([msg] + [s["reason"] for s in skipped]))
     norms = {k: [r[k] for r in rows] for k in rows[0] if k != "h"}
     algebraic = ("r1_l2", "r11_l2", "r1_minus_hr12t_l2", "eta_l2", "eta_h1")
     trivial = all(max(norms[k]) < 1e-10 for k in algebraic)

@@ -219,8 +219,7 @@ def run_carleman(sc: Scenario, out_dir: str) -> dict:
     mesh = sc.build_mesh()
     cfg = sc.config
     phase = sc.phase(sc.point, cfg["carleman_psi_target"])
-    h_min = min(sc.h_list)
-    weight = _carleman.build_carleman_weight(mesh, phase, cfg["epsilon"], h_min, degree=cfg["degree"])
+    weight = _carleman.build_carleman_weight(mesh, phase, cfg["epsilon"], degree=cfg["degree"])
     rep = _carleman.carleman_sweep(
         mesh, weight, sc.V1, sc.h_list, sample_count=cfg["carleman_samples"], seed=sc.seed,
     )
@@ -228,7 +227,7 @@ def run_carleman(sc: Scenario, out_dir: str) -> dict:
     json_path = os.path.join(out_dir, "carleman_report.json")
     _write_csv(csv_path, ("h", "sample_id", "lhs", "rhs", "ratio"), rep.pop("rows"))
     _write_json(json_path, rep)
-    conv = _carleman.convexity_check(weight, mesh)
+    conv = _carleman.convexity_check(weight, mesh, min(sc.h_list))
     checks = [
         _check("carleman_min_ratio_positive", rep["pass"], rep["c_star"]),
         _check("convexified_weight_identity", conv <= 5e-2, conv),
@@ -318,11 +317,6 @@ def run_boundary(sc: Scenario, out_dir: str) -> dict:
                 "; trivial: the pairing is below the noise floor, so D = 0 is "
                 "reported without fitting the h^(3/2) law"
             )
-        else:
-            lo, hi = _rc.BOUNDARY_EXPONENT_WINDOW
-            checks.append(
-                _check("boundary_exponent_window", lo <= row["fitted_exponent"] <= hi, row["fitted_exponent"])
-            )
         checks.append(
             _check(
                 "boundary_value_estimate",
@@ -334,7 +328,8 @@ def run_boundary(sc: Scenario, out_dir: str) -> dict:
         )
         constants["D_boundary"] = row["D"]
     else:
-        checks.append(_check("boundary_exponent_window", False, detail="recovery failed at theta_p"))
+        error = next(f["error"] for f in scan["failures"] if abs(f["theta"] - theta_p) < 1e-12)
+        checks.append(_check("boundary_value_estimate", False, detail=f"recovery failed at theta_p: {error}"))
     return {"checks": checks, "constants": constants, "files": [csv_path]}
 
 

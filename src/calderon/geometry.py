@@ -30,6 +30,15 @@ def _wrap_angle(theta):
     return np.mod(theta, TWO_PI)
 
 
+def bump(t) -> np.ndarray:
+    """The C-infinity bump exp(1 - 1/(1 - t^2)) on |t| < 1, 0 elsewhere; bump(0) = 1."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros_like(t)
+    inside = np.abs(t) < 1.0
+    out[inside] = np.exp(1.0 - 1.0 / (1.0 - t[inside] ** 2))
+    return out
+
+
 @dataclass(frozen=True)
 class DiskDomain:
     """Closed unit disk with conformal factor rho and arc partition.

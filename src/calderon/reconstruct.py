@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forward import boundary_pairing, operator
-from .geometry import ConfigurationError, DiskDomain, Mesh
+from .geometry import ConfigurationError, DiskDomain, Mesh, bump
 from .holo import DEGENERACY_THRESHOLD, HoloFunction
 from . import cgo as _cgo
 
@@ -228,20 +228,19 @@ def difference_map(
     points,
     h_list,
     basis,
-    include_r1: bool = False,
 ) -> dict:
     """pointwise_difference over a grid, pairing at each point p the
     (phase, amplitude) of basis(p); individual failures, those of basis
     included, are recorded, not fatal.  Returns {"rows": one dict (x, y,
     D, fit_residual, abs_a_p, C_p) per recovered point, "failures": one
-    dict (x, y, error) per failed point}.  include_r1 defaults off here: the r1 transform costs one
-    singular quadrature per (point, h) and moves D by O(h)."""
+    dict (x, y, error) per failed point}.  The pairings leave out r1: its
+    transform costs one singular quadrature per (point, h) and moves D by O(h)."""
     rows = []
     failures = []
     for p in points:
         p = complex(p)
         try:
-            est = pointwise_difference(mesh, V1, V2, *basis(p), h_list, include_r1=include_r1)
+            est = pointwise_difference(mesh, V1, V2, *basis(p), h_list, include_r1=False)
             m = est["model"]
             rows.append(
                 {
@@ -255,19 +254,12 @@ def difference_map(
     return {"rows": rows, "failures": failures}
 
 
-def _bump(t):
-    out = np.zeros_like(t, dtype=float)
-    inside = np.abs(t) < 1.0
-    out[inside] = np.exp(1.0 - 1.0 / (1.0 - t[inside] ** 2))
-    return out
-
-
 def _concentrating_trace(mesh: Mesh, theta_p: float, h: float, sign: float) -> np.ndarray:
     """Trace eta(x / sqrt(h)) e^{sign * i x / h} at the gamma vertices, with
     x the (wrapped) boundary arclength from the concentration point."""
     theta = mesh.boundary_theta()[~mesh.boundary_is_gamma0]
     x = np.angle(np.exp(1j * (theta - theta_p)))
-    return _bump(x / np.sqrt(h)) * np.exp(sign * 1j * x / h)
+    return bump(x / np.sqrt(h)) * np.exp(sign * 1j * x / h)
 
 
 def _gamma_margin(domain: DiskDomain, theta_p: float) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import ConfigurationError, DiskDomain, Mesh, build_disk_mesh
+from .geometry import ConfigurationError, DiskDomain, Mesh, build_disk_mesh, bump
 from .holo import HoloFunction, build_amplitude, build_morse_phase
 
 _POTENTIAL_SCHEMA = {
@@ -134,12 +134,16 @@ def _apply_defaults(config: dict) -> dict:
         if key not in out and "default" in sub:
             out[key] = copy.deepcopy(sub["default"])
     for key in ("v1", "v2"):
-        spec = out.get(key)
-        if isinstance(spec, dict):
-            for pkey, psub in _POTENTIAL_SCHEMA["properties"].items():
-                if pkey not in spec and "default" in psub:
-                    spec[pkey] = copy.deepcopy(psub["default"])
+        if isinstance(out.get(key), dict):
+            out[key] = _with_potential_defaults(out[key])
     return out
+
+
+def _with_potential_defaults(spec: dict) -> dict:
+    """A copy of a potential spec with each missing key set to its
+    _POTENTIAL_SCHEMA default."""
+    missing = {k: s["default"] for k, s in _POTENTIAL_SCHEMA["properties"].items() if k not in spec and "default" in s}
+    return {**spec, **copy.deepcopy(missing)}
 
 
 # the keywords _schema_errors implements; the last four are annotations
@@ -202,25 +206,20 @@ def validate_config(config: dict) -> dict:
 
 
 def make_potential(spec):
-    """Resolve a potential description into a vectorized callable (or 0.0)."""
+    """Resolve a potential description into a vectorized callable (or 0.0);
+    a missing key takes its _POTENTIAL_SCHEMA default."""
     if spec is None or spec["profile"] == "zero":
         return 0.0
-    amp = float(spec.get("amplitude", 1.0))
-    cx, cy = spec.get("center", [0.0, 0.0])
-    c = complex(cx, cy)
-    w = float(spec.get("width", 0.25))
+    spec = _with_potential_defaults(spec)
+    amp = float(spec["amplitude"])
+    c = complex(*spec["center"])
+    w = float(spec["width"])
     if spec["profile"] == "gaussian":
         return lambda z: amp * np.exp(-np.abs(np.asarray(z) - c) ** 2 / w**2)
     if spec["profile"] == "radial_bump":
-        def bump(z):
-            t = np.abs(np.asarray(z) - c) / w
-            out = np.zeros(np.shape(t))
-            inside = t < 1.0
-            out[inside] = amp * np.exp(1.0 - 1.0 / (1.0 - t[inside] ** 2))
-            return out
-        return bump
+        return lambda z: amp * bump(np.abs(np.asarray(z) - c) / w)
     if spec["profile"] == "piecewise":
-        pieces = spec.get("pieces", [])
+        pieces = spec["pieces"]
         def steps(z):
             r = np.abs(np.asarray(z))
             out = np.zeros(np.shape(r))

@@ -296,13 +296,12 @@ def per_h_slow_amplitude(cgo, h):
     return A + r1
 
 
-def per_sample_ratio_terms(mesh, weight, B, u):
-    """Reference Carleman (lhs, rhs, ratio) of one test function at
-    weight.h: every term recomputed for this (h, u) pair, as
-    calderon.carleman did before its sweep shared the h-independent terms.
-    The mesh supplies K and mass; B is the conjugated matrix at weight.h."""
+def per_sample_ratio_terms(mesh, weight, B, u, h):
+    """Reference Carleman (lhs, rhs, ratio) of one test function at h:
+    every term recomputed for this (h, u) pair, as calderon.carleman did
+    before its sweep shared the h-independent terms.  The mesh supplies K
+    and mass; B is the conjugated matrix at h."""
     u = np.asarray(u, dtype=float)
-    h = weight.h
     z = mesh.vertices
     mass = mesh.mass
     dphi_sq = np.exp(-2.0 * mesh.rho_v) * np.abs(weight.phase.derivative()(z)) ** 2

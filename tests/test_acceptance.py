@@ -161,7 +161,7 @@ C_STAR_GOLDEN = 22.417988079011536  # first certified run of this exact setup
 def test_criterion_06_carleman_golden(ref_mesh, ref_scenario):
     dom = ref_scenario.domain
     phase = build_morse_phase(dom, P_STAR, degree=36, psi_target=0.12, seed=0)
-    weight = _carleman.build_carleman_weight(ref_mesh, phase, 1.0, min(ref_scenario.h_list), degree=16)
+    weight = _carleman.build_carleman_weight(ref_mesh, phase, 1.0, degree=16)
     rep = _carleman.carleman_sweep(
         ref_mesh, weight, ref_scenario.V1, ref_scenario.h_list, sample_count=50, seed=0,
     )

@@ -18,12 +18,14 @@ from conftest import CARLEMAN_CHEAP, P_STAR, per_sample_ratio_terms
 @pytest.fixture(scope="module")
 def quarter_weight(quarter_domain, ref_mesh):
     phase = build_morse_phase(quarter_domain, P_STAR, degree=36, psi_target=0.12)
-    return _ca.build_carleman_weight(ref_mesh, phase, 1.0, 0.1)
+    return _ca.build_carleman_weight(ref_mesh, phase, 1.0)
 
 
-def test_epsilon_h_constraint(quarter_weight):
+def test_epsilon_h_constraint(quarter_weight, quarter_mesh_mid):
     with pytest.raises(ConfigurationError):
-        quarter_weight.at(0.5)  # h > epsilon/5
+        _ca.convexify_weight(quarter_weight, quarter_mesh_mid, 0.5)  # h > epsilon/5
+    with pytest.raises(ConfigurationError, match="h = 0.0 must be positive"):
+        _ca.convexify_weight(quarter_weight, quarter_mesh_mid, 0.0)
 
 
 def test_auxiliary_neumann_residual(quarter_weight, quarter_domain):
@@ -44,29 +46,30 @@ def test_convexify_formula_instance(quarter_weight, quarter_mesh_mid):
     w = quarter_weight
     z = quarter_mesh_mid.vertices
     sq = sum(p**2 for p in w.phi_values(z))
-    expected = np.real(w.phase(z)) - (w.h / (2.0 * w.epsilon)) * sq
-    got = _ca.convexify_weight(w, quarter_mesh_mid)
+    h = 0.1
+    expected = np.real(w.phase(z)) - (h / (2.0 * w.epsilon)) * sq
+    got = _ca.convexify_weight(w, quarter_mesh_mid, h)
     assert np.max(np.abs(got - expected)) <= 1e-14
     # uniform bound ||phi_eps - phi||_inf <= (h / 2 eps) max sum |phi_j|^2
-    assert np.max(np.abs(got - np.real(w.phase(z)))) <= (w.h / (2 * w.epsilon)) * np.max(sq) + 1e-14
+    assert np.max(np.abs(got - np.real(w.phase(z)))) <= (h / (2 * w.epsilon)) * np.max(sq) + 1e-14
 
 
 def test_convexity_laplacian_identity(quarter_weight, ref_mesh):
-    check = _ca.convexity_check(quarter_weight, ref_mesh)
+    check = _ca.convexity_check(quarter_weight, ref_mesh, 0.1)
     assert check <= 5e-2
 
 
 def test_ratio_rejects_zero_function(quarter_weight, quarter_mesh_mid):
     with pytest.raises(ConfigurationError):
         _ca.carleman_ratio(
-            quarter_mesh_mid, quarter_weight, 0.0, np.zeros(quarter_mesh_mid.n_vertices)
+            quarter_mesh_mid, quarter_weight, 0.0, np.zeros(quarter_mesh_mid.n_vertices), 0.1
         )
 
 
 def test_ratio_rejects_nonvanishing_boundary(quarter_weight, quarter_mesh_mid):
     with pytest.raises(ConfigurationError):
         _ca.carleman_ratio(
-            quarter_mesh_mid, quarter_weight, 0.0, np.ones(quarter_mesh_mid.n_vertices)
+            quarter_mesh_mid, quarter_weight, 0.0, np.ones(quarter_mesh_mid.n_vertices), 0.1
         )
 
 
@@ -74,7 +77,7 @@ def test_ratio_rejects_nonvanishing_boundary(quarter_weight, quarter_mesh_mid):
 @given(lam=st.floats(min_value=0.1, max_value=50.0))
 def test_ratio_homogeneity(lam):
     mesh, weight, u, base = _homogeneity_case()
-    _, _, ratio = _ca.carleman_ratio(mesh, weight, 0.0, lam * u)
+    _, _, ratio = _ca.carleman_ratio(mesh, weight, 0.0, lam * u, 0.1)
     assert ratio == pytest.approx(base, rel=1e-9)
 
 
@@ -88,9 +91,9 @@ def _homogeneity_case():
         dom = DiskDomain(gamma0=(0.0, np.pi / 2))
         mesh = build_disk_mesh(0.08, dom)
         phase = build_morse_phase(dom, P_STAR, degree=16, psi_target=0.3)
-        weight = _ca.build_carleman_weight(mesh, phase, 1.0, 0.1)
+        weight = _ca.build_carleman_weight(mesh, phase, 1.0)
         u = _ca.sample_test_functions(mesh, 1, seed=3)[0]
-        _, _, base = _ca.carleman_ratio(mesh, weight, 0.0, u)
+        _, _, base = _ca.carleman_ratio(mesh, weight, 0.0, u, 0.1)
         _H_CACHE.update(mesh=mesh, weight=weight, u=u, base=base)
     c = _H_CACHE
     return c["mesh"], c["weight"], c["u"], c["base"]
@@ -100,7 +103,7 @@ def test_lhs_increases_as_h_decreases(quarter_weight, quarter_mesh_mid):
     u = _ca.sample_test_functions(quarter_mesh_mid, 1, seed=0)[0]
     lhs = []
     for h in (0.2, 0.1, 0.05):
-        l, _, _ = _ca.carleman_ratio(quarter_mesh_mid, quarter_weight.at(h), 0.0, u)
+        l, _, _ = _ca.carleman_ratio(quarter_mesh_mid, quarter_weight, 0.0, u, h)
         lhs.append(l)
     assert lhs[0] < lhs[1] < lhs[2]
 
@@ -119,7 +122,20 @@ def test_sweep_skips_unusable_h(quarter_weight, ref_mesh):
             ref_mesh, quarter_weight, 0.0, [0.5, 0.1], sample_count=5
         )
     assert caught == []
-    assert rep["skipped"] == [{"h": 0.5, "reason": "h = 0.5 skipped: exceeds epsilon/5 = 0.2"}]
+    assert rep["skipped"] == [
+        {"h": 0.5, "reason": "h = 0.5 too large for epsilon = 1.0: the convexified estimate needs h <= epsilon/5"}
+    ]
+
+
+def test_sweep_with_no_usable_h_names_each_reason(quarter_weight, quarter_mesh_mid):
+    """A sweep that refuses every h says why, one recorded reason per h."""
+    with pytest.raises(ConfigurationError) as err:
+        _ca.carleman_sweep(quarter_mesh_mid, quarter_weight, 0.0, [0.5, 0.3], sample_count=2)
+    assert str(err.value) == (
+        "no h in the list was usable for the Carleman sweep"
+        "; h = 0.5 too large for epsilon = 1.0: the convexified estimate needs h <= epsilon/5"
+        "; h = 0.3 too large for epsilon = 1.0: the convexified estimate needs h <= epsilon/5"
+    )
 
 
 def test_sweep_baseline_and_negative_potential_degrades(quarter_weight, ref_mesh):
@@ -172,13 +188,12 @@ def test_sweep_matches_per_sample_reference(quarter_weight, ref_mesh):
     samples = _ca.sample_test_functions(ref_mesh, count, seed=0)
     want = []
     for h in h_list:
-        wh = quarter_weight.at(h)
-        B = conjugated_matrix(A, _ca.convexify_weight(wh, ref_mesh), h)
+        B = conjugated_matrix(A, _ca.convexify_weight(quarter_weight, ref_mesh, h), h)
         for sid, u in enumerate(samples):
-            lhs, rhs, ratio = per_sample_ratio_terms(ref_mesh, wh, B, u)
+            lhs, rhs, ratio = per_sample_ratio_terms(ref_mesh, quarter_weight, B, u, h)
             want.append((h, sid, lhs, rhs, ratio))
             if sid == 1:
-                assert _ca.carleman_ratio(ref_mesh, wh, V, u) == (lhs, rhs, ratio)
+                assert _ca.carleman_ratio(ref_mesh, quarter_weight, V, u, h) == (lhs, rhs, ratio)
     assert rep["rows"] == want
 
 
@@ -197,7 +212,7 @@ def test_sweep_samples_phase_derivative_once(quarter_weight, quarter_mesh_mid, m
 
 def test_carleman_factorizes_nothing(quarter_weight, quarter_mesh_mid, operator_builds):
     u = _ca.sample_test_functions(quarter_mesh_mid, 1, seed=0)[0]
-    _ca.carleman_ratio(quarter_mesh_mid, quarter_weight, -20.0, u)
+    _ca.carleman_ratio(quarter_mesh_mid, quarter_weight, -20.0, u, 0.1)
     _ca.carleman_sweep(quarter_mesh_mid, quarter_weight, -20.0, [0.1], sample_count=2)
     assert operator_builds == []
 
@@ -223,9 +238,9 @@ def test_run_carleman_assembles_once(tmp_path, monkeypatch, operator_builds, sti
     convexified = []
     convexify = _ca.convexify_weight
 
-    def logging_convexify(weight, mesh):
+    def logging_convexify(weight, mesh, h):
         start = len(evaluated)
-        out = convexify(weight, mesh)
+        out = convexify(weight, mesh, h)
         convexified.append(sum(f is weight.phase for f in evaluated[start:]))
         return out
 

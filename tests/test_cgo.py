@@ -348,6 +348,22 @@ def test_too_few_h_values_raises(quarter_prep, quarter_mesh_mid):
         )
 
 
+def test_too_few_h_values_names_the_skipped(quarter_prep, quarter_mesh_mid):
+    """When refused h leave fewer than 4 for the fits, the error carries
+    the reason recorded for each refused h."""
+    from calderon.geometry import ConfigurationError
+
+    with pytest.raises(ConfigurationError) as err:
+        _cgo.residual_scaling_report(
+            quarter_mesh_mid, gaussian_bump,
+            quarter_prep["phase"], quarter_prep["amplitude"], [0.2, 2e-5, 1e-5],
+        )
+    msg = str(err.value)
+    assert msg.startswith("need at least 4 usable h values for exponent fits, got 1; ")
+    assert "mesh cannot resolve phase oscillation at h = 2e-05" in msg
+    assert "mesh cannot resolve phase oscillation at h = 1e-05" in msg
+
+
 def test_mirror_phase_pairing_runs(quarter_mesh_mid, quarter_domain):
     """A mirror CGO (phase -Phi) is built and completes to finite values."""
     phase = build_morse_phase(quarter_domain, P_STAR, degree=16, psi_target=0.3)

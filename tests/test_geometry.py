@@ -8,7 +8,9 @@ from calderon.geometry import (
     DiskDomain,
     build_disk_mesh,
     boundary_integral,
+    bump,
 )
+from calderon.cgo import Cutoff
 
 from conftest import interior_integral, loop_disk_mesh, normal_derivative_trace
 
@@ -16,6 +18,24 @@ from conftest import interior_integral, loop_disk_mesh, normal_derivative_trace
 def test_domain_rejects_empty_gamma():
     with pytest.raises(ConfigurationError):
         DiskDomain(gamma0=(0.0, 2.0 * np.pi))
+
+
+def test_bump_values():
+    """bump(0) = 1, bump vanishes for |t| >= 1 and is positive inside, and
+    a Cutoff built on it is exactly 1 on its inner half and 0 outside."""
+    assert bump(0.0) == 1.0
+    t = np.array([-2.0, -1.0, 1.0, 1.5, np.inf])
+    assert np.array_equal(bump(t), np.zeros(len(t)))
+    inside = np.linspace(-0.999, 0.999, 41)
+    assert np.all(bump(inside) > 0) and np.all(bump(inside) <= 1.0)
+    chi = Cutoff(0.1 + 0.2j, 0.4)
+    z = chi.center + np.linspace(0.0, 0.6, 121) * np.exp(0.7j)
+    r = np.abs(z - chi.center)
+    values = chi(z)
+    assert np.all(values[r <= 0.2] == 1.0)
+    falloff = values[(r > 0.21) & (r < 0.39)]
+    assert np.all((falloff > 0) & (falloff < 1))
+    assert np.all(values[r >= 0.4] == 0.0)
 
 
 def test_mesh_cells_positively_oriented(mesh_mid):

@@ -160,3 +160,30 @@ def test_private_names_stay_in_their_module():
             if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
                 crossing |= {(path.stem, node.module, a.name) for a in node.names if a.name.startswith("_")}
     assert crossing == PRIVATE_IMPORTS
+
+
+def test_carleman_weight_is_h_free_and_one_function_judges_epsilon_over_5():
+    """h is a parameter of the Carleman estimate, not of the weight: the
+    CarlemanWeight dataclass has no h field and no at(h), and inside
+    carleman only convexify_weight reads EPSILON_H_FACTOR, so the rule
+    h <= epsilon/5 is written once."""
+    tree = ast.parse((Path(calderon.__file__).parent / "carleman.py").read_text())
+    weight = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "CarlemanWeight")
+    fields = {n.target.id for n in weight.body if isinstance(n, ast.AnnAssign)}
+    assert "epsilon" in fields and "h" not in fields
+    assert "at" not in {n.name for n in weight.body if isinstance(n, ast.FunctionDef)}
+    readers = {
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.ClassDef))
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Name) and node.id == "EPSILON_H_FACTOR" and isinstance(node.ctx, ast.Load)
+    }
+    assert readers == {"convexify_weight"}
+
+
+def test_bump_formula_has_one_body():
+    """exp(1 - 1/(1 - t^2)) is written in geometry.bump alone."""
+    src = Path(calderon.__file__).parent
+    writers = sorted(p.stem for p in src.glob("*.py") if "1.0 - 1.0 / (1.0 - " in p.read_text())
+    assert writers == ["geometry"]

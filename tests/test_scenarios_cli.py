@@ -48,8 +48,8 @@ def test_default_epsilon_admits_default_h_list():
     h_min = min(cfg["h_list"])
     assert h_min <= cfg["epsilon"] / _carleman.EPSILON_H_FACTOR
     phase = sc.phase(sc.point, cfg["carleman_psi_target"])
-    weight = _carleman.build_carleman_weight(sc.build_mesh(), phase, cfg["epsilon"], h_min, degree=cfg["degree"])
-    assert weight.h == h_min
+    weight = _carleman.build_carleman_weight(sc.build_mesh(), phase, cfg["epsilon"], degree=cfg["degree"])
+    _carleman.convexity_check(weight, sc.build_mesh(), h_min)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -327,6 +327,19 @@ def test_potential_radial_bump_support():
     assert vals[0] == pytest.approx(1.0)
     assert vals[1] > 0
     assert vals[2] == 0.0 and vals[3] == 0.0
+
+
+def test_potential_defaults_come_from_the_schema(monkeypatch):
+    """A key a potential spec leaves out, in v1, v2 or a dict-valued rho,
+    takes its _POTENTIAL_SCHEMA default: the schema is its one home."""
+    from calderon import scenarios
+
+    props = {**scenarios._POTENTIAL_SCHEMA["properties"], "width": {"type": "number", "default": 0.5}}
+    monkeypatch.setitem(scenarios._POTENTIAL_SCHEMA, "properties", props)
+    z = np.array([0.5 + 0j])
+    assert make_potential({"profile": "gaussian"})(z)[0] == np.exp(-1.0)
+    assert make_rho({"profile": "gaussian", "amplitude": 2.0})(z)[0] == 2.0 * np.exp(-1.0)
+    assert make_potential({"profile": "gaussian", "width": 0.25})(z)[0] == np.exp(-4.0)
 
 
 def test_potential_piecewise():
@@ -700,7 +713,8 @@ def test_every_csv_round_trips(tmp_path):
 def test_reference_boundary_check_flagged_trivial(tmp_path):
     """On the reference scenario V1 is ~0 at theta_p, the pairing sits below
     the noise floor and the boundary value check is marked trivial; with
-    the bump on theta_p it is a real check and carries no flag."""
+    the bump on theta_p it is a real check and carries no flag.  The scan
+    judges the h^(3/2) window, so no separate window check is reported."""
     for cfg, trivial in (({"name": "reference", "seed": 0}, True), ({"name": "cheap", "seed": 3, **BOUNDARY_CHEAP}, False)):
         out = tmp_path / cfg["name"]
         out.mkdir()
@@ -710,7 +724,19 @@ def test_reference_boundary_check_flagged_trivial(tmp_path):
         assert check["passed"]
         assert check.get("trivial", False) is trivial
         assert ("noise floor" in check["detail"]) is trivial
-        assert any(c["name"] == "boundary_exponent_window" for c in summary["checks"]) is not trivial
+        assert not any(c["name"] == "boundary_exponent_window" for c in summary["checks"])
+
+
+def test_boundary_failure_at_theta_p_fails_the_value_check(tmp_path, monkeypatch):
+    """A theta_p the scan cannot recover FAILs boundary_value_estimate with
+    the scan's recorded error.  On gamma0 the calibration refuses theta_p
+    first, so a fixed calibration stands in for it here."""
+    monkeypatch.setattr(_rc, "calibrate_boundary_constant", lambda mesh, theta_p, h_list: 1.0)
+    sc = load_scenario({"name": "cheap", "seed": 3, **BOUNDARY_CHEAP, "theta_p": np.pi / 4})
+    results = _cli.run_boundary(sc, str(tmp_path))
+    assert [(c["name"], c["passed"]) for c in results["checks"]] == [("boundary_value_estimate", False)]
+    assert "theta = 0.785 lies on gamma0" in results["checks"][0]["detail"]
+    assert results["constants"]["scan_failures"] == 3
 
 
 def test_import_loads_no_optional_scipy_modules(tmp_path):
