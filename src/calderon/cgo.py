@@ -37,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+from scipy.linalg import LinAlgError, solveh_banded
 
 from .geometry import (
     ConfigurationError,
@@ -141,15 +141,15 @@ def green_dz(mesh: Mesh, source: np.ndarray) -> np.ndarray:
     return theta
 
 
-def build_r12(mesh: Mesh, phase: HoloFunction, b: np.ndarray, chi1: Cutoff, hess_abs: float):
+def build_r12(mesh: Mesh, phase: HoloFunction, b: np.ndarray, chi1: Cutoff):
     """Algebraic remainders: r12 with 2i r12 dz(psi) = (1 - chi1) b exactly
     where chi1 = 0, and the global quotient r_tilde12 = b / Phi' extended
     through the critical points by Tikhonov regularization at the mesh
-    scale.  Returns (r12, r_tilde12)."""
+    scale |Phi''(p)| resolution / 2.  Returns (r12, r_tilde12)."""
     z = mesh.vertices
     dphi = phase.derivative()(z)
     c1 = chi1(z)
-    tau = 0.5 * hess_abs * mesh.resolution
+    tau = 0.5 * abs(phase.derivative(2)(phase.meta["p"])) * mesh.resolution
     reg = np.conj(dphi) / (np.abs(dphi) ** 2 + tau**2)
     r_tilde12 = b * reg
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -306,9 +306,8 @@ def prepare_cgo(
         theta = green_dz(mesh, aV)
         f = build_jet_form(theta, mesh, phase, degree=degree)
         b = f.derivative()(mesh.vertices) - theta
-    hess_abs = abs(phase.derivative(2)(phase.meta["p"]))
     if np.any(np.abs(b) > 0):
-        r12, r_tilde12 = build_r12(mesh, phase, b, chi1, hess_abs)
+        r12, r_tilde12 = build_r12(mesh, phase, b, chi1)
         a0 = build_a0(r_tilde12, mesh, degree=degree)
     else:
         r12 = np.zeros(mesh.n_vertices, dtype=complex)
@@ -438,12 +437,12 @@ def _solve_spd_banded(S: sp.spmatrix, rhs: np.ndarray, h: float) -> np.ndarray:
     Cuthill-McKee order.
 
     The RCM order of S's pattern (Cuthill & McKee 1969) packs its 2-ring
-    stencil into a narrow band, which LAPACK's dpbtrf factors in about half
-    the time of a sparse LU and in less memory.  Only the upper triangle of the
-    permuted S is read, so an S that is symmetric only to rounding (a
-    computed G M^{-1} G^T) is symmetrized implicitly.  A non-positive-definite
-    S raises RuntimeError naming h and the failing leading minor (counted in
-    RCM order).
+    stencil into a narrow band, which LAPACK's dpbsv (dpbtrf, then dpbtrs)
+    factors and solves in about half the time of a sparse LU and in less
+    memory.  Only the upper triangle of the permuted S is read, so an S that
+    is symmetric only to rounding (a computed G M^{-1} G^T) is symmetrized
+    implicitly.  A non-positive-definite S raises RuntimeError naming h and
+    the failing leading minor (counted in RCM order).
     """
     from scipy.sparse.csgraph import reverse_cuthill_mckee
 
@@ -456,17 +455,16 @@ def _solve_spd_banded(S: sp.spmatrix, rhs: np.ndarray, h: float) -> np.ndarray:
     upper = row <= col
     row, col = row[upper], col[upper]
     bandwidth = int(np.max(col - row, initial=0))
-    # column-major, as dpbtrf stores the band, so overwrite_ab copies nothing
+    # column-major, as dpbsv stores the band, so overwrite_ab copies nothing
     band = np.zeros((bandwidth + 1, n), order="F")
     band[bandwidth + row - col, col] = S.data[upper]
     try:
-        factor = cholesky_banded(band, overwrite_ab=True, check_finite=False)
+        x = solveh_banded(band, rhs[perm], overwrite_ab=True, overwrite_b=True, check_finite=False)
     except LinAlgError as exc:
         raise RuntimeError(
             f"duality normal equations at h = {h} are not positive definite: "
             f"{exc} (reverse Cuthill-McKee order)"
         ) from exc
-    x = cho_solve_banded((factor, False), rhs[perm], check_finite=False)
     out = np.empty_like(x)
     out[perm] = x
     return out

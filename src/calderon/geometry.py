@@ -343,10 +343,5 @@ def dz_field(values: np.ndarray, mesh: Mesh) -> np.ndarray:
 
 
 def dzbar_field(values: np.ndarray, mesh: Mesh) -> np.ndarray:
-    """Recovered d/dzbar of a vertex field."""
-    g = vertex_gradient(np.real(values), mesh)
-    out = 0.5 * (g.real + 1j * g.imag)
-    if np.iscomplexobj(values):
-        gi = vertex_gradient(np.imag(values), mesh)
-        out = out + 0.5j * (gi.real + 1j * gi.imag)
-    return out
+    """Recovered d/dzbar of a vertex field: dzbar v = conj(dz conj(v))."""
+    return np.conj(dz_field(np.conj(values), mesh))

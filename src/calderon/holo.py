@@ -36,11 +36,17 @@ PHASE_TIKHONOV = 1e-18
 # Hessian bias) and gamma0 collocation nodes per degree of an arc fit
 PHASE_ATTEMPTS = 8
 ARC_NODES_PER_DEGREE = 8
-# critical-point finder: Newton polishes the eigenvalues within NEWTON_RADIUS
-# for at most NEWTON_STEPS steps; candidates closer than MERGE_TOL are one zero
+# critical-point finder: the disk contour's winding starts at WINDING_SAMPLES
+# samples; Newton polishes the eigenvalues within NEWTON_RADIUS for at most
+# NEWTON_STEPS steps, until a step is below NEWTON_TOL; candidates closer
+# than MERGE_TOL are one zero, and the one within PRIMARY_TOL of a phase's
+# p is its primary point p
+WINDING_SAMPLES = 2048
 NEWTON_RADIUS = 1.5
 NEWTON_STEPS = 6
+NEWTON_TOL = 1e-13
 MERGE_TOL = 1e-7
+PRIMARY_TOL = 1e-9
 # a winding contour step is refused when min(|f'/f| at its two ends) times
 # its length exceeds this (see _poly_winding)
 STEP_TURN_LIMIT = 1.7
@@ -421,8 +427,8 @@ class CriticalPointReport:
     def is_morse(self) -> bool:
         return all(not p.degenerate for p in self.points)
 
-    def secondary(self, p: complex, tol: float = 1e-9) -> list:
-        return [q for q in self.points if abs(q.location - p) > tol]
+    def secondary(self, p: complex) -> list:
+        return [q for q in self.points if abs(q.location - p) > PRIMARY_TOL]
 
 
 def _poly_winding(fn: HoloFunction, path: np.ndarray):
@@ -460,7 +466,8 @@ def _poly_winding(fn: HoloFunction, path: np.ndarray):
     return w.astype(int) if w.ndim else int(w)
 
 
-def _circle_winding(fn: HoloFunction, radius: float, samples: int = 2048) -> int:
+def _circle_winding(fn: HoloFunction, radius: float) -> int:
+    samples = WINDING_SAMPLES
     for attempt in range(6):
         path = (radius + attempt * 1e-5) * np.exp(
             1j * TWO_PI * np.arange(samples) / samples
@@ -472,9 +479,9 @@ def _circle_winding(fn: HoloFunction, radius: float, samples: int = 2048) -> int
     raise RuntimeError("could not certify winding number on the disk contour")
 
 
-def _newton_polish(dphi: HoloFunction, d2phi: HoloFunction, z0: np.ndarray, tol=1e-13) -> np.ndarray:
+def _newton_polish(dphi: HoloFunction, d2phi: HoloFunction, z0: np.ndarray) -> np.ndarray:
     """Newton's method on every start point at once.  A point stops once its
-    step falls below tol; a point whose step never does, or whose dPhi''
+    step falls below NEWTON_TOL; a point whose step never does, or whose dPhi''
     vanishes (a multiple zero), keeps its start point."""
     z = z0.copy()
     active = np.ones(len(z), dtype=bool)
@@ -488,7 +495,7 @@ def _newton_polish(dphi: HoloFunction, d2phi: HoloFunction, z0: np.ndarray, tol=
         step = np.zeros_like(za)
         np.divide(dphi(za), d2, out=step, where=ok)
         z[active] = za - step
-        done = ok & (np.abs(step) < tol)
+        done = ok & (np.abs(step) < NEWTON_TOL)
         converged[active] = done
         active[active] = ok & ~done
     return np.where(converged, z, z0)
@@ -695,8 +702,7 @@ def build_morse_phase(
         phi.meta["attempt"] = attempt
         report = find_critical_points(phi)
         last_report = report
-        ours = [q for q in report.points if abs(q.location - p) < 1e-8]
-        if report.is_morse and ours and not ours[0].degenerate:
+        if report.is_morse and any(abs(q.location - p) <= PRIMARY_TOL for q in report.points):
             phi.meta["critical_points"] = report
             phi.meta["p"] = p
             return phi
@@ -715,7 +721,7 @@ def build_amplitude(
     p = meta["p"], zeros of order vanish_order at its other critical points
     (meta["critical_points"]), Re a = 0 on gamma0."""
     report, p = phase.meta["critical_points"], phase.meta["p"]
-    if not any(abs(q.location - p) < 1e-8 for q in report.points):
+    if not any(abs(q.location - p) <= PRIMARY_TOL for q in report.points):
         raise ValueError("p is not among the report's critical points")
     constraints = [(p, 0, 1.0 + 0.0j)]
     for q in report.secondary(p):

@@ -9,6 +9,8 @@ from calderon.geometry import (
     build_disk_mesh,
     boundary_integral,
     bump,
+    dz_field,
+    dzbar_field,
 )
 from calderon.cgo import Cutoff
 
@@ -36,6 +38,28 @@ def test_bump_values():
     falloff = values[(r > 0.21) & (r < 0.39)]
     assert np.all((falloff > 0) & (falloff < 1))
     assert np.all(values[r >= 0.4] == 0.0)
+
+
+def _dz_dzbar_error(mesh, f, dz, dzbar, where):
+    return max(
+        np.max(np.abs(dz_field(f, mesh) - dz)[where]),
+        np.max(np.abs(dzbar_field(f, mesh) - dzbar)[where]),
+    )
+
+
+@pytest.mark.parametrize("mesh_name", ["mesh_coarse", "mesh_mid"])
+def test_dz_dzbar_recovery(mesh_name, request):
+    """d/dz and d/dzbar of z, zbar, x and y are exact at every vertex; for
+    z^2 and |z|^2 the error on the bulk |z| < 1 - 4 resolution is at most
+    one resolution (0.81 resolution measured at 0.08 and 0.04)."""
+    mesh = request.getfixturevalue(mesh_name)
+    z = mesh.vertices
+    every = np.ones(len(z), dtype=bool)
+    for f, dz, dzbar in ((z, 1.0, 0.0), (np.conj(z), 0.0, 1.0), (z.real, 0.5, 0.5), (z.imag, -0.5j, 0.5j)):
+        assert _dz_dzbar_error(mesh, f, dz, dzbar, every) <= 1e-12
+    bulk = np.abs(z) < 1.0 - 4.0 * mesh.resolution
+    for f, dz, dzbar in ((z**2, 2.0 * z, 0.0), (np.abs(z) ** 2, np.conj(z), z)):
+        assert _dz_dzbar_error(mesh, f, dz, dzbar, bulk) <= mesh.resolution
 
 
 def test_mesh_cells_positively_oriented(mesh_mid):

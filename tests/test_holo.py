@@ -1,11 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from calderon import holo
 from calderon.geometry import ConfigurationError, DiskDomain, build_disk_mesh
 from calderon.holo import (
+    CriticalPointReport,
     HoloFunction,
     InfeasibleDegreeError,
+    MorseVerificationError,
     build_amplitude,
     build_jet_form,
     build_morse_phase,
@@ -338,6 +342,53 @@ def test_morse_phase_checks_the_full_fit_not_the_screen(quarter_domain, monkeypa
         build_morse_phase(quarter_domain, P_STAR, degree=36, psi_target=0.8)
 
 
+def _non_morse(report):
+    """report with every critical point marked degenerate."""
+    points = [replace(q, degenerate=True) for q in report.points]
+    return CriticalPointReport(points=points, count_check=report.count_check)
+
+
+def test_morse_phase_retries_a_non_morse_report(ref_scenario, monkeypatch):
+    """A first attempt whose report is not Morse is retried: the phase comes
+    from attempt 1, with the Hessian bias of the first draw of
+    default_rng(seed), and equals the reference bisection with that bias
+    bit for bit."""
+    cfg, dom, p = ref_scenario.config, ref_scenario.domain, complex(ref_scenario.point)
+    find, seen = holo.find_critical_points, []
+
+    def non_morse_once(phi):
+        seen.append(phi.meta["attempt"])
+        report = find(phi)
+        return _non_morse(report) if len(seen) == 1 else report
+
+    monkeypatch.setattr(holo, "find_critical_points", non_morse_once)
+    seed, degree, psi_target = 3, cfg["phase_degree"], cfg["psi_target"]
+    phi = build_morse_phase(dom, p, degree=degree, psi_target=psi_target, seed=seed)
+    assert seen == [0, 1] and phi.meta["attempt"] == 1
+    assert phi.meta["critical_points"].is_morse
+    angle = float(np.random.default_rng(seed).uniform(0.0, 2 * np.pi))
+    mu, coeffs = _reference_bisection(dom, p, degree, psi_target, (p, 2, 3.0 * np.exp(1j * angle)))
+    assert phi.meta["penalty_weight"] == mu
+    assert np.array_equal(phi.coeffs, coeffs)
+
+
+def test_morse_phase_names_the_last_report_after_every_attempt_fails(quarter_domain, monkeypatch):
+    """When no attempt gives a Morse report, MorseVerificationError names the
+    last attempt's report."""
+    find, reports = holo.find_critical_points, []
+
+    def never_morse(phi):
+        reports.append(_non_morse(find(phi)))
+        return reports[-1]
+
+    monkeypatch.setattr(holo, "find_critical_points", never_morse)
+    with pytest.raises(MorseVerificationError) as err:
+        build_morse_phase(quarter_domain, P_STAR, degree=36, psi_target=0.8)
+    assert len(reports) == holo.PHASE_ATTEMPTS
+    assert str(err.value).endswith(f"last report: {reports[-1]}")
+    assert str(reports[-2]) not in str(err.value)
+
+
 def test_morse_phase_rejects_boundary_point(quarter_domain):
     with pytest.raises(ConfigurationError):
         build_morse_phase(quarter_domain, np.exp(0.3j), degree=16)
@@ -530,6 +581,23 @@ def test_amplitude_single_point_full_data():
     a = build_amplitude(phi, dom)
     z = 0.8 * np.exp(1j * np.linspace(0, 2 * np.pi, 32))
     assert np.max(np.abs(a(z) - 1.0)) <= 1e-8
+
+
+def test_one_constant_decides_the_primary_point(quarter_domain):
+    """A critical point within PRIMARY_TOL of p is the phase's own p to the
+    report (not secondary) and to build_amplitude; one at twice that
+    distance is secondary, and build_amplitude refuses the phase."""
+    p = P_STAR
+    for offset, is_primary in ((0.5 * holo.PRIMARY_TOL, True), (2.0 * holo.PRIMARY_TOL, False)):
+        q = holo.CriticalPoint(p + offset, 2.0, 1, on_boundary=False, degenerate=False)
+        report = CriticalPointReport(points=[q], count_check=1)
+        assert report.secondary(p) == ([] if is_primary else [q])
+        phase = HoloFunction([1j + p * p, -2.0 * p, 1.0], meta={"p": p, "critical_points": report})
+        if is_primary:
+            assert abs(build_amplitude(phase, quarter_domain)(p) - 1.0) <= 1e-10
+        else:
+            with pytest.raises(ValueError, match="not among"):
+                build_amplitude(phase, quarter_domain)
 
 
 def test_amplitude_vanishing_orders(quarter_domain):

@@ -241,6 +241,42 @@ def test_difference_map_records_a_point_the_basis_refuses(quarter_domain):
     assert "interior to the disk" in failure["error"]
 
 
+def test_difference_map_points_r11_sweep_would_refuse(ref_mesh, ref_scenario):
+    """The r11_sweep bound that difference_map does not apply (it pairs
+    without r1): on the reference map exactly five of the 29 grid points
+    have a bound above the smallest h = 0.05, and the point estimate's is
+    0.0406.  Bounds only, no pairing."""
+    cfg, z = ref_scenario.config, ref_mesh.vertices
+    h_min = min(ref_scenario.h_list)
+    assert h_min == 0.05
+
+    def bound(p):
+        """r11_sweep's least resolvable h at p: 4 resolution max|Phi'|/2
+        over supp chi1, with the cutoffs at scale 1."""
+        phase = ref_scenario.phase(p, cfg["psi_target"])
+        _, chi1 = _cgo.build_cutoffs(phase, scale=1.0)
+        return 4.0 * ref_mesh.resolution * 0.5 * np.max(np.abs(phase.derivative()(z[chi1(z) > 0])))
+
+    grid = _rc.make_grid(cfg["grid_n"], cfg["grid_radius"])
+    assert len(grid) == 29
+    refused = {}
+    for p in grid:
+        b = bound(p)
+        if b > h_min:
+            refused[(round(p.real, 12), round(p.imag, 12))] = (p, b)
+    assert sorted(refused) == [(0.0, 0.6), (0.2, 0.4), (0.4, 0.2), (0.4, 0.4), (0.6, 0.0)]
+    refused_bounds = [b for _, b in refused.values()]
+    assert min(refused_bounds) == pytest.approx(0.0606, abs=5e-5)
+    assert max(refused_bounds) == pytest.approx(0.0795, abs=5e-5)
+    assert bound(ref_scenario.point) == pytest.approx(0.0406, abs=5e-5)
+    # the restated bound is r11_sweep's own: it refuses h = 0.05 at (0.4, 0.4) naming it
+    p, b = refused[(0.4, 0.4)]
+    phase = ref_scenario.phase(p, cfg["psi_target"])
+    cgo = _cgo.prepare_cgo(ref_mesh, ref_scenario.V1, phase, ref_scenario.amplitude(phase))
+    with pytest.raises(_cgo.ResolvabilityError, match=f"need h >= {b:.3g}"):
+        cgo.r11_sweep([h_min])
+
+
 def test_make_grid_stays_inside_radius():
     pts = _rc.make_grid(9, radius=0.5)
     assert np.all(np.abs(pts) <= 0.5 + 1e-12)
