@@ -19,7 +19,7 @@ import numpy as np
 from .forward import schrodinger_matrix
 from .geometry import ConfigurationError, Mesh, as_values, boundary_integral
 from .holo import HoloFunction, InfeasibleDegreeError, build_auxiliaries
-from .cgo import conjugated_matrix
+from .cgo import WEIGHT_PER_CELL, conjugated_matrix, resolvable_h
 
 EPSILON_H_FACTOR = 5.0
 
@@ -185,9 +185,12 @@ def carleman_sweep(
 ) -> dict:
     """Minimum Carleman ratio over seeded test functions and an h sweep.
 
-    Unresolvable h (weight variation per cell exceeding unity in the
-    conjugation) and h beyond the epsilon constraint are skipped, each
-    recorded once in the report's "skipped" list with its reason.  PASS
+    An h beyond the epsilon constraint (judged first, by convexify_weight)
+    and an h the mesh cannot resolve are skipped, each recorded once in the
+    report's "skipped" list with its reason.  Resolvable means
+    cgo.resolvable_h at the slope max|Phi'| over the mesh with
+    WEIGHT_PER_CELL: the weight phi/h may change by 2 per cell, since the
+    conjugation by the real e^{phi/h} has no oscillation to follow.  PASS
     means every surviving minimum is positive and the min-ratio trend does
     not head to zero as h decreases.  The report's "rows" are (h,
     sample_id, lhs, rhs, ratio) tuples in sweep order.
@@ -201,7 +204,7 @@ def carleman_sweep(
     """
     samples = sample_test_functions(mesh, sample_count, seed)
     dphi = weight.phase.derivative()(mesh.vertices)
-    maxgrad = float(np.max(np.abs(dphi)))
+    refused = {r["h"]: r for r in resolvable_h(mesh, h_list, float(np.max(np.abs(dphi))), WEIGHT_PER_CELL)[1]}
     V_values = as_values(V, mesh)
     A = schrodinger_matrix(mesh, V_values)
     dphi_sq = _metric_dphi_sq(mesh, dphi)
@@ -215,9 +218,8 @@ def carleman_sweep(
         except ConfigurationError as exc:
             skipped.append({"h": h, "reason": str(exc)})
             continue
-        if h < 0.5 * mesh.resolution * maxgrad:
-            msg = f"h = {h} skipped: below weight resolvability {0.5 * mesh.resolution * maxgrad:.3g}"
-            skipped.append({"h": h, "reason": msg})
+        if h in refused:
+            skipped.append(refused[h])
             continue
         B = conjugated_matrix(A, phi_eps, h)
         best = np.inf

@@ -61,6 +61,30 @@ class ResolvabilityError(RuntimeError):
     """The mesh cannot resolve the requested semiclassical oscillation."""
 
 
+# change of theta/h allowed per cell where the P1 fields must follow an
+# oscillation e^{i theta/h}: one radian, about six cells per period
+PHASE_PER_CELL = 1
+# change of phi/h allowed per cell in the real weight e^{phi/h} that
+# conjugates the Carleman operator: the conjugated matrix's entries stay
+# within about e^{+-2} of those of Delta_g + V, with no oscillation to follow
+WEIGHT_PER_CELL = 2
+
+
+def resolvable_h(mesh: Mesh, h_list, slope: float, per_cell: float) -> tuple:
+    """The one rule for which h a mesh resolves: an exponential e^{theta/h}
+    whose phase theta has slope `slope` varies by at most per_cell per cell
+    when h >= floor = resolution * slope / per_cell.
+
+    Returns (kept, refused, floor): the kept h, unique and descending;
+    one {"h", "reason"} record per refused h, in the same order; and the
+    floor.  Every semiclassical sweep takes its h from here."""
+    floor = mesh.resolution * slope / per_cell
+    h_list = sorted(set(float(h) for h in h_list), reverse=True)
+    kept = [h for h in h_list if h >= floor]
+    refused = [{"h": h, "reason": f"mesh cannot resolve h = {h}: need h >= {floor:.3g}"} for h in h_list[len(kept):]]
+    return kept, refused, floor
+
+
 def l2_norm(values, mesh: Mesh) -> float:
     v = np.asarray(values)
     return float(np.sqrt(np.sum(mesh.mass * np.abs(v) ** 2)))
@@ -123,6 +147,17 @@ def build_cutoffs(phase: HoloFunction, scale: float = 1.0) -> tuple[Cutoff, Cuto
     outer = min(0.5 * d * scale, 0.95 * (1.0 - abs(p)))
     inner = min(0.25 * d * scale, 0.5 * outer)
     return Cutoff(p, outer), Cutoff(p, inner)
+
+
+def phase_slope(mesh: Mesh, phase: HoloFunction, cutoff_scale: float = 1.0) -> float:
+    """Slope 2 max|Phi'| of the phase 2 psi of e^{2i psi/h} over supp chi1
+    (build_cutoffs at cutoff_scale), where the r11 transform and the
+    stationary-phase pairing at p follow it; 0 when no vertex lies in
+    supp chi1.  Needs no CGO."""
+    z = mesh.vertices
+    _, chi1 = build_cutoffs(phase, scale=cutoff_scale)
+    inside = z[chi1(z) > 0]
+    return 2.0 * float(np.max(np.abs(phase.derivative()(inside)), initial=0.0))
 
 
 def green_dz(mesh: Mesh, source: np.ndarray) -> np.ndarray:
@@ -218,13 +253,13 @@ class CGO:
         """dzbar(chi1 b), an h-independent term of residual_field (b != 0)."""
         return dzbar_field(self.chi1(self.mesh.vertices) * self.b, self.mesh)
 
-    def r11_sweep(self, h_list, skipped: Optional[list] = None) -> dict:
+    def r11_sweep(self, h_list) -> dict:
         """r11 = chi e^{-2i psi/h} R(e^{2i psi/h} chi1 b) and the cutoff error
         eta = e^{-2i psi/h} R(...) dz(chi) at each h of h_list; returns
         {h: (r11, eta, T)} with the raw transform T = R(e^{2i psi/h} chi1 b)
         (used by the termwise residual evaluator, which must never
         differentiate oscillations numerically).  When b = 0, r11 and eta
-        are zero and T is None at every h, and no h is refused.
+        are zero and T is None at every h.
 
         Every consumer multiplies R(...) by chi or dz(chi), so the transform is
         evaluated only at the vertices of supp chi and supp dz(chi); the
@@ -232,38 +267,24 @@ class CGO:
 
         Only the weights e^{2i psi/h} chi1 b depend on h, so the whole sweep is
         one Cauchy transform of several fields: its kernels are built once and
-        each h's result equals a transform of that h alone bit for bit.  An h
-        the mesh cannot resolve raises ResolvabilityError before any transform,
-        or, when a skipped list is given, is appended to it as
-        {"h": h, "reason": message} and left out."""
+        each h's result equals a transform of that h alone bit for bit.  Every
+        h given is transformed: the callers take h_list from resolvable_h at
+        the slope phase_slope, with PHASE_PER_CELL."""
         mesh, b, chi = self.mesh, self.b, self.chi
-        if not np.any(np.abs(b) > 0):
+        if len(h_list) == 0 or not np.any(np.abs(b) > 0):
             zero = np.zeros(mesh.n_vertices, dtype=complex)
             return {h: (zero, zero, None) for h in h_list}
         z = mesh.vertices
-        dphi = self.phase.derivative()(z)
         c1 = self.chi1(z)
-        supp = c1 > 0
-        max_grad = 0.5 * np.max(np.abs(dphi[supp])) if np.any(supp) else 0.0
-        h_min = 4.0 * mesh.resolution * max_grad
-        resolved = [h for h in h_list if h >= h_min]
-        for h in h_list:
-            if h < h_min:
-                reason = f"mesh cannot resolve phase oscillation at h = {h}: need h >= {h_min:.3g}"
-                if skipped is None:
-                    raise ResolvabilityError(reason)
-                skipped.append({"h": h, "reason": reason})
-        if not resolved:
-            return {}
         psi = self.phase(z).imag
-        osc = [np.exp(2j * psi / h) for h in resolved]
+        osc = [np.exp(2j * psi / h) for h in h_list]
         c = chi(z)
         dchi = chi.dz(z)
         idx = np.flatnonzero((c > 0) | (dchi != 0))
         F = np.array([osc_h * c1 * b for osc_h in osc])
         T_idx, _ = _cauchy_transform_columns(F, mesh, eval_index=idx)
         out = {}
-        for h, osc_h, T_h in zip(resolved, osc, T_idx):
+        for h, osc_h, T_h in zip(h_list, osc, T_idx):
             T = np.zeros(mesh.n_vertices, dtype=complex)
             T[idx] = T_h
             r11_hat = np.conj(osc_h) * T
@@ -494,23 +515,25 @@ def residual_scaling_report(
     """Measure every remainder norm across an h sweep and fit the scaling
     exponents; at least 4 usable h values are required for a fit.
 
-    The CGO comes from prepare_cgo and the r11 of every h from its one
-    r11_sweep, so the sweep's Cauchy transforms share their kernels; an h
-    the mesh cannot resolve is skipped with its reason.  Each h evaluates
-    residual_field once, for both its duality completion and its ansatz
-    residual.  r2 is the minimal-norm remainder of duality_completion.
+    The h the mesh resolves come from resolvable_h at the slope
+    phase_slope with PHASE_PER_CELL, and an h it refuses is skipped with
+    its reason.  The CGO comes from prepare_cgo and the r11 of every kept h
+    from its one r11_sweep, so the sweep's Cauchy transforms share their
+    kernels.  Each h evaluates residual_field once, for both its duality
+    completion and its ansatz residual.  r2 is the minimal-norm remainder
+    of duality_completion.
 
     Delta_g + V is the CGO's A, assembled once per sweep and never
     factorized, so the sweep runs no Dirichlet-eigenvalue guard for V: the
     duality solve does not invert Delta_g + V, and fails loudly instead
     when its normal equations are not positive definite."""
-    h_list = sorted(set(float(h) for h in h_list), reverse=True)
+    used_h, skipped, _ = resolvable_h(mesh, h_list, phase_slope(mesh, phase, cutoff_scale), PHASE_PER_CELL)
+    if len(used_h) < 4:
+        msg = f"need at least 4 usable h values for exponent fits, got {len(used_h)}"
+        raise ConfigurationError("; ".join([msg] + [s["reason"] for s in skipped]))
     cgo = prepare_cgo(mesh, V, phase, amplitude, cutoff_scale=cutoff_scale)
     rows = []
-    used_h = []
-    skipped = []
-    for h, (r11, eta, T) in cgo.r11_sweep(h_list, skipped=skipped).items():
-        used_h.append(h)
+    for h, (r11, eta, T) in cgo.r11_sweep(used_h).items():
         res = residual_field(cgo, h, r11, T)
         r2 = duality_completion(cgo, h, r11, res)
         r1 = r11 + h * cgo.r12
@@ -526,9 +549,6 @@ def residual_scaling_report(
                 "ansatz_residual_l2": ansatz_residual(mesh, res),
             }
         )
-    if len(used_h) < 4:
-        msg = f"need at least 4 usable h values for exponent fits, got {len(used_h)}"
-        raise ConfigurationError("; ".join([msg] + [s["reason"] for s in skipped]))
     norms = {k: [r[k] for r in rows] for k in rows[0] if k != "h"}
     algebraic = ("r1_l2", "r11_l2", "r1_minus_hr12t_l2", "eta_l2", "eta_h1")
     trivial = all(max(norms[k]) < 1e-10 for k in algebraic)

@@ -245,15 +245,15 @@ def run_reconstruct(sc: Scenario, out_dir: str) -> dict:
     mesh = sc.build_mesh()
     cfg = sc.config
 
-    def basis(p):
-        phase = sc.phase(p, cfg["psi_target"])
+    def basis(p, scale=1.0):
+        phase = sc.phase(p, scale * cfg["psi_target"])
         return phase, sc.amplitude(phase)
 
     est = _rc.pointwise_difference(mesh, sc.V1, sc.V2, *basis(sc.point), sc.h_list)
     true_p = float(np.real(_eval_potential(sc.V1, sc.point) - _eval_potential(sc.V2, sc.point)))
     grid = _rc.make_grid(cfg["grid_n"], cfg["grid_radius"])
     dmap = _rc.difference_map(mesh, sc.V1, sc.V2, grid, sc.h_list, basis)
-    header = ("x", "y", "D", "fit_residual", "abs_a_p", "C_p")
+    header = ("x", "y", "D", "fit_residual", "abs_a_p", "C_p", "psi_p")
     csv_path = os.path.join(out_dir, "difference_map.csv")
     _write_csv(csv_path, header, ([r[k] for k in header] for r in dmap["rows"]))
     checks = [

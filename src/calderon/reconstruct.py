@@ -29,6 +29,11 @@ from . import cgo as _cgo
 
 MIN_PERIODS = 2.0
 
+# difference_map scales psi to put a point's floor at this fraction of the
+# smallest h: the floor grows with psi, but a rebuilt phase is a new fit,
+# not an exact rescaling, so the margin keeps its floor below that h
+PSI_MARGIN = 0.98
+
 # fitted boundary exponents in this window show the h^{3/2} regime is reached
 BOUNDARY_EXPONENT_WINDOW = (1.35, 1.65)
 
@@ -174,18 +179,21 @@ def pointwise_difference(
     mode="subsequence" reproduces the two-sequence trick, generating its own
     h values with cos(2 psi(p)/h) = +1 and -1 inside [min(h_list), max(h_list)]
     and differencing the fitted h-slopes.
+    With or without r1, an h the mesh cannot resolve for e^{2i psi/h}
+    (cgo.resolvable_h at cgo.phase_slope) raises ResolvabilityError.
     """
     p = phase.meta["p"]
     model = stationary_phase_constant(phase, amplitude, rho_p=float(mesh.domain.rho(np.array([p]))[0]))
     scale = model.C_p * abs(model.a_p) ** 2 * np.exp(2.0 * model.rho_p)
-    h_arr = np.asarray(sorted(set(float(x) for x in h_list), reverse=True))
+    h_list, refused, _ = _cgo.resolvable_h(mesh, h_list, _cgo.phase_slope(mesh, phase), _cgo.PHASE_PER_CELL)
+    if refused:
+        raise _cgo.ResolvabilityError("; ".join(r["reason"] for r in refused))
     if mode == "fit":
-        S = cgo_pairings(mesh, V1, V2, phase, amplitude, h_arr, include_r1)
-        fit = fit_pairing_model(h_arr, np.real(S), model.psi_p)
+        S = cgo_pairings(mesh, V1, V2, phase, amplitude, h_list, include_r1)
+        fit = fit_pairing_model(h_list, np.real(S), model.psi_p)
         D = fit["C"] / scale
-        table = list(zip(h_arr.tolist(), [complex(s) for s in S]))
     elif mode == "subsequence":
-        h_lo, h_hi = float(h_arr.min()), float(h_arr.max())
+        h_lo, h_hi = min(h_list), max(h_list)
         plus = [model.psi_p / (np.pi * j) for j in range(1, 200)]
         minus = [2.0 * model.psi_p / (np.pi * (2 * j + 1)) for j in range(0, 200)]
         plus = [h for h in plus if h_lo <= h <= h_hi]
@@ -201,17 +209,9 @@ def pointwise_difference(
         bm = np.polyfit(minus, Sm, 1)[0]
         D = (bp - bm) / (2.0 * scale)
         fit = {"slope_plus": float(bp), "slope_minus": float(bm)}
-        table = list(zip(plus + minus, [complex(s) for s in np.concatenate([Sp, Sm])]))
     else:
         raise ConfigurationError(f"unknown extraction mode {mode!r}")
-    return {
-        "D": float(D),
-        "p": p,
-        "model": model,
-        "fit": fit,
-        "pairings": table,
-        "mode": mode,
-    }
+    return {"D": float(D), "model": model, "fit": fit}
 
 
 def make_grid(n: int, radius: float) -> np.ndarray:
@@ -232,21 +232,32 @@ def difference_map(
     """pointwise_difference over a grid, pairing at each point p the
     (phase, amplitude) of basis(p); individual failures, those of basis
     included, are recorded, not fatal.  Returns {"rows": one dict (x, y,
-    D, fit_residual, abs_a_p, C_p) per recovered point, "failures": one
-    dict (x, y, error) per failed point}.  The pairings leave out r1: its
-    transform costs one singular quadrature per (point, h) and moves D by O(h)."""
+    D, fit_residual, abs_a_p, C_p, psi_p) per recovered point, "failures":
+    one dict (x, y, error) per failed point}.  The pairings leave out r1:
+    its transform costs one singular quadrature per (point, h) and moves D
+    by O(h).
+
+    psi is chosen per point: basis(p, scale) scales the psi target (default
+    1), and where the floor of basis(p) (cgo.resolvable_h) lies above the
+    smallest h, the phase is rebuilt at scale PSI_MARGIN * min(h) / floor.
+    It still passes pointwise_difference's guard; a point that stays
+    unresolvable, or spans fewer than MIN_PERIODS periods, is a failure."""
     rows = []
     failures = []
     for p in points:
         p = complex(p)
         try:
-            est = pointwise_difference(mesh, V1, V2, *basis(p), h_list, include_r1=False)
+            phase, amplitude = basis(p)
+            _, refused, floor = _cgo.resolvable_h(mesh, h_list, _cgo.phase_slope(mesh, phase), _cgo.PHASE_PER_CELL)
+            if refused:
+                phase, amplitude = basis(p, scale=PSI_MARGIN * min(h_list) / floor)
+            est = pointwise_difference(mesh, V1, V2, phase, amplitude, h_list, include_r1=False)
             m = est["model"]
             rows.append(
                 {
                     "x": p.real, "y": p.imag, "D": est["D"],
                     "fit_residual": est["fit"].get("residual", float("nan")),
-                    "abs_a_p": abs(m.a_p), "C_p": m.C_p,
+                    "abs_a_p": abs(m.a_p), "C_p": m.C_p, "psi_p": m.psi_p,
                 }
             )
         except (RuntimeError, ConfigurationError) as exc:
@@ -283,17 +294,16 @@ def boundary_pairing_sweep(
 
     u1 uses the null exponent alpha = (i, -1) (trace eta e^{ix/h}); u2 the
     conjugate exponent (-i, -1), so u1 u2 has modulus e^{-2y/h} and the
-    pairing scales like h^{3/2}.  Both are exact discrete solves with
+    pairing scales like h^{3/2}.  The h come from cgo.resolvable_h at slope
+    2, that of the exponent -2y/h, with PHASE_PER_CELL; a refused h raises
+    ReconstructionError naming it.  Both are exact discrete solves with
     Dirichlet data supported in gamma; each operator solves the traces of
     every h as one block, so a sweep makes two passes over LU factors
     whatever the length of h_list.
     """
-    h_arr = sorted(set(float(x) for x in h_list), reverse=True)
-    if min(h_arr) < 2.0 * mesh.resolution:
-        raise ReconstructionError(
-            f"mesh cannot resolve the boundary layer at h = {min(h_arr):g}: "
-            f"need h >= {2.0 * mesh.resolution:.3g}"
-        )
+    h_arr, refused, _ = _cgo.resolvable_h(mesh, h_list, 2.0, _cgo.PHASE_PER_CELL)
+    if refused:
+        raise ReconstructionError("; ".join(r["reason"] for r in refused))
     if mesh.domain.on_gamma0(theta_p):
         a, b = mesh.domain.gamma0
         raise ReconstructionError(f"theta = {theta_p:.3f} lies on gamma0 = [{a:.3f}, {b:.3f}], not on gamma")

@@ -136,12 +136,12 @@ def oscillatory_integral(g, phase: HoloFunction, h: float, mesh: Mesh) -> comple
 
 
 def interior_basis(domain, seed=0):
-    """basis(p) -> (phase, amplitude) by the reference recipe: phase degree
-    36 with psi_target 0.8, amplitude degree 16 vanishing to order 4 at the
-    phase's other critical points."""
+    """basis(p, scale) -> (phase, amplitude) by the reference recipe: phase
+    degree 36 with psi_target 0.8 times scale, amplitude degree 16 vanishing
+    to order 4 at the phase's other critical points."""
 
-    def basis(p):
-        phase = holo.build_morse_phase(domain, p, degree=36, psi_target=0.8, seed=seed)
+    def basis(p, scale=1.0):
+        phase = holo.build_morse_phase(domain, p, degree=36, psi_target=scale * 0.8, seed=seed)
         return phase, holo.build_amplitude(phase, domain, vanish_order=4, degree=16)
 
     return basis

@@ -1,4 +1,5 @@
 import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import scipy.sparse as sp
 
 from calderon import cgo as _cgo
 from calderon import geometry, holo
+from calderon import reconstruct as _rc
 from calderon.forward import schrodinger_matrix
 from calderon.geometry import DiskDomain, as_values, build_disk_mesh
 from calderon.holo import HoloFunction, build_amplitude, build_morse_phase, find_critical_points
@@ -149,18 +151,20 @@ def test_r11_supp_chi_matches_full_evaluation(quarter_prep, quarter_mesh_mid):
 
 
 def test_r11_sweep_matches_per_h(quarter_prep, quarter_mesh_mid):
-    """One r11_sweep gives every h the bits of its own transform; an
-    unresolvable h is skipped with the message a lone call raises."""
-    cgo = quarter_prep["cgo"]
-    args = (quarter_mesh_mid, quarter_prep["phase"], cgo.b, cgo.chi, cgo.chi1)
-    skipped = []
-    got = cgo.r11_sweep([0.3, 0.2, 1e-5, 0.14], skipped=skipped)
+    """One r11_sweep gives every h the bits of its own transform.  The
+    rule at r11's slope keeps the resolvable h and skips an unresolvable
+    one with the message the pairing with r1 raises for it alone."""
+    cgo, phase = quarter_prep["cgo"], quarter_prep["phase"]
+    args = (quarter_mesh_mid, phase, cgo.b, cgo.chi, cgo.chi1)
+    slope = _cgo.phase_slope(quarter_mesh_mid, phase)
+    kept, skipped, _ = _cgo.resolvable_h(quarter_mesh_mid, [0.3, 0.2, 1e-5, 0.14], slope, _cgo.PHASE_PER_CELL)
+    got = cgo.r11_sweep(kept)
     assert list(got) == [0.3, 0.2, 0.14]
     for h, fields in got.items():
         for g, want in zip(fields, per_h_r11(*args, h)):
             assert np.array_equal(g, want)
     with pytest.raises(_cgo.ResolvabilityError) as err:
-        cgo.r11_sweep([1e-5])
+        _rc.pointwise_difference(quarter_mesh_mid, gaussian_bump, 0.0, phase, quarter_prep["amplitude"], [1e-5])
     assert skipped == [{"h": 1e-5, "reason": str(err.value)}]
 
 
@@ -218,8 +222,49 @@ def test_h1_norm_of_paraboloid():
 
 
 def test_r11_unresolvable_h_raises(quarter_prep, quarter_mesh_mid):
+    """The pairing with r1 refuses an h too small for the r11 transform
+    before it transforms anything."""
     with pytest.raises(_cgo.ResolvabilityError):
-        quarter_prep["cgo"].r11_sweep([1e-5])
+        _rc.pointwise_difference(
+            quarter_mesh_mid, gaussian_bump, 0.0, quarter_prep["phase"], quarter_prep["amplitude"], [1e-5]
+        )
+
+
+def test_resolvable_h_reproduces_each_former_floor(quarter_prep, quarter_mesh_mid):
+    """The one rule gives, bit for bit, the three floors the sweeps used to
+    compute each in its own way: r11's 4 resolution (max|Phi'|/2) over
+    supp chi1, the Carleman sweep's 0.5 resolution max|Phi'| over the mesh
+    and the boundary sweep's 2 resolution."""
+    mesh, phase = quarter_mesh_mid, quarter_prep["phase"]
+    z = mesh.vertices
+    dphi = phase.derivative()(z)
+    for scale in (1.0, 1.5, 1.9):
+        _, chi1 = _cgo.build_cutoffs(phase, scale=scale)
+        old = 4.0 * mesh.resolution * (0.5 * np.max(np.abs(dphi[chi1(z) > 0])))
+        *_, floor = _cgo.resolvable_h(mesh, [0.1], _cgo.phase_slope(mesh, phase, scale), _cgo.PHASE_PER_CELL)
+        assert floor == old
+    *_, floor = _cgo.resolvable_h(mesh, [0.1], float(np.max(np.abs(dphi))), _cgo.WEIGHT_PER_CELL)
+    assert floor == 0.5 * mesh.resolution * float(np.max(np.abs(dphi)))
+    *_, floor = _cgo.resolvable_h(mesh, [0.1], 2.0, _cgo.PHASE_PER_CELL)
+    assert floor == 2.0 * mesh.resolution
+    # the same identities on seeded (resolution, max|Phi'|) pairs
+    rng = np.random.default_rng(0)
+    for res, m in zip(rng.uniform(0.005, 0.1, 1000), rng.uniform(0.0, 20.0, 1000)):
+        mesh_r = types.SimpleNamespace(resolution=float(res))
+        assert _cgo.resolvable_h(mesh_r, [], 2.0 * m, _cgo.PHASE_PER_CELL)[2] == 4.0 * res * (0.5 * m)
+        assert _cgo.resolvable_h(mesh_r, [], m, _cgo.WEIGHT_PER_CELL)[2] == 0.5 * res * m
+
+
+def test_resolvable_h_normalises_and_records_each_refusal(quarter_mesh_mid):
+    """Kept h are unique and descending; each refused h has one record, in
+    the same order, naming it and the floor."""
+    kept, refused, floor = _cgo.resolvable_h(quarter_mesh_mid, [0.1, 0.3, 0.1, 0.01, 0.02, 0.01], 1.0, 1)
+    assert floor == quarter_mesh_mid.resolution == 0.04
+    assert kept == [0.3, 0.1]
+    assert refused == [
+        {"h": 0.02, "reason": f"mesh cannot resolve h = 0.02: need h >= {floor:.3g}"},
+        {"h": 0.01, "reason": f"mesh cannot resolve h = 0.01: need h >= {floor:.3g}"},
+    ]
 
 
 def test_r12_defining_identity(quarter_prep, quarter_mesh_mid):
@@ -361,8 +406,8 @@ def test_too_few_h_values_names_the_skipped(quarter_prep, quarter_mesh_mid):
         )
     msg = str(err.value)
     assert msg.startswith("need at least 4 usable h values for exponent fits, got 1; ")
-    assert "mesh cannot resolve phase oscillation at h = 2e-05" in msg
-    assert "mesh cannot resolve phase oscillation at h = 1e-05" in msg
+    assert "; mesh cannot resolve h = 2e-05: need h >= " in msg
+    assert "; mesh cannot resolve h = 1e-05: need h >= " in msg
 
 
 def test_mirror_phase_pairing_runs(quarter_mesh_mid, quarter_domain):

@@ -1,7 +1,10 @@
+import csv
+
 import numpy as np
 import pytest
 
 from calderon import cgo as _cgo
+from calderon import cli as _cli
 from calderon import reconstruct as _rc
 from calderon.forward import boundary_pairing, operator
 from calderon.geometry import as_values, build_disk_mesh
@@ -230,10 +233,21 @@ def test_difference_map_localizes_bump(ref_mesh, ref_scenario):
 def test_difference_map_records_a_point_the_basis_refuses(quarter_domain):
     """A basis that refuses a point with ConfigurationError (no Morse phase
     at |p| >= 0.98) costs that point alone: it is a failure naming the
-    reason, and the map goes on."""
-    mesh = build_disk_mesh(0.08, quarter_domain)
+    reason, and the map goes on.  So is a point the mesh cannot resolve:
+    on the 0.08 mesh, (0.2, 0) needs a psi so low that the h list spans
+    too few periods; the 0.04 mesh recovers it."""
+    h_list = [0.2, 0.14, 0.1, 0.07, 0.05]
+    coarse = _rc.difference_map(
+        build_disk_mesh(0.08, quarter_domain), gaussian_bump, 0.0, [0.2, 0.99], h_list, interior_basis(quarter_domain)
+    )
+    assert coarse["rows"] == []
+    unresolved, refused = coarse["failures"]
+    assert (unresolved["x"], unresolved["y"]) == (0.2, 0.0)
+    assert "spans only 1.18 periods" in unresolved["error"]
+    assert (refused["x"], refused["y"]) == (0.99, 0.0)
+    assert "interior to the disk" in refused["error"]
     out = _rc.difference_map(
-        mesh, gaussian_bump, 0.0, [0.2, 0.99], [0.2, 0.14, 0.1, 0.07, 0.05], interior_basis(quarter_domain)
+        build_disk_mesh(0.04, quarter_domain), gaussian_bump, 0.0, [0.2, 0.99], h_list, interior_basis(quarter_domain)
     )
     assert [(r["x"], r["y"]) for r in out["rows"]] == [(0.2, 0.0)]
     (failure,) = out["failures"]
@@ -242,20 +256,19 @@ def test_difference_map_records_a_point_the_basis_refuses(quarter_domain):
 
 
 def test_difference_map_points_r11_sweep_would_refuse(ref_mesh, ref_scenario):
-    """The r11_sweep bound that difference_map does not apply (it pairs
-    without r1): on the reference map exactly five of the 29 grid points
-    have a bound above the smallest h = 0.05, and the point estimate's is
-    0.0406.  Bounds only, no pairing."""
-    cfg, z = ref_scenario.config, ref_mesh.vertices
+    """The r11 floor at the reference psi 0.8: on the reference map exactly
+    five of the 29 grid points have a floor above the smallest h = 0.05,
+    and the point estimate's is 0.0406.  difference_map rebuilds those
+    five at a lower psi.  Floors only, no pairing."""
+    cfg = ref_scenario.config
     h_min = min(ref_scenario.h_list)
     assert h_min == 0.05
 
     def bound(p):
-        """r11_sweep's least resolvable h at p: 4 resolution max|Phi'|/2
-        over supp chi1, with the cutoffs at scale 1."""
+        """The least resolvable h at p: resolution times phase_slope, 2
+        max|Phi'| over supp chi1 with the cutoffs at scale 1."""
         phase = ref_scenario.phase(p, cfg["psi_target"])
-        _, chi1 = _cgo.build_cutoffs(phase, scale=1.0)
-        return 4.0 * ref_mesh.resolution * 0.5 * np.max(np.abs(phase.derivative()(z[chi1(z) > 0])))
+        return ref_mesh.resolution * _cgo.phase_slope(ref_mesh, phase, 1.0)
 
     grid = _rc.make_grid(cfg["grid_n"], cfg["grid_radius"])
     assert len(grid) == 29
@@ -269,12 +282,47 @@ def test_difference_map_points_r11_sweep_would_refuse(ref_mesh, ref_scenario):
     assert min(refused_bounds) == pytest.approx(0.0606, abs=5e-5)
     assert max(refused_bounds) == pytest.approx(0.0795, abs=5e-5)
     assert bound(ref_scenario.point) == pytest.approx(0.0406, abs=5e-5)
-    # the restated bound is r11_sweep's own: it refuses h = 0.05 at (0.4, 0.4) naming it
+    # the restated bound is the pairing's own: it refuses h = 0.05 at (0.4, 0.4) naming it
     p, b = refused[(0.4, 0.4)]
     phase = ref_scenario.phase(p, cfg["psi_target"])
-    cgo = _cgo.prepare_cgo(ref_mesh, ref_scenario.V1, phase, ref_scenario.amplitude(phase))
     with pytest.raises(_cgo.ResolvabilityError, match=f"need h >= {b:.3g}"):
-        cgo.r11_sweep([h_min])
+        _rc.pointwise_difference(ref_mesh, ref_scenario.V1, ref_scenario.V2, phase, ref_scenario.amplitude(phase), [h_min])
+
+
+def test_pairing_without_r1_refuses_an_unresolvable_h(quarter_mesh_mid, quarter_domain):
+    """pointwise_difference applies the rule without r1 as well: an h below
+    the floor raises, naming it, before any CGO is built."""
+    phase = build_morse_phase(quarter_domain, P_STAR, degree=16, psi_target=0.3)
+    amplitude = build_amplitude(phase, quarter_domain)
+    *_, floor = _cgo.resolvable_h(
+        quarter_mesh_mid, [], _cgo.phase_slope(quarter_mesh_mid, phase), _cgo.PHASE_PER_CELL
+    )
+    assert 1e-3 < floor < 0.1
+    with pytest.raises(_cgo.ResolvabilityError, match=f"^mesh cannot resolve h = 0.001: need h >= {floor:.3g}$"):
+        _rc.pointwise_difference(
+            quarter_mesh_mid, gaussian_bump, 0.0, phase, amplitude, [0.3, 0.2, 0.14, 0.1, 1e-3], include_r1=False
+        )
+
+
+def test_reference_map_recovers_every_point(ref_scenario, tmp_path):
+    """The reference map, as `calderon reconstruct` writes it, recovers all
+    29 points within max |D - truth| <= 0.1 and rms <= 0.05 (measured 0.089
+    and 0.046).  The five points whose floor at psi 0.8 lies above
+    h = 0.05 carry a lower psi in the psi_p column; the others keep 0.8."""
+    results = _cli.run_reconstruct(ref_scenario, str(tmp_path))
+    assert results["constants"]["map_failures"] == 0
+    with open(tmp_path / "difference_map.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 29
+    z = np.array([complex(float(r["x"]), float(r["y"])) for r in rows])
+    V2 = ref_scenario.V2
+    truth = np.real(ref_scenario.V1(z) - (V2(z) if callable(V2) else V2))
+    err = np.abs(np.array([float(r["D"]) for r in rows]) - truth)
+    assert np.max(err) <= 0.1
+    assert np.sqrt(np.mean(err**2)) <= 0.05
+    lowered = sorted((round(w.real, 12), round(w.imag, 12)) for w, r in zip(z, rows) if float(r["psi_p"]) < 0.79)
+    assert lowered == [(0.0, 0.6), (0.2, 0.4), (0.4, 0.2), (0.4, 0.4), (0.6, 0.0)]
+    assert all(float(r["psi_p"]) == pytest.approx(0.8) for r in rows if float(r["psi_p"]) >= 0.79)
 
 
 def test_make_grid_stays_inside_radius():

@@ -603,7 +603,11 @@ def test_difference_map_without_cache_factorizes_once(operator_builds):
     out = _rc.difference_map(
         sc.build_mesh(), sc.V1, sc.V2, grid, sc.h_list, interior_basis(sc.domain, seed=sc.seed),
     )
-    assert len(out["rows"]) == len(grid)
+    # the two points nearest gamma0 need a psi too low for this h list
+    assert len(out["rows"]) + len(out["failures"]) == len(grid)
+    assert [(f["x"], f["y"]) for f in out["failures"]] == [(0.6, 0.0), (0.0, 0.6)]
+    assert "spans only 1.40 periods" in out["failures"][0]["error"]
+    assert "spans only 1.32 periods" in out["failures"][1]["error"]
     assert len(operator_builds) == 1
 
 
@@ -667,7 +671,7 @@ CSV_HEADERS = {
     "cgo_scaling_0.csv": "h,norm_name,value",
     "cgo_scaling_1.csv": "h,norm_name,value",
     "carleman_sweep.csv": "h,sample_id,lhs,rhs,ratio",
-    "difference_map.csv": "x,y,D,fit_residual,abs_a_p,C_p",
+    "difference_map.csv": "x,y,D,fit_residual,abs_a_p,C_p,psi_p",
     "boundary_scan.csv": "theta,D,fitted_exponent",
 }
 # every other CSV column holds floats
