@@ -206,12 +206,17 @@ def run_cgo(sc: Scenario, out_dir: str) -> dict:
     checks = []
     constants = {}
     for key, (idx, lo, hi) in _CGO_WINDOWS.items():
+        detail = f"window [{lo}, {hi}]"
         if idx >= len(reports):
+            checks.append(_check(f"exponent_{key}", False, detail=f"{detail}; cgo_regimes[{idx}] is not configured"))
             continue
-        e = reports[idx]["exponents"][key]["exponent"]
+        fit = reports[idx]["exponents"][key]
+        e = fit["exponent"]
         constants[f"exponent_{key}_regime{idx}"] = e
         ok = e is not None and lo <= e <= hi
-        checks.append(_check(f"exponent_{key}", ok, e, detail=f"window [{lo}, {hi}]"))
+        if fit["exact_zero"]:
+            detail += "; no exponent fitted: b = 0 and the remainders vanish identically"
+        checks.append(_check(f"exponent_{key}", ok, e, detail=detail))
     return {"checks": checks, "constants": constants, "files": files}
 
 

@@ -32,9 +32,7 @@ DEGENERACY_THRESHOLD = 1e-8
 # Tikhonov weights of the arc fits and of the Morse-phase fits (ridge lam = sqrt of it)
 ARC_TIKHONOV = 1e-12
 PHASE_TIKHONOV = 1e-18
-# Morse-phase attempts (the first unbiased, the rest with a random soft
-# Hessian bias) and gamma0 collocation nodes per degree of an arc fit
-PHASE_ATTEMPTS = 8
+# gamma0 collocation nodes per degree of an arc fit
 ARC_NODES_PER_DEGREE = 8
 # critical-point finder: the disk contour's winding starts at WINDING_SAMPLES
 # samples; Newton polishes the eigenvalues within NEWTON_RADIUS for at most
@@ -574,11 +572,11 @@ def find_critical_points(phi: HoloFunction) -> CriticalPointReport:
 # builders
 
 
-def _phase_fitter(domain, p, degree, bias=None):
-    """Phase fits for one attempt: Phi(p)=i, dPhi(p)=0 (and the Hessian
-    bias) hard; Im Phi=0 on gamma0 and a gradient-energy penalty of weight
-    mu soft.  Everything but mu is fixed, so it is built once here; the
-    returned fit(mu) gives (fn, arc residual).
+def _phase_fitter(domain, p, degree):
+    """Phase fits at p: Phi(p)=i and dPhi(p)=0 hard; Im Phi=0 on gamma0
+    and a gradient-energy penalty of weight mu soft.  Everything but mu is
+    fixed, so it is built once here; the returned fit(mu) gives (fn, arc
+    residual).
 
     fit.screen(mu) gives the arc residual alone, from the R factors of the
     two soft blocks with their right-hand sides appended as a last column:
@@ -586,10 +584,7 @@ def _phase_fitter(domain, p, degree, bias=None):
     the penalty block [dA N, -dA x0].  The 2-norm is invariant under
     orthogonal maps, so the least-squares problem of [R_F; mu R_D] has the
     minimizer of fit's, up to rounding, at the cost of one small QR."""
-    cons = [(p, 0, 1j), (p, 1, 0.0)]
-    if bias is not None:
-        cons = cons + [bias]
-    x0, N = _hard_space(degree, cons)
+    x0, N = _hard_space(degree, [(p, 0, 1j), (p, 1, 0.0)])
     nodes, fine = _arc_grids(domain, degree)
     arc_rows = _part_rows(_power_matrix(nodes, degree), "im")
     samp = np.exp(1j * TWO_PI * np.arange(4 * degree) / (4 * degree))
@@ -623,7 +618,6 @@ def build_morse_phase(
     domain: DiskDomain,
     p: complex,
     degree: int = 16,
-    seed: int = 0,
     psi_target: float = 1.0,
 ) -> HoloFunction:
     """Holomorphic Morse phase: dPhi(p)=0 exactly, Phi(p)=i*psi_target,
@@ -633,23 +627,23 @@ def build_morse_phase(
     the smallest gradient energy (largest feasible penalty weight, found by
     bisection), since downstream semiclassical solves must resolve
     oscillations at wavelength ~ h/|dPhi|.  psi_target rescales the whole
-    phase; Im Phi(p) = psi_target stays nonzero.  Degenerate outcomes are
-    retried, up to PHASE_ATTEMPTS attempts in all, with a randomized soft
-    Hessian bias.
+    phase; Im Phi(p) = psi_target stays nonzero.  A generic fit is Morse,
+    so the builder fits once and certifies once: a critical-point report
+    that is not Morse, or that lacks p among its points, raises
+    MorseVerificationError naming the report.
 
-    Within one attempt only the penalty weight mu changes, so the hard
-    constraints, their null space, the arc and penalty rows, their R factors
-    and the verification nodes are built once per attempt.  The 14
-    bisection decisions read the screened residual (fit.screen: one small
-    QR of the stacked R factors per mu).  The phase and its stored
-    arc_residual come from one full least-squares fit at the chosen mu, and
-    that fit alone is checked against the residual target.  At the floor
-    mu = 1e-9 (no screened mu met the target) a miss means the degree is
-    too low; above it, that the screen and the full fit disagree.  meta
-    records the chosen "penalty_weight", the "attempt" index, the
-    "critical_points" report and "p", the exact point the phase was built
-    at (the report holds its Newton-polished root), which every consumer
-    reads as the primary critical point.
+    Only the penalty weight mu changes between the bisection's fits, so the
+    hard constraints, their null space, the arc and penalty rows, their R
+    factors and the verification nodes are built once.  The 14 bisection
+    decisions read the screened residual (fit.screen: one small QR of the
+    stacked R factors per mu).  The phase and its stored arc_residual come
+    from one full least-squares fit at the chosen mu, and that fit alone is
+    checked against the residual target.  At the floor mu = 1e-9 (no
+    screened mu met the target) a miss means the degree is too low; above
+    it, that the screen and the full fit disagree.  meta records the chosen
+    "penalty_weight", the "critical_points" report and "p", the exact point
+    the phase was built at (the report holds its Newton-polished root),
+    which every consumer reads as the primary critical point.
     """
     p = complex(p)
     margin = 0.02
@@ -657,58 +651,46 @@ def build_morse_phase(
         raise ConfigurationError("phase critical point must be interior to the disk")
     if psi_target <= 0:
         raise ConfigurationError("psi_target must be positive")
-    rng = np.random.default_rng(seed)
-    last_report = None
-    for attempt in range(PHASE_ATTEMPTS):
-        bias = None
-        if attempt > 0:
-            angle = float(rng.uniform(0.0, TWO_PI))
-            bias = (p, 2, 3.0 * np.exp(1j * angle))
-        if domain.gamma0 is None:
-            base = np.zeros(max(degree + 1, 3), dtype=complex)
-            c2 = 1.0 if bias is None else bias[2] / 2.0
-            # (z-p)^2 * c2 + i expanded in powers of z
-            base[0] = 1j + c2 * p * p
-            base[1] = -2.0 * c2 * p
-            base[2] = c2
-            phi = HoloFunction(base)
-            phi.meta["arc_residual"] = 0.0
-        else:
-            target = 0.8 * ARC_RESIDUAL_TOL / psi_target
-            lo, hi = 1e-9, 1e-2  # residual grows with the penalty weight mu
-            fit = _phase_fitter(domain, p, degree, bias)
-            screen_res = None
-            for _ in range(14):
-                mid = np.sqrt(lo * hi)
-                res_mid = fit.screen(mid)
-                if res_mid <= target:
-                    lo, screen_res = mid, res_mid
-                else:
-                    hi = mid
-            phi, best_res = fit(lo)
-            if best_res > target:
-                if screen_res is None:
-                    raise InfeasibleDegreeError(
-                        f"arc residual {best_res:.2e} exceeds {target:.1e} even without "
-                        f"gradient penalty at degree {degree}; increase the degree"
-                    )
+    if domain.gamma0 is None:
+        base = np.zeros(max(degree + 1, 3), dtype=complex)
+        # (z-p)^2 + i expanded in powers of z
+        base[0] = 1j + p * p
+        base[1] = -2.0 * p
+        base[2] = 1.0
+        phi = HoloFunction(base)
+        phi.meta["arc_residual"] = 0.0
+    else:
+        target = 0.8 * ARC_RESIDUAL_TOL / psi_target
+        lo, hi = 1e-9, 1e-2  # residual grows with the penalty weight mu
+        fit = _phase_fitter(domain, p, degree)
+        screen_res = None
+        for _ in range(14):
+            mid = np.sqrt(lo * hi)
+            res_mid = fit.screen(mid)
+            if res_mid <= target:
+                lo, screen_res = mid, res_mid
+            else:
+                hi = mid
+        phi, best_res = fit(lo)
+        if best_res > target:
+            if screen_res is None:
                 raise InfeasibleDegreeError(
-                    f"arc residual {best_res:.2e} exceeds {target:.1e} at penalty weight "
-                    f"{lo:.3e} (screened residual {screen_res:.2e}) at degree {degree}"
+                    f"arc residual {best_res:.2e} exceeds {target:.1e} even without "
+                    f"gradient penalty at degree {degree}; increase the degree"
                 )
-            phi.meta["arc_residual"] = best_res * psi_target
-            phi.meta["penalty_weight"] = float(lo)
-        phi = HoloFunction(psi_target * phi.coeffs, meta=phi.meta)
-        phi.meta["attempt"] = attempt
-        report = find_critical_points(phi)
-        last_report = report
-        if report.is_morse and any(abs(q.location - p) <= PRIMARY_TOL for q in report.points):
-            phi.meta["critical_points"] = report
-            phi.meta["p"] = p
-            return phi
-    raise MorseVerificationError(
-        f"no Morse phase after {PHASE_ATTEMPTS} attempts; last report: {last_report}"
-    )
+            raise InfeasibleDegreeError(
+                f"arc residual {best_res:.2e} exceeds {target:.1e} at penalty weight "
+                f"{lo:.3e} (screened residual {screen_res:.2e}) at degree {degree}"
+            )
+        phi.meta["arc_residual"] = best_res * psi_target
+        phi.meta["penalty_weight"] = float(lo)
+    phi = HoloFunction(psi_target * phi.coeffs, meta=phi.meta)
+    report = find_critical_points(phi)
+    if not (report.is_morse and any(abs(q.location - p) <= PRIMARY_TOL for q in report.points)):
+        raise MorseVerificationError(f"no Morse phase at p = {p}; report: {report}")
+    phi.meta["critical_points"] = report
+    phi.meta["p"] = p
+    return phi
 
 
 def build_amplitude(

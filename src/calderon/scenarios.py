@@ -247,7 +247,7 @@ class Scenario:
     The mesh is built by the first build_mesh call.  It carries the
     factorized operators, so every pipeline run on one scenario shares them.
     phase and amplitude build every Morse phase and amplitude by the
-    config's one recipe (phase_degree, seed; degree, vanish_order).
+    config's one recipe (phase_degree; degree, vanish_order).
     """
 
     config: dict
@@ -280,7 +280,7 @@ class Scenario:
 
     def phase(self, p, psi_target: float) -> HoloFunction:
         """The Morse phase with primary critical point p and Im Phi(p) = psi_target."""
-        return build_morse_phase(self.domain, p, degree=self.config["phase_degree"], psi_target=psi_target, seed=self.seed)
+        return build_morse_phase(self.domain, p, degree=self.config["phase_degree"], psi_target=psi_target)
 
     def amplitude(self, phase: HoloFunction) -> HoloFunction:
         """The amplitude of phase: degree `degree`, vanishing to order

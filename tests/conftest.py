@@ -135,13 +135,13 @@ def oscillatory_integral(g, phase: HoloFunction, h: float, mesh: Mesh) -> comple
     return complex(np.sum(mesh.mass * vals))
 
 
-def interior_basis(domain, seed=0):
+def interior_basis(domain):
     """basis(p, scale) -> (phase, amplitude) by the reference recipe: phase
     degree 36 with psi_target 0.8 times scale, amplitude degree 16 vanishing
     to order 4 at the phase's other critical points."""
 
     def basis(p, scale=1.0):
-        phase = holo.build_morse_phase(domain, p, degree=36, psi_target=scale * 0.8, seed=seed)
+        phase = holo.build_morse_phase(domain, p, degree=36, psi_target=scale * 0.8)
         return phase, holo.build_amplitude(phase, domain, vanish_order=4, degree=16)
 
     return basis
@@ -331,14 +331,11 @@ def scalar_derivative_row(z0, order, degree):
     return row
 
 
-def reference_phase_candidate(domain, p, degree, mu, bias=None):
+def reference_phase_candidate(domain, p, degree, mu):
     """Reference single phase fit: the whole constrained least-squares setup
     rebuilt for one penalty weight mu (calderon.holo._phase_fitter builds the
-    mu-independent part once per attempt).  Returns (coefficients, arc
-    residual)."""
+    mu-independent part once).  Returns (coefficients, arc residual)."""
     cons = [(p, 0, 1j), (p, 1, 0.0)]
-    if bias is not None:
-        cons = cons + [bias]
     rows = [scalar_derivative_row(z0, order, degree) for z0, order, _ in cons]
     hard_A, hard_b = holo._complex_rows(rows, [t for _, _, t in cons])
     nodes = holo._gamma0_nodes(domain, 8 * max(degree, 1))

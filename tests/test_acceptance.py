@@ -137,7 +137,7 @@ def test_criterion_05_cgo_scalings(ref_mesh, ref_scenario):
     dom = ref_scenario.domain
     exps = {}
     for psi_target, cutoff_scale in ((0.12, 1.0), (0.45, 1.9)):
-        phase = build_morse_phase(dom, P_STAR, degree=36, psi_target=psi_target, seed=0)
+        phase = build_morse_phase(dom, P_STAR, degree=36, psi_target=psi_target)
         amp = build_amplitude(phase, dom, degree=16)
         rep = _cgo.residual_scaling_report(
             ref_mesh, ref_scenario.V1, phase, amp, ref_scenario.h_list,
@@ -160,7 +160,7 @@ C_STAR_GOLDEN = 22.417988079011536  # first certified run of this exact setup
 
 def test_criterion_06_carleman_golden(ref_mesh, ref_scenario):
     dom = ref_scenario.domain
-    phase = build_morse_phase(dom, P_STAR, degree=36, psi_target=0.12, seed=0)
+    phase = build_morse_phase(dom, P_STAR, degree=36, psi_target=0.12)
     weight = _carleman.build_carleman_weight(ref_mesh, phase, 1.0, degree=16)
     rep = _carleman.carleman_sweep(
         ref_mesh, weight, ref_scenario.V1, ref_scenario.h_list, sample_count=50, seed=0,

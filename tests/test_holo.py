@@ -207,15 +207,14 @@ def test_morse_phase_quarter_circle(quarter_domain):
     assert any(abs(q.location - P_STAR) < 1e-10 for q in report.points)
 
 
-@pytest.mark.parametrize("bias", [None, (P_STAR, 2, 3.0 * np.exp(0.7j))], ids=["plain", "hessian_bias"])
-@pytest.mark.parametrize("degree", [16, 36])
-def test_phase_fit_matches_per_mu_rebuild(quarter_domain, degree, bias):
-    """Building the mu-independent rows and null space once per attempt
-    gives bitwise the fit that rebuilding everything for each mu gives."""
-    fit = holo._phase_fitter(quarter_domain, P_STAR, degree, bias)
+@pytest.mark.parametrize("degree", [16, 36], ids=["16-plain", "36-plain"])
+def test_phase_fit_matches_per_mu_rebuild(quarter_domain, degree):
+    """Building the mu-independent rows and null space once gives bitwise
+    the fit that rebuilding everything for each mu gives."""
+    fit = holo._phase_fitter(quarter_domain, P_STAR, degree)
     for mu in (1e-9, 3.2e-6, 1e-2):
         fn, res = fit(mu)
-        want, want_res = reference_phase_candidate(quarter_domain, P_STAR, degree, mu, bias)
+        want, want_res = reference_phase_candidate(quarter_domain, P_STAR, degree, mu)
         assert np.array_equal(fn.coeffs, want)
         assert res == want_res
 
@@ -235,7 +234,7 @@ def test_derivative_rows_match_scalar_loop(order):
 
 
 def test_morse_phase_factors_hard_constraints_once_per_attempt(quarter_domain, monkeypatch):
-    """One null space per attempt, not one per bisection fit (15 each)."""
+    """One null space per build, not one per bisection fit (15)."""
     calls = {"null_space": 0, "attempts": 0}
     null_space, find = holo.null_space, holo.find_critical_points
 
@@ -250,31 +249,30 @@ def test_morse_phase_factors_hard_constraints_once_per_attempt(quarter_domain, m
     monkeypatch.setattr(holo, "null_space", counting_null_space)
     monkeypatch.setattr(holo, "find_critical_points", counting_find)
     build_morse_phase(quarter_domain, P_STAR, degree=16)
-    assert calls["attempts"] >= 1
+    assert calls["attempts"] == 1
     assert calls["null_space"] == calls["attempts"]
 
 
-@pytest.mark.parametrize("bias", [None, (P_STAR, 2, 3.0 * np.exp(0.7j))], ids=["plain", "hessian_bias"])
-@pytest.mark.parametrize("degree", [16, 36])
-def test_phase_screen_matches_fit_residual(quarter_domain, degree, bias):
+@pytest.mark.parametrize("degree", [16, 36], ids=["16-plain", "36-plain"])
+def test_phase_screen_matches_fit_residual(quarter_domain, degree):
     """The residual screened from the R factors agrees with the full fit's
     to 1e-4 relative over the whole bisection bracket."""
-    fit = holo._phase_fitter(quarter_domain, P_STAR, degree, bias)
+    fit = holo._phase_fitter(quarter_domain, P_STAR, degree)
     for mu in np.logspace(-9, -2, 15):
         _, res = fit(mu)
         assert abs(fit.screen(mu) - res) <= 1e-4 * res
 
 
-def _reference_bisection(domain, p, degree, psi_target, bias):
+def _reference_bisection(domain, p, degree, psi_target):
     """Chosen penalty weight and coefficients of the bisection with one
     reference_phase_candidate fit per mu, as build_morse_phase ran it before
     it screened mu."""
     target = 0.8 * holo.ARC_RESIDUAL_TOL / psi_target
     lo, hi = 1e-9, 1e-2
-    coeffs, _ = reference_phase_candidate(domain, p, degree, lo, bias)
+    coeffs, _ = reference_phase_candidate(domain, p, degree, lo)
     for _ in range(14):
         mid = np.sqrt(lo * hi)
-        c, res = reference_phase_candidate(domain, p, degree, mid, bias)
+        c, res = reference_phase_candidate(domain, p, degree, mid)
         if res <= target:
             lo, coeffs = mid, c
         else:
@@ -295,19 +293,15 @@ def test_morse_phase_decisions_match_reference_bisection(ref_scenario):
     cases.append((p, cfg["carleman_psi_target"]))
     assert len(cases) == 33
     for q, psi_target in cases:
-        phi = build_morse_phase(dom, q, degree=cfg["phase_degree"], psi_target=psi_target, seed=0)
-        # replay the builder's Hessian-bias draws up to the returned attempt
-        rng, bias = np.random.default_rng(0), None
-        for _ in range(phi.meta["attempt"]):
-            bias = (complex(q), 2, 3.0 * np.exp(1j * float(rng.uniform(0.0, 2 * np.pi))))
-        mu, coeffs = _reference_bisection(dom, complex(q), cfg["phase_degree"], psi_target, bias)
+        phi = build_morse_phase(dom, q, degree=cfg["phase_degree"], psi_target=psi_target)
+        mu, coeffs = _reference_bisection(dom, complex(q), cfg["phase_degree"], psi_target)
         assert phi.meta["penalty_weight"] == mu
         assert np.array_equal(phi.coeffs, coeffs)
 
 
 def test_morse_phase_solves_full_least_squares_once_per_attempt(quarter_domain, monkeypatch):
     """The bisection screens mu on the R factors: one full least-squares
-    solve per attempt, at the chosen mu (15 before the screen)."""
+    solve per build, at the chosen mu (15 before the screen)."""
     calls = {"solve": 0, "attempts": 0}
     solve, find = holo._solve_soft, holo.find_critical_points
 
@@ -322,7 +316,7 @@ def test_morse_phase_solves_full_least_squares_once_per_attempt(quarter_domain, 
     monkeypatch.setattr(holo, "_solve_soft", counting_solve)
     monkeypatch.setattr(holo, "find_critical_points", counting_find)
     build_morse_phase(quarter_domain, P_STAR, degree=36, psi_target=0.8)
-    assert calls["attempts"] >= 1
+    assert calls["attempts"] == 1
     assert calls["solve"] == calls["attempts"]
 
 
@@ -348,45 +342,30 @@ def _non_morse(report):
     return CriticalPointReport(points=points, count_check=report.count_check)
 
 
-def test_morse_phase_retries_a_non_morse_report(ref_scenario, monkeypatch):
-    """A first attempt whose report is not Morse is retried: the phase comes
-    from attempt 1, with the Hessian bias of the first draw of
-    default_rng(seed), and equals the reference bisection with that bias
-    bit for bit."""
-    cfg, dom, p = ref_scenario.config, ref_scenario.domain, complex(ref_scenario.point)
-    find, seen = holo.find_critical_points, []
-
-    def non_morse_once(phi):
-        seen.append(phi.meta["attempt"])
-        report = find(phi)
-        return _non_morse(report) if len(seen) == 1 else report
-
-    monkeypatch.setattr(holo, "find_critical_points", non_morse_once)
-    seed, degree, psi_target = 3, cfg["phase_degree"], cfg["psi_target"]
-    phi = build_morse_phase(dom, p, degree=degree, psi_target=psi_target, seed=seed)
-    assert seen == [0, 1] and phi.meta["attempt"] == 1
-    assert phi.meta["critical_points"].is_morse
-    angle = float(np.random.default_rng(seed).uniform(0.0, 2 * np.pi))
-    mu, coeffs = _reference_bisection(dom, p, degree, psi_target, (p, 2, 3.0 * np.exp(1j * angle)))
-    assert phi.meta["penalty_weight"] == mu
-    assert np.array_equal(phi.coeffs, coeffs)
+def _without_p(report):
+    """report with every critical point moved 2 PRIMARY_TOL, so none is p."""
+    points = [replace(q, location=q.location + 2.0 * holo.PRIMARY_TOL) for q in report.points]
+    return CriticalPointReport(points=points, count_check=report.count_check)
 
 
 def test_morse_phase_names_the_last_report_after_every_attempt_fails(quarter_domain, monkeypatch):
-    """When no attempt gives a Morse report, MorseVerificationError names the
-    last attempt's report."""
-    find, reports = holo.find_critical_points, []
+    """The builder certifies its one fit once, with no refit: a report that
+    is not Morse, or a Morse report that lacks p, raises
+    MorseVerificationError naming that report."""
+    find = holo.find_critical_points
+    for spoil in (_non_morse, _without_p):
+        reports = []
 
-    def never_morse(phi):
-        reports.append(_non_morse(find(phi)))
-        return reports[-1]
+        def spoiled(phi):
+            reports.append(spoil(find(phi)))
+            return reports[-1]
 
-    monkeypatch.setattr(holo, "find_critical_points", never_morse)
-    with pytest.raises(MorseVerificationError) as err:
-        build_morse_phase(quarter_domain, P_STAR, degree=36, psi_target=0.8)
-    assert len(reports) == holo.PHASE_ATTEMPTS
-    assert str(err.value).endswith(f"last report: {reports[-1]}")
-    assert str(reports[-2]) not in str(err.value)
+        monkeypatch.setattr(holo, "find_critical_points", spoiled)
+        with pytest.raises(MorseVerificationError) as err:
+            build_morse_phase(quarter_domain, P_STAR, degree=36, psi_target=0.8)
+        assert len(reports) == 1
+        assert reports[0].is_morse is (spoil is _without_p)
+        assert str(err.value).endswith(f"report: {reports[0]}")
 
 
 def test_morse_phase_rejects_boundary_point(quarter_domain):
@@ -461,7 +440,7 @@ def test_critical_points_match_subdivision_on_scenario_phases(ref_scenario):
     cases += [(p, regime["psi_target"]) for regime in cfg["cgo_regimes"]]
     cases.append((p, cfg["carleman_psi_target"]))
     for q, psi_target in cases:
-        phi = build_morse_phase(dom, q, degree=cfg["phase_degree"], psi_target=psi_target, seed=0)
+        phi = build_morse_phase(dom, q, degree=cfg["phase_degree"], psi_target=psi_target)
         _assert_matches_reference(phi)
 
 

@@ -187,3 +187,17 @@ def test_bump_formula_has_one_body():
     src = Path(calderon.__file__).parent
     writers = sorted(p.stem for p in src.glob("*.py") if "1.0 - 1.0 / (1.0 - " in p.read_text())
     assert writers == ["geometry"]
+
+
+def test_morse_phase_is_one_seedless_fit():
+    """A generic fit is Morse, so build_morse_phase fits once and certifies
+    once: no holo function takes a seed, holo draws no random numbers, and
+    a phase is fixed by its domain, p, degree and psi_target alone."""
+    functions = _calderon_functions()
+    params = {name: list(inspect.signature(fn).parameters) for name, fn in functions.items()}
+    assert [name for name, p in params.items() if name.startswith("holo.") and "seed" in p] == []
+    assert params["holo.build_morse_phase"] == ["domain", "p", "degree", "psi_target"]
+    assert params["holo._phase_fitter"] == ["domain", "p", "degree"]
+    assert params["scenarios.Scenario.phase"] == ["self", "p", "psi_target"]
+    assert "random" not in (Path(calderon.__file__).parent / "holo.py").read_text()
+    assert not hasattr(calderon.holo, "PHASE_ATTEMPTS")

@@ -601,7 +601,7 @@ def test_difference_map_without_cache_factorizes_once(operator_builds):
     cfg = sc.config
     grid = _rc.make_grid(cfg["grid_n"], cfg["grid_radius"])
     out = _rc.difference_map(
-        sc.build_mesh(), sc.V1, sc.V2, grid, sc.h_list, interior_basis(sc.domain, seed=sc.seed),
+        sc.build_mesh(), sc.V1, sc.V2, grid, sc.h_list, interior_basis(sc.domain),
     )
     # the two points nearest gamma0 need a psi too low for this h list
     assert len(out["rows"]) + len(out["failures"]) == len(grid)
@@ -712,6 +712,72 @@ def test_every_csv_round_trips(tmp_path):
             for col, s in zip(columns, fields):
                 if col not in CSV_NON_FLOAT_COLUMNS:
                     assert repr(float(s)) == s, (name, col, s)
+
+
+# `all` at the reference resolution on five geometries: the exit status and
+# the FAILed checks, or the failing stage and error class.  A change that
+# flips a verdict updates this table and says why.
+VERDICT_MATRIX = {
+    "reference": (0, set()),
+    "full_data": (1, {"exponent_r1_minus_hr12t_l2", "convexified_weight_identity", "pointwise_difference_accuracy"}),
+    # the half circle leaves cgo 1 usable h of 5
+    "half_circle": ("error", "cgo", "ConfigurationError"),
+    "gaussian_rho": (0, set()),
+    "gamma0_pi3_5pi6": (1, {"exponent_r1_minus_hr12t_l2"}),
+}
+VERDICT_CONFIGS = {
+    "reference": {},
+    "full_data": {"gamma0": None},
+    "half_circle": {"gamma0": [0.0, np.pi]},
+    "gaussian_rho": {"rho": {"profile": "gaussian", "amplitude": 0.3, "center": [0.0, 0.0], "width": 0.6}},
+    "gamma0_pi3_5pi6": {"gamma0": [np.pi / 3, 5 * np.pi / 6]},
+}
+
+
+def test_verdict_matrix(tmp_path):
+    """Every pipeline on each geometry of VERDICT_CONFIGS gives the verdict
+    that VERDICT_MATRIX pins."""
+    verdicts = {}
+    for name, overrides in VERDICT_CONFIGS.items():
+        out = tmp_path / name
+        try:
+            status = _cli.run_scenario({"name": name, "seed": 0, **overrides}, "all", out_dir=str(out))
+        except Exception as exc:
+            verdicts[name] = ("error", exc.stage, type(exc).__name__)
+            continue
+        summary = json.loads((out / "all_summary.json").read_text())
+        verdicts[name] = (status, {c["name"] for c in summary["checks"] if not c["passed"]})
+    assert verdicts == VERDICT_MATRIX
+
+
+CGO_CHEAP = {**CHEAP, "h_list": [0.5, 0.4, 0.32, 0.25]}
+
+
+def test_cgo_fails_a_window_whose_regime_is_not_configured(tmp_path):
+    """With one cgo regime, the regime-1 window check is reported and FAILs,
+    naming the missing regime, instead of being dropped."""
+    regimes = [{"psi_target": 0.12, "cutoff_scale": 1.0}]
+    results = _cli.run_cgo(load_scenario({**CGO_CHEAP, "cgo_regimes": regimes}), str(tmp_path))
+    checks = {c["name"]: c for c in results["checks"]}
+    assert list(checks) == [f"exponent_{key}" for key in _cli._CGO_WINDOWS]
+    missing = checks["exponent_r1_minus_hr12t_l2"]
+    assert not missing["passed"] and "value" not in missing
+    assert missing["detail"] == "window [1.1, inf]; cgo_regimes[1] is not configured"
+    assert all("value" in c for name, c in checks.items() if name != "exponent_r1_minus_hr12t_l2")
+    assert not any(key.endswith("_regime1") for key in results["constants"])
+
+
+def test_cgo_with_zero_potential_says_why_no_exponent_was_fitted(tmp_path):
+    """V1 = 0 gives b = 0 and identically vanishing remainders: every window
+    check still FAILs, without a value, and its detail gives that reason."""
+    results = _cli.run_cgo(load_scenario({**CGO_CHEAP, "v1": {"profile": "zero"}}), str(tmp_path))
+    assert len(results["checks"]) == len(_cli._CGO_WINDOWS)
+    for check in results["checks"]:
+        assert not check["passed"] and "value" not in check
+        assert check["detail"].endswith("; no exponent fitted: b = 0 and the remainders vanish identically")
+    for k in range(2):
+        report = json.loads((tmp_path / f"cgo_scaling_{k}.json").read_text())
+        assert all(fit["exact_zero"] for fit in report["exponents"].values())
 
 
 def test_reference_boundary_check_flagged_trivial(tmp_path):
