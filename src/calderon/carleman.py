@@ -187,7 +187,8 @@ def carleman_sweep(
 
     An h beyond the epsilon constraint (judged first, by convexify_weight)
     and an h the mesh cannot resolve are skipped, each recorded once in the
-    report's "skipped" list with its reason.  Resolvable means
+    report's "skipped" list with its reason.  The h are walked in
+    cgo.resolvable_h's order (kept, then refused), and resolvable means
     cgo.resolvable_h at the slope max|Phi'| over the mesh with
     WEIGHT_PER_CELL: the weight phi/h may change by 2 per cell, since the
     conjugation by the real e^{phi/h} has no oscillation to follow.  PASS
@@ -204,7 +205,7 @@ def carleman_sweep(
     """
     samples = sample_test_functions(mesh, sample_count, seed)
     dphi = weight.phase.derivative()(mesh.vertices)
-    refused = {r["h"]: r for r in resolvable_h(mesh, h_list, float(np.max(np.abs(dphi))), WEIGHT_PER_CELL)[1]}
+    kept, refused, _ = resolvable_h(mesh, h_list, float(np.max(np.abs(dphi))), WEIGHT_PER_CELL)
     V_values = as_values(V, mesh)
     A = schrodinger_matrix(mesh, V_values)
     dphi_sq = _metric_dphi_sq(mesh, dphi)
@@ -212,14 +213,14 @@ def carleman_sweep(
     rows = []
     minima = {}
     skipped = []
-    for h in sorted(set(float(x) for x in h_list), reverse=True):
+    for h, refusal in [(h, None) for h in kept] + [(r["h"], r) for r in refused]:
         try:
             phi_eps = convexify_weight(weight, mesh, h)
         except ConfigurationError as exc:
             skipped.append({"h": h, "reason": str(exc)})
             continue
-        if h in refused:
-            skipped.append(refused[h])
+        if refusal is not None:
+            skipped.append(refusal)
             continue
         B = conjugated_matrix(A, phi_eps, h)
         best = np.inf

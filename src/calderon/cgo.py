@@ -46,6 +46,7 @@ from .geometry import (
     bump,
     dz_field,
     dzbar_field,
+    vertex_gradient,
 )
 from .forward import operator, schrodinger_matrix
 from .holo import (
@@ -93,8 +94,6 @@ def l2_norm(values, mesh: Mesh) -> float:
 def h1_norm(values, mesh: Mesh) -> float:
     """sqrt(||u||^2 + sum over vertices of w |grad u|^2), w the L2 weights;
     |grad u|^2 = |grad Re u|^2 + |grad Im u|^2."""
-    from .geometry import vertex_gradient
-
     v = np.asarray(values)
     grad_sq = np.abs(vertex_gradient(v.real, mesh)) ** 2 + np.abs(vertex_gradient(v.imag, mesh)) ** 2
     return float(np.sqrt(l2_norm(v, mesh) ** 2 + np.sum(mesh.mass * grad_sq, where=np.isfinite(grad_sq))))
@@ -439,9 +438,8 @@ def duality_completion(cgo: CGO, h: float, r11: np.ndarray, res: np.ndarray) -> 
     w = 2.0 * np.real(np.exp(1j * psi_v / h) * cgo.slow_amplitude(h, r11))
     B = conjugated_matrix(cgo.A, phi_v, h)
     ii = np.flatnonzero(mesh.interior)
-    bb = mesh.boundary
-    gamma0_idx = bb[mesh.boundary_is_gamma0]
-    free = np.concatenate([ii, bb[~mesh.boundary_is_gamma0]])
+    gamma0_idx = mesh.gamma0_indices()
+    free = np.concatenate([ii, mesh.gamma_indices()])
     r2 = np.zeros(mesh.n_vertices)
     r2[gamma0_idx] = -w[gamma0_idx]
     rhs = -(mass * rhs_field)[ii] - B[np.ix_(ii, gamma0_idx)] @ r2[gamma0_idx]

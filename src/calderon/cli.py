@@ -5,7 +5,11 @@ with commands forward | cgo | carleman | reconstruct | boundary | all.
 Every pipeline writes CSV data plus a JSON summary with PASS/FAIL checks;
 outputs are deterministic given (config, seed).  This module is the one
 writer of output files: the computing modules return rows and reports,
-which _write_csv and _write_json write.  The pipelines of one run share
+which _write_csv and _write_json write; _check_line renders each check,
+detail included, for stdout and the summary table alike.  Under `all`, a
+pipeline that raises is reported (on stderr, and as a FAIL check
+`<pipeline>_completed` in all_summary.json) and the later pipelines still
+run; a single command stops at its error.  The pipelines of one run share
 the scenario mesh, which holds its stiffness matrix and factorized
 operators (forward.operator), so each (mesh, potential) pair is
 factorized once per run.
@@ -73,6 +77,16 @@ def _check(name, passed, value=None, detail="", trivial=False):
     return entry
 
 
+def _check_line(c) -> str:
+    """One check as text: status, name, value, trivial flag and detail."""
+    return (
+        f"{'PASS' if c['passed'] else 'FAIL'} {c['name']}"
+        + (f" = {c['value']!r}" if "value" in c else "")
+        + (" (trivial)" if c.get("trivial") else "")
+        + (f" -- {c['detail']}" if c.get("detail") else "")
+    )
+
+
 def _write_csv(path, header, rows) -> None:
     """Header line, then one line per row; str.format prints a Python
     float as its shortest repr, so every float reads back bit for bit."""
@@ -107,12 +121,7 @@ def emit_report(results: dict, out_dir: str, name: str) -> list:
     txt_path = os.path.join(out_dir, f"{name}_summary.txt")
     with open(txt_path, "w") as fh:
         fh.write(f"scenario: {summary['name']}   command: {summary['command']}   seed: {summary['seed']}\n")
-        fh.write(f"{'check':<40}{'status':<8}value\n")
-        for c in summary["checks"]:
-            status = "PASS" if c["passed"] else "FAIL"
-            val = c.get("value")
-            trivial = "  (trivial)" if c.get("trivial") else ""
-            fh.write(f"{c['name']:<40}{status:<8}{'' if val is None else repr(val)}{trivial}\n")
+        fh.writelines(_check_line(c) + "\n" for c in summary["checks"])
         for key in sorted(summary["constants"]):
             fh.write(f"constant {key} = {summary['constants'][key]!r}\n")
     return [json_path, txt_path]
@@ -366,8 +375,12 @@ def run_scenario(config_path, command: str, out_dir: str = None, seed: int = Non
             results["seed"] = sc.seed
             written += emit_report(results, out_dir, name)
         except Exception as exc:
-            exc.stage = name  # main() prints it; an untagged error is the config's
-            raise
+            if command != "all":
+                exc.stage = name  # main() prints it; an untagged error is the config's
+                raise
+            print(f"error: {name}: {exc}", file=sys.stderr)
+            all_checks.append(_check(f"{name}_completed", False, detail=f"{type(exc).__name__}: {exc}"))
+            continue
         all_checks += results["checks"]
     if command == "all":
         combined = {
@@ -378,14 +391,9 @@ def run_scenario(config_path, command: str, out_dir: str = None, seed: int = Non
             "files": written,
         }
         written += emit_report(combined, out_dir, "all")
-    failed = [c["name"] for c in all_checks if not c["passed"]]
     for c in all_checks:
-        print(
-            f"{'PASS' if c['passed'] else 'FAIL'} {c['name']}"
-            + (f" = {c['value']!r}" if "value" in c else "")
-            + (" (trivial)" if c.get("trivial") else "")
-        )
-    return 1 if failed else 0
+        print(_check_line(c))
+    return 0 if all(c["passed"] for c in all_checks) else 1
 
 
 def main(argv=None) -> int:

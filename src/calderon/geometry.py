@@ -52,13 +52,30 @@ class DiskDomain:
     gamma0: Optional[tuple[float, float]] = None
 
     def __post_init__(self):
-        if self.gamma0 is not None:
-            a, b = self.gamma0
-            span = _wrap_angle(b - a)
-            if span <= 0.0 or span >= TWO_PI - 1e-12:
-                raise ConfigurationError(
-                    "gamma0 must be a proper closed sub-arc; gamma must be nonempty"
-                )
+        if self.gamma0 is not None and not 0.0 < self.gamma0_span < TWO_PI - 1e-12:
+            raise ConfigurationError(
+                "gamma0 must be a proper closed sub-arc; gamma must be nonempty"
+            )
+
+    @property
+    def gamma0_span(self) -> float:
+        """Angle gamma0 sweeps from its first end to its second (0 for full data)."""
+        a, b = self.gamma0 or (0.0, 0.0)
+        return _wrap_angle(b - a)
+
+    def gamma0_points(self, count: int) -> np.ndarray:
+        """count points equally spaced in angle from gamma0's first end to its
+        second; none for full data."""
+        if self.gamma0 is None:
+            return np.zeros(0, dtype=complex)
+        return np.exp(1j * (self.gamma0[0] + self.gamma0_span * np.linspace(0.0, 1.0, count)))
+
+    def gamma0_margin(self, theta: float) -> float:
+        """Angular distance from theta to the nearer end of gamma0 (inf for
+        full data)."""
+        if self.gamma0 is None:
+            return np.inf
+        return float(min(np.abs(np.angle(np.exp(1j * (theta - end)))) for end in self.gamma0))
 
     def rho(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
@@ -74,11 +91,9 @@ class DiskDomain:
         theta = _wrap_angle(np.asarray(theta, dtype=float))
         if self.gamma0 is None:
             return np.zeros(theta.shape, dtype=bool)
-        a, b = self.gamma0
-        rel = _wrap_angle(theta - a)
-        span = _wrap_angle(b - a)
+        rel = _wrap_angle(theta - self.gamma0[0])
         tol = 1e-10
-        return (rel <= span + tol) | (rel >= TWO_PI - tol)
+        return (rel <= self.gamma0_span + tol) | (rel >= TWO_PI - tol)
 
 
 @dataclass

@@ -60,7 +60,8 @@ class InfeasibleDegreeError(RuntimeError):
 
 
 class MorseVerificationError(RuntimeError):
-    """A phase candidate failed Morse verification after all retries."""
+    """A fitted phase failed Morse verification: its critical-point report
+    is not Morse, or p is not among its points."""
 
 
 class HoloFunction:
@@ -263,34 +264,24 @@ def _cauchy_transform_columns(F: np.ndarray, mesh: Mesh, eval_points=None, eval_
 
 
 def _complex_rows(rows, targets):
+    """Real rows of the complex functional rows = targets: Re rows over Im rows."""
     rows = np.atleast_2d(np.asarray(rows, dtype=complex))
     t = np.atleast_1d(np.asarray(targets, dtype=complex))
-    A = np.vstack(
-        [
-            np.hstack([rows.real, -rows.imag]),
-            np.hstack([rows.imag, rows.real]),
-        ]
-    )
-    b = np.concatenate([t.real, t.imag])
-    return A, b
+    return np.vstack([_part_rows(rows, "re"), _part_rows(rows, "im")]), np.concatenate([t.real, t.imag])
 
 
-def _part_rows(powers, part):
-    """Real row for Re/Im of the polynomial at points given by power matrix."""
+def _part_rows(rows, part):
+    """Real rows of Re or Im of the complex functional rows."""
     if part == "re":
-        return np.hstack([powers.real, -powers.imag])
+        return np.hstack([rows.real, -rows.imag])
     if part == "im":
-        return np.hstack([powers.imag, powers.real])
+        return np.hstack([rows.imag, rows.real])
     raise ValueError(f"unknown part {part!r}")
 
 
-def _power_matrix(z, degree):
-    z = np.asarray(z, dtype=complex).ravel()
-    return z[:, None] ** np.arange(degree + 1)[None, :]
-
-
 def _derivative_rows(z, order, degree):
-    """Complex rows of the functionals c -> (d/dz)^order P(z), one per point.
+    """Complex rows of the functionals c -> (d/dz)^order P(z), one per point:
+    the one builder of fit rows (order 0 gives the value rows z^k).
 
     order is one integer for all points or one per point."""
     z = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -331,20 +322,11 @@ def _solve_soft(degree, x0, N, soft_A, soft_b, tikhonov):
     return x[: degree + 1] + 1j * x[degree + 1 :]
 
 
-def _gamma0_nodes(domain: DiskDomain, count: int) -> np.ndarray:
-    a, b = domain.gamma0
-    span = np.mod(b - a, TWO_PI)
-    theta = a + span * np.linspace(0.0, 1.0, count)
-    return np.exp(1j * theta)
-
-
 def _arc_grids(domain: DiskDomain, degree: int) -> tuple:
     """Fit nodes on gamma0 (ARC_NODES_PER_DEGREE per degree) and the 4x finer
-    check nodes; both empty for full data."""
-    if domain.gamma0 is None:
-        return np.zeros(0, dtype=complex), np.zeros(0, dtype=complex)
+    check nodes (DiskDomain.gamma0_points); both empty for full data."""
     count = ARC_NODES_PER_DEGREE * max(degree, 1)
-    return _gamma0_nodes(domain, count), _gamma0_nodes(domain, 4 * count)
+    return domain.gamma0_points(count), domain.gamma0_points(4 * count)
 
 
 def _fit_on_arc(degree, constraints, nodes, check, part, label, tol, target=0.0, radial=False):
@@ -361,7 +343,7 @@ def _fit_on_arc(degree, constraints, nodes, check, part, label, tol, target=0.0,
     raises InfeasibleDegreeError worded with label.
     """
     x0, N = _hard_space(degree, constraints)
-    rows = _power_matrix(nodes, degree)
+    rows = _derivative_rows(nodes, 0, degree)
     if radial:
         rows = np.arange(degree + 1) * rows
     fn = HoloFunction(_solve_soft(degree, x0, N, _part_rows(rows, part), target, ARC_TIKHONOV))
@@ -424,6 +406,11 @@ class CriticalPointReport:
     @property
     def is_morse(self) -> bool:
         return all(not p.degenerate for p in self.points)
+
+    def primary(self, p: complex) -> Optional[CriticalPoint]:
+        """The point within PRIMARY_TOL of p, or None: the one judge of
+        whether p is a (by its degenerate flag, nondegenerate) critical point."""
+        return next((q for q in self.points if abs(q.location - p) <= PRIMARY_TOL), None)
 
     def secondary(self, p: complex) -> list:
         return [q for q in self.points if abs(q.location - p) > PRIMARY_TOL]
@@ -586,7 +573,7 @@ def _phase_fitter(domain, p, degree):
     minimizer of fit's, up to rounding, at the cost of one small QR."""
     x0, N = _hard_space(degree, [(p, 0, 1j), (p, 1, 0.0)])
     nodes, fine = _arc_grids(domain, degree)
-    arc_rows = _part_rows(_power_matrix(nodes, degree), "im")
+    arc_rows = _part_rows(_derivative_rows(nodes, 0, degree), "im")
     samp = np.exp(1j * TWO_PI * np.arange(4 * degree) / (4 * degree))
     dA, _ = _complex_rows(_derivative_rows(samp, 1, degree), np.zeros(len(samp)))
     lam = np.sqrt(PHASE_TIKHONOV)
@@ -686,7 +673,7 @@ def build_morse_phase(
         phi.meta["penalty_weight"] = float(lo)
     phi = HoloFunction(psi_target * phi.coeffs, meta=phi.meta)
     report = find_critical_points(phi)
-    if not (report.is_morse and any(abs(q.location - p) <= PRIMARY_TOL for q in report.points)):
+    if not (report.is_morse and report.primary(p) is not None):
         raise MorseVerificationError(f"no Morse phase at p = {p}; report: {report}")
     phi.meta["critical_points"] = report
     phi.meta["p"] = p
@@ -703,7 +690,7 @@ def build_amplitude(
     p = meta["p"], zeros of order vanish_order at its other critical points
     (meta["critical_points"]), Re a = 0 on gamma0."""
     report, p = phase.meta["critical_points"], phase.meta["p"]
-    if not any(abs(q.location - p) <= PRIMARY_TOL for q in report.points):
+    if report.primary(p) is None:
         raise ValueError("p is not among the report's critical points")
     constraints = [(p, 0, 1.0 + 0.0j)]
     for q in report.secondary(p):
@@ -809,9 +796,7 @@ def build_jet_form(
 def build_a0(r_tilde12, mesh: Mesh, degree: int = 16) -> HoloFunction:
     """Holomorphic corrector with Re a0 = -Re r_tilde12 on gamma0, fitted and
     checked at the gamma0 vertices of the mesh (residual <= A0_RESIDUAL_TOL);
-    identically zero when gamma0 is empty."""
-    if mesh.domain.gamma0 is None:
-        return HoloFunction([0.0])
+    identically zero when gamma0 is empty (no nodes, no arc rows)."""
     idx = mesh.gamma0_indices()
     nodes = mesh.vertices[idx] / np.abs(mesh.vertices[idx])
     target = -np.asarray(r_tilde12)[idx].real

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forward import boundary_pairing, operator
-from .geometry import ConfigurationError, DiskDomain, Mesh, bump
-from .holo import DEGENERACY_THRESHOLD, HoloFunction
+from .geometry import ConfigurationError, Mesh, bump
+from .holo import HoloFunction
 from . import cgo as _cgo
 
 MIN_PERIODS = 2.0
@@ -72,15 +72,16 @@ def stationary_phase_constant(phase: HoloFunction, amplitude: HoloFunction, rho_
     det Hess psi(p) = -|Phi''(p)|^2 with signature 0 for a holomorphic Morse
     phase, so the stationary-phase factor is 2 pi h / (2 |Phi''(p)|) with no
     extra phase; verified against an oscillatory-quadrature oracle in tests.
+    Whether p is a nondegenerate critical point is judged by the phase's
+    critical-point report alone (meta["critical_points"].primary(p)).
     """
     p = phase.meta["p"]
-    d1 = phase.derivative()(p)
-    d2 = phase.derivative(2)(p)
-    scale = max(np.max(np.abs(phase.coeffs)), 1e-300)
-    if abs(d1) > 1e-6 * scale:
-        raise ReconstructionError(f"p = {p:.4f} is not a critical point (|Phi'| = {abs(d1):.2e})")
-    if abs(d2) <= DEGENERACY_THRESHOLD * scale:
+    q = phase.meta["critical_points"].primary(p)
+    if q is None:
+        raise ReconstructionError(f"p = {p:.4f} is not among the phase's critical points")
+    if q.degenerate:
         raise ReconstructionError(f"critical point at {p:.4f} is degenerate")
+    d2 = phase.derivative(2)(p)
     return StationaryPhaseModel(
         C_p=2.0 * np.pi / abs(d2),
         psi_p=float(np.imag(phase(p))),
@@ -273,16 +274,6 @@ def _concentrating_trace(mesh: Mesh, theta_p: float, h: float, sign: float) -> n
     return bump(x / np.sqrt(h)) * np.exp(sign * 1j * x / h)
 
 
-def _gamma_margin(domain: DiskDomain, theta_p: float) -> float:
-    """Angular distance from theta_p to the ends of gamma0 (inf if no gamma0)."""
-    if domain.gamma0 is None:
-        return np.inf
-    a, b = domain.gamma0
-    da = np.abs(np.angle(np.exp(1j * (theta_p - a))))
-    db = np.abs(np.angle(np.exp(1j * (theta_p - b))))
-    return float(min(da, db))
-
-
 def boundary_pairing_sweep(
     mesh: Mesh,
     V1,
@@ -307,7 +298,7 @@ def boundary_pairing_sweep(
     if mesh.domain.on_gamma0(theta_p):
         a, b = mesh.domain.gamma0
         raise ReconstructionError(f"theta = {theta_p:.3f} lies on gamma0 = [{a:.3f}, {b:.3f}], not on gamma")
-    margin = _gamma_margin(mesh.domain, theta_p)
+    margin = mesh.domain.gamma0_margin(theta_p)
     if np.sqrt(max(h_arr)) > margin:
         raise ReconstructionError(
             f"concentration width sqrt(h) = {np.sqrt(max(h_arr)):.3f} exceeds the "

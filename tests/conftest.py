@@ -338,8 +338,8 @@ def reference_phase_candidate(domain, p, degree, mu):
     cons = [(p, 0, 1j), (p, 1, 0.0)]
     rows = [scalar_derivative_row(z0, order, degree) for z0, order, _ in cons]
     hard_A, hard_b = holo._complex_rows(rows, [t for _, _, t in cons])
-    nodes = holo._gamma0_nodes(domain, 8 * max(degree, 1))
-    arc_rows = holo._part_rows(holo._power_matrix(nodes, degree), "im")
+    nodes = domain.gamma0_points(8 * max(degree, 1))
+    arc_rows = holo._part_rows(holo._derivative_rows(nodes, 0, degree), "im")
     samp = np.exp(1j * TWO_PI * np.arange(4 * degree) / (4 * degree))
     drows = np.array([scalar_derivative_row(z, 1, degree) for z in samp])
     dA, _ = holo._complex_rows(drows, np.zeros(len(samp)))
@@ -353,7 +353,7 @@ def reference_phase_candidate(domain, p, degree, mu):
     y, *_ = np.linalg.lstsq(A, b, rcond=None)
     x = x0 + N @ y
     coeffs = x[: degree + 1] + 1j * x[degree + 1 :]
-    fine = holo._gamma0_nodes(domain, 32 * max(degree, 1))
+    fine = domain.gamma0_points(32 * max(degree, 1))
     return coeffs, float(np.max(np.abs(holo.HoloFunction(coeffs)(fine).imag)))
 
 

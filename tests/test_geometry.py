@@ -22,6 +22,26 @@ def test_domain_rejects_empty_gamma():
         DiskDomain(gamma0=(0.0, 2.0 * np.pi))
 
 
+def test_domain_owns_a_wrapping_gamma0_arc():
+    """On gamma0 = [-pi/3, pi/6], which wraps through theta = 0, the arc's
+    points run from one end to the other and stay on gamma0, and the margin
+    is the angular distance to the nearer end."""
+    a, b = -np.pi / 3, np.pi / 6
+    domain = DiskDomain(gamma0=(a, b))
+    assert domain.gamma0_span == pytest.approx(np.pi / 2)
+    pts = domain.gamma0_points(33)
+    assert len(pts) == 33
+    assert pts[0] == pytest.approx(np.exp(1j * a)) and pts[-1] == pytest.approx(np.exp(1j * b))
+    assert np.all(domain.on_gamma0(np.angle(pts)))
+    assert domain.gamma0_margin(a) == pytest.approx(0.0, abs=1e-15)
+    assert domain.gamma0_margin(b) == pytest.approx(0.0, abs=1e-15)
+    assert domain.gamma0_margin(-np.pi / 12) == pytest.approx(np.pi / 4)
+    assert domain.gamma0_margin(11 * np.pi / 12) == pytest.approx(3 * np.pi / 4)
+    full = DiskDomain()
+    assert full.gamma0_margin(0.3) == np.inf
+    assert full.gamma0_points(8).shape == (0,)
+
+
 def test_bump_values():
     """bump(0) = 1, bump vanishes for |t| >= 1 and is positive inside, and
     a Cutoff built on it is exactly 1 on its inner half and 0 outside."""

@@ -201,3 +201,15 @@ def test_morse_phase_is_one_seedless_fit():
     assert params["scenarios.Scenario.phase"] == ["self", "p", "psi_target"]
     assert "random" not in (Path(calderon.__file__).parent / "holo.py").read_text()
     assert not hasattr(calderon.holo, "PHASE_ATTEMPTS")
+
+
+def test_each_rule_has_one_owner():
+    """The critical-point report alone judges a Morse point, so its
+    thresholds are named in holo alone; DiskDomain alone computes gamma0's
+    nodes and margin, and holo._derivative_rows alone builds fit rows."""
+    src = Path(calderon.__file__).parent
+    for name in ("DEGENERACY_THRESHOLD", "PRIMARY_TOL"):
+        assert sorted(p.stem for p in src.glob("*.py") if name in p.read_text()) == ["holo"]
+    assert not hasattr(calderon.holo, "_power_matrix")
+    assert not hasattr(calderon.holo, "_gamma0_nodes")
+    assert not hasattr(calderon.reconstruct, "_gamma_margin")

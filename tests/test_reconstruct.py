@@ -8,7 +8,7 @@ from calderon import cli as _cli
 from calderon import reconstruct as _rc
 from calderon.forward import boundary_pairing, operator
 from calderon.geometry import as_values, build_disk_mesh
-from calderon.holo import HoloFunction, build_amplitude, build_morse_phase
+from calderon.holo import HoloFunction, build_amplitude, build_morse_phase, find_critical_points
 
 from conftest import P_STAR, CountingLU, gaussian_bump, interior_basis, oscillatory_integral, per_h_slow_amplitude
 
@@ -17,8 +17,15 @@ from conftest import P_STAR, CountingLU, gaussian_bump, interior_basis, oscillat
 # stationary-phase constant
 
 
+def _phase_at(coeffs, p):
+    """Phase with the given coefficients, p and its critical-point report in meta."""
+    phase = HoloFunction(coeffs, meta={"p": p})
+    phase.meta["critical_points"] = find_critical_points(phase)
+    return phase
+
+
 def test_constant_for_parabola_phase():
-    phase = HoloFunction([1j, 0.0, 1.0], meta={"p": 0.0j})  # z^2 + i, critical point 0, Phi'' = 2
+    phase = _phase_at([1j, 0.0, 1.0], 0.0j)  # z^2 + i, critical point 0, Phi'' = 2
     m = _rc.stationary_phase_constant(phase, HoloFunction([1.0]))
     assert m.C_p == pytest.approx(np.pi)
     assert m.psi_p == pytest.approx(1.0)
@@ -26,21 +33,43 @@ def test_constant_for_parabola_phase():
 
 
 def test_constant_scales_with_hessian():
-    phase = HoloFunction([1j, 0.0, 2.0], meta={"p": 0.0j})  # Phi'' = 4
+    phase = _phase_at([1j, 0.0, 2.0], 0.0j)  # Phi'' = 4
     m = _rc.stationary_phase_constant(phase, HoloFunction([1.0]))
     assert m.C_p == pytest.approx(np.pi / 2.0)
 
 
 def test_constant_rejects_noncritical_point():
-    phase = HoloFunction([1j, 0.0, 1.0], meta={"p": 0.3 + 0.0j})
+    phase = _phase_at([1j, 0.0, 1.0], 0.3 + 0.0j)
     with pytest.raises(_rc.ReconstructionError):
         _rc.stationary_phase_constant(phase, HoloFunction([1.0]))
 
 
 def test_constant_rejects_degenerate_point():
-    phase = HoloFunction([1j, 0.0, 0.0, 1.0], meta={"p": 0.0j})  # z^3 + i, degenerate at 0
+    phase = _phase_at([1j, 0.0, 0.0, 1.0], 0.0j)  # z^3 + i, degenerate at 0
     with pytest.raises(_rc.ReconstructionError):
         _rc.stationary_phase_constant(phase, HoloFunction([1.0]))
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        # |Phi''(0)| = 5e-9: degenerate by the absolute test, not relative to max|c| = 1e-3
+        [1e-3j, 0.0, 2.5e-9],
+        # |Phi''(0)| = 2e-7: nondegenerate by the absolute test, degenerate relative to max|c| = 100
+        [1j, 0.0, 1e-7] + [0.0] * 9 + [100.0],
+    ],
+)
+def test_constant_agrees_with_the_report_on_degeneracy(coeffs):
+    """stationary_phase_constant raises exactly when the phase's report has
+    no point at p or calls it degenerate; otherwise C_p = 2 pi / |Phi''(p)|."""
+    phase = _phase_at(coeffs, 0.0j)
+    q = phase.meta["critical_points"].primary(0.0j)
+    if q is None or q.degenerate:
+        with pytest.raises(_rc.ReconstructionError):
+            _rc.stationary_phase_constant(phase, HoloFunction([1.0]))
+    else:
+        m = _rc.stationary_phase_constant(phase, HoloFunction([1.0]))
+        assert m.C_p == 2.0 * np.pi / abs(phase.derivative(2)(0.0j))
 
 
 def test_oscillatory_oracle_matches_leading_term():

@@ -715,13 +715,14 @@ def test_every_csv_round_trips(tmp_path):
 
 
 # `all` at the reference resolution on five geometries: the exit status and
-# the FAILed checks, or the failing stage and error class.  A change that
-# flips a verdict updates this table and says why.
+# the FAILed checks, a pipeline that raised failing as <pipeline>_completed.
+# A change that flips a verdict updates this table and says why.
 VERDICT_MATRIX = {
     "reference": (0, set()),
     "full_data": (1, {"exponent_r1_minus_hr12t_l2", "convexified_weight_identity", "pointwise_difference_accuracy"}),
-    # the half circle leaves cgo 1 usable h of 5
-    "half_circle": ("error", "cgo", "ConfigurationError"),
+    # the half circle leaves cgo 1 usable h of 5 and reconstruct 3 of 5, and
+    # puts boundary's theta_p = pi on gamma0; carleman passes both checks
+    "half_circle": (1, {"cgo_completed", "reconstruct_completed", "boundary_completed"}),
     "gaussian_rho": (0, set()),
     "gamma0_pi3_5pi6": (1, {"exponent_r1_minus_hr12t_l2"}),
 }
@@ -734,20 +735,38 @@ VERDICT_CONFIGS = {
 }
 
 
-def test_verdict_matrix(tmp_path):
+# the error class of each <pipeline>_completed FAIL in VERDICT_MATRIX
+VERDICT_ERRORS = {
+    "half_circle": {
+        "cgo_completed": "ConfigurationError",
+        "reconstruct_completed": "ResolvabilityError",
+        "boundary_completed": "ReconstructionError",
+    },
+}
+
+
+def test_verdict_matrix(tmp_path, capsys):
     """Every pipeline on each geometry of VERDICT_CONFIGS gives the verdict
-    that VERDICT_MATRIX pins."""
+    that VERDICT_MATRIX pins.  A pipeline that raises does not stop the
+    run: it prints "error: <pipeline>: <message>" on stderr and FAILs
+    <pipeline>_completed with detail "<ErrorClass>: <message>"."""
     verdicts = {}
+    errors = {}
     for name, overrides in VERDICT_CONFIGS.items():
         out = tmp_path / name
-        try:
-            status = _cli.run_scenario({"name": name, "seed": 0, **overrides}, "all", out_dir=str(out))
-        except Exception as exc:
-            verdicts[name] = ("error", exc.stage, type(exc).__name__)
-            continue
+        status = _cli.run_scenario({"name": name, "seed": 0, **overrides}, "all", out_dir=str(out))
         summary = json.loads((out / "all_summary.json").read_text())
-        verdicts[name] = (status, {c["name"] for c in summary["checks"] if not c["passed"]})
+        failed = {c["name"]: c for c in summary["checks"] if not c["passed"]}
+        verdicts[name] = (status, set(failed))
+        completed = {k: c["detail"] for k, c in failed.items() if k.endswith("_completed")}
+        if completed:
+            errors[name] = {k: detail.split(": ", 1)[0] for k, detail in completed.items()}
+        err_lines = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")]
+        assert err_lines == [
+            f"error: {k.removesuffix('_completed')}: {detail.split(': ', 1)[1]}" for k, detail in completed.items()
+        ]
     assert verdicts == VERDICT_MATRIX
+    assert errors == VERDICT_ERRORS
 
 
 CGO_CHEAP = {**CHEAP, "h_list": [0.5, 0.4, 0.32, 0.25]}
@@ -778,6 +797,29 @@ def test_cgo_with_zero_potential_says_why_no_exponent_was_fitted(tmp_path):
     for k in range(2):
         report = json.loads((tmp_path / f"cgo_scaling_{k}.json").read_text())
         assert all(fit["exact_zero"] for fit in report["exponents"].values())
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"cgo_regimes": [{"psi_target": 0.12, "cutoff_scale": 1.0}]},
+        {"v1": {"profile": "zero"}},
+    ],
+    ids=["one_regime", "zero_potential"],
+)
+def test_cgo_check_detail_reaches_stdout_and_summary_table(tmp_path, capsys, overrides):
+    """Every check shows its detail on stdout and in cgo_summary.txt, in one
+    rendering for both: a FAIL's reason no longer reaches the JSON alone."""
+    out = tmp_path / "out"
+    assert _cli.run_scenario({**CGO_CHEAP, **overrides}, "cgo", out_dir=str(out)) == 1
+    checks = json.loads((out / "cgo_summary.json").read_text())["checks"]
+    assert any(not c["passed"] for c in checks) and all(c["detail"] for c in checks)
+    printed = capsys.readouterr().out.splitlines()
+    table = (out / "cgo_summary.txt").read_text().splitlines()[1:]
+    for c, line, row in zip(checks, printed, table[: len(checks)], strict=True):
+        assert line == row
+        assert line.startswith(f"{'PASS' if c['passed'] else 'FAIL'} {c['name']}")
+        assert line.endswith(f" -- {c['detail']}")
 
 
 def test_reference_boundary_check_flagged_trivial(tmp_path):
