@@ -4,9 +4,10 @@ The weak form of the positive Laplacian is conformally invariant in 2D, so
 the stiffness matrix is the plain Euclidean one; the metric enters only
 through the (lumped) mass weights e^{2*rho}.  Both belong to the mesh
 (Mesh.stiffness, Mesh.mass), and operator() factorizes Delta_g + V once per
-(mesh, potential).  Neumann traces are recovered from the weak residual
-(boundary flux recovery), which keeps the Green identity between boundary
-pairings and interior integrals tight.
+(mesh, potential), its interior block in the nested-dissection order the
+mesh computes once (Mesh.interior_order).  Neumann traces are recovered
+from the weak residual (boundary flux recovery), which keeps the Green
+identity between boundary pairings and interior integrals tight.
 
 Solves and traces take one datum of shape (n_b,) or a block of shape (n_b, k);
 a block's real and imaginary columns go into one SuperLU call, so it streams
@@ -35,11 +36,12 @@ def schrodinger_matrix(mesh: Mesh, V) -> sp.csc_matrix:
 
 
 # The interior block A_ii, the one matrix this package factorizes by sparse
-# LU, has a symmetric sparsity pattern, so the fill-reducing ordering is
-# minimum degree on the pattern of A^T + A with diagonal pivots preferred.
-# The pivot threshold keeps its default: partial pivoting stays on, so an
-# indefinite Delta_g + V is still safe.
-SYMMETRIC_LU = {"permc_spec": "MMD_AT_PLUS_A", "options": {"SymmetricMode": True}}
+# LU, is assembled with its rows and columns already in the mesh's
+# nested-dissection order, so SuperLU keeps that column order and prefers
+# diagonal pivots on its symmetric pattern.  The pivot threshold keeps its
+# default: partial pivoting stays on, so an indefinite Delta_g + V is still
+# safe.
+SYMMETRIC_LU = {"permc_spec": "NATURAL", "options": {"SymmetricMode": True}}
 # seed of the random start columns of the condition estimate, and the
 # estimate above which Delta_g + V counts as near-singular
 CONDITION_SEED = 0
@@ -49,9 +51,11 @@ CONDITION_LIMIT = 1e12
 class SchrodingerOperator:
     """Assembled (Delta_g + V) with a factorized interior block.
 
-    The interior block is factorized once, with the symmetric-pattern
-    ordering SYMMETRIC_LU; condition_estimate keeps the 1-norm condition
-    estimate that guards against a near-Dirichlet eigenvalue.  The
+    int_idx lists the interior vertices in the mesh's nested-dissection
+    order (Mesh.interior_order), and A_ii and A_ib take their rows in that
+    order, so the interior block is factorized once, as SYMMETRIC_LU says,
+    with no ordering of its own; condition_estimate keeps the 1-norm
+    condition estimate that guards against a near-Dirichlet eigenvalue.  The
     factorization is immutable; solves with many right-hand sides can share
     one instance, and operator() keeps one instance per potential on the mesh.
 
@@ -68,8 +72,7 @@ class SchrodingerOperator:
         self.mass = mesh.mass
         self.boundary_weights = mesh.boundary_weights
         self.A = schrodinger_matrix(mesh, self.V)
-        ii = np.where(mesh.interior)[0]
-        self.int_idx = ii
+        ii = self.int_idx = mesh.interior_order
         self.bnd_idx = mesh.boundary
         A_ii = self.A[np.ix_(ii, ii)]
         try:

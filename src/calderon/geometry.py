@@ -184,6 +184,25 @@ class Mesh:
     def interior(self) -> np.ndarray:
         return ~self.is_boundary
 
+    @cached_property
+    def interior_order(self) -> np.ndarray:
+        """Interior vertex indices in nested-dissection order, computed on
+        first use (building a mesh orders nothing).
+
+        The interior block of Delta_g + V factorizes faster in this order
+        than in minimum-degree order, with about the same fill (George 1973);
+        see _nested_dissection.
+        """
+        ii = np.flatnonzero(self.interior)
+        local = np.full(self.n_vertices, -1)
+        local[ii] = np.arange(len(ii))
+        c = local[self.cells]
+        a, b = c.ravel(), np.roll(c, -1, axis=1).ravel()
+        # cells are positively oriented, so an edge between two interior
+        # vertices is met once each way: keep it once
+        edge = (a >= 0) & (a < b)
+        return ii[_nested_dissection(self.vertices[ii], a[edge], b[edge])]
+
     def boundary_theta(self) -> np.ndarray:
         return _wrap_angle(np.angle(self.vertices[self.boundary]))
 
@@ -203,6 +222,70 @@ def as_values(f, mesh: Mesh) -> np.ndarray:
     if arr.shape != (mesh.n_vertices,):
         raise ValueError("value count must equal vertex count")
     return arr
+
+
+# largest part _nested_dissection leaves unsplit
+DISSECTION_LEAF = 16
+
+
+def _nested_dissection(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Nested-dissection order of a planar graph: a permutation of
+    range(len(points)), for vertices at the complex coordinates points and
+    the edges (a[k], b[k]).
+
+    Each part of more than DISSECTION_LEAF vertices is split at the median
+    of its vertices' coordinate along its longer extent, and the vertices of
+    the low half with an edge to the high half form its separator, so the
+    two halves left share no edge.  All parts of one level split at once.
+    The order is the dissection tree's post-order: a part's low half, its
+    high half, then its separator.
+    """
+    n = len(points)
+    coords = np.stack([points.real, points.imag])
+    # each vertex's rank in x and in y, so one integer key sorts every part
+    # along its own axis
+    rank = np.argsort(np.argsort(coords, axis=1, kind="stable"), axis=1)
+    # each vertex ends in one tree node, a leaf or a separator, named by its
+    # depth and its path from the root in bits (low half 0, high half 1)
+    path = np.zeros(n, dtype=np.int64)
+    depth = np.zeros(n, dtype=np.int64)
+    # 0 or 1 in the low or high half of a part being split, 2 once placed
+    side = np.full(n, 2, dtype=np.int8)
+    active = np.arange(n)  # vertices of the parts still to split, grouped by part
+    level = 0
+    while True:
+        part = path[active]
+        size = np.bincount(part)[part]
+        split = size > DISSECTION_LEAF
+        depth[active[~split]], side[active[~split]] = level, 2
+        active, part, size = active[split], part[split], size[split]
+        if not len(active):
+            break
+        # where each part starts in active, and which part each vertex is in
+        head = np.r_[True, part[1:] != part[:-1]]
+        starts = np.flatnonzero(head)
+        run = np.cumsum(head) - 1
+        c = coords[:, active]
+        extent = np.maximum.reduceat(c, starts, axis=1) - np.minimum.reduceat(c, starts, axis=1)
+        axis = np.argmax(extent, axis=0)[run]
+        active = active[np.argsort(part * n + rank[axis, active])]
+        side[active] = np.arange(len(active)) - starts[run] >= size // 2
+        # an edge between two parts meets a separator, so the edges with
+        # ends of sides 0 and 1 are those between the halves of one part
+        sa, sb = side[a], side[b]
+        cut = (sa ^ sb) == 1
+        separator = np.where(sa[cut] == 1, b[cut], a[cut])
+        depth[separator], side[separator] = level, 2
+        active = active[side[active] < 2]
+        path[active] = 2 * path[active] + side[active]
+        level += 1
+    # post-order key: pad a node's path with ones to the deepest level, so
+    # it sorts after its low subtree and with its high one, then put deeper
+    # nodes first
+    deepest = depth.max(initial=0)
+    pad = deepest - depth
+    key = ((path << pad) | ((1 << pad) - 1)) * (deepest + 1) + pad
+    return np.argsort(key, kind="stable")
 
 
 def _merge_rings(inner_idx, inner_theta, outer_idx, outer_theta) -> np.ndarray:

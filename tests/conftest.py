@@ -616,18 +616,31 @@ def operator_builds(monkeypatch):
     return built
 
 
+def _mesh_cache_fills(monkeypatch, name):
+    """Every mesh whose cached property name is computed while the test
+    runs, in order."""
+    filled = []
+    compute = Mesh.__dict__[name].func
+
+    def counting_compute(mesh):
+        filled.append(mesh)
+        return compute(mesh)
+
+    counting = cached_property(counting_compute)
+    counting.__set_name__(Mesh, name)
+    monkeypatch.setattr(Mesh, name, counting)
+    return filled
+
+
 @pytest.fixture
 def stiffness_assemblies(monkeypatch):
     """Every mesh whose stiffness matrix is assembled while the test runs,
     in order."""
-    assembled = []
-    assemble = Mesh.__dict__["stiffness"].func
+    return _mesh_cache_fills(monkeypatch, "stiffness")
 
-    def counting_assemble(mesh):
-        assembled.append(mesh)
-        return assemble(mesh)
 
-    counting = cached_property(counting_assemble)
-    counting.__set_name__(Mesh, "stiffness")
-    monkeypatch.setattr(Mesh, "stiffness", counting)
-    return assembled
+@pytest.fixture
+def interior_orderings(monkeypatch):
+    """Every mesh whose interior_order is computed while the test runs, in
+    order."""
+    return _mesh_cache_fills(monkeypatch, "interior_order")

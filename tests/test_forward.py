@@ -173,6 +173,41 @@ def test_dirichlet_eigenvalue_detected(mesh_mid):
     assert "V_res" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "resolution, gamma0, bound", [(0.01, None, 1.0), (0.0175, (0.0, np.pi / 2), 1.1)]
+)
+def test_dissection_order_fills_no_more_than_minimum_degree(resolution, gamma0, bound):
+    """The LU of A_ii in the mesh's nested-dissection order has at most
+    bound times the fill of SuperLU's minimum degree on A^T + A, applied to
+    the same A_ii: no more on the fine full-data mesh, at most 10% more on
+    the reference mesh."""
+    mesh = build_disk_mesh(resolution, DiskDomain(gamma0=gamma0))
+    op = SchrodingerOperator(mesh, gaussian_bump)
+    ii = op.int_idx
+    mmd = spla.splu(
+        op.A[np.ix_(ii, ii)].tocsc(), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True}
+    )
+    assert op.lu.L.nnz + op.lu.U.nnz <= bound * (mmd.L.nnz + mmd.U.nnz)
+
+
+def test_operators_of_one_mesh_share_one_order(monkeypatch, interior_orderings):
+    """Two potentials on one mesh compute one interior order, and each
+    factorization keeps it (NATURAL column order)."""
+    specs = []
+    splu = spla.splu
+
+    def recording_splu(*args, **kwargs):
+        specs.append(kwargs["permc_spec"])
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", recording_splu)
+    mesh = build_disk_mesh(0.05, DiskDomain())
+    ops = [operator(mesh, 0.0), operator(mesh, gaussian_bump)]
+    assert interior_orderings == [mesh]
+    assert all(op.int_idx is mesh.interior_order for op in ops)
+    assert specs == ["NATURAL", "NATURAL"]
+
+
 def test_operator_cache_keys_on_vertex_values(operator_builds):
     mesh = build_disk_mesh(0.1, DiskDomain())
     bump = operator(mesh, gaussian_bump, name="V1")

@@ -126,6 +126,26 @@ def test_mesh_errors_match_loop_walk(resolution, gamma0):
     assert str(got.value) == str(want.value)
 
 
+@pytest.mark.parametrize("resolution", [1.0, 0.3, 0.04])
+def test_interior_order_is_a_permutation_of_the_interior(resolution, quarter_domain):
+    """interior_order lists every interior vertex once, from a mesh with one
+    interior vertex to one with many parts to split, and two builds of one
+    mesh give the same array."""
+    mesh, again = (build_disk_mesh(resolution, quarter_domain) for _ in range(2))
+    assert np.array_equal(np.sort(mesh.interior_order), np.flatnonzero(mesh.interior))
+    assert np.array_equal(again.interior_order, mesh.interior_order)
+
+
+def test_interior_order_is_computed_once_on_first_use(interior_orderings, quarter_domain):
+    """Building a mesh computes no order; the first use computes it and
+    every later use reads the same array."""
+    mesh = build_disk_mesh(0.04, quarter_domain)
+    assert interior_orderings == []
+    order = mesh.interior_order
+    assert mesh.interior_order is order
+    assert interior_orderings == [mesh]
+
+
 def test_interior_integral_disk_area(mesh_mid):
     assert abs(interior_integral(1.0, mesh_mid) - np.pi) <= 1e-3
 
