@@ -242,9 +242,10 @@ def run_carleman(sc: Scenario, out_dir: str) -> dict:
     _write_csv(csv_path, ("h", "sample_id", "lhs", "rhs", "ratio"), rep.pop("rows"))
     _write_json(json_path, rep)
     conv = _carleman.convexity_check(weight, mesh, min(sc.h_list))
+    bound = 0.05
     checks = [
         _check("carleman_min_ratio_positive", rep["pass"], rep["c_star"]),
-        _check("convexified_weight_identity", conv <= 5e-2, conv),
+        _check("convexified_weight_identity", conv <= bound, conv, detail=f"bound {bound}"),
     ]
     constants = {
         "c_star": rep["c_star"],

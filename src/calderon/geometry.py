@@ -326,8 +326,9 @@ def build_disk_mesh(resolution: float, domain: DiskDomain) -> Mesh:
     near-uniform edge lengths ~1/n; the centre is vertex 0 and ring k holds
     the vertices 1 + 3k(k-1) .. 3k(k+1) in increasing angle.  Ring 1 is a
     fan around the centre and each pair of neighbouring rings is one
-    _merge_rings strip.  Arc endpoints of gamma0 are snapped onto boundary
-    vertices so arc membership is exact.
+    _merge_rings strip; every triangle is counter-clockwise as built.  Arc
+    endpoints of gamma0 are snapped onto boundary vertices so arc membership
+    is exact.
     """
     if resolution <= 0:
         raise ConfigurationError("resolution must be positive")
@@ -354,8 +355,6 @@ def build_disk_mesh(resolution: float, domain: DiskDomain) -> Mesh:
     ring_index = [np.arange(1 + 3 * k * (k - 1), 1 + 3 * k * (k + 1)) for k in rings]
     radii = np.repeat(rings / n, 6 * rings)
     verts = np.concatenate([[0.0 + 0.0j], radii * np.exp(1j * np.concatenate(ring_angles))])
-    # force boundary exactly onto the unit circle
-    verts[ring_index[-1]] = np.exp(1j * ring_angles[-1])
 
     first = ring_index[0]
     fan = np.column_stack([np.zeros(6, dtype=int), first, np.roll(first, -1)])
@@ -364,12 +363,6 @@ def build_disk_mesh(resolution: float, domain: DiskDomain) -> Mesh:
         for q in range(n - 1)
     ]
     cells = np.concatenate([fan] + strips)
-    # enforce positive orientation
-    e1 = verts[cells[:, 1]] - verts[cells[:, 0]]
-    e2 = verts[cells[:, 2]] - verts[cells[:, 0]]
-    signed = e1.real * e2.imag - e1.imag * e2.real
-    flip = signed < 0
-    cells[flip] = cells[flip][:, [0, 2, 1]]
 
     boundary = ring_index[-1]
     theta = ring_angles[-1]
@@ -389,9 +382,8 @@ def build_disk_mesh(resolution: float, domain: DiskDomain) -> Mesh:
 def boundary_integral(trace, mesh: Mesh, arc: str = "full"):
     """Arc-length integral of a boundary trace with measure e^{rho} ds.
 
-    `trace` holds one value per boundary vertex (ordered as mesh.boundary)
-    or, for arc="gamma"/"gamma0", one value per vertex of that arc.
-    An empty requested arc integrates to zero.
+    `trace` holds one value per boundary vertex (ordered as mesh.boundary);
+    an empty requested arc integrates to zero.
     """
     trace = np.asarray(trace)
     nb = len(mesh.boundary)
@@ -403,14 +395,9 @@ def boundary_integral(trace, mesh: Mesh, arc: str = "full"):
         mask = mesh.boundary_is_gamma0
     else:
         raise ValueError(f"unknown arc {arc!r}")
-    full = np.zeros(nb, dtype=trace.dtype)
-    if trace.shape == (nb,):
-        full[:] = trace
-    elif trace.shape == (int(mask.sum()),):
-        full[mask] = trace
-    else:
-        raise ValueError("trace length matches neither the full boundary nor the arc")
-    total = np.sum(mesh.boundary_weights[mask] * full[mask])
+    if trace.shape != (nb,):
+        raise ValueError("trace needs one value per boundary vertex")
+    total = np.sum(mesh.boundary_weights[mask] * trace[mask])
     return complex(total) if np.iscomplexobj(trace) else float(total.real)
 
 

@@ -6,9 +6,8 @@ least-squares builders (phases real on the inaccessible arc, amplitudes
 with prescribed zeros, jet-matching primitives, the CGO corrector a0 and
 the Carleman auxiliaries; all but the phase are fitted by _fit_on_arc),
 and a critical-point finder: the companion-matrix eigenvalues of dPhi,
-Newton-polished as one array, each certified by an argument-principle
-winding on a small circle and checked in total against the winding over
-the disk contour.
+each certified by an argument-principle winding on a small circle and
+checked in total against the winding over the disk contour.
 """
 
 from __future__ import annotations
@@ -35,14 +34,9 @@ PHASE_TIKHONOV = 1e-18
 # gamma0 collocation nodes per degree of an arc fit
 ARC_NODES_PER_DEGREE = 8
 # critical-point finder: the disk contour's winding starts at WINDING_SAMPLES
-# samples; Newton polishes the eigenvalues within NEWTON_RADIUS for at most
-# NEWTON_STEPS steps, until a step is below NEWTON_TOL; candidates closer
-# than MERGE_TOL are one zero, and the one within PRIMARY_TOL of a phase's
-# p is its primary point p
+# samples; candidates closer than MERGE_TOL are one zero, and the one within
+# PRIMARY_TOL of a phase's p is its primary point p
 WINDING_SAMPLES = 2048
-NEWTON_RADIUS = 1.5
-NEWTON_STEPS = 6
-NEWTON_TOL = 1e-13
 MERGE_TOL = 1e-7
 PRIMARY_TOL = 1e-9
 # a winding contour step is refused when min(|f'/f| at its two ends) times
@@ -464,28 +458,6 @@ def _circle_winding(fn: HoloFunction, radius: float) -> int:
     raise RuntimeError("could not certify winding number on the disk contour")
 
 
-def _newton_polish(dphi: HoloFunction, d2phi: HoloFunction, z0: np.ndarray) -> np.ndarray:
-    """Newton's method on every start point at once.  A point stops once its
-    step falls below NEWTON_TOL; a point whose step never does, or whose dPhi''
-    vanishes (a multiple zero), keeps its start point."""
-    z = z0.copy()
-    active = np.ones(len(z), dtype=bool)
-    converged = np.zeros(len(z), dtype=bool)
-    for _ in range(NEWTON_STEPS):
-        if not np.any(active):
-            break
-        za = z[active]
-        d2 = d2phi(za)
-        ok = np.abs(d2) >= 1e-14
-        step = np.zeros_like(za)
-        np.divide(dphi(za), d2, out=step, where=ok)
-        z[active] = za - step
-        done = ok & (np.abs(step) < NEWTON_TOL)
-        converged[active] = done
-        active[active] = ok & ~done
-    return np.where(converged, z, z0)
-
-
 def _circles_winding(fn: HoloFunction, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """Winding of fn on the circle of each center and radius, all sampled
     in one evaluation (finer sampling on failure)."""
@@ -502,13 +474,13 @@ def find_critical_points(phi: HoloFunction) -> CriticalPointReport:
     """All zeros of dPhi in the closed unit disk, certified by the argument principle.
 
     The candidates are the eigenvalues of the companion matrix of dPhi
-    (numpy.roots).  Those near the disk are polished together by Newton's
-    method, and candidates closer than MERGE_TOL (the split eigenvalues of a
-    multiple zero) merge into one cluster.  Each cluster inside the
-    verification circle |z| = 1 + 1e-6 is certified by the winding of dPhi
-    on a small circle around it, which is its multiplicity; the circles are
-    disjoint and stay off the verification circle, and all of them are
-    evaluated in one call; a circle of winding 0 is dropped.  The report
+    (numpy.roots), taken as they are; candidates closer than MERGE_TOL (the
+    split eigenvalues of a multiple zero) merge into one cluster.  Each
+    cluster inside the verification circle |z| = 1 + 1e-6 is certified by
+    the winding of dPhi on a small circle around it, which is its
+    multiplicity; the circles are disjoint and stay off the verification
+    circle, and all of them are evaluated in one call; a circle of winding 0
+    is dropped.  The report
     fails loudly if the multiplicities do not add up to the winding of dPhi
     over the verification circle, as for a zero of multiplicity 3 or more,
     whose eigenvalues split wider than MERGE_TOL.  A double zero within
@@ -521,13 +493,10 @@ def find_critical_points(phi: HoloFunction) -> CriticalPointReport:
     dphi = phi.derivative()
     if np.all(np.abs(dphi.coeffs) == 0):
         raise ValueError("phase is constant")
-    d2phi = phi.derivative(2)
     contour_r = 1.0 + 1e-6
     total = _circle_winding(dphi, contour_r)
 
     roots = np.roots(dphi.coeffs[::-1]).astype(complex)
-    near = np.abs(roots) < NEWTON_RADIUS
-    roots[near] = _newton_polish(dphi, d2phi, roots[near])
     group = np.arange(len(roots))
     close = np.abs(roots[:, None] - roots[None, :]) < MERGE_TOL
     for i, j in zip(*np.nonzero(np.triu(close, 1))):
@@ -540,7 +509,7 @@ def find_critical_points(phi: HoloFunction) -> CriticalPointReport:
     radii = np.minimum(0.4 * np.min(gap, axis=1, initial=np.inf), 0.5 * np.abs(contour_r - np.abs(z)))
     mult = _circles_winding(dphi, z, radii)
     z, mult = z[mult > 0], mult[mult > 0]
-    second = np.abs(d2phi(z))
+    second = np.abs(phi.derivative(2)(z))
     points = [
         CriticalPoint(
             location=complex(q),
@@ -629,7 +598,7 @@ def build_morse_phase(
     screened mu met the target) a miss means the degree is too low; above
     it, that the screen and the full fit disagree.  meta records the chosen
     "penalty_weight", the "critical_points" report and "p", the exact point
-    the phase was built at (the report holds its Newton-polished root),
+    the phase was built at (the report holds its companion-matrix root),
     which every consumer reads as the primary critical point.
     """
     p = complex(p)

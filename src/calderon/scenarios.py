@@ -289,7 +289,8 @@ class Scenario:
 
 
 def load_scenario(source) -> Scenario:
-    """Build a Scenario from a config path, JSON text, or dict."""
+    """Build a Scenario from a config path, JSON text, or dict; theta_p
+    (boundary's recovery angle) must lie on gamma, not on gamma0."""
     if isinstance(source, dict):
         config = source
     else:
@@ -304,6 +305,11 @@ def load_scenario(source) -> Scenario:
         conformal_log_factor=make_rho(config["rho"]),
         gamma0=None if gamma0 is None else (float(gamma0[0]), float(gamma0[1])),
     )
+    if domain.on_gamma0(config["theta_p"]):
+        a, b = domain.gamma0
+        raise ConfigurationError(
+            f"theta_p = {config['theta_p']:.3f} lies on gamma0 = [{a:.3f}, {b:.3f}]; it must lie on gamma"
+        )
     return Scenario(
         config=config,
         domain=domain,

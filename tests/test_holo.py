@@ -535,8 +535,8 @@ def test_critical_points_missing_eigenvalue_fails_loudly(monkeypatch):
 
 
 def test_critical_points_evaluate_few_polynomials(quarter_domain, monkeypatch):
-    """Roots from the companion matrix, one Newton pass and one batched
-    winding: at most 20 HoloFunction evaluations on a degree-36 phase."""
+    """Roots from the companion matrix and one batched winding: at most
+    20 HoloFunction evaluations on a degree-36 phase."""
     phi = build_morse_phase(quarter_domain, P_STAR, degree=36, psi_target=0.8)
     calls = []
     call = HoloFunction.__call__

@@ -203,6 +203,13 @@ def test_morse_phase_is_one_seedless_fit():
     assert not hasattr(calderon.holo, "PHASE_ATTEMPTS")
 
 
+def test_critical_points_are_the_companion_eigenvalues():
+    """find_critical_points certifies the eigenvalues numpy.roots returns
+    as they are: holo has no Newton polish and no NEWTON_* constant."""
+    assert not hasattr(calderon.holo, "_newton_polish")
+    assert [name for name in vars(calderon.holo) if name.startswith("NEWTON_")] == []
+
+
 def test_each_rule_has_one_owner():
     """The critical-point report alone judges a Morse point, so its
     thresholds are named in holo alone; DiskDomain alone computes gamma0's

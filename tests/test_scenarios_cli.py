@@ -41,6 +41,17 @@ def test_reference_defaults():
     assert len(cfg["cgo_regimes"]) == 2
 
 
+def test_theta_p_on_gamma0_is_refused_at_load():
+    """boundary recovers V at theta_p on gamma, so load_scenario refuses a
+    theta_p on gamma0 (here the default pi on the half circle) and names
+    both keys; the schema check alone still accepts the config."""
+    config = {"name": "x", "seed": 0, "gamma0": [0.0, np.pi]}
+    validate_config(dict(config))
+    with pytest.raises(ConfigurationError, match=r"theta_p = 3\.142 lies on gamma0 = \[0\.000, 3\.142\]"):
+        load_scenario(config)
+    assert load_scenario({**config, "theta_p": 1.5 * np.pi}).config["theta_p"] == 1.5 * np.pi
+
+
 def test_default_epsilon_admits_default_h_list():
     """The defaults pass their own carleman pipeline's h <= epsilon/5."""
     sc = load_scenario({"name": "reference", "seed": 0})
@@ -692,10 +703,16 @@ def test_every_csv_round_trips(tmp_path):
     """Every CSV of an `all` run has its header, header-many fields on each
     line, and float fields that are the shortest repr of their value, so
     they parse back bit for bit.  The run exits 1, failing exactly the
-    known ALL_CHEAP checks."""
+    known ALL_CHEAP checks, and a second run writes every file byte for
+    byte again."""
     out = tmp_path / "out"
     cfg = _write_cfg(tmp_path, {"name": "cheap", "seed": 3, **ALL_CHEAP})
     assert _cli.run_scenario(cfg, "all", out_dir=str(out)) == 1
+    again = tmp_path / "again"
+    assert _cli.run_scenario(cfg, "all", out_dir=str(again)) == 1
+    names = sorted(f.name for f in out.iterdir())
+    assert sorted(f.name for f in again.iterdir()) == names
+    assert [n for n in names if (out / n).read_bytes() != (again / n).read_bytes()] == []
     summary = json.loads((out / "all_summary.json").read_text())
     assert {c["name"] for c in summary["checks"] if not c["passed"]} == ALL_CHEAP_FAILING_CHECKS
     assert sorted(f.name for f in out.glob("*.csv")) == sorted(CSV_HEADERS)
@@ -720,16 +737,16 @@ def test_every_csv_round_trips(tmp_path):
 VERDICT_MATRIX = {
     "reference": (0, set()),
     "full_data": (1, {"exponent_r1_minus_hr12t_l2", "convexified_weight_identity", "pointwise_difference_accuracy"}),
-    # the half circle leaves cgo 1 usable h of 5 and reconstruct 3 of 5, and
-    # puts boundary's theta_p = pi on gamma0; carleman passes both checks
-    "half_circle": (1, {"cgo_completed", "reconstruct_completed", "boundary_completed"}),
+    # the half circle leaves cgo 1 usable h of 5 and reconstruct 3 of 5;
+    # carleman passes both checks, and boundary at theta_p = 3 pi / 2 passes
+    "half_circle": (1, {"cgo_completed", "reconstruct_completed"}),
     "gaussian_rho": (0, set()),
     "gamma0_pi3_5pi6": (1, {"exponent_r1_minus_hr12t_l2"}),
 }
 VERDICT_CONFIGS = {
     "reference": {},
     "full_data": {"gamma0": None},
-    "half_circle": {"gamma0": [0.0, np.pi]},
+    "half_circle": {"gamma0": [0.0, np.pi], "theta_p": 1.5 * np.pi},
     "gaussian_rho": {"rho": {"profile": "gaussian", "amplitude": 0.3, "center": [0.0, 0.0], "width": 0.6}},
     "gamma0_pi3_5pi6": {"gamma0": [np.pi / 3, 5 * np.pi / 6]},
 }
@@ -740,7 +757,6 @@ VERDICT_ERRORS = {
     "half_circle": {
         "cgo_completed": "ConfigurationError",
         "reconstruct_completed": "ResolvabilityError",
-        "boundary_completed": "ReconstructionError",
     },
 }
 
@@ -749,9 +765,11 @@ def test_verdict_matrix(tmp_path, capsys):
     """Every pipeline on each geometry of VERDICT_CONFIGS gives the verdict
     that VERDICT_MATRIX pins.  A pipeline that raises does not stop the
     run: it prints "error: <pipeline>: <message>" on stderr and FAILs
-    <pipeline>_completed with detail "<ErrorClass>: <message>"."""
+    <pipeline>_completed with detail "<ErrorClass>: <message>".  The
+    full-data convexity FAIL line names its bound."""
     verdicts = {}
     errors = {}
+    stdout = {}
     for name, overrides in VERDICT_CONFIGS.items():
         out = tmp_path / name
         status = _cli.run_scenario({"name": name, "seed": 0, **overrides}, "all", out_dir=str(out))
@@ -761,12 +779,16 @@ def test_verdict_matrix(tmp_path, capsys):
         completed = {k: c["detail"] for k, c in failed.items() if k.endswith("_completed")}
         if completed:
             errors[name] = {k: detail.split(": ", 1)[0] for k, detail in completed.items()}
-        err_lines = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")]
+        captured = capsys.readouterr()
+        stdout[name] = captured.out.splitlines()
+        err_lines = [line for line in captured.err.splitlines() if line.startswith("error: ")]
         assert err_lines == [
             f"error: {k.removesuffix('_completed')}: {detail.split(': ', 1)[1]}" for k, detail in completed.items()
         ]
     assert verdicts == VERDICT_MATRIX
     assert errors == VERDICT_ERRORS
+    convexity = [line for line in stdout["full_data"] if line.startswith("FAIL convexified_weight_identity = ")]
+    assert convexity and all(line.endswith(" -- bound 0.05") for line in convexity)
 
 
 CGO_CHEAP = {**CHEAP, "h_list": [0.5, 0.4, 0.32, 0.25]}
@@ -841,10 +863,13 @@ def test_reference_boundary_check_flagged_trivial(tmp_path):
 
 def test_boundary_failure_at_theta_p_fails_the_value_check(tmp_path, monkeypatch):
     """A theta_p the scan cannot recover FAILs boundary_value_estimate with
-    the scan's recorded error.  On gamma0 the calibration refuses theta_p
-    first, so a fixed calibration stands in for it here."""
+    the scan's recorded error.  load_scenario refuses a theta_p on gamma0,
+    so the loaded config is edited to put one there, and on gamma0 the
+    calibration refuses theta_p first, so a fixed calibration stands in for
+    it here."""
     monkeypatch.setattr(_rc, "calibrate_boundary_constant", lambda mesh, theta_p, h_list: 1.0)
-    sc = load_scenario({"name": "cheap", "seed": 3, **BOUNDARY_CHEAP, "theta_p": np.pi / 4})
+    sc = load_scenario({"name": "cheap", "seed": 3, **BOUNDARY_CHEAP})
+    sc.config["theta_p"] = np.pi / 4
     results = _cli.run_boundary(sc, str(tmp_path))
     assert [(c["name"], c["passed"]) for c in results["checks"]] == [("boundary_value_estimate", False)]
     assert "theta = 0.785 lies on gamma0" in results["checks"][0]["detail"]
