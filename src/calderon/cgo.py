@@ -17,16 +17,20 @@ residual e^{-Phi/h}(Delta_g + V) e^{Phi/h} A decays like h (up to logs):
     overflow or catastrophic cancellation occurs.  Its normal equations are
     symmetric positive definite with a 2-ring stencil, whose reverse
     Cuthill-McKee order has half-bandwidth 231 on the reference mesh, so
-    they are solved by banded Cholesky rather than a sparse LU.
+    they are solved by banded Cholesky rather than a sparse LU.  Their
+    pattern, that order and the place of every product in the lower band
+    are the mesh's (Mesh.duality_pattern), built once per mesh; each h
+    only fills the band and factors it.
 
 One CGO per (phase, potential): prepare_cgo builds the h-independent
 ingredients once and returns them as a CGO, which holds its potential V
-and, in CGO.A, the assembled Delta_g + V.  Its r11_sweep gives the r11
-fields of a whole h list from one Cauchy-transform sweep and its
-slow_amplitude gives a + h a0 + r1 at one h.  The remainder report runs
-residual_field and duality_completion on it at each h; the interior
-pairing of reconstruct reads the same object.  All advertised norm
-scalings are measured, not assumed; see residual_scaling_report.
+and caches the phase, its derivative and dz(chi) at the mesh vertices.
+Its r11_sweep gives the r11 fields of a whole h list from one
+Cauchy-transform sweep and its slow_amplitude gives a + h a0 + r1 at one
+h.  The remainder report runs residual_field and duality_completion on it
+at each h; the interior pairing of reconstruct reads the same object.  All
+advertised norm scalings are measured, not assumed; see
+residual_scaling_report.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from .geometry import (
     dzbar_field,
     vertex_gradient,
 )
-from .forward import operator, schrodinger_matrix
+from .forward import operator
 from .holo import (
     HoloFunction,
     InfeasibleDegreeError,
@@ -219,9 +223,10 @@ class CGO:
     r1 = r11 + h r12: the potential V sampled at the mesh vertices, the
     cutoffs chi and chi1 at the phase's primary point, the potential term
     b, the algebraic remainders r12 and r_tilde12, the corrector a0, and a
-    and a0 sampled at the mesh vertices (a_z, a0_z); A is the assembled
-    Delta_g + V, built on first use.  Built by prepare_cgo; r11 comes per h
-    list from r11_sweep, and r2 per h from duality_completion."""
+    and a0 sampled at the mesh vertices (a_z, a0_z); Phi, Phi' and dz(chi)
+    at the mesh vertices are sampled on first use.  Built by prepare_cgo;
+    r11 comes per h list from r11_sweep, and r2 per h from
+    duality_completion."""
 
     mesh: Mesh
     V: np.ndarray
@@ -237,10 +242,19 @@ class CGO:
     a0_z: np.ndarray
 
     @cached_property
-    def A(self) -> sp.csc_matrix:
-        """Delta_g + V assembled (forward.schrodinger_matrix) on first use;
-        never factorized."""
-        return schrodinger_matrix(self.mesh, self.V)
+    def phase_z(self) -> np.ndarray:
+        """Phi at the mesh vertices."""
+        return self.phase(self.mesh.vertices)
+
+    @cached_property
+    def dphase_z(self) -> np.ndarray:
+        """Phi' at the mesh vertices."""
+        return self.phase.derivative()(self.mesh.vertices)
+
+    @cached_property
+    def dchi_z(self) -> np.ndarray:
+        """dz(chi) at the mesh vertices."""
+        return self.chi.dz(self.mesh.vertices)
 
     @cached_property
     def dzbar_r12(self) -> np.ndarray:
@@ -275,10 +289,10 @@ class CGO:
             return {h: (zero, zero, None) for h in h_list}
         z = mesh.vertices
         c1 = self.chi1(z)
-        psi = self.phase(z).imag
+        psi = self.phase_z.imag
         osc = [np.exp(2j * psi / h) for h in h_list]
         c = chi(z)
-        dchi = chi.dz(z)
+        dchi = self.dchi_z
         idx = np.flatnonzero((c > 0) | (dchi != 0))
         F = np.array([osc_h * c1 * b for osc_h in osc])
         T_idx, _ = _cauchy_transform_columns(F, mesh, eval_index=idx)
@@ -361,12 +375,12 @@ def residual_field(cgo: CGO, h: float, r11: np.ndarray, T: Optional[np.ndarray])
     that cancel in exact arithmetic are dropped analytically.
 
     V is the cgo's own, the stiffness matrix and lumped mass are the
-    mesh's, and the h-independent derivatives dzbar(r12) and dzbar(chi1 b)
-    are the cgo's cached ones, taken once per CGO; nothing is factorized.
+    mesh's, and the h-independent samples Phi, Phi' and dz(chi) and
+    derivatives dzbar(r12) and dzbar(chi1 b) are the cgo's cached ones,
+    taken once per CGO; nothing is factorized.
     """
     mesh = cgo.mesh
-    z = mesh.vertices
-    dphi = cgo.phase.derivative()(z)
+    dphi = cgo.dphase_z
     inv_metric = np.exp(-2.0 * mesh.rho_v)
     A_slow = cgo.a_z + h * cgo.a0_z + h * cgo.r12
     res = (
@@ -375,9 +389,8 @@ def residual_field(cgo: CGO, h: float, r11: np.ndarray, T: Optional[np.ndarray])
         - 4.0 * inv_metric * dphi * cgo.dzbar_r12
     )
     if T is not None:
-        psi_v = cgo.phase(z).imag
-        osc_conj = np.exp(-2j * psi_v / h)
-        dchi = cgo.chi.dz(z)
+        osc_conj = np.exp(-2j * cgo.phase_z.imag / h)
+        dchi = cgo.dchi_z
         res = res - 4.0 * inv_metric * cgo.dzbar_chi1b
         res = res - 4.0 * inv_metric * osc_conj * (
             dzbar_field(dchi * T, mesh) + (np.conj(dphi) / h) * dchi * T
@@ -396,7 +409,7 @@ def ansatz_residual(mesh: Mesh, res: np.ndarray) -> float:
     return l2_norm(np.where(bulk, res, 0.0), mesh)
 
 
-def duality_completion(cgo: CGO, h: float, r11: np.ndarray, res: np.ndarray) -> np.ndarray:
+def duality_completion(cgo: CGO, h: float, r11: np.ndarray, res: np.ndarray) -> tuple[np.ndarray, float]:
     """Weighted remainder r2 realized by the minimal-norm (duality) solve.
 
     Finds the smallest r2 (in the lumped-mass L2 norm) with
@@ -409,9 +422,8 @@ def duality_completion(cgo: CGO, h: float, r11: np.ndarray, res: np.ndarray) -> 
     produced Cauchy data rather than prescribed.  The right-hand side is
     evaluated term by term via residual_field, so it stays at the true
     remainder scale on any mesh that resolves the slow fields; the ansatz
-    is cgo's at h with the r11 of its r11_sweep, res is
-    residual_field(cgo, h, r11, T), which the caller evaluates once, and
-    Delta_g + V is cgo.A, assembled once per CGO.
+    is cgo's at h with the r11 of its r11_sweep, and res is
+    residual_field(cgo, h, r11, T), which the caller evaluates once.
 
     Why not a direct Dirichlet solve with the ansatz trace prescribed on
     gamma: its weighted solution operator contains
@@ -424,69 +436,61 @@ def duality_completion(cgo: CGO, h: float, r11: np.ndarray, res: np.ndarray) -> 
 
     The minimal-norm r2 is M^{-1} G^T lam with S lam = rhs, S = G M^{-1} G^T
     and G the conjugated operator's interior rows and free columns.  S is
-    symmetric positive definite when G has full row rank, with
-    half-bandwidth 231 in reverse Cuthill-McKee order on the reference
-    mesh, so it is solved by banded Cholesky (_solve_spd_banded).  Delta_g + V is never
-    inverted, so no Dirichlet-eigenvalue guard applies; an S that is not
-    positive definite raises instead.  Returns r2.
+    symmetric positive definite when G has full row rank, and its pattern,
+    reverse Cuthill-McKee order and lower band layout are the mesh's
+    (Mesh.duality_pattern, built once per mesh).  Each h forms G's entries
+    as conjugated_matrix does, (K + V M)_ij e^{(phi_j - phi_i)/h}, sums
+    their products into the lower band of S and solves by banded Cholesky
+    (_banded_cholesky).  Delta_g + V is never assembled whole nor inverted,
+    so no Dirichlet-eigenvalue guard applies; an S that is not positive
+    definite raises instead.
+
+    Returns r2 and the relative residual |G r2 - rhs| / |rhs| of the
+    constraints it solves (0 when rhs = 0).
     """
-    mesh = cgo.mesh
+    mesh, p = cgo.mesh, cgo.mesh.duality_pattern
     mass = mesh.mass
-    phase_v = cgo.phase(mesh.vertices)
-    phi_v, psi_v = phase_v.real, phase_v.imag
+    phi_v, psi_v = cgo.phase_z.real, cgo.phase_z.imag
     rhs_field = 2.0 * np.real(np.exp(1j * psi_v / h) * res)
     w = 2.0 * np.real(np.exp(1j * psi_v / h) * cgo.slow_amplitude(h, r11))
-    B = conjugated_matrix(cgo.A, phi_v, h)
-    ii = np.flatnonzero(mesh.interior)
-    gamma0_idx = mesh.gamma0_indices()
-    free = np.concatenate([ii, mesh.gamma_indices()])
+    # the entries of G and C, with the bits conjugated_matrix gives them
+    phi_row = phi_v[p.order]
+    K = mesh.stiffness.data
+    G = K[p.pos]
+    G[p.diag] += (cgo.V * mass)[p.order]
+    G *= np.exp((phi_v[p.free][p.col] - phi_row[p.row]) / h)
+    C = K[p.c_pos] * np.exp((phi_v[p.gamma0][p.c_col] - phi_row[p.c_row]) / h)
+    n = len(p.order)
     r2 = np.zeros(mesh.n_vertices)
-    r2[gamma0_idx] = -w[gamma0_idx]
-    rhs = -(mass * rhs_field)[ii] - B[np.ix_(ii, gamma0_idx)] @ r2[gamma0_idx]
-    G = B[np.ix_(ii, free)]
-    inv_mass_free = sp.diags(1.0 / mass[free])
-    lam = _solve_spd_banded(G @ inv_mass_free @ G.T, rhs, h)
-    r2[free] = inv_mass_free @ (G.T @ lam)
-    return r2
+    r2[p.gamma0] = -w[p.gamma0]
+    rhs = -(mass * rhs_field)[p.order] - np.bincount(p.c_row, C * r2[p.gamma0][p.c_col], minlength=n)
+    m = mass[p.free]
+    lam = _banded_cholesky(p.lower_band(G, m), rhs, h)
+    # r2 = M^{-1} G^T lam on the free vertices
+    r2[p.free] = np.bincount(p.col, G * lam[p.row], minlength=len(p.free)) / m
+    Gr2 = np.bincount(p.row, G * r2[p.free][p.col], minlength=n)
+    residual = np.linalg.norm(Gr2 - rhs) / max(np.linalg.norm(rhs), np.finfo(float).tiny)
+    return r2, float(residual)
 
 
-def _solve_spd_banded(S: sp.spmatrix, rhs: np.ndarray, h: float) -> np.ndarray:
-    """Solve the duality normal equations S x = rhs at h (S sparse,
-    symmetric positive definite) by banded Cholesky in reverse
-    Cuthill-McKee order.
+def _banded_cholesky(band: np.ndarray, rhs: np.ndarray, h: float) -> np.ndarray:
+    """Solve the duality normal equations S x = rhs at h from the lower
+    band of S (DualityPattern.lower_band), which is overwritten.
 
-    The RCM order of S's pattern (Cuthill & McKee 1969) packs its 2-ring
+    The reverse Cuthill-McKee order (Cuthill & McKee 1969) packs S's 2-ring
     stencil into a narrow band, which LAPACK's dpbsv (dpbtrf, then dpbtrs)
     factors and solves in about half the time of a sparse LU and in less
-    memory.  Only the upper triangle of the permuted S is read, so an S that
-    is symmetric only to rounding (a computed G M^{-1} G^T) is symmetrized
-    implicitly.  A non-positive-definite S raises RuntimeError naming h and
-    the failing leading minor (counted in RCM order).
+    memory; the lower form runs faster than the upper one.  A
+    non-positive-definite S raises RuntimeError naming h and the failing
+    leading minor (counted in that order).
     """
-    from scipy.sparse.csgraph import reverse_cuthill_mckee
-
-    n = S.shape[0]
-    perm = reverse_cuthill_mckee(S.tocsr(), symmetric_mode=True)
-    rank = np.empty(n, dtype=np.intp)
-    rank[perm] = np.arange(n)
-    S = S.tocoo()
-    row, col = rank[S.row], rank[S.col]
-    upper = row <= col
-    row, col = row[upper], col[upper]
-    bandwidth = int(np.max(col - row, initial=0))
-    # column-major, as dpbsv stores the band, so overwrite_ab copies nothing
-    band = np.zeros((bandwidth + 1, n), order="F")
-    band[bandwidth + row - col, col] = S.data[upper]
     try:
-        x = solveh_banded(band, rhs[perm], overwrite_ab=True, overwrite_b=True, check_finite=False)
+        return solveh_banded(band, rhs, overwrite_ab=True, lower=True, check_finite=False)
     except LinAlgError as exc:
         raise RuntimeError(
             f"duality normal equations at h = {h} are not positive definite: "
             f"{exc} (reverse Cuthill-McKee order)"
         ) from exc
-    out = np.empty_like(x)
-    out[perm] = x
-    return out
 
 
 def _fit_exponent(h_list, norms, log_corrected=False):
@@ -519,21 +523,24 @@ def residual_scaling_report(
     from its one r11_sweep, so the sweep's Cauchy transforms share their
     kernels.  Each h evaluates residual_field once, for both its duality
     completion and its ansatz residual.  r2 is the minimal-norm remainder
-    of duality_completion.
+    of duality_completion, whose relative residual at each h is recorded
+    under duality_residual, beside the norms: no exponent is fitted to it.
 
-    Delta_g + V is the CGO's A, assembled once per sweep and never
-    factorized, so the sweep runs no Dirichlet-eigenvalue guard for V: the
-    duality solve does not invert Delta_g + V, and fails loudly instead
-    when its normal equations are not positive definite."""
+    Delta_g + V is never factorized, so the sweep runs no
+    Dirichlet-eigenvalue guard for V: the duality solve does not invert
+    Delta_g + V, and fails loudly instead when its normal equations are not
+    positive definite."""
     used_h, skipped, _ = resolvable_h(mesh, h_list, phase_slope(mesh, phase, cutoff_scale), PHASE_PER_CELL)
     if len(used_h) < 4:
         msg = f"need at least 4 usable h values for exponent fits, got {len(used_h)}"
         raise ConfigurationError("; ".join([msg] + [s["reason"] for s in skipped]))
     cgo = prepare_cgo(mesh, V, phase, amplitude, cutoff_scale=cutoff_scale)
     rows = []
+    duality_residual = []
     for h, (r11, eta, T) in cgo.r11_sweep(used_h).items():
         res = residual_field(cgo, h, r11, T)
-        r2 = duality_completion(cgo, h, r11, res)
+        r2, residual = duality_completion(cgo, h, r11, res)
+        duality_residual.append(residual)
         r1 = r11 + h * cgo.r12
         rows.append(
             {
@@ -563,5 +570,6 @@ def residual_scaling_report(
         "cutoff_scale": cutoff_scale,
         "skipped": skipped,
         "norms": rows,
+        "duality_residual": duality_residual,
         "exponents": exponents,
     }

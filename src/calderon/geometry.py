@@ -203,6 +203,12 @@ class Mesh:
         edge = (a >= 0) & (a < b)
         return ii[_nested_dissection(self.vertices[ii], a[edge], b[edge])]
 
+    @cached_property
+    def duality_pattern(self) -> "DualityPattern":
+        """The structure of the duality normal equations, built on first use
+        (building a mesh builds nothing); see DualityPattern."""
+        return _duality_pattern(self)
+
     def boundary_theta(self) -> np.ndarray:
         return _wrap_angle(np.angle(self.vertices[self.boundary]))
 
@@ -211,6 +217,118 @@ class Mesh:
 
     def gamma0_indices(self) -> np.ndarray:
         return self.boundary[self.boundary_is_gamma0]
+
+
+@dataclass(frozen=True, eq=False)
+class DualityPattern:
+    """Sparsity structure of the duality normal equations S = G M^{-1} G^T
+    of cgo.duality_completion on one mesh (Mesh.duality_pattern).
+
+    G and C are the blocks of Delta_g + V, conjugated by any weight, with
+    the interior rows and the free columns (free: the interior, then
+    gamma) or the gamma0 columns; they keep the stiffness matrix's pattern
+    whatever V, the weight and h.  Row r stands for the interior vertex
+    order[r], in the reverse Cuthill-McKee order (Cuthill & McKee 1969) of
+    the structural product of G's pattern with its transpose, which packs
+    S's 2-ring stencil into a band of half-width bandwidth.
+
+    Entry k of G has row row[k], column free[col[k]] and stiffness value
+    stiffness.data[pos[k]]; G's entries are sorted by row, and diag[r] is
+    the one on row r's diagonal.  C's entries (c_row, c_col into gamma0,
+    c_pos) hold no diagonal.  Each pair of G entries in one column, t1 and
+    t2, adds its product to the flat entry slot of S's lower band
+    (lower_band); the pairs are sorted by slot.
+    """
+
+    order: np.ndarray
+    free: np.ndarray
+    gamma0: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+    pos: np.ndarray
+    diag: np.ndarray
+    c_row: np.ndarray
+    c_col: np.ndarray
+    c_pos: np.ndarray
+    t1: np.ndarray
+    t2: np.ndarray
+    slot: np.ndarray
+    bandwidth: int
+
+    def lower_band(self, G: np.ndarray, m: np.ndarray) -> np.ndarray:
+        """The lower band of S = G M^{-1} G^T in row order, for the values G
+        of G's entries and the masses m of the free columns: a
+        (bandwidth + 1) x n array, column-major as LAPACK's dpbsv stores
+        it, with S[j + d, j] at [d, j]."""
+        n = len(self.order)
+        band = np.bincount(self.slot, (G / m[self.col])[self.t1] * G[self.t2], minlength=(self.bandwidth + 1) * n)
+        return band.reshape(n, self.bandwidth + 1).T
+
+
+def _duality_pattern(mesh: Mesh) -> DualityPattern:
+    """Build mesh's DualityPattern from its stiffness matrix's pattern;
+    indices are int32, and no temporary outlives the build."""
+    # imported here, so importing the package loads no graph routines
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    K = mesh.stiffness
+    ii = np.flatnonzero(mesh.interior)
+    free = np.concatenate([ii, mesh.gamma_indices()])
+    gamma0 = mesh.gamma0_indices()
+    # each vertex's column among free (>= 0) or gamma0 (< 0), and each
+    # interior vertex's row
+    column = np.empty(mesh.n_vertices, dtype=np.int32)
+    column[free] = np.arange(len(free))
+    column[gamma0] = -1 - np.arange(len(gamma0))
+    local = np.full(mesh.n_vertices, -1, dtype=np.int32)
+    local[ii] = np.arange(len(ii))
+    # the stiffness entries of the interior rows
+    pos = np.flatnonzero(np.repeat(mesh.interior, np.diff(K.indptr))).astype(np.int32)
+    row = local[np.searchsorted(K.indptr, pos, side="right") - 1]
+    col = column[K.indices[pos]]
+    g = col >= 0
+    n = len(ii)
+    pattern = sp.csr_matrix((np.ones(np.count_nonzero(g)), (row[g], col[g])), shape=(n, len(free)))
+    order = reverse_cuthill_mckee((pattern @ pattern.T).tocsr(), symmetric_mode=True)
+    rank = np.empty(n, dtype=np.int32)
+    rank[order] = np.arange(n)
+    row = rank[row]
+    c_row, c_col, c_pos = row[~g], -1 - col[~g], pos[~g]
+    row, col, pos = row[g], col[g], pos[g]
+    by_row = np.lexsort((col, row))
+    row, col, pos = row[by_row], col[by_row], pos[by_row]
+    # free column j of an interior vertex ii[j] holds its diagonal entry
+    diag = np.flatnonzero(col == order[row]).astype(np.int32)
+    # every unordered pair of G entries in one column: entries d apart in
+    # column order, for each d up to the longest column
+    by_col = np.argsort(col, kind="stable").astype(np.int32)
+    col_sorted = col[by_col]
+    t1, t2 = [], []
+    for d in range(int(np.bincount(col_sorted).max())):
+        same = np.flatnonzero(col_sorted[d:] == col_sorted[: len(col_sorted) - d])
+        t1.append(by_col[same + d])
+        t2.append(by_col[same])
+    t1, t2 = np.concatenate(t1), np.concatenate(t2)
+    lo, hi = np.minimum(row[t1], row[t2]), np.maximum(row[t1], row[t2])
+    bandwidth = int(np.max(hi - lo, initial=0))
+    slot = lo * (bandwidth + 1) + (hi - lo)
+    by_slot = np.argsort(slot, kind="stable")
+    return DualityPattern(
+        order=ii[order],
+        free=free,
+        gamma0=gamma0,
+        row=row,
+        col=col,
+        pos=pos,
+        diag=diag,
+        c_row=c_row,
+        c_col=c_col,
+        c_pos=c_pos,
+        t1=t1[by_slot],
+        t2=t2[by_slot],
+        slot=slot[by_slot],
+        bandwidth=bandwidth,
+    )
 
 
 def as_values(f, mesh: Mesh) -> np.ndarray:

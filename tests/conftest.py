@@ -177,9 +177,9 @@ class CountingLU:
         return self.lu.solve(rhs)
 
 
-def splu_normal_solve(S, rhs, h):
-    """Reference for calderon.cgo._solve_spd_banded: a default-ordering
-    SuperLU solve of the duality normal equations S x = rhs (h unused), as
+def splu_normal_solve(S, rhs):
+    """Reference for calderon.cgo._banded_cholesky: a default-ordering
+    SuperLU solve of the duality normal equations S x = rhs, as
     calderon.cgo.duality_completion solved them before banded Cholesky."""
     return spla.splu(sp.csc_matrix(S)).solve(rhs)
 

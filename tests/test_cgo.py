@@ -12,7 +12,16 @@ from calderon.forward import schrodinger_matrix
 from calderon.geometry import DiskDomain, as_values, build_disk_mesh
 from calderon.holo import HoloFunction, build_amplitude, build_morse_phase, find_critical_points
 
-from conftest import P_STAR, decay_slope, dense_cauchy_transform, gaussian_bump, per_h_r11, splu_normal_solve, two_point_phase
+from conftest import (
+    P_STAR,
+    _mesh_cache_fills,
+    decay_slope,
+    dense_cauchy_transform,
+    gaussian_bump,
+    per_h_r11,
+    splu_normal_solve,
+    two_point_phase,
+)
 
 
 @pytest.fixture(scope="module")
@@ -315,7 +324,55 @@ def _completed(mesh, V, phase, amplitude, h, cgo=None):
         cgo = _cgo.prepare_cgo(mesh, V, phase, amplitude)
     ((r11, _, T),) = cgo.r11_sweep([h]).values()
     res = _cgo.residual_field(cgo, h, r11, T)
-    return cgo, r11, _cgo.duality_completion(cgo, h, r11, res)
+    r2, _ = _cgo.duality_completion(cgo, h, r11, res)
+    return cgo, r11, r2
+
+
+def _restated_constraints(cgo, h, r11, res):
+    """The constraints of duality_completion restated from the assembled
+    Delta_g + V, not read from it: G = (e^{-phi/h} (Delta_g + V)
+    e^{phi/h})[interior, off gamma0], the right-hand side rhs of the
+    interior rows, the vertex mask on_gamma0, and the weighted ansatz
+    w = 2 Re(e^{i psi/h}(a + h a0 + r1)) that r2 cancels on gamma0."""
+    mesh = cgo.mesh
+    on_gamma0 = np.zeros(mesh.n_vertices, dtype=bool)
+    on_gamma0[mesh.boundary[mesh.boundary_is_gamma0]] = True
+    Phi = cgo.phase(mesh.vertices)
+    phi, psi = Phi.real, Phi.imag
+    A = schrodinger_matrix(mesh, cgo.V)
+    B = (sp.diags(np.exp(-phi / h)) @ A @ sp.diags(np.exp(phi / h))).tocsr()[mesh.interior]
+    w = 2.0 * np.real(np.exp(1j * psi / h) * (cgo.a_z + h * cgo.a0_z + r11 + h * cgo.r12))
+    rhs = -(mesh.mass * 2.0 * np.real(np.exp(1j * psi / h) * res))[mesh.interior]
+    rhs = rhs + B[:, on_gamma0] @ w[on_gamma0]
+    return B[:, ~on_gamma0], rhs, on_gamma0, w
+
+
+def test_cgo_samples_phase_and_cutoff_once_per_cgo(quarter_prep, monkeypatch):
+    """A sweep of residual_field and duality_completion over one CGO
+    evaluates Phi and Phi' at the vertices once each (two HoloFunction
+    calls) and dz(chi) once, cached on the CGO, whatever the number of h; a
+    second sweep over the same CGO evaluates neither."""
+    calls = {"holo": 0, "dchi": 0}
+    call, dz = HoloFunction.__call__, _cgo.Cutoff.dz
+
+    def counting_call(self, z):
+        calls["holo"] += 1
+        return call(self, z)
+
+    def counting_dz(self, z):
+        calls["dchi"] += 1
+        return dz(self, z)
+
+    monkeypatch.setattr(HoloFunction, "__call__", counting_call)
+    monkeypatch.setattr(_cgo.Cutoff, "dz", counting_dz)
+    h_list = [0.2, 0.14, 0.1]
+    # a copy of the shared CGO, so nothing is sampled yet
+    cgo = dataclasses.replace(quarter_prep["cgo"])
+    for expected in ({"holo": 2, "dchi": 1}, {"holo": 0, "dchi": 0}):
+        calls.update(holo=0, dchi=0)
+        for h, (r11, _, T) in cgo.r11_sweep(h_list).items():
+            _cgo.duality_completion(cgo, h, r11, _cgo.residual_field(cgo, h, r11, T))
+        assert calls == expected
 
 
 def test_residual_field_takes_slow_derivatives_once_per_sweep(quarter_prep, quarter_mesh_mid, monkeypatch):
@@ -423,33 +480,33 @@ def test_mirror_phase_pairing_runs(quarter_mesh_mid, quarter_domain):
         assert np.all(np.isfinite(r2))
 
 
-def _banded_vs_default_lu(mesh, V, setup, h, monkeypatch):
-    """max |r2 - r2_ref| / max |r2_ref|, r2_ref from default-ordering splu."""
-
-    def solve():
-        return _completed(mesh, V, setup["phase"], setup["amplitude"], h, setup["cgo"])[2]
-
-    got = solve()
-    monkeypatch.setattr(_cgo, "_solve_spd_banded", splu_normal_solve)
-    want = solve()
+def _banded_vs_default_lu(cgo, h):
+    """max |r2 - r2_ref| / max |r2_ref| for the r2 of duality_completion
+    and r2_ref = M^{-1} G^T lam, where lam solves the normal equations
+    S = G M^{-1} G^T of _restated_constraints by default-ordering splu."""
+    ((r11, _, T),) = cgo.r11_sweep([h]).values()
+    res = _cgo.residual_field(cgo, h, r11, T)
+    got, _ = _cgo.duality_completion(cgo, h, r11, res)
+    G, rhs, on_gamma0, w = _restated_constraints(cgo, h, r11, res)
+    m = cgo.mesh.mass[~on_gamma0]
+    lam = splu_normal_solve(G @ sp.diags(1.0 / m) @ G.T, rhs)
+    want = np.empty_like(got)
+    want[on_gamma0] = -w[on_gamma0]
+    want[~on_gamma0] = (G.T @ lam) / m
     return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
 
-def test_symmetric_ordering_matches_default_lu(quarter_prep, quarter_mesh_mid, monkeypatch):
-    """The banded Cholesky solve (reverse Cuthill-McKee order) of the
-    duality normal equations agrees with a default-ordering splu solve of
-    the same equations."""
-    rel = _banded_vs_default_lu(quarter_mesh_mid, gaussian_bump, quarter_prep, 0.3, monkeypatch)
-    assert rel <= 1e-10
+def test_symmetric_ordering_matches_default_lu(quarter_prep):
+    """The banded Cholesky solve (reverse Cuthill-McKee order, band filled
+    from the mesh's duality pattern) agrees with a default-ordering splu
+    solve of the normal equations restated from Delta_g + V."""
+    assert _banded_vs_default_lu(quarter_prep["cgo"], 0.3) <= 1e-10
 
 
-def test_banded_cholesky_matches_default_lu_on_reference_mesh(
-    ref_prep, ref_mesh, ref_scenario, monkeypatch
-):
+def test_banded_cholesky_matches_default_lu_on_reference_mesh(ref_prep):
     """The same agreement on the reference mesh at h = 0.05, the smallest h
     of the reference cgo sweep."""
-    rel = _banded_vs_default_lu(ref_mesh, ref_scenario.V1, ref_prep, 0.05, monkeypatch)
-    assert rel <= 1e-10
+    assert _banded_vs_default_lu(ref_prep["cgo"], 0.05) <= 1e-10
 
 
 def test_duality_completion_meets_its_constraints(ref_mesh, ref_scenario):
@@ -459,22 +516,13 @@ def test_duality_completion_meets_its_constraints(ref_mesh, ref_scenario):
     G = (e^{-phi/h} (Delta_g + V) e^{phi/h})[interior, off gamma0] and the
     right-hand side are restated here, not read from duality_completion."""
     mesh, sc = ref_mesh, ref_scenario
-    on_gamma0 = np.zeros(mesh.n_vertices, dtype=bool)
-    on_gamma0[mesh.boundary[mesh.boundary_is_gamma0]] = True
     for regime in sc.config["cgo_regimes"]:
         phase = sc.phase(sc.point, regime["psi_target"])
         cgo = _cgo.prepare_cgo(mesh, sc.V1, phase, sc.amplitude(phase), cutoff_scale=regime["cutoff_scale"])
-        A = schrodinger_matrix(mesh, cgo.V)
-        Phi = phase(mesh.vertices)
-        phi, psi = Phi.real, Phi.imag
         for h, (r11, _, T) in cgo.r11_sweep(sc.h_list).items():
             res = _cgo.residual_field(cgo, h, r11, T)
-            r2 = _cgo.duality_completion(cgo, h, r11, res)
-            B = (sp.diags(np.exp(-phi / h)) @ A @ sp.diags(np.exp(phi / h))).tocsr()[mesh.interior]
-            w = 2.0 * np.real(np.exp(1j * psi / h) * (cgo.a_z + h * cgo.a0_z + r11 + h * cgo.r12))
-            rhs = -(mesh.mass * 2.0 * np.real(np.exp(1j * psi / h) * res))[mesh.interior]
-            rhs = rhs + B[:, on_gamma0] @ w[on_gamma0]
-            G = B[:, ~on_gamma0]
+            r2, _ = _cgo.duality_completion(cgo, h, r11, res)
+            G, rhs, on_gamma0, w = _restated_constraints(cgo, h, r11, res)
             assert np.linalg.norm(G @ r2[~on_gamma0] - rhs) <= 1e-10 * np.linalg.norm(rhs)
             assert np.array_equal(r2[on_gamma0], -w[on_gamma0])
 
@@ -482,7 +530,96 @@ def test_duality_completion_meets_its_constraints(ref_mesh, ref_scenario):
 def test_indefinite_normal_equations_fail_loudly():
     """A symmetric indefinite S raises, naming h and the failing leading
     minor, where a pivoting LU would have returned a solution."""
-    S = sp.csr_matrix(np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
-    assert np.all(np.isfinite(splu_normal_solve(S, np.ones(3), 0.05)))
+    S = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    assert np.all(np.isfinite(splu_normal_solve(sp.csr_matrix(S), np.ones(3))))
+    # the lower band of S, column-major: band[d, j] = S[j + d, j]
+    band = np.asfortranarray([np.diag(S), np.append(np.diag(S, -1), 0.0)])
     with pytest.raises(RuntimeError, match=r"at h = 0\.05 .*leading minor"):
-        _cgo._solve_spd_banded(S, np.ones(3), 0.05)
+        _cgo._banded_cholesky(band, np.ones(3), 0.05)
+
+
+@pytest.mark.parametrize("gamma0", [None, (5.5, 0.8)], ids=["full_data", "wrapping_gamma0"])
+def test_duality_pattern_lays_out_the_blocks_and_the_band(gamma0):
+    """Mesh.duality_pattern holds Delta_g + V's interior x free and
+    interior x gamma0 blocks entry for entry, with every interior row's
+    diagonal, and its product pairs fill exactly the lower band of
+    G M^{-1} G^T in its row order, for full data (gamma0 empty) and for a
+    gamma0 that wraps through angle 0.  The completion it serves meets its
+    constraints on both."""
+    mesh = build_disk_mesh(0.1, DiskDomain(gamma0=gamma0))
+    p = mesh.duality_pattern
+    K = mesh.stiffness
+    assert np.array_equal(p.gamma0, mesh.gamma0_indices())
+    # a wrapping gamma0 holds both the first and the last boundary vertex
+    wraps = set(mesh.boundary[[0, -1]]) <= set(p.gamma0)
+    assert (len(p.gamma0), wraps) == ((0, False) if gamma0 is None else (16, True))
+    assert np.array_equal(np.sort(p.order), np.flatnonzero(mesh.interior))
+    assert np.array_equal(np.sort(np.concatenate([p.free, p.gamma0])), np.arange(mesh.n_vertices))
+    n, n_free = len(p.order), len(p.free)
+    G = sp.csr_matrix((K.data[p.pos], (p.row, p.col)), shape=(n, n_free))
+    C = sp.csr_matrix((K.data[p.c_pos], (p.c_row, p.c_col)), shape=(n, len(p.gamma0)))
+    assert G.nnz + C.nnz == K[p.order].nnz
+    assert np.array_equal(G.toarray(), K[np.ix_(p.order, p.free)].toarray())
+    assert np.array_equal(C.toarray(), K[np.ix_(p.order, p.gamma0)].toarray())
+    assert np.array_equal(p.row[p.diag], np.arange(n)) and np.array_equal(p.free[p.col[p.diag]], p.order)
+    g = np.random.default_rng(0).standard_normal(len(p.pos))
+    m = mesh.mass[p.free]
+    G = sp.csr_matrix((g, (p.row, p.col)), shape=(n, n_free))
+    S = (G @ sp.diags(1.0 / m) @ G.T).toarray()
+    band = p.lower_band(g, m)
+    assert band.shape == (p.bandwidth + 1, n) and band.flags.f_contiguous
+    assert np.max(np.abs(np.tril(S, -p.bandwidth - 1))) == 0.0
+    for d in range(p.bandwidth + 1):
+        assert np.allclose(band[d, : n - d], np.diag(S, -d), rtol=1e-13, atol=1e-13 * np.max(np.abs(S)))
+    phase = HoloFunction([1j, 0.0, 1.0])
+    phase.meta.update(critical_points=find_critical_points(phase), p=0.0j)
+    cgo = _cgo.prepare_cgo(mesh, 0.0, phase, HoloFunction([1.0]))
+    h = 0.3
+    ((r11, _, T),) = cgo.r11_sweep([h]).values()
+    res = _cgo.residual_field(cgo, h, r11, T)
+    r2, residual = _cgo.duality_completion(cgo, h, r11, res)
+    G, rhs, on_gamma0, w = _restated_constraints(cgo, h, r11, res)
+    assert np.linalg.norm(G @ r2[~on_gamma0] - rhs) <= 1e-10 * max(np.linalg.norm(rhs), 1e-300)
+    assert residual <= 1e-10
+    assert np.array_equal(r2[on_gamma0], -w[on_gamma0])
+
+
+@pytest.fixture(scope="module")
+def ref_reports(ref_scenario):
+    """The residual_scaling_report of both reference cgo_regimes on one
+    fresh reference mesh, with the meshes whose duality_pattern was built
+    meanwhile: (mesh, built, reports)."""
+    sc = ref_scenario
+    with pytest.MonkeyPatch.context() as mp:
+        built = _mesh_cache_fills(mp, "duality_pattern")
+        mesh = build_disk_mesh(sc.config["resolution"], sc.domain)
+        reports = []
+        for regime in sc.config["cgo_regimes"]:
+            phase = sc.phase(sc.point, regime["psi_target"])
+            reports.append(
+                _cgo.residual_scaling_report(
+                    mesh, sc.V1, phase, sc.amplitude(phase), sc.h_list, cutoff_scale=regime["cutoff_scale"]
+                )
+            )
+    return mesh, built, reports
+
+
+def test_duality_pattern_built_once_per_mesh(ref_reports, ref_scenario):
+    """Both reference regimes, at each of their 5 h, share one duality
+    pattern: the mesh builds it once, on first use."""
+    mesh, built, reports = ref_reports
+    assert [r["h_list"] for r in reports] == [ref_scenario.h_list] * 2 and len(ref_scenario.h_list) == 5
+    assert len(built) == 1 and built[0] is mesh
+
+
+def test_duality_residual_recorded_per_h(ref_reports):
+    """The report records duality_completion's relative residual
+    |G r2 - rhs| / |rhs| at every h, beside the norms (so no exponent is
+    fitted to it), and it is at most 1e-10 for both reference regimes
+    (5e-12 measured)."""
+    _, _, reports = ref_reports
+    for rep in reports:
+        assert len(rep["duality_residual"]) == len(rep["h_list"])
+        assert max(rep["duality_residual"]) <= 1e-10
+        assert all("duality_residual" not in row for row in rep["norms"])
+        assert "duality_residual" not in rep["exponents"]

@@ -96,10 +96,10 @@ def _calderon_functions() -> dict:
 
 
 def test_no_function_takes_a_mesh_and_its_domain():
-    """A mesh carries its domain (Mesh.domain), a CGO its potential
-    (CGO.V, and CGO.A = Delta_g + V) and a Morse phase its critical points
-    and primary point (meta["critical_points"], meta["p"]), so no function
-    takes a second copy that could disagree with the first."""
+    """A mesh carries its domain (Mesh.domain), a CGO its potential (CGO.V)
+    and a Morse phase its critical points and primary point
+    (meta["critical_points"], meta["p"]), so no function takes a second
+    copy that could disagree with the first."""
     functions = _calderon_functions()
     assert {"cgo.prepare_cgo", "reconstruct.pointwise_difference", "geometry.Mesh.__init__"} <= set(functions)
     params = {name: set(inspect.signature(fn).parameters) for name, fn in functions.items()}
